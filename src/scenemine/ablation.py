@@ -244,16 +244,15 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
     reports: dict[str, EvalReport] = {}
     batches: dict[str, BatchResult] = {}
     for arm in ARMS:
-        fixture = build_fixture(suite.queries, arm.epsrf)
         config = MiningConfig(
-            provider=lambda fixture=fixture: ScriptedProvider(fixture),
+            provider=ScriptedProvider(build_fixture(suite.queries, arm.epsrf)),
             max_iterations=arm.max_iterations,
             epsrf=arm.epsrf,
             workers=workers,
         )
         batch = run_batch(query_texts, ordered_logs, config)
         predictions = {
-            query: {log_id: outcome.prediction for log_id, outcome in per_log.items()}
+            query: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
             for query, per_log in batch.outcomes.items()
         }
         reports[arm.name] = evaluate(predictions, suite.ground_truth, suite.logs)

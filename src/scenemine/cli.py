@@ -20,7 +20,7 @@ from .errors import MalformedFile, InconsistentInput, ScenarioMiningError
 from .metrics import evaluate
 from .orchestrator import MiningConfig, run_batch
 from .predicates import registry_catalog
-from .providers import HttpProvider, ScriptedProvider, load_fixture
+from .providers import HttpProvider, ScriptedProvider
 from .scenario_set import ScenarioSet
 from .synth import ScenarioSpec, TEMPLATES, generate_scenario_log, write_bundle
 from .tracklog import TrackLog, load_ground_truth, load_log
@@ -115,10 +115,14 @@ def _load_predictions(path: str) -> dict[str, dict[str, ScenarioSet]]:
             raise MalformedFile(f"{path}: predictions for {query!r} must be an object keyed by log id")
         predictions[query] = {}
         for log_id, entries in per_log.items():
-            try:
-                predictions[query][log_id] = ScenarioSet.from_json_dict(entries)
-            except ScenarioMiningError as exc:
-                raise MalformedFile(f"{path}: predictions[{query!r}][{log_id!r}]: {exc}") from exc
+            if not isinstance(entries, dict) or not all(
+                isinstance(stamps, list) and all(isinstance(t, int) and not isinstance(t, bool) for t in stamps)
+                for stamps in entries.values()
+            ):
+                raise MalformedFile(
+                    f"{path}: predictions[{query!r}][{log_id!r}] must map track ids to lists of integer timestamps"
+                )
+            predictions[query][log_id] = ScenarioSet.from_json_dict(entries)
     return predictions
 
 
@@ -137,9 +141,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         fixture_path = _pick(args.fixture, config, "fixture")
         if not fixture_path:
             raise MalformedFile("the scripted provider needs --fixture (or 'fixture' in --config)")
-        # Validate once up front, then hand each run a fresh replay cursor.
-        fixture = load_fixture(fixture_path)
-        provider = lambda: ScriptedProvider(fixture)  # noqa: E731
+        provider = ScriptedProvider.from_file(fixture_path)
     elif provider_kind == "http":
         endpoint = _pick(args.endpoint, config, "endpoint")
         model = _pick(args.model, config, "model")

@@ -136,6 +136,8 @@ class _Token:
     span: Span
 
 
+# The unbounded number: a literal, so it cannot name a variable.
+INF = "inf"
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 _PUNCT = {"=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
@@ -161,7 +163,8 @@ def _tokenize(text: str) -> list[_Token]:
                 j = i + 1
                 while j < len(line) and line[j] in _IDENT_CONT:
                     j += 1
-                tokens.append(_Token("IDENT", line[i:j], Span(line_no, col)))
+                word = line[i:j]
+                tokens.append(_Token("NUMBER" if word == INF else "IDENT", word, Span(line_no, col)))
                 i = j
             elif ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < len(line) and (line[i + 1].isdigit() or line[i + 1] == ".")):
                 j = i + 1 if ch in "+-" else i
@@ -296,6 +299,8 @@ def parse(text: str) -> Program:
             parser.advance()
             continue
         tok = parser.peek()
+        if tok.text == INF and parser.tokens[parser.pos + 1].kind == "EQUALS":
+            raise DslError(PARSE_ERROR, f"'{INF}' is reserved and cannot be assigned", tok.span)
         if tok.kind != "IDENT":
             shown = tok.text or tok.kind.lower()
             raise DslError(PARSE_ERROR, f"expected a statement, found '{shown}'", tok.span)
@@ -555,8 +560,8 @@ def _render_value(node) -> str:
 
 
 def _render_number(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
+    if value == math.inf:
+        return INF
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
@@ -603,8 +608,6 @@ def describe_functions(registry: Mapping[str, FunctionSpec] = REGISTRY) -> str:
                 sig_parts.append(p.name)
             elif isinstance(p.default, str):
                 sig_parts.append(f'{p.name}="{p.default}"')
-            elif isinstance(p.default, float) and math.isinf(p.default):
-                sig_parts.append(f"{p.name}=inf")
             else:
                 sig_parts.append(f"{p.name}={_render_number(p.default)}")
         lines = [f"{spec.name}({', '.join(sig_parts)})", f"    {spec.summary}"]
@@ -612,14 +615,3 @@ def describe_functions(registry: Mapping[str, FunctionSpec] = REGISTRY) -> str:
             lines.append(f"    {p.name}: {p.doc} ({_format_default(p)})")
         blocks.append("\n".join(lines) + "\n")
     return "\n".join(blocks)
-
-
-def catalog_function_names(catalog_text: str) -> list[str]:
-    """Function names announced by a catalog text (lines starting a signature)."""
-    names = []
-    for line in catalog_text.splitlines():
-        if line and not line.startswith(" "):
-            head = line.split("(", 1)
-            if len(head) == 2 and head[0].isidentifier():
-                names.append(head[0])
-    return names

@@ -1,11 +1,12 @@
-"""Query-to-scenario mining: generate code, repair on failure, execute.
+"""Query-to-scenario mining: translate once, repair on failure, execute.
 
-One mining run covers a single (query, log) pair. Each round composes a
-prompt (the first round plain, later rounds carrying the previous program
-and its diagnostic), asks the provider for code, and tries to parse, check
-and run it. The first round that executes cleanly wins; if every round up
-to the iteration cap fails, the run reports Failed with an empty prediction
-rather than raising -- a batch must survive any single bad query.
+Each query is translated into one program that runs on every log. A round
+composes a prompt (the first plain, later ones carrying the previous program
+and its diagnostic), asks the provider for code, parses it and interprets it
+on each log in turn; the first diagnostic, from parsing or from any log, is
+the next round's feedback. If every round up to the cap fails, the query
+reports Failed with empty predictions rather than raising -- a batch must
+survive any single bad query.
 """
 
 from __future__ import annotations
@@ -61,14 +62,14 @@ def extract_code(response: str) -> str:
 
 @dataclass
 class MiningConfig:
-    """Knobs for a mining run.
+    """Knobs for mining a batch of queries.
 
-    provider may be an instance or a zero-argument factory; a factory gets
-    called once per (query, log) run so scripted replay counters start fresh
-    for every run regardless of batch shape or worker count.
+    One provider serves every query. Each query is translated once, so a
+    scripted provider, which keeps a reply cursor per query, replays every
+    query's replies from the first whatever the batch order or worker count.
     """
 
-    provider: LlmProvider | Callable[[], LlmProvider]
+    provider: LlmProvider
     max_iterations: int = 5
     epsrf: bool = True
     registry: Mapping[str, FunctionSpec] = field(default_factory=lambda: REGISTRY)
@@ -76,11 +77,6 @@ class MiningConfig:
     transport_backoff: float = 2.0
     sleeper: Callable[[float], None] = time.sleep
     workers: int = 1
-
-    def make_provider(self) -> LlmProvider:
-        if callable(self.provider) and not hasattr(self.provider, "generate"):
-            return self.provider()
-        return self.provider
 
 
 @dataclass(frozen=True)
@@ -109,40 +105,41 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class MiningOutcome:
+    """One query's rounds, its accepted program, and that program's result on each log."""
+
     query_text: str
-    log_id: str
     status: str
     iterations: tuple[IterationRecord, ...]
-    prediction: ScenarioSet
     code: str | None
+    predictions: Mapping[str, ScenarioSet]  # log id -> prediction, empty sets on failure
 
     @property
     def succeeded(self) -> bool:
         return self.status == STATUS_SUCCEEDED
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, log_id: str) -> dict:
+        """The transcript of this query on one log."""
         return {
             "query": self.query_text,
-            "log_id": self.log_id,
+            "log_id": log_id,
             "status": self.status,
             "code": self.code,
-            "prediction": self.prediction.to_json_dict(),
+            "prediction": self.predictions[log_id].to_json_dict(),
             "iterations": [rec.to_json_dict() for rec in self.iterations],
         }
 
 
-def _generate_once(provider: LlmProvider, prompt: Prompt, config: MiningConfig) -> str:
+def _generate_once(prompt: Prompt, config: MiningConfig) -> str:
     """One provider call with a single retry after a transport failure."""
     try:
-        return provider.generate(prompt.text)
+        return config.provider.generate(prompt.text)
     except ProviderError:
         config.sleeper(config.transport_backoff)
-        return provider.generate(prompt.text)
+        return config.provider.generate(prompt.text)
 
 
-def mine_scenario(query_text: str, log: TrackLog, config: MiningConfig) -> MiningOutcome:
-    """Run the generate/execute/repair loop for one query against one log."""
-    provider = config.make_provider()
+def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfig) -> MiningOutcome:
+    """Run the generate/execute/repair loop for one query over every log."""
     catalog = describe_functions(config.registry)
     records: list[IterationRecord] = []
     prior_code: str | None = None
@@ -157,7 +154,7 @@ def mine_scenario(query_text: str, log: TrackLog, config: MiningConfig) -> Minin
             )
 
         try:
-            response = _generate_once(provider, prompt, config)
+            response = _generate_once(prompt, config)
         except ProviderError as exc:
             records.append(
                 IterationRecord(index, prompt.text, None, None, TRANSPORT_ERROR, str(exc), None)
@@ -178,7 +175,9 @@ def mine_scenario(query_text: str, log: TrackLog, config: MiningConfig) -> Minin
 
         try:
             program = parse(code)
-            prediction = interpret(program, log, config.registry, config.categories)
+            predictions = {
+                log.log_id: interpret(program, log, config.registry, config.categories) for log in logs
+            }
         except DslError as exc:
             span = (exc.span.line, exc.span.col) if exc.span else None
             records.append(
@@ -188,13 +187,10 @@ def mine_scenario(query_text: str, log: TrackLog, config: MiningConfig) -> Minin
             continue
 
         records.append(IterationRecord(index, prompt.text, response, code, None, None, None))
-        return MiningOutcome(
-            query_text, log.log_id, STATUS_SUCCEEDED, tuple(records), prediction, code
-        )
+        return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, predictions)
 
-    return MiningOutcome(
-        query_text, log.log_id, STATUS_FAILED, tuple(records), ScenarioSet.empty(), None
-    )
+    empty = {log.log_id: ScenarioSet.empty() for log in logs}
+    return MiningOutcome(query_text, STATUS_FAILED, tuple(records), None, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +199,15 @@ def mine_scenario(query_text: str, log: TrackLog, config: MiningConfig) -> Minin
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Outcomes for the full query x log grid, keyed query text -> log id."""
+    """Outcomes keyed query text -> log id; every log of a query shares that query's outcome."""
 
     outcomes: Mapping[str, Mapping[str, MiningOutcome]]
 
     def predictions(self) -> dict:
         return {
-            query: {log_id: outcome.prediction.to_json_dict() for log_id, outcome in per_log.items()}
+            query: {
+                log_id: outcome.predictions[log_id].to_json_dict() for log_id, outcome in per_log.items()
+            }
             for query, per_log in self.outcomes.items()
         }
 
@@ -243,30 +241,20 @@ def run_batch(
     config: MiningConfig,
     out_dir: str | None = None,
 ) -> BatchResult:
-    """Mine every query against every log; optionally write prediction/transcript files.
+    """Mine every query over every log; optionally write prediction/transcript files.
 
-    Worker threads only affect wall time: results are keyed by (query, log)
-    and files are written after the grid completes, so output bytes do not
-    depend on scheduling order.
+    Worker threads mine queries side by side and only affect wall time:
+    results are keyed by query and log id, and files are written after every
+    query is done, so output bytes do not depend on scheduling order.
     """
-    pairs = [(query, log) for query in queries for log in logs]
-    results: dict[tuple[str, str], MiningOutcome] = {}
+    unique = list(dict.fromkeys(queries))
+    mine = lambda query: mine_scenario(query, logs, config)  # noqa: E731
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {
-                (query, log.log_id): pool.submit(mine_scenario, query, log, config)
-                for query, log in pairs
-            }
-            for key, future in futures.items():
-                results[key] = future.result()
+            mined = list(pool.map(mine, unique))
     else:
-        for query, log in pairs:
-            results[(query, log.log_id)] = mine_scenario(query, log, config)
-
-    outcomes: dict[str, dict[str, MiningOutcome]] = {}
-    for query in queries:
-        outcomes[query] = {log.log_id: results[(query, log.log_id)] for log in logs}
-    batch = BatchResult(outcomes)
+        mined = [mine(query) for query in unique]
+    batch = BatchResult({outcome.query_text: {log.log_id: outcome for log in logs} for outcome in mined})
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -275,6 +263,6 @@ def run_batch(
         _write_text_atomic(os.path.join(out_dir, "predictions.json"), batch.predictions_json())
         for query, per_log in batch.outcomes.items():
             for log_id, outcome in per_log.items():
-                text = json.dumps(outcome.to_json_dict(), indent=2, sort_keys=True) + "\n"
+                text = json.dumps(outcome.to_json_dict(log_id), indent=2, sort_keys=True) + "\n"
                 _write_text_atomic(os.path.join(transcripts, _transcript_name(query, log_id)), text)
     return batch

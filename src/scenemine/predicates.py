@@ -394,7 +394,10 @@ def followed_by(
     track when cross_track is true.
     """
     _positive(within_seconds, "within_seconds")
-    window_ns = int(round(within_seconds * NS_PER_SECOND))
+    window = within_seconds * NS_PER_SECOND
+    if not math.isfinite(window):
+        raise InvalidParameter(f"within_seconds is too large for a time window, got {within_seconds!r}")
+    window_ns = int(round(window))
 
     if cross_track:
         merged: list[int] = sorted({ts for _, ts in first.pairs()})

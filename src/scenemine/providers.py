@@ -12,7 +12,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from .errors import MalformedFile, ProviderError
 
@@ -59,13 +59,17 @@ def _validate_fixture(fixture: Mapping) -> None:
             raise MalformedFile(f"fixture entry {key!r} needs a non-empty list of reply strings")
 
 
-def load_fixture(path: str) -> dict:
-    """Read and validate a reply fixture file."""
+def _read_fixture(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            fixture = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: fixture is not valid JSON: {exc}") from exc
+
+
+def load_fixture(path: str) -> dict:
+    """Read and validate a reply fixture file."""
+    fixture = _read_fixture(path)
     _validate_fixture(fixture)
     return fixture
 
@@ -89,7 +93,7 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedProvider":
-        return cls(load_fixture(path))
+        return cls(_read_fixture(path))  # validated once, by __init__
 
     def _match(self, prompt: str) -> str:
         best_key = None
@@ -110,21 +114,6 @@ class ScriptedProvider:
             index = min(self._cursor[key], len(replies) - 1)
             self._cursor[key] += 1
             return replies[index]
-
-
-class FlakyProvider:
-    """Wraps a provider, raising ProviderError on chosen call numbers (1-based)."""
-
-    def __init__(self, inner: LlmProvider, fail_on: Iterable[int]):
-        self._inner = inner
-        self._fail_on = frozenset(fail_on)
-        self.calls = 0
-
-    def generate(self, prompt: str) -> str:
-        self.calls += 1
-        if self.calls in self._fail_on:
-            raise ProviderError(f"injected transport failure on call {self.calls}")
-        return self._inner.generate(prompt)
 
 
 class HttpProvider:

@@ -124,13 +124,6 @@ class TrackLog:
         obj = self.objects.get(track_id)
         return None if obj is None else obj.states.get(ts)
 
-    def timestamp_index(self, ts: int) -> int:
-        """Index of ts in the shared timestamp list, or -1."""
-        try:
-            return self.timestamps.index(ts)
-        except ValueError:
-            return -1
-
 
 @dataclass(frozen=True)
 class GroundTruthScenario:

@@ -181,8 +181,8 @@ def test_repair_loop_heals_in_exactly_three_rounds():
         fenced(good),
     ]
     fixture = make_fixture({query: replies})
-    config = MiningConfig(provider=lambda: ScriptedProvider(fixture))
-    outcome = mine_scenario(query, _mining_log(), config)
+    config = MiningConfig(provider=ScriptedProvider(fixture))
+    outcome = mine_scenario(query, [_mining_log()], config)
 
     assert outcome.status == STATUS_SUCCEEDED
     assert len(outcome.iterations) == 3
@@ -204,12 +204,13 @@ def test_repair_loop_stops_after_five_failed_rounds():
     fixture = make_fixture({query: [fenced("x = summon_ghosts()\noutput(x)")]})
     provider = ScriptedProvider(fixture)
     config = MiningConfig(provider=provider, max_iterations=5)
-    outcome = mine_scenario(query, _mining_log(), config)
+    log = _mining_log()
+    outcome = mine_scenario(query, [log], config)
 
     assert provider.calls == 5
     assert outcome.status == STATUS_FAILED
     assert len(outcome.iterations) == 5
-    assert outcome.prediction == ScenarioSet.empty()
+    assert outcome.predictions[log.log_id] == ScenarioSet.empty()
     print("PASS: an always-failing provider is called exactly 5 times, then Failed")
 
 
@@ -282,11 +283,11 @@ def test_perfect_predictions_score_one_hundred_everywhere():
     queries = [r.query for r in results]
     fixture = make_fixture({r.query: [fenced(r.program)] for r in results})
     batch = run_batch(
-        queries, list(logs.values()), MiningConfig(provider=lambda: ScriptedProvider(fixture))
+        queries, list(logs.values()), MiningConfig(provider=ScriptedProvider(fixture))
     )
     assert not batch.failed_runs()
     predictions = {
-        q: {log_id: outcome.prediction for log_id, outcome in per_log.items()}
+        q: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
         for q, per_log in batch.outcomes.items()
     }
     ground_truth = [

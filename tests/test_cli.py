@@ -317,6 +317,23 @@ def test_eval_rejects_malformed_predictions(tmp_path, bundle_dir, capsys):
     assert "predictions must map query text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "per_log",
+    [
+        {"t": ["x"]},  # a string where a timestamp belongs
+        [["t", [1]]],  # a list in place of the track map
+        {"t": 5},  # an int in place of the timestamp list
+    ],
+)
+def test_eval_rejects_malformed_prediction_sets(tmp_path, bundle_dir, capsys, per_log):
+    predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
+    capsys.readouterr()
+    bad = _write(tmp_path / "bad_predictions.json", json.dumps({"trucks in the scene": {"near-0007": per_log}}))
+    code = main(["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)])
+    assert code == 2
+    assert "predictions['trucks in the scene']['near-0007']" in capsys.readouterr().err
+
+
 def test_eval_missing_log_is_exit_two(tmp_path, bundle_dir, capsys):
     predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
     capsys.readouterr()

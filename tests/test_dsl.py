@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,6 @@ from scenemine.dsl import (
     UNKNOWN_VARIABLE,
     DslError,
     Span,
-    catalog_function_names,
     check,
     describe_functions,
     interpret,
@@ -23,7 +24,7 @@ from scenemine.dsl import (
 from scenemine.predicates import REGISTRY
 from scenemine.scenario_set import ScenarioSet
 
-from util import make_log, sset, stamps, static_obj
+from util import catalog_function_names, make_log, sset, stamps, static_obj
 
 MINIMAL = 'x = get_objects_of_category(category="TRUCK")\noutput(x)\n'
 
@@ -343,6 +344,42 @@ def test_catalog_contains_every_function_once():
     names = catalog_function_names(text)
     assert names == list(REGISTRY)
     assert len(set(names)) == len(names)
+
+
+def test_every_catalog_default_parses_and_checks():
+    # each keyword default the catalog advertises, passed explicitly, is valid program text
+    required_values = {"scenario_set": "base", "category": '"TRUCK"', "float": "1"}
+    catalog = describe_functions()
+    for spec in REGISTRY.values():
+        signature = catalog.split(f"\n{spec.name}(", 1)[1].split(")\n", 1)[0]
+        defaults = [part for part in signature.split(", ") if "=" in part]
+        required = [
+            f'{p.name}="{p.enum_values[0]}"' if p.enum_values else f"{p.name}={required_values[p.kind]}"
+            for p in spec.params
+            if p.required
+        ]
+        text = (
+            'base = get_objects_of_category(category="TRUCK")\n'
+            f"x = {spec.name}({', '.join(required + defaults)})\n"
+            "output(x)\n"
+        )
+        assert check(parse(text)) == [], text
+
+
+def test_inf_is_a_number_literal_that_round_trips():
+    text = "x = has_velocity(a, max_velocity=inf)\noutput(x)\n"
+    program = parse(text)
+    value = program.assignments[0].call.kwargs[0].value
+    assert (value.kind, value.value) == ("number", math.inf)
+    assert pretty_print(program) == text
+    assert parse(pretty_print(program)) == program
+
+
+def test_inf_cannot_be_assigned():
+    with pytest.raises(DslError) as info:
+        parse('inf = get_objects_of_category(category="TRUCK")\noutput(inf)')
+    assert info.value.kind == PARSE_ERROR
+    assert "reserved" in info.value.message
 
 
 def test_catalog_is_deterministic():

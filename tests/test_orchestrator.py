@@ -1,9 +1,11 @@
 import json
+import os
 import re
+import sys
 
 import pytest
 
-from scenemine.errors import EmptyResponse
+from scenemine.errors import EmptyResponse, InvalidParameter
 from scenemine.orchestrator import (
     EMPTY_RESPONSE,
     MISSING_CODE_PLACEHOLDER,
@@ -15,10 +17,11 @@ from scenemine.orchestrator import (
     mine_scenario,
     run_batch,
 )
-from scenemine.providers import FlakyProvider, ScriptedProvider, make_fixture
+from scenemine.predicates import REGISTRY, FunctionSpec
+from scenemine.providers import ScriptedProvider, make_fixture
 from scenemine.scenario_set import ScenarioSet
 
-from util import make_log, sset, stamps, static_obj
+from util import FlakyProvider, make_log, sset, stamps, static_obj
 
 QUERY = "trucks on the move"
 
@@ -39,7 +42,7 @@ def fenced(code):
 
 def fixture_config(replies, query=QUERY, **kwargs):
     fixture = make_fixture({query: list(replies)})
-    return MiningConfig(provider=lambda: ScriptedProvider(fixture), **kwargs)
+    return MiningConfig(provider=ScriptedProvider(fixture), **kwargs)
 
 
 @pytest.fixture
@@ -90,11 +93,11 @@ def test_extract_code_blank_response_raises():
 
 
 def test_clean_first_round(log):
-    outcome = mine_scenario(QUERY, log, fixture_config([fenced(GOOD_CODE)]))
+    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)]))
     assert outcome.status == STATUS_SUCCEEDED
     assert outcome.succeeded
     assert outcome.code == GOOD_CODE
-    assert outcome.prediction == sset({"t1": stamps(2)})
+    assert outcome.predictions[log.log_id] == sset({"t1": stamps(2)})
     assert len(outcome.iterations) == 1
     record = outcome.iterations[0]
     assert record.error_kind is None and record.error_message is None
@@ -104,7 +107,7 @@ def test_clean_first_round(log):
 
 def test_two_failures_then_success(log):
     config = fixture_config([fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)])
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert len(outcome.iterations) == 3
 
@@ -126,21 +129,19 @@ def test_two_failures_then_success(log):
 
 def test_all_rounds_fail(log):
     config = fixture_config([fenced(BAD_FUNCTION)])
-    provider = config.make_provider()
-    config.provider = provider  # pin the instance so we can count calls
-    outcome = mine_scenario(QUERY, log, config)
-    assert provider.calls == 5
+    outcome = mine_scenario(QUERY, [log], config)
+    assert config.provider.calls == 5
     assert outcome.status == STATUS_FAILED
     assert outcome.code is None
-    assert outcome.prediction == ScenarioSet.empty()
-    assert outcome.prediction.is_empty
+    assert outcome.predictions[log.log_id] == ScenarioSet.empty()
+    assert outcome.predictions[log.log_id].is_empty
     assert len(outcome.iterations) == 5
     assert all(r.error_kind == "UnknownFunction" for r in outcome.iterations)
 
 
 def test_iteration_cap_is_configurable(log):
     config = fixture_config([fenced(BAD_FUNCTION)], max_iterations=2)
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_FAILED
     assert len(outcome.iterations) == 2
 
@@ -148,7 +149,7 @@ def test_iteration_cap_is_configurable(log):
 def test_parse_errors_are_repairable(log):
     nested = "x = has_velocity(get_objects_of_category())\noutput(x)"
     config = fixture_config([fenced(nested), fenced(GOOD_CODE)])
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert outcome.iterations[0].error_kind == "ParseError"
     assert outcome.iterations[0].error_span is not None
@@ -159,7 +160,7 @@ def test_transport_failure_retries_within_round(log):
     fixture = make_fixture({QUERY: [fenced(GOOD_CODE)]})
     provider = FlakyProvider(ScriptedProvider(fixture), fail_on=(1,))
     config = MiningConfig(provider=provider, transport_backoff=2.0, sleeper=sleeps.append)
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert len(outcome.iterations) == 1  # the retry happens inside the round
     assert provider.calls == 2
@@ -171,7 +172,7 @@ def test_transport_failure_twice_burns_the_round(log):
     fixture = make_fixture({QUERY: [fenced(GOOD_CODE)]})
     provider = FlakyProvider(ScriptedProvider(fixture), fail_on=(1, 2))
     config = MiningConfig(provider=provider, sleeper=sleeps.append)
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert len(outcome.iterations) == 2
     assert sleeps == [2.0]
@@ -186,7 +187,7 @@ def test_transport_failure_twice_burns_the_round(log):
 
 def test_empty_reply_burns_the_round(log):
     config = fixture_config(["   ", fenced(GOOD_CODE)])
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert outcome.iterations[0].error_kind == EMPTY_RESPONSE
     assert MISSING_CODE_PLACEHOLDER in outcome.iterations[1].prompt_text
@@ -194,7 +195,7 @@ def test_empty_reply_burns_the_round(log):
 
 def test_empty_fenced_block_counts_as_empty(log):
     config = fixture_config(["```\n```", fenced(GOOD_CODE)])
-    outcome = mine_scenario(QUERY, log, config)
+    outcome = mine_scenario(QUERY, [log], config)
     assert outcome.iterations[0].error_kind == EMPTY_RESPONSE
     assert outcome.iterations[0].response_text == "```\n```"
 
@@ -202,24 +203,15 @@ def test_empty_fenced_block_counts_as_empty(log):
 def test_epsrf_toggle_reaches_prompts(log):
     from scenemine.promptgen import EPSRF_GUIDANCE
 
-    on = mine_scenario(QUERY, log, fixture_config([fenced(GOOD_CODE)], epsrf=True))
-    off = mine_scenario(QUERY, log, fixture_config([fenced(GOOD_CODE)], epsrf=False))
+    on = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)], epsrf=True))
+    off = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)], epsrf=False))
     assert EPSRF_GUIDANCE in on.iterations[0].prompt_text
     assert EPSRF_GUIDANCE not in off.iterations[0].prompt_text
 
 
-def test_provider_factory_called_per_run(log):
-    # two-reply fixture: a shared instance would hand the second run "two"
-    fixture = make_fixture({QUERY: [fenced(GOOD_CODE), fenced(BAD_FUNCTION)]})
-    config = MiningConfig(provider=lambda: ScriptedProvider(fixture))
-    first = mine_scenario(QUERY, log, config)
-    second = mine_scenario(QUERY, log, config)
-    assert first.code == second.code == GOOD_CODE
-
-
 def test_outcome_json_shape(log):
-    outcome = mine_scenario(QUERY, log, fixture_config([fenced(GOOD_CODE)]))
-    blob = outcome.to_json_dict()
+    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)]))
+    blob = outcome.to_json_dict(log.log_id)
     assert blob["query"] == QUERY
     assert blob["log_id"] == log.log_id
     assert blob["status"] == STATUS_SUCCEEDED
@@ -249,24 +241,79 @@ def _batch_fixture():
 
 
 def _batch_config(**kwargs):
-    fixture = _batch_fixture()
-    return MiningConfig(provider=lambda: ScriptedProvider(fixture), **kwargs)
+    return MiningConfig(provider=ScriptedProvider(_batch_fixture()), **kwargs)
 
 
 def test_run_batch_covers_the_grid():
     batch = run_batch(["trucks", "walkers", "doomed"], _two_logs(), _batch_config())
     assert set(batch.outcomes) == {"trucks", "walkers", "doomed"}
     assert set(batch.outcomes["trucks"]) == {"log-a", "log-b"}
-    assert batch.outcomes["trucks"]["log-a"].prediction == sset({"t1": stamps(2)})
-    assert batch.outcomes["trucks"]["log-b"].prediction.is_empty
-    assert batch.outcomes["walkers"]["log-b"].prediction == sset({"p1": stamps(2)})
+    assert batch.outcomes["trucks"]["log-a"].predictions["log-a"] == sset({"t1": stamps(2)})
+    assert batch.outcomes["trucks"]["log-b"].predictions["log-b"].is_empty
+    assert batch.outcomes["walkers"]["log-b"].predictions["log-b"] == sset({"p1": stamps(2)})
     assert sorted(batch.failed_runs()) == [("doomed", "log-a"), ("doomed", "log-b")]
+
+
+def test_run_batch_translates_each_query_once():
+    config = _batch_config()
+    batch = run_batch(["trucks", "walkers", "doomed"], _two_logs(), config)
+    assert config.provider.calls == 1 + 1 + 5  # one loop per query, not per (query, log)
+    per_log = batch.outcomes["doomed"]
+    assert per_log["log-a"] is per_log["log-b"]
+
+
+def test_runtime_error_on_any_log_is_repair_feedback():
+    def fails_on_log_b(ctx):
+        if ctx.log.log_id == "log-b":
+            raise InvalidParameter("no data for log-b")
+        return ScenarioSet.empty()
+
+    registry = dict(REGISTRY, only_log_a=FunctionSpec("only_log_a", "Fails on log-b.", (), fails_on_log_b))
+    fixture = make_fixture({"trucks": [fenced("x = only_log_a()\noutput(x)"), fenced(GOOD_CODE)]})
+    config = MiningConfig(provider=ScriptedProvider(fixture), registry=registry)
+    outcome = mine_scenario("trucks", _two_logs(), config)
+    assert outcome.status == STATUS_SUCCEEDED
+    first, second = outcome.iterations
+    assert first.error_kind == "PredicateRuntime" and "no data for log-b" in first.error_message
+    assert "no data for log-b" in second.prompt_text
+    assert outcome.code == GOOD_CODE
+    assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty()}
+
+
+def test_overflowing_window_fails_only_its_query():
+    endless = (
+        'a = get_objects_of_category(category="TRUCK")\n'
+        "x = followed_by(first=a, second=a, within_seconds=1e999)\n"
+        "output(x)"
+    )
+    fixture = make_fixture({"trucks": [fenced(GOOD_CODE)], "endless": [fenced(endless)]})
+    batch = run_batch(["trucks", "endless"], _two_logs(), MiningConfig(provider=ScriptedProvider(fixture)))
+    assert batch.outcomes["trucks"]["log-a"].succeeded
+    assert batch.failed_runs() == [("endless", "log-a"), ("endless", "log-b")]
+    assert {r.error_kind for r in batch.outcomes["endless"]["log-a"].iterations} == {"PredicateRuntime"}
 
 
 def test_run_batch_worker_count_does_not_change_bytes():
     serial = run_batch(["trucks", "walkers", "doomed"], _two_logs(), _batch_config(workers=1))
     threaded = run_batch(["trucks", "walkers", "doomed"], _two_logs(), _batch_config(workers=4))
     assert serial.predictions_json() == threaded.predictions_json()
+
+
+def test_threads_share_one_provider_without_lost_updates():
+    # every query needs two rounds; a lost cursor or call-count update shows
+    # up as a third round or a wrong total
+    queries = [f"query number {i:02d}" for i in range(40)]
+    fixture = make_fixture({q: [fenced(BAD_FUNCTION), fenced(GOOD_CODE)] for q in queries})
+    config = MiningConfig(provider=ScriptedProvider(fixture), workers=2 * (os.cpu_count() or 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = run_batch(queries, _two_logs(), config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert config.provider.calls == 2 * len(queries)
+    assert all(len(batch.outcomes[q]["log-a"].iterations) == 2 for q in queries)
+    assert not batch.failed_runs()
 
 
 def test_run_batch_writes_result_files(tmp_path):
@@ -288,6 +335,6 @@ def test_run_batch_writes_result_files(tmp_path):
 def test_transcript_names_sanitize_log_ids(tmp_path):
     fixture = make_fixture({"trucks": [fenced(GOOD_CODE)]})
     weird = make_log([static_obj("t1", "TRUCK", 0.0, 0.0)], log_id="log/1 bad:id")
-    run_batch(["trucks"], [weird], MiningConfig(provider=lambda: ScriptedProvider(fixture)), out_dir=str(tmp_path))
+    run_batch(["trucks"], [weird], MiningConfig(provider=ScriptedProvider(fixture)), out_dir=str(tmp_path))
     (name,) = [p.name for p in (tmp_path / "transcripts").iterdir()]
     assert name.endswith("__log_1_bad_id.json")

@@ -439,6 +439,9 @@ def test_followed_by_rejects_bad_window():
     s = full_set(log)
     with pytest.raises(InvalidParameter):
         followed_by(log, s, s, within_seconds=0.0)
+    for window in (math.inf, 1e300):  # infinite once converted to nanoseconds
+        with pytest.raises(InvalidParameter, match="too large"):
+            followed_by(log, s, s, within_seconds=window)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import pytest
 
 from scenemine.errors import MalformedFile, ProviderError
 from scenemine.providers import (
-    FlakyProvider,
     HttpProvider,
     ScriptedProvider,
     load_fixture,
     make_fixture,
     query_key,
 )
+
+from util import FlakyProvider
 
 
 def test_query_key_is_sha256_of_text():

@@ -93,8 +93,6 @@ def test_log_lookup_helpers():
     assert log.state_of("a", t0).position[0] == 1.0
     assert log.state_of("a", t1 + 999) is None
     assert log.state_of("nope", t0) is None
-    assert log.timestamp_index(t1) == 1
-    assert log.timestamp_index(12345) == -1
 
 
 def test_ground_truth_validate_against():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from scenemine.categories import DEFAULT_REGISTRY
+from scenemine.errors import ProviderError
+from scenemine.providers import LlmProvider
 from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import ObjectState, TrackedObject, TrackLog
 
@@ -39,3 +43,29 @@ def sset(entries) -> ScenarioSet:
 def as_dict(s: ScenarioSet) -> dict[str, set[int]]:
     """ScenarioSet -> plain {track: set(ts)} dict, the shape the oracles speak."""
     return {t: set(s.timestamps_for(t)) for t in s.tracks()}
+
+
+def catalog_function_names(catalog_text: str) -> list[str]:
+    """Function names announced by a catalog text (lines starting a signature)."""
+    names = []
+    for line in catalog_text.splitlines():
+        if line and not line.startswith(" "):
+            head = line.split("(", 1)
+            if len(head) == 2 and head[0].isidentifier():
+                names.append(head[0])
+    return names
+
+
+class FlakyProvider:
+    """Wraps a provider, raising ProviderError on chosen call numbers (1-based)."""
+
+    def __init__(self, inner: LlmProvider, fail_on: Iterable[int]):
+        self._inner = inner
+        self._fail_on = frozenset(fail_on)
+        self.calls = 0
+
+    def generate(self, prompt: str) -> str:
+        self.calls += 1
+        if self.calls in self._fail_on:
+            raise ProviderError(f"injected transport failure on call {self.calls}")
+        return self._inner.generate(prompt)
