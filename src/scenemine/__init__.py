@@ -6,7 +6,7 @@ are scored with identity-aware retrieval metrics.
 """
 
 from .categories import DEFAULT_REGISTRY, CategoryRegistry, ObjectCategory
-from .dsl import DslError, Span, check, describe_functions, interpret, parse, pretty_print
+from .dsl import DslError, Span, check, describe_functions, execute, interpret, parse, pretty_print
 from .errors import (
     InfeasibleSpec,
     InvariantViolation,
@@ -92,6 +92,7 @@ __all__ = [
     "describe_functions",
     "epsrf_fragment",
     "evaluate",
+    "execute",
     "extract_code",
     "generate_scenario_log",
     "hota_from_fragments",

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dsl import Assignment, Call, KwArg, Program, interpret, parse, pretty_print
+from .dsl import Assignment, Call, KwArg, Program, execute, parse, pretty_print
 from .errors import InfeasibleSpec
 from .metrics import EvalReport, evaluate
 from .orchestrator import BatchResult, MiningConfig, run_batch
@@ -228,9 +228,9 @@ def build_suite() -> AblationSuite:
 
     ground_truth = []
     for query in queries:
-        program = parse(query.program)
+        program = parse(query.program)  # certified above by generate_scenario_log, which checked it
         for log_id in sorted(logs):
-            relevant = interpret(program, logs[log_id])
+            relevant = execute(program, logs[log_id])
             ground_truth.append(GroundTruthScenario(query.query_text, log_id, relevant))
     return AblationSuite(tuple(queries), logs, tuple(ground_truth))
 

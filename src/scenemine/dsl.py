@@ -517,21 +517,17 @@ def _to_python(param: ParamSpec, node, env: dict[str, ScenarioSet]):
     return value
 
 
-def interpret(
+def execute(
     program: Program,
     log: TrackLog,
     registry: Mapping[str, FunctionSpec] = REGISTRY,
     categories: CategoryRegistry = DEFAULT_REGISTRY,
 ) -> ScenarioSet:
-    """Run a checked program against a log and return the output scenario set.
+    """Run a program that check() accepted against a log and return the output scenario set.
 
-    check() is re-run first and its first diagnostic raised, so only registry
-    implementations ever execute; their domain errors surface as
-    PredicateRuntime diagnostics carrying the statement span.
+    Domain errors of the registry implementations surface as PredicateRuntime
+    diagnostics carrying the statement span.
     """
-    problems = check(program, registry)
-    if problems:
-        raise problems[0]
     ctx = EvalContext(log, categories)
     env: dict[str, ScenarioSet] = {}
     for stmt in program.assignments:
@@ -547,6 +543,19 @@ def interpret(
     return env[program.output.name]
 
 
+def interpret(
+    program: Program,
+    log: TrackLog,
+    registry: Mapping[str, FunctionSpec] = REGISTRY,
+    categories: CategoryRegistry = DEFAULT_REGISTRY,
+) -> ScenarioSet:
+    """check() a program, raising its first diagnostic, so only registry functions run; then execute() it."""
+    problems = check(program, registry)
+    if problems:
+        raise problems[0]
+    return execute(program, log, registry, categories)
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer and catalog text
 
@@ -555,7 +564,8 @@ def _render_value(node) -> str:
     if isinstance(node, VarRef):
         return node.name
     if node.kind == "string":
-        return f'"{node.value}"'
+        # A string literal ends at its own quote, so one holding " is single-quoted.
+        return f"'{node.value}'" if '"' in node.value else f'"{node.value}"'
     return _render_number(node.value)
 
 

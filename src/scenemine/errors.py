@@ -23,14 +23,6 @@ class UnknownCategory(ScenarioMiningError):
     """A category name is not part of the active category registry."""
 
 
-class InvalidThreshold(ScenarioMiningError):
-    """A geometric threshold (angle, band, extent) is outside its legal range."""
-
-
-class DegenerateGeometry(ScenarioMiningError):
-    """A geometric query has no answer (zero distance or zero velocity)."""
-
-
 class InvalidParameter(ScenarioMiningError):
     """A predicate or config parameter is out of range or inconsistent."""
 

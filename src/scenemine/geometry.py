@@ -2,27 +2,40 @@
 
 All quantities are expressed in the observer's body frame: +longitudinal is
 the heading direction, +lateral is the observer's left. Angles are radians.
+Kernels take floats or numpy arrays and answer elementwise. Their decisions
+match the scalar ``math`` definitions bit for bit: numpy's ``hypot`` and
+SIMD ``arctan2`` can round an ulp away from ``math``'s, so the elements
+within a relative GUARD of a boundary are decided again with ``math``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from .errors import DegenerateGeometry, InvalidThreshold
-from .tracklog import ObjectState
+import numpy as np
 
-DEFAULT_HALF_ANGLE = math.pi / 4
+GUARD = 1e-9
+HALF_ANGLE = math.pi / 4  # half-width of each direction cone
+TWO_PI = 2 * math.pi
 
 
 class Direction(enum.Enum):
-    """The four relative-direction cones around an observer."""
+    """The four relative-direction cones around an observer, in priority order."""
 
     FORWARD = "forward"
     BACKWARD = "backward"
     LEFT = "left"
     RIGHT = "right"
+
+
+_AXES = {
+    # direction -> (along, across) the direction ray, from (longitudinal, lateral)
+    Direction.FORWARD: lambda lon, lat: (lon, lat),
+    Direction.BACKWARD: lambda lon, lat: (-lon, lat),
+    Direction.LEFT: lambda lon, lat: (lat, lon),
+    Direction.RIGHT: lambda lon, lat: (-lat, lon),
+}
 
 
 def wrap_angle(angle: float) -> float:
@@ -33,128 +46,92 @@ def wrap_angle(angle: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class RelativeOffset:
-    """A planar displacement in an observer's body frame."""
-
-    longitudinal: float
-    lateral: float
-    distance: float
-
-    def __post_init__(self) -> None:
-        expected = math.hypot(self.longitudinal, self.lateral)
-        if abs(self.distance - expected) > 1e-9 * max(1.0, expected):
-            raise InvalidThreshold(
-                f"distance {self.distance!r} does not match hypot(longitudinal, lateral) = {expected!r}"
-            )
+def unsigned_turn(delta):
+    """abs(wrap_angle(delta)), bit for bit, for |delta| <= 2 pi."""
+    turn = np.abs(delta)
+    return np.where(turn > math.pi, TWO_PI - turn, turn)
 
 
-def relative_offset(observer: ObjectState, target: ObjectState) -> RelativeOffset:
-    """Target's planar displacement from the observer, rotated into the observer's heading frame."""
-    dx = target.position[0] - observer.position[0]
-    dy = target.position[1] - observer.position[1]
-    ch = math.cos(observer.heading)
-    sh = math.sin(observer.heading)
-    longitudinal = ch * dx + sh * dy
-    lateral = -sh * dx + ch * dy
-    return RelativeOffset(longitudinal, lateral, math.hypot(longitudinal, lateral))
+def _at_most(fast, bound: float, exact, *args) -> np.ndarray:
+    """``exact(*scalar args) <= bound`` elementwise, read off ``fast`` away from the bound."""
+    out = np.asarray(fast <= bound)
+    if math.isfinite(bound):
+        near = np.abs(fast - bound) <= GUARD * max(1.0, bound)
+        if np.count_nonzero(near):
+            columns = [np.broadcast_to(a, near.shape)[near].tolist() for a in args]
+            out[near] = [exact(*values) <= bound for values in zip(*columns)]
+    return out
 
 
-def _check_half_angle(value: float, name: str) -> None:
-    if not (0.0 < value < math.pi / 2):
-        raise InvalidThreshold(f"{name} must lie strictly between 0 and pi/2, got {value!r}")
+def body_offset(dx, dy, cos_heading, sin_heading):
+    """(longitudinal, lateral) of a planar displacement in the frame of a heading."""
+    return cos_heading * dx + sin_heading * dy, -sin_heading * dx + cos_heading * dy
 
 
-def classify_direction(
-    offset: RelativeOffset,
-    long_half_angle: float = DEFAULT_HALF_ANGLE,
-    lat_half_angle: float = DEFAULT_HALF_ANGLE,
-) -> Direction | None:
-    """Assign an offset to one of the four direction cones, or None.
+def within_radius(a, b, radius: float) -> np.ndarray:
+    """hypot(a, b) <= radius."""
+    return _at_most(np.hypot(a, b), radius, math.hypot, a, b)
 
-    A point belongs to forward/backward when its angular distance from the
-    +/-longitudinal axis is <= long_half_angle, and to left/right when its
-    angular distance from the +/-lateral axis is <= lat_half_angle. Overlaps
-    resolve with priority forward > backward > left > right; the origin is
-    unclassified.
-    """
-    _check_half_angle(long_half_angle, "long_half_angle")
-    _check_half_angle(lat_half_angle, "lat_half_angle")
-    if offset.distance == 0.0:
-        return None
-    lon, lat = offset.longitudinal, offset.lateral
-    if abs(math.atan2(lat, lon)) <= long_half_angle:
-        return Direction.FORWARD
-    if abs(math.atan2(lat, -lon)) <= long_half_angle:
-        return Direction.BACKWARD
-    if lat > 0 and abs(math.atan2(lon, lat)) <= lat_half_angle:
-        return Direction.LEFT
-    if lat < 0 and abs(math.atan2(lon, -lat)) <= lat_half_angle:
-        return Direction.RIGHT
+
+def _exact_cone(lon: float, lat: float) -> Direction | None:
+    for direction in Direction:
+        along, across = _AXES[direction](lon, lat)
+        if along > 0 and abs(math.atan2(across, along)) <= HALF_ANGLE:
+            return direction
     return None
 
 
-def bearing_angle(observer: ObjectState, target: ObjectState) -> float:
-    """Unsigned angle in [0, pi] between the observer's heading and the ray to target."""
-    dx = target.position[0] - observer.position[0]
-    dy = target.position[1] - observer.position[1]
-    if math.hypot(dx, dy) == 0.0:
-        raise DegenerateGeometry("bearing undefined: observer and target share a planar position")
-    return abs(wrap_angle(math.atan2(dy, dx) - observer.heading))
+def in_cone(lon, lat, direction: Direction) -> np.ndarray:
+    """Whether a body-frame offset falls in a direction's cone.
+
+    An offset is in a cone when its angle from the cone's axis is <= pi/4.
+    Overlaps resolve with priority forward > backward > left > right, and the
+    origin is in no cone. Off the diagonals the nearer axis decides.
+    """
+    along, across = _AXES[direction](np.asarray(lon, dtype=float), np.asarray(lat, dtype=float))
+    across = np.abs(across)
+    inside = np.asarray(across < along)
+    near = (np.abs(across - along) <= GUARD * along) & (along > 0)
+    if np.count_nonzero(near):
+        lon, lat = (np.broadcast_to(v, near.shape)[near].tolist() for v in (lon, lat))
+        inside[near] = [_exact_cone(a, b) is direction for a, b in zip(lon, lat)]
+    return inside
 
 
-def velocity_bearing_angle(observer: ObjectState, target: ObjectState) -> float:
-    """Unsigned angle in [0, pi] between the observer's velocity and the ray to target."""
-    dx = target.position[0] - observer.position[0]
-    dy = target.position[1] - observer.position[1]
-    if math.hypot(dx, dy) == 0.0:
-        raise DegenerateGeometry("velocity bearing undefined: zero planar distance")
-    vx, vy = observer.velocity[0], observer.velocity[1]
-    if math.hypot(vx, vy) == 0.0:
-        raise DegenerateGeometry("velocity bearing undefined: observer has zero planar speed")
-    return abs(wrap_angle(math.atan2(dy, dx) - math.atan2(vy, vx)))
+def bearing(dx, dy, ref_angle):
+    """Unsigned angle in [0, pi] between the direction ref_angle and the ray to (dx, dy)."""
+    return unsigned_turn(np.arctan2(dy, dx) - ref_angle)
 
 
-_AXIS_COORDS = {
-    # direction -> (axial, orthogonal) selectors on (longitudinal, lateral)
-    Direction.FORWARD: lambda lon, lat: (lon, lat),
-    Direction.BACKWARD: lambda lon, lat: (-lon, lat),
-    Direction.LEFT: lambda lon, lat: (lat, lon),
-    Direction.RIGHT: lambda lon, lat: (-lat, lon),
-}
+def _exact_bearing(dx: float, dy: float, ref_angle: float) -> float:
+    return abs(wrap_angle(math.atan2(dy, dx) - ref_angle))
 
 
-def segment_crosses_front_plane(
-    track_state: ObjectState,
-    related_prev: ObjectState,
-    related_next: ObjectState,
+def points_at(dx, dy, ref_angle, within_angle: float) -> np.ndarray:
+    """bearing(dx, dy, ref_angle) <= within_angle; the origin, having no bearing, never is."""
+    aimed = _at_most(bearing(dx, dy, ref_angle), within_angle, _exact_bearing, dx, dy, ref_angle)
+    return aimed & ((np.asarray(dx) != 0.0) | (np.asarray(dy) != 0.0))
+
+
+def crosses_front_plane(
+    lon0,
+    lat0,
+    lon1,
+    lat1,
     direction: Direction = Direction.FORWARD,
     lateral_band: float = 5.0,
     forward_extent: float = 10.0,
-) -> bool:
-    """Whether a displacement segment crosses the track's direction axis in-window.
+) -> np.ndarray:
+    """Whether the segment between two body-frame offsets crosses a direction ray in-window.
 
-    Both endpoints are expressed in the track's frame. The segment crosses
-    when the coordinate orthogonal to the direction ray changes sign (a
+    The segment crosses when the coordinate across the ray changes sign (a
     single on-axis endpoint counts; a segment lying on the axis does not),
     the crossing point sits within [0, forward_extent] along the ray, and
     both endpoints stay within lateral_band of the ray.
     """
-    if lateral_band <= 0:
-        raise InvalidThreshold(f"lateral_band must be > 0, got {lateral_band!r}")
-    if forward_extent <= 0:
-        raise InvalidThreshold(f"forward_extent must be > 0, got {forward_extent!r}")
-    select = _AXIS_COORDS[direction]
-    off_prev = relative_offset(track_state, related_prev)
-    off_next = relative_offset(track_state, related_next)
-    a0, o0 = select(off_prev.longitudinal, off_prev.lateral)
-    a1, o1 = select(off_next.longitudinal, off_next.lateral)
-    if o0 == 0.0 and o1 == 0.0:
-        return False
-    if o0 * o1 > 0.0:
-        return False
-    if abs(o0) > lateral_band or abs(o1) > lateral_band:
-        return False
-    t = o0 / (o0 - o1)
-    axial_at_crossing = a0 + t * (a1 - a0)
-    return 0.0 <= axial_at_crossing <= forward_extent
+    a0, o0 = _AXES[direction](np.asarray(lon0, dtype=float), np.asarray(lat0, dtype=float))
+    a1, o1 = _AXES[direction](np.asarray(lon1, dtype=float), np.asarray(lat1, dtype=float))
+    straddles = (o0 * o1 <= 0.0) & (o0 != o1) & (np.abs(o0) <= lateral_band) & (np.abs(o1) <= lateral_band)
+    t = np.divide(o0, o0 - o1, out=np.zeros(straddles.shape), where=straddles)
+    along = a0 + t * (a1 - a0)
+    return straddles & (0.0 <= along) & (along <= forward_extent)

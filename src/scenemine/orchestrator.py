@@ -2,11 +2,11 @@
 
 Each query is translated into one program that runs on every log. A round
 composes a prompt (the first plain, later ones carrying the previous program
-and its diagnostic), asks the provider for code, parses it and interprets it
-on each log in turn; the first diagnostic, from parsing or from any log, is
-the next round's feedback. If every round up to the cap fails, the query
-reports Failed with empty predictions rather than raising -- a batch must
-survive any single bad query.
+and its diagnostic), asks the provider for code, parses and checks it, and
+executes it on each log in turn; the first diagnostic is the next round's
+feedback. If every round up to the cap fails, the query reports Failed with
+empty predictions rather than raising -- a batch must survive any single bad
+query.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .categories import DEFAULT_REGISTRY, CategoryRegistry
-from .dsl import DslError, describe_functions, interpret, parse
+from .dsl import DslError, check, describe_functions, execute, parse
 from .errors import EmptyResponse, ProviderError
 from .predicates import REGISTRY, FunctionSpec
 from .promptgen import Prompt, compose_initial, compose_iteration
@@ -77,6 +77,10 @@ class MiningConfig:
     transport_backoff: float = 2.0
     sleeper: Callable[[float], None] = time.sleep
     workers: int = 1
+    catalog: str = field(init=False, repr=False)  # the registry's catalog text, for every prompt
+
+    def __post_init__(self) -> None:
+        self.catalog = describe_functions(self.registry)
 
 
 @dataclass(frozen=True)
@@ -140,17 +144,16 @@ def _generate_once(prompt: Prompt, config: MiningConfig) -> str:
 
 def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfig) -> MiningOutcome:
     """Run the generate/execute/repair loop for one query over every log."""
-    catalog = describe_functions(config.registry)
     records: list[IterationRecord] = []
     prior_code: str | None = None
     prior_error: str | None = None
 
     for index in range(1, config.max_iterations + 1):
         if prior_error is None:
-            prompt = compose_initial(query_text, catalog, config.epsrf)
+            prompt = compose_initial(query_text, config.catalog, config.epsrf)
         else:
             prompt = compose_iteration(
-                query_text, catalog, config.epsrf, prior_code or MISSING_CODE_PLACEHOLDER, prior_error
+                query_text, config.catalog, config.epsrf, prior_code or MISSING_CODE_PLACEHOLDER, prior_error
             )
 
         try:
@@ -175,8 +178,11 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
 
         try:
             program = parse(code)
+            problems = check(program, config.registry)
+            if problems:
+                raise problems[0]
             predictions = {
-                log.log_id: interpret(program, log, config.registry, config.categories) for log in logs
+                log.log_id: execute(program, log, config.registry, config.categories) for log in logs
             }
         except DslError as exc:
             span = (exc.span.line, exc.span.col) if exc.span else None

@@ -14,18 +14,21 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .categories import DEFAULT_REGISTRY, CategoryRegistry
-from .errors import DegenerateGeometry, InvalidEnumValue, InvalidParameter
+from .errors import InvalidEnumValue, InvalidParameter
 from .geometry import (
     Direction,
-    bearing_angle,
-    classify_direction,
-    relative_offset,
-    segment_crosses_front_plane,
-    velocity_bearing_angle,
+    body_offset,
+    crosses_front_plane,
+    in_cone,
+    points_at,
+    unsigned_turn,
+    within_radius,
 )
 from .scenario_set import ScenarioSet
-from .tracklog import ObjectState, TrackLog
+from .tracklog import TrackLog
 
 MIN_RELATION_SPEED = 0.5  # m/s; slower objects have no meaningful travel direction
 NS_PER_SECOND = 1_000_000_000
@@ -48,34 +51,71 @@ def _positive(value: float, name: str) -> None:
         raise InvalidParameter(f"{name} must be > 0, got {value!r}")
 
 
-def _planar_distance(a: ObjectState, b: ObjectState) -> float:
-    return math.hypot(b.position[0] - a.position[0], b.position[1] - a.position[1])
+# ---------------------------------------------------------------------------
+# A predicate turns its candidate sets into masks over the log's columnar view
+# and its result back into a set, and works on masks in between. ``tc``/``rc``
+# are the view columns of the track/related candidates; a mask is [T, |tc|].
 
 
-def _states_by_timestamp(log: TrackLog, sset: ScenarioSet) -> dict[int, list[tuple[str, ObjectState]]]:
-    """Index a candidate set as timestamp -> [(track_id, state)] for pair scans."""
-    out: dict[int, list[tuple[str, ObjectState]]] = {}
-    for track in sset.tracks():
-        obj = log.objects.get(track)
-        if obj is None:
-            continue
-        for ts in sset.timestamps_for(track):
-            st = obj.states.get(ts)
-            if st is not None:
-                out.setdefault(ts, []).append((track, st))
-    return out
+def _candidates(log: TrackLog, sset: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
+    """The view columns of a set's tracks and the mask of its pairs that exist in the log."""
+    view, entries = log.columns, sset.entries
+    row = view.row
+    tracks = [track for track in entries if track in view.column]
+    width = len(tracks)
+    mask = np.zeros((len(row), width), dtype=bool)
+    mask.ravel()[[row[ts] * width + k for k, track in enumerate(tracks) for ts in entries[track] if ts in row]] = True
+    cols = np.array([view.column[track] for track in tracks], dtype=np.intp)
+    return cols, mask & view.present[:, cols]
 
 
-def _candidate_states(log: TrackLog, sset: ScenarioSet):
-    """Yield (track_id, ts, state) for every candidate pair that exists in the log."""
-    for track in sset.tracks():
-        obj = log.objects.get(track)
-        if obj is None:
-            continue
-        for ts in sorted(sset.timestamps_for(track)):
-            st = obj.states.get(ts)
-            if st is not None:
-                yield track, ts, st
+def _scenario_set(log: TrackLog, cols: np.ndarray, mask: np.ndarray) -> ScenarioSet:
+    track_ids, stamps = log.columns.track_ids, log.timestamps
+    tracks = [track_ids[col] for col in cols.tolist()]
+    kept: dict[str, list[int]] = {}
+    rows, ks = np.nonzero(mask)
+    for row, k in zip(rows.tolist(), ks.tolist()):
+        kept.setdefault(tracks[k], []).append(stamps[row])
+    return ScenarioSet(kept)
+
+
+# Pair tests see [frames, |tc|, |rc|] arrays, a block of frames at a time, so
+# no temporary grows much past this many elements.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def _relate(
+    log: TrackLog,
+    track_candidates: ScenarioSet,
+    related_candidates: ScenarioSet,
+    pair_test: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
+    at_least: int = 1,
+    at_most: float = math.inf,
+) -> ScenarioSet:
+    """Track pairs with between at_least (>= 1) and at_most related objects passing ``pair_test``.
+
+    ``pair_test(rows, tc, rc)`` answers for a block of frames; a view array
+    indexed [rows, tc, None] gives the track side and [rows, None, rc] the
+    related side. An object paired with itself, and related pairs outside
+    the related candidates, never count.
+    """
+    tc, track_mask = _candidates(log, track_candidates)
+    rc, related_mask = _candidates(log, related_candidates)
+    if not (np.count_nonzero(track_mask) and np.count_nonzero(related_mask)):
+        return ScenarioSet.empty()
+    counts = np.zeros(track_mask.shape, dtype=np.intp)
+    other = tc[:, None] != rc
+    step = max(1, BLOCK_ELEMENTS // (tc.size * rc.size))
+    for start in range(0, len(log.timestamps), step):
+        rows = slice(start, start + step)
+        counts[rows] = (pair_test(rows, tc, rc) & other & related_mask[rows, None, :]).sum(axis=2)
+    return _scenario_set(log, tc, track_mask & (at_least <= counts) & (counts <= at_most))
+
+
+def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
+    """Planar (dx, dy) from each track object to each related object."""
+    view = log.columns
+    return view.x[rows, None, rc] - view.x[rows, tc, None], view.y[rows, None, rc] - view.y[rows, tc, None]
 
 
 def get_objects_of_category(
@@ -114,26 +154,20 @@ def has_objects_in_relative_direction(
         raise InvalidParameter(f"max_number ({max_number!r}) must be >= min_number ({min_number!r})")
     _positive(within_distance, "within_distance")
     _positive(lateral_thresh, "lateral_thresh")
+    view = log.columns
 
-    related_at = _states_by_timestamp(log, related_candidates)
-    lateral_axis = direction in (Direction.FORWARD, Direction.BACKWARD)
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        count = 0
-        for other, other_state in related_at.get(ts, ()):
-            if other == track:
-                continue
-            off = relative_offset(state, other_state)
-            if off.distance > within_distance:
-                continue
-            orthogonal = off.lateral if lateral_axis else off.longitudinal
-            if abs(orthogonal) > lateral_thresh:
-                continue
-            if classify_direction(off) == direction:
-                count += 1
-        if min_number <= count <= max_number:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    def seen(rows, tc, rc):
+        lon, lat = body_offset(
+            *_displacements(log, rows, tc, rc), view.cos_heading[rows, tc, None], view.sin_heading[rows, tc, None]
+        )
+        orthogonal = lat if direction in (Direction.FORWARD, Direction.BACKWARD) else lon
+        return (
+            in_cone(lon, lat, direction)
+            & (np.abs(orthogonal) <= lateral_thresh)
+            & within_radius(lon, lat, within_distance)
+        )
+
+    return _relate(log, track_candidates, related_candidates, seen, min_number, max_number)
 
 
 def being_crossed_by(
@@ -154,35 +188,28 @@ def being_crossed_by(
     direction = _as_direction(direction)
     _positive(lateral_band, "lateral_band")
     _positive(forward_extent, "forward_extent")
-    index_of = {ts: i for i, ts in enumerate(log.timestamps)}
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        i = index_of[ts]
-        neighbors = []
-        if i > 0:
-            neighbors.append((log.timestamps[i - 1], ts))
-        if i + 1 < len(log.timestamps):
-            neighbors.append((ts, log.timestamps[i + 1]))
-        hit = False
-        for other in related_candidates.tracks():
-            if other == track or hit:
-                continue
-            obj = log.objects.get(other)
-            if obj is None:
-                continue
-            stamps = related_candidates.timestamps_for(other)
-            for ts_a, ts_b in neighbors:
-                if ts_a not in stamps or ts_b not in stamps:
-                    continue
-                st_a, st_b = obj.states.get(ts_a), obj.states.get(ts_b)
-                if st_a is None or st_b is None:
-                    continue
-                if segment_crosses_front_plane(state, st_a, st_b, direction, lateral_band, forward_extent):
-                    hit = True
-                    break
-        if hit:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    view = log.columns
+    last = len(log.timestamps) - 1
+    _, related_mask = _candidates(log, related_candidates)
+    # [2, T, |rc|]: the related object is a candidate at both ends of the
+    # segment from the frame before, and of the segment to the frame after.
+    segment = related_mask[:-1] & related_mask[1:]
+    none = np.zeros_like(segment[:1])
+    segments = np.stack([np.concatenate([none, segment]), np.concatenate([segment, none])])
+
+    def crossed(rows, tc, rc):
+        frames = np.arange(last + 1)[rows]
+        around = np.stack([np.maximum(frames - 1, 0), frames, np.minimum(frames + 1, last)])[..., None, None]
+        lon, lat = body_offset(
+            view.x[around, rc] - view.x[rows, tc, None],
+            view.y[around, rc] - view.y[rows, tc, None],
+            view.cos_heading[rows, tc, None],
+            view.sin_heading[rows, tc, None],
+        )
+        crossing = crosses_front_plane(lon[:-1], lat[:-1], lon[1:], lat[1:], direction, lateral_band, forward_extent)
+        return (crossing & segments[:, rows, None, :]).any(axis=0)
+
+    return _relate(log, track_candidates, related_candidates, crossed)
 
 
 def heading_in_relative_direction_to(
@@ -200,31 +227,20 @@ def heading_in_relative_direction_to(
     """
     if direction not in RELATIONS:
         raise InvalidEnumValue(f"invalid direction '{direction}'; allowed values: {', '.join(RELATIONS)}")
-    related_at = _states_by_timestamp(log, related_candidates)
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        if state.planar_speed < MIN_RELATION_SPEED:
-            continue
-        angle_track = math.atan2(state.velocity[1], state.velocity[0])
-        hit = False
-        for other, other_state in related_at.get(ts, ()):
-            if other == track:
-                continue
-            if other_state.planar_speed < MIN_RELATION_SPEED:
-                continue
-            angle_other = math.atan2(other_state.velocity[1], other_state.velocity[0])
-            delta = abs(math.remainder(angle_track - angle_other, 2 * math.pi))
-            if direction == "same":
-                hit = delta < math.pi / 4
-            elif direction == "opposite":
-                hit = delta > 3 * math.pi / 4
-            else:
-                hit = abs(delta - math.pi / 2) <= math.pi / 4
-            if hit:
-                break
-        if hit:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    view = log.columns
+    moving = view.speed >= MIN_RELATION_SPEED
+
+    def related(rows, tc, rc):
+        delta = unsigned_turn(view.velocity_angle[rows, tc, None] - view.velocity_angle[rows, None, rc])
+        if direction == "same":
+            in_bin = delta < math.pi / 4
+        elif direction == "opposite":
+            in_bin = delta > 3 * math.pi / 4
+        else:
+            in_bin = np.abs(delta - math.pi / 2) <= math.pi / 4
+        return in_bin & moving[rows, tc, None] & moving[rows, None, rc]
+
+    return _relate(log, track_candidates, related_candidates, related)
 
 
 def facing_toward(
@@ -237,24 +253,13 @@ def facing_toward(
     """Track objects whose heading points at some related object within a half-angle."""
     _positive(within_angle, "within_angle")
     _positive(max_distance, "max_distance")
-    related_at = _states_by_timestamp(log, related_candidates)
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        hit = False
-        for other, other_state in related_at.get(ts, ()):
-            if other == track:
-                continue
-            if _planar_distance(state, other_state) > max_distance:
-                continue
-            try:
-                if bearing_angle(state, other_state) <= within_angle:
-                    hit = True
-                    break
-            except DegenerateGeometry:
-                continue  # coincident positions cannot be faced
-        if hit:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+
+    def faces(rows, tc, rc):
+        dx, dy = _displacements(log, rows, tc, rc)
+        heading = log.columns.heading[rows, tc, None]
+        return within_radius(dx, dy, max_distance) & points_at(dx, dy, heading, within_angle)
+
+    return _relate(log, track_candidates, related_candidates, faces)
 
 
 def heading_toward(
@@ -270,26 +275,19 @@ def heading_toward(
     _positive(max_distance, "max_distance")
     if minimum_speed < 0:
         raise InvalidParameter(f"minimum_speed must be >= 0, got {minimum_speed!r}")
-    related_at = _states_by_timestamp(log, related_candidates)
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        if state.planar_speed < minimum_speed or state.planar_speed == 0.0:
-            continue
-        hit = False
-        for other, other_state in related_at.get(ts, ()):
-            if other == track:
-                continue
-            if _planar_distance(state, other_state) > max_distance:
-                continue
-            try:
-                if velocity_bearing_angle(state, other_state) <= within_angle:
-                    hit = True
-                    break
-            except DegenerateGeometry:
-                continue
-        if hit:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    view = log.columns
+
+    def aims(rows, tc, rc):
+        dx, dy = _displacements(log, rows, tc, rc)
+        speed = view.speed[rows, tc, None]
+        return (
+            (speed >= minimum_speed)
+            & (speed != 0.0)
+            & within_radius(dx, dy, max_distance)
+            & points_at(dx, dy, view.velocity_angle[rows, tc, None], within_angle)
+        )
+
+    return _relate(log, track_candidates, related_candidates, aims)
 
 
 def near_objects(
@@ -303,16 +301,8 @@ def near_objects(
     _positive(distance_thresh, "distance_thresh")
     if min_objects < 1:
         raise InvalidParameter(f"min_objects must be >= 1, got {min_objects!r}")
-    related_at = _states_by_timestamp(log, related_candidates)
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        count = 0
-        for other, other_state in related_at.get(ts, ()):
-            if other != track and _planar_distance(state, other_state) <= distance_thresh:
-                count += 1
-        if count >= min_objects:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    close = lambda rows, tc, rc: within_radius(*_displacements(log, rows, tc, rc), distance_thresh)  # noqa: E731
+    return _relate(log, track_candidates, related_candidates, close, min_objects)
 
 
 def has_velocity(
@@ -328,12 +318,9 @@ def has_velocity(
         raise InvalidParameter(
             f"max_velocity ({max_velocity!r}) must be >= min_velocity ({min_velocity!r})"
         )
-    kept = [
-        (track, ts)
-        for track, ts, state in _candidate_states(log, track_candidates)
-        if min_velocity <= state.planar_speed <= max_velocity
-    ]
-    return ScenarioSet.from_pairs(kept)
+    tc, mask = _candidates(log, track_candidates)
+    speed = log.columns.speed[:, tc]
+    return _scenario_set(log, tc, mask & (min_velocity <= speed) & (speed <= max_velocity))
 
 
 def decelerating(
@@ -348,21 +335,13 @@ def decelerating(
     is missing) is never kept.
     """
     _positive(min_decel, "min_decel")
-    index_of = {ts: i for i, ts in enumerate(log.timestamps)}
-    kept: list[tuple[str, int]] = []
-    for track, ts, state in _candidate_states(log, track_candidates):
-        i = index_of[ts]
-        if i == 0:
-            continue
-        prev_ts = log.timestamps[i - 1]
-        prev_state = log.objects[track].states.get(prev_ts)
-        if prev_state is None:
-            continue
-        dt = (ts - prev_ts) / NS_PER_SECOND
-        accel = (state.planar_speed - prev_state.planar_speed) / dt
-        if accel <= -min_decel:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+    tc, mask = _candidates(log, track_candidates)
+    speed, present = log.columns.speed[:, tc], log.columns.present[:, tc]
+    stamps = log.timestamps
+    dt = np.array([(b - a) / NS_PER_SECOND for a, b in zip(stamps, stamps[1:])])
+    mask[1:] &= present[:-1] & ((speed[1:] - speed[:-1]) / dt[:, None] <= -min_decel)
+    mask[0] = False
+    return _scenario_set(log, tc, mask)
 
 
 def scenario_and(a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:

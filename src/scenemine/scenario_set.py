@@ -19,7 +19,7 @@ class ScenarioSet:
 
     def __post_init__(self) -> None:
         normalized = {
-            str(track): frozenset(int(ts) for ts in stamps)
+            str(track): frozenset(map(int, stamps))
             for track, stamps in self.entries.items()
             if len(stamps) > 0
         }

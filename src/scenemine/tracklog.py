@@ -8,12 +8,15 @@ are rejected with a diagnostic naming the violated schema field
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .categories import DEFAULT_REGISTRY, CategoryRegistry, ObjectCategory
 from .errors import InvariantViolation, MalformedFile, UnknownTrack
@@ -73,8 +76,32 @@ class TrackedObject:
         if not self.states:
             raise InvariantViolation(f"object '{self.track_id}' has no states")
 
-    def state_at(self, ts: int) -> ObjectState | None:
-        return self.states.get(ts)
+
+class LogColumns:
+    """A log as [T, N] arrays: a row per log timestamp, a column per track id.
+
+    Columns follow the sorted track ids. Where a track has no state,
+    ``present`` is False and the values are 0. Cos and sin of the heading,
+    the planar speed and the velocity angle atan2(vy, vx) come from ``math``,
+    so array code built on them reproduces the scalar definitions exactly.
+    """
+
+    def __init__(self, log: TrackLog):
+        self.track_ids = tuple(sorted(log.objects))
+        self.row = {ts: i for i, ts in enumerate(log.timestamps)}
+        self.column = {track: j for j, track in enumerate(self.track_ids)}
+        rows, cols, values = [], [], []
+        for j, track in enumerate(self.track_ids):
+            for ts, st in log.objects[track].states.items():
+                rows.append(self.row[ts])
+                cols.append(j)
+                h, (x, y, _), (vx, vy, _) = st.heading, st.position, st.velocity
+                values.append((x, y, h, math.cos(h), math.sin(h), st.planar_speed, math.atan2(vy, vx)))
+        table = np.zeros((7, len(self.row), len(self.track_ids)))
+        table[:, rows, cols] = np.array(values).reshape(-1, 7).T
+        self.x, self.y, self.heading, self.cos_heading, self.sin_heading, self.speed, self.velocity_angle = table
+        self.present = np.zeros(table.shape[1:], dtype=bool)
+        self.present[rows, cols] = True
 
 
 @dataclass(frozen=True)
@@ -123,6 +150,11 @@ class TrackLog:
     def state_of(self, track_id: str, ts: int) -> ObjectState | None:
         obj = self.objects.get(track_id)
         return None if obj is None else obj.states.get(ts)
+
+    @functools.cached_property
+    def columns(self) -> LogColumns:
+        """The columnar view the predicates scan, built on first use and kept."""
+        return LogColumns(self)
 
 
 @dataclass(frozen=True)

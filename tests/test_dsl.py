@@ -330,6 +330,15 @@ def test_pretty_print_reparse_is_identity():
     assert parse(canonical) == parse(canonical)
 
 
+@pytest.mark.parametrize("value", ['A"B', "A'B", "plain"])
+def test_pretty_print_round_trips_quoted_strings(value):
+    quote = "'" if '"' in value else '"'
+    program = parse(f"x = get_objects_of_category(category={quote}{value}{quote})\noutput(x)")
+    canonical = pretty_print(program)
+    assert parse(canonical).assignments[0].call.kwargs[0].value.value == value
+    assert pretty_print(parse(canonical)) == canonical
+
+
 def test_pretty_print_renders_whole_floats_as_ints():
     p = parse("x = has_velocity(track_candidates=a, min_velocity=10.0)\noutput(x)")
     assert "min_velocity=10)" in pretty_print(p)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from scenemine import orchestrator
 from scenemine.errors import EmptyResponse, InvalidParameter
 from scenemine.orchestrator import (
     EMPTY_RESPONSE,
@@ -278,6 +279,39 @@ def test_runtime_error_on_any_log_is_repair_feedback():
     assert "no data for log-b" in second.prompt_text
     assert outcome.code == GOOD_CODE
     assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty()}
+
+
+def _counting(monkeypatch, name):
+    """Replace orchestrator.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(orchestrator, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, name, counted)
+    return calls
+
+
+def test_each_round_checks_its_program_once(monkeypatch):
+    checks = _counting(monkeypatch, "check")
+    executes = _counting(monkeypatch, "execute")
+    logs = _two_logs() + [make_log([static_obj("t2", "TRUCK", 5.0, 0.0)], log_id="log-c")]
+    config = fixture_config([fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)])
+    outcome = mine_scenario(QUERY, logs, config)
+    assert [r.error_kind for r in outcome.iterations] == ["UnknownFunction", "PredicateRuntime", None]
+    assert len(checks) == 3  # one per round, however many logs
+    assert len(executes) == 1 + 3  # round 2 stops at its first log; round 3 runs on all three
+
+
+def test_catalog_text_is_built_once_per_batch(monkeypatch):
+    described = _counting(monkeypatch, "describe_functions")
+    config = _batch_config()
+    batch = run_batch(["trucks", "walkers", "doomed"], _two_logs(), config)
+    assert len(described) == 1
+    prompts = [r.prompt_text for per_log in batch.outcomes.values() for r in per_log["log-a"].iterations]
+    assert len(prompts) == 7 and all(config.catalog in p for p in prompts)
 
 
 def test_overflowing_window_fails_only_its_query():

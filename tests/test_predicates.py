@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from scenemine import predicates
 from scenemine.errors import InvalidEnumValue, InvalidParameter, UnknownCategory
 from scenemine.predicates import (
     REGISTRY,
+    EvalContext,
     being_crossed_by,
     decelerating,
     facing_toward,
@@ -300,6 +302,14 @@ def test_heading_toward_minimum_speed_is_inclusive():
     assert heading_toward(log, vehicles, peds, minimum_speed=0.6).is_empty
 
 
+def test_heading_toward_never_counts_a_standing_track():
+    # a track with no velocity has no travel direction, even when no minimum speed is asked for
+    log = make_log([static_obj("v", "REGULAR_VEHICLE", 0, 0), static_obj("p", "PEDESTRIAN", 10.0, 0.0)])
+    vehicles = get_objects_of_category(log, "REGULAR_VEHICLE")
+    peds = get_objects_of_category(log, "PEDESTRIAN")
+    assert heading_toward(log, vehicles, peds, within_angle=math.pi, minimum_speed=0.0).is_empty
+
+
 def test_toward_predicates_reject_bad_params():
     log = make_log([static_obj("v", "REGULAR_VEHICLE", 0, 0)])
     s = get_objects_of_category(log, "REGULAR_VEHICLE")
@@ -531,6 +541,43 @@ def test_oracle_followed_by(seed, window, cross):
         log, as_dict(first), as_dict(cand), within_seconds=window, cross_track=cross
     )
     assert as_dict(got) == want
+
+
+RELATIONAL_CASES = [
+    ("has_objects_in_relative_direction", dict(direction="forward", within_distance=25.0, lateral_thresh=8.0)),
+    ("has_objects_in_relative_direction", dict(direction="left", min_number=2)),
+    ("being_crossed_by", dict(direction="forward")),
+    ("being_crossed_by", dict(direction="right", lateral_band=20.0, forward_extent=30.0)),
+    ("heading_in_relative_direction_to", dict(direction="perpendicular")),
+    ("facing_toward", dict(within_angle=math.pi / 4)),
+    ("heading_toward", dict(within_angle=math.pi / 3, minimum_speed=0.0)),
+    ("near_objects", dict(distance_thresh=12.0)),
+]
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_frame_blocks_agree_with_the_oracles(monkeypatch, budget):
+    # A tiny element budget makes every call run over many blocks of frames.
+    monkeypatch.setattr(predicates, "BLOCK_ELEMENTS", budget)
+    for seed in range(25):
+        log = random_track_log(seed, max_objects=6, max_frames=12)
+        cand = full_set(log)
+        subset = ScenarioSet({t: frozenset(sorted(s)[::2]) for t, s in cand.entries.items()})
+        for name, kwargs in RELATIONAL_CASES:
+            for track, related in ((cand, cand), (subset, cand), (cand, subset)):
+                got = REGISTRY[name].impl(EvalContext(log), track_candidates=track, related_candidates=related, **kwargs)
+                want = oracles.ORACLE_PREDICATES[name](*_oracle_args(log, track, related), **kwargs)
+                assert as_dict(got) == want, (seed, name, kwargs)
+        assert as_dict(has_velocity(log, subset, 0.5, 8.0)) == oracles.has_velocity(*_oracle_args(log, subset), 0.5, 8.0)
+        assert as_dict(decelerating(log, subset, 1.0)) == oracles.decelerating(*_oracle_args(log, subset), 1.0)
+
+
+def test_candidates_outside_the_log_are_ignored():
+    log = _crossing_log()
+    ghosts = sset({"ghost": stamps(4), "p": [stamps(4)[0], 12345]})
+    vehicles = get_objects_of_category(log, "REGULAR_VEHICLE")
+    assert near_objects(log, vehicles, ghosts, distance_thresh=6.0) == sset({"v": [stamps(4)[0]]})
+    assert has_velocity(log, ghosts).entries == {"p": frozenset([stamps(4)[0]])}
 
 
 def test_registry_lists_all_predicates():

@@ -95,6 +95,50 @@ def test_log_lookup_helpers():
     assert log.state_of("nope", t0) is None
 
 
+# ---------------------------------------------------------------------------
+# Columnar view
+
+
+def test_view_is_built_on_first_use_and_kept(tmp_path):
+    path = tmp_path / "log.json"
+    save_log(random_track_log(3), path)
+    log = load_log(path)
+    assert "columns" not in vars(log)  # loading alone builds no arrays
+    save_log(log, path)
+    assert "columns" not in vars(log)
+    view = log.columns
+    assert log.columns is view
+    assert load_log(path).columns is not view
+
+
+@given(st.integers(0, 200))
+def test_view_arrays_equal_the_logged_states(seed):
+    log = random_track_log(seed, max_objects=6, max_frames=12)
+    view = log.columns
+    assert view.track_ids == tuple(sorted(log.objects))
+    assert view.present.sum() == sum(len(o.states) for o in log.objects.values())
+    for j, track in enumerate(view.track_ids):
+        assert view.column[track] == j
+        for i, ts in enumerate(log.timestamps):
+            assert view.row[ts] == i
+            st_ = log.objects[track].states.get(ts)
+            assert view.present[i, j] == (st_ is not None)
+            if st_ is None:
+                continue
+            vx, vy = st_.velocity[0], st_.velocity[1]
+            want = (
+                st_.position[0],
+                st_.position[1],
+                st_.heading,
+                math.cos(st_.heading),
+                math.sin(st_.heading),
+                st_.planar_speed,
+                math.atan2(vy, vx),
+            )
+            got = (view.x, view.y, view.heading, view.cos_heading, view.sin_heading, view.speed, view.velocity_angle)
+            assert tuple(a[i, j] for a in got) == want
+
+
 def test_ground_truth_validate_against():
     log = make_log([static_obj("a", "BUS", 0, 0)])
     t0 = log.timestamps[0]
