@@ -5,7 +5,7 @@ executed fault-tolerantly against track logs, and the retrieved scenarios
 are scored with identity-aware retrieval metrics.
 """
 
-from .categories import DEFAULT_REGISTRY, CategoryRegistry, ObjectCategory
+from .categories import DEFAULT_REGISTRY, ObjectCategory
 from .dsl import DslError, Span, check, describe_functions, execute, interpret, parse, pretty_print
 from .errors import (
     InfeasibleSpec,
@@ -34,11 +34,11 @@ from .orchestrator import (
     mine_scenario,
     run_batch,
 )
-from .predicates import REGISTRY, EvalContext, FunctionSpec, ParamSpec, registry_catalog
-from .promptgen import Prompt, compose_initial, compose_iteration, epsrf_fragment
+from .predicates import REGISTRY, FunctionSpec, ParamSpec, registry_catalog
+from .promptgen import Prompt, compose_initial, compose_iteration
 from .providers import HttpProvider, LlmProvider, ScriptedProvider, make_fixture, query_key
 from .scenario_set import ScenarioSet
-from .synth import ScenarioSpec, SynthResult, generate_scenario_log, random_track_log, write_bundle
+from .synth import ScenarioSpec, SynthResult, generate_scenario_log, write_bundle
 from .tracklog import (
     GroundTruthScenario,
     ObjectState,
@@ -54,11 +54,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchResult",
-    "CategoryRegistry",
     "DEFAULT_ALPHAS",
     "DEFAULT_REGISTRY",
     "DslError",
-    "EvalContext",
     "EvalReport",
     "FunctionSpec",
     "GroundTruthScenario",
@@ -90,7 +88,6 @@ __all__ = [
     "compose_initial",
     "compose_iteration",
     "describe_functions",
-    "epsrf_fragment",
     "evaluate",
     "execute",
     "extract_code",
@@ -106,7 +103,6 @@ __all__ = [
     "parse",
     "pretty_print",
     "query_key",
-    "random_track_log",
     "registry_catalog",
     "run_batch",
     "save_ground_truth",

@@ -1,18 +1,15 @@
-"""Object category registry.
+"""The object category vocabulary.
 
-The category vocabulary is data, not code: a registry is a validated list of
-names. The seven names in :data:`REQUIRED_CATEGORIES` must always be present;
-deployments may extend the list up to :data:`MAX_CATEGORIES` entries (for
-example from a JSON config file).
+The seven Argoverse-style names in :data:`REQUIRED_CATEGORIES` are the whole
+vocabulary: logs, ground truth and programs may name no other category.
+:data:`DEFAULT_REGISTRY` checks and resolves names against it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import InvariantViolation, MalformedFile, UnknownCategory
+from .errors import UnknownCategory
 
 REQUIRED_CATEGORIES = (
     "REGULAR_VEHICLE",
@@ -24,12 +21,10 @@ REQUIRED_CATEGORIES = (
     "EGO_VEHICLE",
 )
 
-MAX_CATEGORIES = 26
-
 
 @dataclass(frozen=True)
 class ObjectCategory:
-    """A validated category name. Obtain instances via CategoryRegistry.category()."""
+    """A validated category name. Obtain instances via DEFAULT_REGISTRY.category()."""
 
     name: str
 
@@ -40,17 +35,6 @@ class CategoryRegistry:
 
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise InvariantViolation("category registry contains duplicate names")
-        if len(self.names) > MAX_CATEGORIES:
-            raise InvariantViolation(
-                f"category registry holds {len(self.names)} names; at most {MAX_CATEGORIES} allowed"
-            )
-        missing = [name for name in REQUIRED_CATEGORIES if name not in self.names]
-        if missing:
-            raise InvariantViolation(f"category registry is missing required names: {', '.join(missing)}")
-
     def __contains__(self, name: object) -> bool:
         return name in self.names
 
@@ -59,17 +43,6 @@ class CategoryRegistry:
         if name not in self.names:
             raise UnknownCategory(f"unknown category '{name}'; registry has: {', '.join(self.names)}")
         return ObjectCategory(name)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "CategoryRegistry":
-        """Load a registry from a JSON file holding a list of name strings."""
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, list) or not all(isinstance(n, str) for n in raw):
-            raise MalformedFile(f"{path}: expected a JSON list of category name strings")
-        return cls(tuple(raw))
 
 
 DEFAULT_REGISTRY = CategoryRegistry(REQUIRED_CATEGORIES)

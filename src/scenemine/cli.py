@@ -23,7 +23,7 @@ from .predicates import registry_catalog
 from .providers import HttpProvider, ScriptedProvider
 from .scenario_set import ScenarioSet
 from .synth import ScenarioSpec, TEMPLATES, generate_scenario_log, write_bundle
-from .tracklog import TrackLog, load_ground_truth, load_log
+from .tracklog import TrackLog, load_ground_truth, load_log, read_json, read_text, write_text_atomic
 
 API_KEY_ENV = "SCENEMINE_API_KEY"
 
@@ -35,11 +35,7 @@ API_KEY_ENV = "SCENEMINE_API_KEY"
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: config is not valid JSON: {exc}") from exc
+    config = read_json(path, "config")
     if not isinstance(config, dict):
         raise MalformedFile(f"{path}: config must be a JSON object")
     return config
@@ -83,17 +79,13 @@ def _load_logs(paths: Sequence[str]) -> dict[str, TrackLog]:
 
 def _load_queries(path: str) -> list[str]:
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise MalformedFile(f"{path}: queries file is not valid JSON: {exc}") from exc
+        data = read_json(path, "queries file")
         if not isinstance(data, list) or not all(isinstance(q, str) and q.strip() for q in data):
             raise MalformedFile(f"{path}: expected a JSON array of non-empty query strings")
         queries = [q for q in data]
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            queries = [line.strip() for line in fh if line.strip() and not line.lstrip().startswith("#")]
+        lines = read_text(path, "queries file").split("\n")
+        queries = [line.strip() for line in lines if line.strip() and not line.lstrip().startswith("#")]
     if not queries:
         raise MalformedFile(f"{path}: no queries found")
     if len(set(queries)) != len(queries):
@@ -102,11 +94,7 @@ def _load_queries(path: str) -> list[str]:
 
 
 def _load_predictions(path: str) -> dict[str, dict[str, ScenarioSet]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedFile(f"{path}: predictions file is not valid JSON: {exc}") from exc
+    data = read_json(path, "predictions file")
     if not isinstance(data, dict):
         raise MalformedFile(f"{path}: predictions must map query text to per-log scenario sets")
     predictions: dict[str, dict[str, ScenarioSet]] = {}
@@ -177,8 +165,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_text_atomic(path, report.to_json())
         print(f"report written to {path}")
     return 0
 

@@ -10,12 +10,12 @@ and is phrased to be actionable as repair feedback.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .categories import DEFAULT_REGISTRY, CategoryRegistry
 from .errors import ScenarioMiningError
-from .predicates import REGISTRY, EvalContext, FunctionSpec, ParamSpec
+from .predicates import REGISTRY, FunctionSpec, ParamSpec
 from .scenario_set import ScenarioSet
 from .tracklog import TrackLog
 
@@ -136,8 +136,9 @@ class _Token:
     span: Span
 
 
-# The unbounded number: a literal, so it cannot name a variable.
+# The unbounded number (also signed, as -inf or +inf): a literal, so it cannot name a variable.
 INF = "inf"
+_SIGNED_INF = re.compile(rf"[+-]{INF}(?![A-Za-z0-9_])")
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 _PUNCT = {"=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
@@ -166,6 +167,9 @@ def _tokenize(text: str) -> list[_Token]:
                 word = line[i:j]
                 tokens.append(_Token("NUMBER" if word == INF else "IDENT", word, Span(line_no, col)))
                 i = j
+            elif _SIGNED_INF.match(line, i):
+                tokens.append(_Token("NUMBER", line[i : i + 1 + len(INF)], Span(line_no, col)))
+                i += 1 + len(INF)
             elif ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < len(line) and (line[i + 1].isdigit() or line[i + 1] == ".")):
                 j = i + 1 if ch in "+-" else i
                 start = i
@@ -517,25 +521,19 @@ def _to_python(param: ParamSpec, node, env: dict[str, ScenarioSet]):
     return value
 
 
-def execute(
-    program: Program,
-    log: TrackLog,
-    registry: Mapping[str, FunctionSpec] = REGISTRY,
-    categories: CategoryRegistry = DEFAULT_REGISTRY,
-) -> ScenarioSet:
+def execute(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec] = REGISTRY) -> ScenarioSet:
     """Run a program that check() accepted against a log and return the output scenario set.
 
     Domain errors of the registry implementations surface as PredicateRuntime
     diagnostics carrying the statement span.
     """
-    ctx = EvalContext(log, categories)
     env: dict[str, ScenarioSet] = {}
     for stmt in program.assignments:
         spec = registry[stmt.call.function]
         bound, _ = _bind_call(spec, stmt.call)
         kwargs = {name: _to_python(spec.param(name), node, env) for name, node in bound.items()}
         try:
-            env[stmt.name] = spec.impl(ctx, **kwargs)
+            env[stmt.name] = spec.impl(log, **kwargs)
         except ScenarioMiningError as exc:
             raise DslError(
                 PREDICATE_RUNTIME, f"{spec.name}(): {exc}", stmt.span
@@ -543,17 +541,12 @@ def execute(
     return env[program.output.name]
 
 
-def interpret(
-    program: Program,
-    log: TrackLog,
-    registry: Mapping[str, FunctionSpec] = REGISTRY,
-    categories: CategoryRegistry = DEFAULT_REGISTRY,
-) -> ScenarioSet:
+def interpret(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec] = REGISTRY) -> ScenarioSet:
     """check() a program, raising its first diagnostic, so only registry functions run; then execute() it."""
     problems = check(program, registry)
     if problems:
         raise problems[0]
-    return execute(program, log, registry, categories)
+    return execute(program, log, registry)
 
 
 # ---------------------------------------------------------------------------

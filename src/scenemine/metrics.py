@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,16 +27,17 @@ from .tracklog import GroundTruthScenario, TrackLog
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
+SIMILARITY_SCALE_M = 2.0
+
 _MATCH_EPS = 1e-9
 
 Fragments = Mapping[str, Mapping[int, tuple[float, float, float]]]
-Similarity = Callable[[Sequence[float], Sequence[float]], float]
 
 
-def center_distance_similarity(a: Sequence[float], b: Sequence[float], scale: float = 2.0) -> float:
-    """1 at zero distance, linearly down to 0 at `scale` metres, clamped."""
+def center_distance_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """1 at zero distance, linearly down to 0 at SIMILARITY_SCALE_M metres, clamped."""
     d = math.dist(a, b)
-    return max(0.0, 1.0 - d / scale)
+    return max(0.0, 1.0 - d / SIMILARITY_SCALE_M)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,6 @@ def hota_from_fragments(
     pred: Fragments,
     gt: Fragments,
     alphas: Sequence[float] = DEFAULT_ALPHAS,
-    similarity: Similarity = center_distance_similarity,
 ) -> HotaResult:
     """Detection + association accuracy over positioned fragments.
 
@@ -149,7 +149,7 @@ def hota_from_fragments(
         gts_here = [(g, frames[ts]) for g, frames in sorted(gt.items()) if ts in frames]
         for p, ppos in preds_here:
             for g, gpos in gts_here:
-                s = similarity(ppos, gpos)
+                s = center_distance_similarity(ppos, gpos)
                 if s > 0.0:
                     sims[(p, g)] = s
         frame_sims.append(sims)
@@ -212,23 +212,15 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
     return fragments
 
 
-def hota_temporal(
-    pred: ScenarioSet, gt: ScenarioSet, log: TrackLog, alphas: Sequence[float] = DEFAULT_ALPHAS
-) -> HotaResult:
+def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return hota_from_fragments(
-        scenario_fragments(log, pred), scenario_fragments(log, gt), alphas
-    )
+    return hota_from_fragments(scenario_fragments(log, pred), scenario_fragments(log, gt))
 
 
-def hota_full(
-    pred: ScenarioSet, gt: ScenarioSet, log: TrackLog, alphas: Sequence[float] = DEFAULT_ALPHAS
-) -> HotaResult:
+def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over the flagged tracks extended to their full lifespans."""
     return hota_from_fragments(
-        scenario_fragments(log, pred, full_lifespan=True),
-        scenario_fragments(log, gt, full_lifespan=True),
-        alphas,
+        scenario_fragments(log, pred, full_lifespan=True), scenario_fragments(log, gt, full_lifespan=True)
     )
 
 
@@ -334,7 +326,6 @@ def evaluate(
     predictions: Mapping[str, Mapping[str, ScenarioSet]],
     ground_truth: Sequence[GroundTruthScenario],
     logs: Mapping[str, TrackLog],
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
 ) -> EvalReport:
     """Score predictions against ground truth over its (query, log) universe.
 
@@ -355,7 +346,6 @@ def evaluate(
     if not universe:
         raise InconsistentInput("ground truth is empty; nothing to evaluate")
 
-    alphas = tuple(alphas)
     pair_evals: list[PairEvaluation] = []
     query_reports: dict[str, QueryReport] = {}
     query_t_curves: list[list[float]] = []
@@ -377,8 +367,8 @@ def evaluate(
             gt_set = universe[query_text][log_id]
             pred_set = predictions.get(query_text, {}).get(log_id, ScenarioSet.empty())
 
-            t_result = hota_temporal(pred_set, gt_set, log, alphas)
-            f_result = hota_full(pred_set, gt_set, log, alphas)
+            t_result = hota_temporal(pred_set, gt_set, log)
+            f_result = hota_full(pred_set, gt_set, log)
             tp, fp, fn = timestamp_counts(pred_set, gt_set)
             ts_tp, ts_fp, ts_fn = ts_tp + tp, ts_fp + fp, ts_fn + fn
 
@@ -403,11 +393,11 @@ def evaluate(
         query_reports[query_text] = QueryReport(
             query_text, _mean(t_scores), _mean(f_scores), per_log_scores
         )
-        query_t_curves.append([_mean([c[i] for c in t_curves]) for i in range(len(alphas))])
-        query_f_curves.append([_mean([c[i] for c in f_curves]) for i in range(len(alphas))])
+        query_t_curves.append([_mean(at_alpha) for at_alpha in zip(*t_curves)])
+        query_f_curves.append([_mean(at_alpha) for at_alpha in zip(*f_curves)])
 
-    t_curve = tuple(_mean([c[i] for c in query_t_curves]) for i in range(len(alphas)))
-    f_curve = tuple(_mean([c[i] for c in query_f_curves]) for i in range(len(alphas)))
+    t_curve = tuple(_mean(at_alpha) for at_alpha in zip(*query_t_curves))
+    f_curve = tuple(_mean(at_alpha) for at_alpha in zip(*query_f_curves))
     overall_t = _mean([r.hota_temporal for r in query_reports.values()])
     overall_f = _mean([r.hota for r in query_reports.values()])
     overall_ts = f1_from_counts(ts_tp, ts_fp, ts_fn)
@@ -418,7 +408,7 @@ def evaluate(
         overall_f,
         overall_ts,
         overall_log,
-        alphas,
+        DEFAULT_ALPHAS,
         t_curve,
         f_curve,
         query_reports,

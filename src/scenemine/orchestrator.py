@@ -19,14 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .categories import DEFAULT_REGISTRY, CategoryRegistry
 from .dsl import DslError, check, describe_functions, execute, parse
 from .errors import EmptyResponse, ProviderError
 from .predicates import REGISTRY, FunctionSpec
 from .promptgen import Prompt, compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
-from .tracklog import TrackLog
+from .tracklog import TrackLog, write_text_atomic
 
 STATUS_SUCCEEDED = "Succeeded"
 STATUS_FAILED = "Failed"
@@ -35,6 +34,8 @@ TRANSPORT_ERROR = "TransportError"
 EMPTY_RESPONSE = "EmptyResponse"
 
 MISSING_CODE_PLACEHOLDER = "<no code returned>"
+
+TRANSPORT_BACKOFF_S = 2.0  # wait before the one retry of a failed provider call
 
 _FENCE = re.compile(r"^\s*```")
 
@@ -73,8 +74,6 @@ class MiningConfig:
     max_iterations: int = 5
     epsrf: bool = True
     registry: Mapping[str, FunctionSpec] = field(default_factory=lambda: REGISTRY)
-    categories: CategoryRegistry = DEFAULT_REGISTRY
-    transport_backoff: float = 2.0
     sleeper: Callable[[float], None] = time.sleep
     workers: int = 1
     catalog: str = field(init=False, repr=False)  # the registry's catalog text, for every prompt
@@ -138,7 +137,7 @@ def _generate_once(prompt: Prompt, config: MiningConfig) -> str:
     try:
         return config.provider.generate(prompt.text)
     except ProviderError:
-        config.sleeper(config.transport_backoff)
+        config.sleeper(TRANSPORT_BACKOFF_S)
         return config.provider.generate(prompt.text)
 
 
@@ -181,9 +180,7 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
             problems = check(program, config.registry)
             if problems:
                 raise problems[0]
-            predictions = {
-                log.log_id: execute(program, log, config.registry, config.categories) for log in logs
-            }
+            predictions = {log.log_id: execute(program, log, config.registry) for log in logs}
         except DslError as exc:
             span = (exc.span.line, exc.span.col) if exc.span else None
             records.append(
@@ -229,13 +226,6 @@ class BatchResult:
         ]
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _transcript_name(query_text: str, log_id: str) -> str:
     safe_log = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in log_id)
     return f"{query_key(query_text)[:12]}__{safe_log}.json"
@@ -266,9 +256,9 @@ def run_batch(
         os.makedirs(out_dir, exist_ok=True)
         transcripts = os.path.join(out_dir, "transcripts")
         os.makedirs(transcripts, exist_ok=True)
-        _write_text_atomic(os.path.join(out_dir, "predictions.json"), batch.predictions_json())
+        write_text_atomic(os.path.join(out_dir, "predictions.json"), batch.predictions_json())
         for query, per_log in batch.outcomes.items():
             for log_id, outcome in per_log.items():
                 text = json.dumps(outcome.to_json_dict(log_id), indent=2, sort_keys=True) + "\n"
-                _write_text_atomic(os.path.join(transcripts, _transcript_name(query, log_id)), text)
+                write_text_atomic(os.path.join(transcripts, _transcript_name(query, log_id)), text)
     return batch

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .categories import DEFAULT_REGISTRY, CategoryRegistry
+from .categories import DEFAULT_REGISTRY
 from .errors import InvalidEnumValue, InvalidParameter
 from .geometry import (
     Direction,
@@ -118,11 +118,9 @@ def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
     return view.x[rows, None, rc] - view.x[rows, tc, None], view.y[rows, None, rc] - view.y[rows, tc, None]
 
 
-def get_objects_of_category(
-    log: TrackLog, category: str, categories: CategoryRegistry = DEFAULT_REGISTRY
-) -> ScenarioSet:
+def get_objects_of_category(log: TrackLog, category: str) -> ScenarioSet:
     """All objects of one category, at every timestamp where they exist."""
-    categories.category(category)  # raises UnknownCategory for names outside the registry
+    DEFAULT_REGISTRY.category(category)  # raises UnknownCategory for names outside the vocabulary
     entries = {
         obj.track_id: frozenset(obj.states)
         for obj in log.objects.values()
@@ -421,16 +419,11 @@ class ParamSpec:
 
 
 @dataclass(frozen=True)
-class EvalContext:
-    """Ambient state a registry call runs against."""
-
-    log: TrackLog
-    categories: CategoryRegistry = DEFAULT_REGISTRY
-
-
-@dataclass(frozen=True)
 class FunctionSpec:
-    """Name, parameters, one-line semantics and implementation of a registry function."""
+    """Name, parameters, one-line semantics and implementation of a registry function.
+
+    The interpreter calls ``impl(log, **arguments)`` with the log and the bound arguments.
+    """
 
     name: str
     summary: str
@@ -462,7 +455,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
             (
                 ParamSpec("category", "category", 'string category name, e.g. "REGULAR_VEHICLE"'),
             ),
-            lambda ctx, category: get_objects_of_category(ctx.log, category, ctx.categories),
+            get_objects_of_category,
         ),
         FunctionSpec(
             "has_objects_in_relative_direction",
@@ -481,7 +474,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("within_distance", "float", "maximum planar center distance in meters", 50.0),
                 ParamSpec("lateral_thresh", "float", "maximum offset orthogonal to the direction axis, meters", math.inf),
             ),
-            lambda ctx, **kw: has_objects_in_relative_direction(ctx.log, **kw),
+            has_objects_in_relative_direction,
         ),
         FunctionSpec(
             "being_crossed_by",
@@ -499,7 +492,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("lateral_band", "float", "half-width of the crossing corridor around the axis, meters", 5.0),
                 ParamSpec("forward_extent", "float", "how far from the object the crossing may occur, meters", 10.0),
             ),
-            lambda ctx, **kw: being_crossed_by(ctx.log, **kw),
+            being_crossed_by,
         ),
         FunctionSpec(
             "heading_in_relative_direction_to",
@@ -514,7 +507,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                     enum_values=RELATIONS,
                 ),
             ),
-            lambda ctx, **kw: heading_in_relative_direction_to(ctx.log, **kw),
+            heading_in_relative_direction_to,
         ),
         FunctionSpec(
             "facing_toward",
@@ -525,7 +518,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("within_angle", "float", "half-angle of the facing cone, radians", math.pi / 8),
                 ParamSpec("max_distance", "float", "maximum planar center distance in meters", 50.0),
             ),
-            lambda ctx, **kw: facing_toward(ctx.log, **kw),
+            facing_toward,
         ),
         FunctionSpec(
             "heading_toward",
@@ -537,7 +530,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("minimum_speed", "float", "smallest planar speed that counts as moving, m/s", 0.5),
                 ParamSpec("max_distance", "float", "maximum planar center distance in meters", 50.0),
             ),
-            lambda ctx, **kw: heading_toward(ctx.log, **kw),
+            heading_toward,
         ),
         FunctionSpec(
             "near_objects",
@@ -548,7 +541,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("distance_thresh", "float", "maximum planar center distance in meters", 10.0),
                 ParamSpec("min_objects", "int", "smallest count of nearby related objects", 1),
             ),
-            lambda ctx, **kw: near_objects(ctx.log, **kw),
+            near_objects,
         ),
         FunctionSpec(
             "has_velocity",
@@ -558,7 +551,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 ParamSpec("min_velocity", "float", "lower speed bound in m/s", 0.0),
                 ParamSpec("max_velocity", "float", "upper speed bound in m/s", math.inf),
             ),
-            lambda ctx, **kw: has_velocity(ctx.log, **kw),
+            has_velocity,
         ),
         FunctionSpec(
             "decelerating",
@@ -567,7 +560,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
                 ParamSpec("min_decel", "float", "deceleration threshold in m/s^2", 4.0),
             ),
-            lambda ctx, **kw: decelerating(ctx.log, **kw),
+            decelerating,
         ),
         FunctionSpec(
             "scenario_and",
@@ -576,7 +569,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 _set_param("a", None, "scenario set; first operand"),
                 _set_param("b", None, "scenario set; second operand"),
             ),
-            lambda ctx, a, b: scenario_and(a, b),
+            lambda log, a, b: scenario_and(a, b),
         ),
         FunctionSpec(
             "scenario_or",
@@ -585,7 +578,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 _set_param("a", None, "scenario set; first operand"),
                 _set_param("b", None, "scenario set; second operand"),
             ),
-            lambda ctx, a, b: scenario_or(a, b),
+            lambda log, a, b: scenario_or(a, b),
         ),
         FunctionSpec(
             "scenario_not",
@@ -594,7 +587,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                 _set_param("base", None, "scenario set; the universe to subtract from"),
                 _set_param("s", None, "scenario set; the pairs to remove"),
             ),
-            lambda ctx, base, s: scenario_not(base, s),
+            lambda log, base, s: scenario_not(base, s),
         ),
         FunctionSpec(
             "followed_by",
@@ -611,9 +604,7 @@ def _build_registry() -> dict[str, FunctionSpec]:
                     enum_values=("false", "true"),
                 ),
             ),
-            lambda ctx, first, second, within_seconds, cross_track=False: followed_by(
-                ctx.log, first, second, within_seconds, cross_track
-            ),
+            followed_by,
         ),
     ]
     return {spec.name: spec for spec in specs}

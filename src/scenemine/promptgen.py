@@ -57,11 +57,6 @@ class Prompt:
         return tuple(name for name, _ in self.parts)
 
 
-def epsrf_fragment() -> str:
-    """The relation-direction guidance paragraph, exactly as prompted."""
-    return EPSRF_GUIDANCE
-
-
 def _normalized_catalog(catalog_text: str) -> str:
     if not catalog_text.strip():
         raise EmptyFeedback("function catalog text is empty")

@@ -15,6 +15,7 @@ import urllib.request
 from typing import Mapping, Protocol, Sequence
 
 from .errors import MalformedFile, ProviderError
+from .tracklog import read_json
 
 
 class LlmProvider(Protocol):
@@ -59,21 +60,6 @@ def _validate_fixture(fixture: Mapping) -> None:
             raise MalformedFile(f"fixture entry {key!r} needs a non-empty list of reply strings")
 
 
-def _read_fixture(path: str) -> object:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path}: fixture is not valid JSON: {exc}") from exc
-
-
-def load_fixture(path: str) -> dict:
-    """Read and validate a reply fixture file."""
-    fixture = _read_fixture(path)
-    _validate_fixture(fixture)
-    return fixture
-
-
 class ScriptedProvider:
     """Replays canned replies; selects the entry whose query appears in the prompt.
 
@@ -93,7 +79,7 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedProvider":
-        return cls(_read_fixture(path))  # validated once, by __init__
+        return cls(read_json(path, "fixture"))  # validated once, by __init__
 
     def _match(self, prompt: str) -> str:
         best_key = None
@@ -140,6 +126,8 @@ class HttpProvider:
                 body = response.read().decode("utf-8")
         except urllib.error.HTTPError as exc:
             raise ProviderError(f"completion endpoint returned HTTP {exc.code}") from exc
+        except UnicodeDecodeError as exc:
+            raise ProviderError("completion endpoint returned a body that is not UTF-8") from exc
         except (urllib.error.URLError, OSError) as exc:
             raise ProviderError(f"completion request failed: {exc}") from exc
         try:

@@ -56,13 +56,6 @@ class ScenarioSet:
     def timestamps_for(self, track: str) -> frozenset[int]:
         return self.entries.get(track, frozenset())
 
-    def all_timestamps(self) -> frozenset[int]:
-        """Union of timestamps over every track (the flattened frame labels)."""
-        out: set[int] = set()
-        for stamps in self.entries.values():
-            out.update(stamps)
-        return frozenset(out)
-
     def pairs(self) -> Iterator[tuple[str, int]]:
         for track in sorted(self.entries):
             for ts in sorted(self.entries[track]):

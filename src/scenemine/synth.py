@@ -35,6 +35,7 @@ from .tracklog import (
     TrackLog,
     dump_ground_truth_text,
     dump_log_text,
+    write_text_atomic,
 )
 
 DT_NS = 100_000_000  # 100 ms frame spacing
@@ -499,46 +500,6 @@ def write_bundle(result: SynthResult, out_dir: str) -> dict[str, str]:
         ("ground_truth", gt_text),
         ("manifest", manifest_text),
     ):
-        tmp = paths[key] + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, paths[key])
+        write_text_atomic(paths[key], text)
     return paths
 
-
-# ---------------------------------------------------------------------------
-# Unstructured random logs (for exercising predicates, not for retrieval GT)
-
-
-def random_track_log(seed: int, max_objects: int = 10, max_frames: int = 50) -> TrackLog:
-    """A structurally valid but behaviourally arbitrary log."""
-    rng = random.Random(seed)
-    n_frames = rng.randint(4, max(4, max_frames))
-    gaps = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n_frames - 1)]
-    timestamps = [BASE_TS]
-    for g in gaps:
-        timestamps.append(timestamps[-1] + g * DT_NS)
-    timestamps = tuple(timestamps)
-
-    names = DEFAULT_REGISTRY.names
-    objects = []
-    for k in range(rng.randint(2, max(2, max_objects))):
-        category = names[rng.randrange(len(names))]
-        box = _BOX[category]
-        start = rng.randrange(n_frames)
-        length = rng.randint(1, n_frames - start)
-        states = {}
-        x, y = rng.uniform(-60, 60), rng.uniform(-60, 60)
-        for ts in timestamps[start : start + length]:
-            heading = wrap_angle(rng.uniform(-math.pi, math.pi))
-            speed = rng.choice((0.0, 0.2, rng.uniform(0.6, 12.0)))
-            states[ts] = ObjectState(
-                position=(x, y, box[2] / 2.0),
-                heading=heading,
-                velocity=(speed * math.cos(heading), speed * math.sin(heading), 0.0),
-                box_dims=box,
-            )
-            x += rng.uniform(-1.5, 1.5)
-            y += rng.uniform(-1.5, 1.5)
-        objects.append(TrackedObject(f"obj-{k:02d}", DEFAULT_REGISTRY.category(category), states))
-    return TrackLog.build(f"random-{seed:05d}", timestamps, objects)

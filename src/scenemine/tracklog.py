@@ -18,8 +18,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .categories import DEFAULT_REGISTRY, CategoryRegistry, ObjectCategory
-from .errors import InvariantViolation, MalformedFile, UnknownTrack
+from .categories import DEFAULT_REGISTRY, ObjectCategory
+from .errors import InvariantViolation, MalformedFile
 from .scenario_set import ScenarioSet
 
 Vec3 = tuple[float, float, float]
@@ -141,12 +141,6 @@ class TrackLog:
             by_id[obj.track_id] = obj
         return cls(log_id, tuple(timestamps), by_id)
 
-    def object(self, track_id: str) -> TrackedObject:
-        try:
-            return self.objects[track_id]
-        except KeyError:
-            raise UnknownTrack(f"track '{track_id}' not in log '{self.log_id}'") from None
-
     def state_of(self, track_id: str, ts: int) -> ObjectState | None:
         obj = self.objects.get(track_id)
         return None if obj is None else obj.states.get(ts)
@@ -165,10 +159,6 @@ class GroundTruthScenario:
     log_id: str
     relevant: ScenarioSet
 
-    @property
-    def is_positive_log(self) -> bool:
-        return not self.relevant.is_empty
-
     def validate_against(self, log: TrackLog) -> None:
         """Raise InvariantViolation if any relevant pair is missing from the log."""
         if log.log_id != self.log_id:
@@ -182,6 +172,30 @@ class GroundTruthScenario:
 
 # ---------------------------------------------------------------------------
 # JSON I/O
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """A UTF-8 text file's contents; MalformedFile names the file when its bytes do not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{path}: {what} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """A JSON file's value; MalformedFile names the file when it is not UTF-8 JSON."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise MalformedFile(f"{path}: {what} is not valid JSON: {exc}") from exc
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text through a temporary file, so the path never holds a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def _require(raw: Mapping, key: str, kind: type | tuple[type, ...], where: str):
@@ -212,13 +226,10 @@ def _parse_state(raw: object, where: str) -> ObjectState:
         raise InvariantViolation(f"{where}: {exc}") from None
 
 
-def load_log(path: str | Path, registry: CategoryRegistry = DEFAULT_REGISTRY) -> TrackLog:
+def load_log(path: str | Path) -> TrackLog:
     """Load a track log from JSON, enforcing the schema and all invariants."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path.name}: not valid JSON: {exc}") from exc
+    raw = read_json(path, "track log")
     if not isinstance(raw, dict):
         raise MalformedFile(f"{path.name}: top level must be an object")
     where = path.name
@@ -235,9 +246,9 @@ def load_log(path: str | Path, registry: CategoryRegistry = DEFAULT_REGISTRY) ->
             raise MalformedFile(f"{owhere}: expected an object")
         track_id = _require(obj_raw, "track_id", str, owhere)
         category_name = _require(obj_raw, "category", str, owhere)
-        if category_name not in registry:
+        if category_name not in DEFAULT_REGISTRY:
             raise MalformedFile(
-                f"{owhere}.category: unknown category '{category_name}' (registry has: {', '.join(registry.names)})"
+                f"{owhere}.category: unknown category '{category_name}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
             )
         states_raw = _require(obj_raw, "states", dict, owhere)
         states: dict[int, ObjectState] = {}
@@ -248,7 +259,7 @@ def load_log(path: str | Path, registry: CategoryRegistry = DEFAULT_REGISTRY) ->
                 raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not an integer timestamp") from None
             states[ts] = _parse_state(state_raw, f"{owhere}.states[{ts_key}]")
         try:
-            objects.append(TrackedObject(track_id, registry.category(category_name), states))
+            objects.append(TrackedObject(track_id, DEFAULT_REGISTRY.category(category_name), states))
         except InvariantViolation as exc:
             raise InvariantViolation(f"{owhere}: {exc}") from None
 
@@ -282,10 +293,7 @@ def dump_log_text(log: TrackLog) -> str:
 
 def save_log(log: TrackLog, path: str | Path) -> None:
     """Write a log as JSON. Propagates OSError for unwritable paths."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(dump_log_text(log), encoding="utf-8")
-    os.replace(tmp, path)
+    write_text_atomic(path, dump_log_text(log))
 
 
 def _ground_truth_from_dict(raw: object, where: str) -> GroundTruthScenario:
@@ -307,10 +315,7 @@ def _ground_truth_from_dict(raw: object, where: str) -> GroundTruthScenario:
 def load_ground_truth(path: str | Path) -> list[GroundTruthScenario]:
     """Load (query, log) relevance annotations: a JSON array, or one bare object."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedFile(f"{path.name}: not valid JSON: {exc}") from exc
+    raw = read_json(path, "ground truth")
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list):
@@ -342,7 +347,4 @@ def dump_ground_truth_text(entries: Iterable[GroundTruthScenario]) -> str:
 
 
 def save_ground_truth(entries: Iterable[GroundTruthScenario], path: str | Path) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(dump_ground_truth_text(entries), encoding="utf-8")
-    os.replace(tmp, path)
+    write_text_atomic(path, dump_ground_truth_text(entries))

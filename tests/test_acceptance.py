@@ -43,7 +43,7 @@ from scenemine.predicates import (
 )
 from scenemine.providers import ScriptedProvider, make_fixture
 from scenemine.scenario_set import ScenarioSet
-from scenemine.synth import ScenarioSpec, generate_scenario_log, random_track_log
+from scenemine.synth import ScenarioSpec, generate_scenario_log
 from scenemine.tracklog import (
     GroundTruthScenario,
     dump_log_text,
@@ -52,7 +52,7 @@ from scenemine.tracklog import (
     save_log,
 )
 
-from util import as_dict, make_log, sset, stamps, static_obj
+from util import as_dict, make_log, random_track_log, sset, stamps, static_obj
 
 FEEDBACK_RE = re.compile(
     r"This is the code generated last time: .*, with the error message: .*\."

@@ -344,3 +344,46 @@ def test_eval_missing_log_is_exit_two(tmp_path, bundle_dir, capsys):
     code = main(["eval", "--predictions", predictions, "--gt", gt_path, "--logs", str(only_neg)])
     assert code == 2
     assert "but it was not provided" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input files that are not UTF-8
+
+
+@pytest.mark.parametrize(
+    "role, expected_code",
+    [
+        ("validate --logs", 1),
+        ("validate --gt", 1),
+        ("eval --predictions", 2),
+        ("eval --gt", 2),
+        ("mine --queries (text)", 2),
+        ("mine --queries (JSON)", 2),
+        ("mine --fixture", 2),
+        ("mine --config", 2),
+    ],
+)
+def test_undecodable_input_file_is_a_documented_exit(tmp_path, bundle_dir, capsys, role, expected_code):
+    bad = tmp_path / ("bad.json" if role != "mine --queries (text)" else "bad.txt")
+    bad.write_bytes(b"\xff\xfe")
+    bad = str(bad)
+    predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    capsys.readouterr()
+    argv = {
+        "validate --logs": ["validate", "--logs", bad],
+        "validate --gt": ["validate", "--gt", bad],
+        "eval --predictions": ["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)],
+        "eval --gt": ["eval", "--predictions", predictions, "--gt", bad, "--logs", str(bundle_dir)],
+        "mine --queries (text)": ["mine", "--queries", bad, "--logs", str(bundle_dir), "--out", out,
+                                  "--fixture", fixture_path],
+        "mine --queries (JSON)": ["mine", "--queries", bad, "--logs", str(bundle_dir), "--out", out,
+                                  "--fixture", fixture_path],
+        "mine --fixture": ["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out,
+                           "--fixture", bad],
+        "mine --config": ["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out,
+                          "--config", bad],
+    }[role]
+    assert main(argv) == expected_code
+    err = capsys.readouterr().err
+    assert bad in err and "not UTF-8" in err

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -21,7 +23,7 @@ from scenemine.dsl import (
     parse,
     pretty_print,
 )
-from scenemine.predicates import REGISTRY
+from scenemine.predicates import REGISTRY, registry_catalog
 from scenemine.scenario_set import ScenarioSet
 
 from util import catalog_function_names, make_log, sset, stamps, static_obj
@@ -376,12 +378,13 @@ def test_every_catalog_default_parses_and_checks():
 
 
 def test_inf_is_a_number_literal_that_round_trips():
-    text = "x = has_velocity(a, max_velocity=inf)\noutput(x)\n"
-    program = parse(text)
-    value = program.assignments[0].call.kwargs[0].value
-    assert (value.kind, value.value) == ("number", math.inf)
-    assert pretty_print(program) == text
-    assert parse(pretty_print(program)) == program
+    for literal, number in (("inf", math.inf), ("-inf", -math.inf)):
+        text = f"x = has_velocity(a, max_velocity={literal})\noutput(x)\n"
+        program = parse(text)
+        value = program.assignments[0].call.kwargs[0].value
+        assert (value.kind, value.value) == ("number", number)
+        assert pretty_print(program) == text
+        assert parse(pretty_print(program)) == program
 
 
 def test_inf_cannot_be_assigned():
@@ -409,6 +412,18 @@ def test_catalog_names_parameter_roles():
     text = describe_functions()
     assert "track_candidates" in text and "related_candidates" in text
     assert "subject" in text and "reference" in text
+
+
+def test_catalog_bytes_are_pinned():
+    """The model reads these bytes; changing them changes every prompt, so it must be deliberate."""
+    text = describe_functions()
+    dump = json.dumps(registry_catalog(), indent=2)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "48335b5d0f54f7b04b21657fbcde2cbd34a191aab4bb422e2d16d9f7ef2314fb"
+    )
+    assert hashlib.sha256(dump.encode("utf-8")).hexdigest() == (
+        "1f72f67a9e6198ea44f0984a0d78223086433b57d9a7b930f04cbb0d5b962f54"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ def test_center_distance_similarity():
     assert center_distance_similarity((0, 0, 0), (1, 0, 0)) == 0.5
     assert center_distance_similarity((0, 0, 0), (2, 0, 0)) == 0.0
     assert center_distance_similarity((0, 0, 0), (7, 0, 0)) == 0.0
-    assert center_distance_similarity((0, 0, 0), (3, 0, 0), scale=4.0) == 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_transport_failure_retries_within_round(log):
     sleeps = []
     fixture = make_fixture({QUERY: [fenced(GOOD_CODE)]})
     provider = FlakyProvider(ScriptedProvider(fixture), fail_on=(1,))
-    config = MiningConfig(provider=provider, transport_backoff=2.0, sleeper=sleeps.append)
+    config = MiningConfig(provider=provider, sleeper=sleeps.append)
     outcome = mine_scenario(QUERY, [log], config)
     assert outcome.status == STATUS_SUCCEEDED
     assert len(outcome.iterations) == 1  # the retry happens inside the round
@@ -264,8 +264,8 @@ def test_run_batch_translates_each_query_once():
 
 
 def test_runtime_error_on_any_log_is_repair_feedback():
-    def fails_on_log_b(ctx):
-        if ctx.log.log_id == "log-b":
+    def fails_on_log_b(log):
+        if log.log_id == "log-b":
             raise InvalidParameter("no data for log-b")
         return ScenarioSet.empty()
 

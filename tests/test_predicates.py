@@ -7,7 +7,6 @@ from scenemine import predicates
 from scenemine.errors import InvalidEnumValue, InvalidParameter, UnknownCategory
 from scenemine.predicates import (
     REGISTRY,
-    EvalContext,
     being_crossed_by,
     decelerating,
     facing_toward,
@@ -23,10 +22,9 @@ from scenemine.predicates import (
     scenario_or,
 )
 from scenemine.scenario_set import ScenarioSet
-from scenemine.synth import random_track_log
 
 import oracles
-from util import as_dict, make_log, obj, sset, state, stamps, static_obj
+from util import as_dict, make_log, obj, random_track_log, sset, state, stamps, static_obj
 
 
 def full_set(log):
@@ -565,7 +563,7 @@ def test_frame_blocks_agree_with_the_oracles(monkeypatch, budget):
         subset = ScenarioSet({t: frozenset(sorted(s)[::2]) for t, s in cand.entries.items()})
         for name, kwargs in RELATIONAL_CASES:
             for track, related in ((cand, cand), (subset, cand), (cand, subset)):
-                got = REGISTRY[name].impl(EvalContext(log), track_candidates=track, related_candidates=related, **kwargs)
+                got = REGISTRY[name].impl(log, track_candidates=track, related_candidates=related, **kwargs)
                 want = oracles.ORACLE_PREDICATES[name](*_oracle_args(log, track, related), **kwargs)
                 assert as_dict(got) == want, (seed, name, kwargs)
         assert as_dict(has_velocity(log, subset, 0.5, 8.0)) == oracles.has_velocity(*_oracle_args(log, subset), 0.5, 8.0)

@@ -18,11 +18,10 @@ from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.dsl import DslError, interpret, parse, pretty_print
 from scenemine.predicates import REGISTRY, ROLE_TRACK
 from scenemine.scenario_set import ScenarioSet
-from scenemine.synth import random_track_log
 
-from util import make_log, obj, state, stamps
+from util import make_log, obj, random_track_log, state, stamps
 
-EXTREMES = (0.0, -1.0, 5e-324, 1e308, math.inf)
+EXTREMES = (0.0, -1.0, 5e-324, 1e308, math.inf, -math.inf)
 NUMBERS = st.sampled_from(EXTREMES + (0.5, 1.0, 2.0, 3.0, 10.0, 50.0)) | st.floats(-100.0, 100.0)
 
 
@@ -54,8 +53,8 @@ def programs(draw) -> str:
 
 
 def _checked(spec):
-    def impl(ctx, **kwargs):
-        result = spec.impl(ctx, **kwargs)
+    def impl(log, **kwargs):
+        result = spec.impl(log, **kwargs)
         assert isinstance(result, ScenarioSet)
         if ROLE_TRACK in kwargs:
             assert result.issubset(kwargs[ROLE_TRACK])

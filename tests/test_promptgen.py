@@ -10,7 +10,6 @@ from scenemine.promptgen import (
     Prompt,
     compose_initial,
     compose_iteration,
-    epsrf_fragment,
 )
 
 CATALOG = describe_functions()
@@ -57,7 +56,7 @@ def test_epsrf_toggle_changes_exactly_one_part():
 
 
 def test_epsrf_paragraph_wording_is_fixed():
-    assert epsrf_fragment() == (
+    assert EPSRF_GUIDANCE == (
         "If you use has_objects_in_relative_direction(), being_crossed_by(), "
         "heading_in_relative_direction_to() functions, direction parameter "
         "specifies the orientation of related candidates relative to track "

@@ -5,15 +5,15 @@ import urllib.error
 import pytest
 
 from scenemine.errors import MalformedFile, ProviderError
+from scenemine.orchestrator import MiningConfig, run_batch
 from scenemine.providers import (
     HttpProvider,
     ScriptedProvider,
-    load_fixture,
     make_fixture,
     query_key,
 )
 
-from util import FlakyProvider
+from util import FlakyProvider, load_fixture, make_log, static_obj
 
 
 def test_query_key_is_sha256_of_text():
@@ -196,9 +196,22 @@ def test_http_provider_wraps_connection_error(monkeypatch):
         (b'{"words": "no text field"}', "missing a 'text' field"),
         (b'{"text": 42}', "missing a 'text' field"),
         (b'["top-level array"]', "missing a 'text' field"),
+        (b"\xff", "not UTF-8"),
     ],
 )
 def test_http_provider_rejects_bad_bodies(monkeypatch, body, fragment):
     _install(monkeypatch, lambda req: _Response(body))
     with pytest.raises(ProviderError, match=fragment):
         HttpProvider("http://api.test", "m").generate("p")
+
+
+def test_undecodable_reply_is_a_transport_error_round(monkeypatch):
+    good = json.dumps({"text": 'x = get_objects_of_category(category="TRUCK")\noutput(x)'}).encode("utf-8")
+    bodies = iter([b"\xff", b"\xff", good])
+    _install(monkeypatch, lambda req: _Response(next(bodies)))
+    config = MiningConfig(provider=HttpProvider("http://api.test", "m"), sleeper=lambda seconds: None)
+    batch = run_batch(["trucks"], [make_log([static_obj("t", "TRUCK", 0, 0)])], config)
+    outcome = batch.outcomes["trucks"]["log-test"]
+    assert outcome.succeeded
+    assert [rec.error_kind for rec in outcome.iterations] == ["TransportError", None]
+    assert "not UTF-8" in outcome.iterations[0].error_message

@@ -82,8 +82,3 @@ def test_issubset_matches_pair_semantics(a, b):
 @given(scenario_sets)
 def test_round_trip_preserves_value(s):
     assert ScenarioSet.from_json_dict(s.to_json_dict()) == s
-
-
-@given(scenario_sets)
-def test_all_timestamps_is_union(s):
-    assert s.all_timestamps() == {ts for _, ts in s.pairs()}

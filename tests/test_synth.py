@@ -12,10 +12,11 @@ from scenemine.synth import (
     TEMPLATES,
     ScenarioSpec,
     generate_scenario_log,
-    random_track_log,
     write_bundle,
 )
 from scenemine.tracklog import dump_log_text, load_ground_truth, load_log
+
+from util import random_track_log
 
 
 def test_template_tuple_is_stable():

@@ -4,9 +4,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from scenemine.errors import InvariantViolation, MalformedFile, UnknownTrack
+from scenemine.errors import InvariantViolation, MalformedFile
 from scenemine.scenario_set import ScenarioSet
-from scenemine.synth import random_track_log
 from scenemine.tracklog import (
     GroundTruthScenario,
     ObjectState,
@@ -20,7 +19,7 @@ from scenemine.tracklog import (
     save_log,
 )
 
-from util import make_log, obj, sset, state, stamps, static_obj
+from util import make_log, obj, random_track_log, sset, state, stamps, static_obj
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +86,6 @@ def test_log_invariants():
 def test_log_lookup_helpers():
     log = make_log([static_obj("a", "BUS", 1, 2)])
     t0, t1 = log.timestamps
-    assert log.object("a").track_id == "a"
-    with pytest.raises(UnknownTrack):
-        log.object("nope")
     assert log.state_of("a", t0).position[0] == 1.0
     assert log.state_of("a", t1 + 999) is None
     assert log.state_of("nope", t0) is None
@@ -144,8 +140,6 @@ def test_ground_truth_validate_against():
     t0 = log.timestamps[0]
     good = GroundTruthScenario("q", "log-test", sset({"a": [t0]}))
     good.validate_against(log)
-    assert good.is_positive_log
-    assert not GroundTruthScenario("q", "log-test", ScenarioSet.empty()).is_positive_log
 
     wrong_log = GroundTruthScenario("q", "other", sset({"a": [t0]}))
     with pytest.raises(InvariantViolation):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Iterable
 
 from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.errors import ProviderError
-from scenemine.providers import LlmProvider
+from scenemine.geometry import wrap_angle
+from scenemine.providers import LlmProvider, _validate_fixture
 from scenemine.scenario_set import ScenarioSet
-from scenemine.tracklog import ObjectState, TrackedObject, TrackLog
+from scenemine.synth import _BOX
+from scenemine.tracklog import ObjectState, TrackedObject, TrackLog, read_json
 
 T0 = 1_000_000_000
 DT = 100_000_000
@@ -69,3 +73,44 @@ class FlakyProvider:
         if self.calls in self._fail_on:
             raise ProviderError(f"injected transport failure on call {self.calls}")
         return self._inner.generate(prompt)
+
+
+def load_fixture(path: str) -> dict:
+    """Read and validate a reply fixture file."""
+    fixture = read_json(path, "fixture")
+    _validate_fixture(fixture)
+    return fixture
+
+
+def random_track_log(seed: int, max_objects: int = 10, max_frames: int = 50) -> TrackLog:
+    """A structurally valid but behaviourally arbitrary log."""
+    rng = random.Random(seed)
+    n_frames = rng.randint(4, max(4, max_frames))
+    gaps = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n_frames - 1)]
+    timestamps = [T0]
+    for g in gaps:
+        timestamps.append(timestamps[-1] + g * DT)
+    timestamps = tuple(timestamps)
+
+    names = DEFAULT_REGISTRY.names
+    objects = []
+    for k in range(rng.randint(2, max(2, max_objects))):
+        category = names[rng.randrange(len(names))]
+        box = _BOX[category]
+        start = rng.randrange(n_frames)
+        length = rng.randint(1, n_frames - start)
+        states = {}
+        x, y = rng.uniform(-60, 60), rng.uniform(-60, 60)
+        for ts in timestamps[start : start + length]:
+            heading = wrap_angle(rng.uniform(-math.pi, math.pi))
+            speed = rng.choice((0.0, 0.2, rng.uniform(0.6, 12.0)))
+            states[ts] = ObjectState(
+                position=(x, y, box[2] / 2.0),
+                heading=heading,
+                velocity=(speed * math.cos(heading), speed * math.sin(heading), 0.0),
+                box_dims=box,
+            )
+            x += rng.uniform(-1.5, 1.5)
+            y += rng.uniform(-1.5, 1.5)
+        objects.append(TrackedObject(f"obj-{k:02d}", DEFAULT_REGISTRY.category(category), states))
+    return TrackLog.build(f"random-{seed:05d}", timestamps, objects)
