@@ -18,7 +18,6 @@ exact because its mined programs coincide with the ground-truth programs.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,9 +28,8 @@ from .metrics import EvalReport, evaluate
 from .orchestrator import BatchResult, MiningConfig, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
-from .scenario_set import ScenarioSet
 from .synth import ScenarioSpec, generate_scenario_log
-from .tracklog import GroundTruthScenario, TrackLog
+from .tracklog import GroundTruthScenario, TrackLog, write_text_atomic
 
 FAULT_SYNTAX = "syntax"
 FAULT_SWAP = "swap"
@@ -263,8 +261,6 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
         os.makedirs(out_dir, exist_ok=True)
         for arm in ARMS:
             name = arm.name.replace("+", "_")
-            with open(os.path.join(out_dir, f"report_{name}.json"), "w", encoding="utf-8") as fh:
-                fh.write(reports[arm.name].to_json())
-        with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
-            fh.write(outcome.summary_table())
+            write_text_atomic(os.path.join(out_dir, f"report_{name}.json"), reports[arm.name].to_json())
+        write_text_atomic(os.path.join(out_dir, "summary.txt"), outcome.summary_table())
     return outcome

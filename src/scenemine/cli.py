@@ -32,12 +32,24 @@ API_KEY_ENV = "SCENEMINE_API_KEY"
 # Shared loading helpers
 
 
+# The JSON type each --config key must hold (a JSON boolean is not an integer here).
+_CONFIG_TYPES = {
+    **dict.fromkeys(("provider", "fixture", "endpoint", "model", "api_key"), (str, "string")),
+    "max_iterations": (int, "integer"),
+    "workers": (int, "integer"),
+    "epsrf": (bool, "boolean"),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     config = read_json(path, "config")
     if not isinstance(config, dict):
         raise MalformedFile(f"{path}: config must be a JSON object")
+    for key, (kind, json_name) in _CONFIG_TYPES.items():
+        if key in config and type(config[key]) is not kind:
+            raise MalformedFile(f"{path}: '{key}' must be a JSON {json_name}, got {json.dumps(config[key])}")
     return config
 
 
@@ -121,9 +133,9 @@ def _load_predictions(path: str) -> dict[str, dict[str, ScenarioSet]]:
 def cmd_mine(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     provider_kind = _pick(args.provider, config, "provider", default="scripted")
-    max_iterations = int(_pick(args.max_iterations, config, "max_iterations", default=5))
-    epsrf = bool(_pick(args.epsrf, config, "epsrf", default=True))
-    workers = int(_pick(args.workers, config, "workers", default=1))
+    max_iterations = _pick(args.max_iterations, config, "max_iterations", default=5)
+    epsrf = _pick(args.epsrf, config, "epsrf", default=True)
+    workers = _pick(args.workers, config, "workers", default=1)
 
     if provider_kind == "scripted":
         fixture_path = _pick(args.fixture, config, "fixture")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 from .errors import ScenarioMiningError
 from .predicates import REGISTRY, FunctionSpec, ParamSpec
@@ -465,14 +464,14 @@ def _bind_call(spec: FunctionSpec, call: Call) -> tuple[dict[str, object], list[
     return bound, errors
 
 
-def check(program: Program, registry: Mapping[str, FunctionSpec] = REGISTRY) -> list[DslError]:
+def check(program: Program) -> list[DslError]:
     """Name, arity, type and enum validation. Returns every diagnostic found."""
     errors: list[DslError] = []
     env: dict[str, str] = {}
     for stmt in program.assignments:
-        spec = registry.get(stmt.call.function)
+        spec = REGISTRY.get(stmt.call.function)
         if spec is None:
-            hint = _suggest(stmt.call.function, registry)
+            hint = _suggest(stmt.call.function, REGISTRY)
             extra = f"; did you mean '{hint}'?" if hint else ""
             errors.append(
                 DslError(
@@ -521,7 +520,7 @@ def _to_python(param: ParamSpec, node, env: dict[str, ScenarioSet]):
     return value
 
 
-def execute(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec] = REGISTRY) -> ScenarioSet:
+def execute(program: Program, log: TrackLog) -> ScenarioSet:
     """Run a program that check() accepted against a log and return the output scenario set.
 
     Domain errors of the registry implementations surface as PredicateRuntime
@@ -529,7 +528,7 @@ def execute(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec
     """
     env: dict[str, ScenarioSet] = {}
     for stmt in program.assignments:
-        spec = registry[stmt.call.function]
+        spec = REGISTRY[stmt.call.function]
         bound, _ = _bind_call(spec, stmt.call)
         kwargs = {name: _to_python(spec.param(name), node, env) for name, node in bound.items()}
         try:
@@ -541,12 +540,12 @@ def execute(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec
     return env[program.output.name]
 
 
-def interpret(program: Program, log: TrackLog, registry: Mapping[str, FunctionSpec] = REGISTRY) -> ScenarioSet:
+def interpret(program: Program, log: TrackLog) -> ScenarioSet:
     """check() a program, raising its first diagnostic, so only registry functions run; then execute() it."""
-    problems = check(program, registry)
+    problems = check(program)
     if problems:
         raise problems[0]
-    return execute(program, log, registry)
+    return execute(program, log)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +600,10 @@ def _format_default(param: ParamSpec) -> str:
     return f"default {_render_number(value)}"
 
 
-def describe_functions(registry: Mapping[str, FunctionSpec] = REGISTRY) -> str:
+def describe_functions() -> str:
     """Stable, deterministic catalog text; one block per registry function."""
     blocks = [_CATALOG_PREAMBLE]
-    for spec in registry.values():
+    for spec in REGISTRY.values():
         sig_parts = []
         for p in spec.params:
             if p.required:

@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 from .dsl import DslError, check, describe_functions, execute, parse
 from .errors import EmptyResponse, ProviderError
-from .predicates import REGISTRY, FunctionSpec
 from .promptgen import Prompt, compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
@@ -73,13 +72,12 @@ class MiningConfig:
     provider: LlmProvider
     max_iterations: int = 5
     epsrf: bool = True
-    registry: Mapping[str, FunctionSpec] = field(default_factory=lambda: REGISTRY)
     sleeper: Callable[[float], None] = time.sleep
     workers: int = 1
     catalog: str = field(init=False, repr=False)  # the registry's catalog text, for every prompt
 
     def __post_init__(self) -> None:
-        self.catalog = describe_functions(self.registry)
+        self.catalog = describe_functions()
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,14 @@ class MiningOutcome:
 
 
 def _generate_once(prompt: Prompt, config: MiningConfig) -> str:
-    """One provider call with a single retry after a transport failure."""
+    """One provider call with a single retry after a failure.
+
+    A provider may be third-party code, so any exception it raises counts as
+    a transport failure, not just ProviderError.
+    """
     try:
         return config.provider.generate(prompt.text)
-    except ProviderError:
+    except Exception:
         config.sleeper(TRANSPORT_BACKOFF_S)
         return config.provider.generate(prompt.text)
 
@@ -157,11 +159,10 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
 
         try:
             response = _generate_once(prompt, config)
-        except ProviderError as exc:
-            records.append(
-                IterationRecord(index, prompt.text, None, None, TRANSPORT_ERROR, str(exc), None)
-            )
-            prior_code, prior_error = None, str(exc)
+        except Exception as exc:
+            message = str(exc) if isinstance(exc, ProviderError) else f"{type(exc).__name__}: {exc}"
+            records.append(IterationRecord(index, prompt.text, None, None, TRANSPORT_ERROR, message, None))
+            prior_code, prior_error = None, message
             continue
 
         try:
@@ -177,10 +178,10 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
 
         try:
             program = parse(code)
-            problems = check(program, config.registry)
+            problems = check(program)
             if problems:
                 raise problems[0]
-            predictions = {log.log_id: execute(program, log, config.registry) for log in logs}
+            predictions = {log.log_id: execute(program, log) for log in logs}
         except DslError as exc:
             span = (exc.span.line, exc.span.col) if exc.span else None
             records.append(

@@ -9,10 +9,11 @@ object is never related to itself, and inputs are treated as immutable.
 
 from __future__ import annotations
 
+import inspect
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -395,11 +396,15 @@ def followed_by(
 
 # ---------------------------------------------------------------------------
 # Registry: the machine-readable catalog the DSL and prompt builder consume.
+# A function's own signature is the one declaration of its parameters' names,
+# order and defaults; its entry adds only what a signature cannot say.
 
-_REQUIRED = object()
+_REQUIRED = inspect.Parameter.empty
 
 ROLE_TRACK = "track_candidates"
 ROLE_RELATED = "related_candidates"
+
+DIRECTION_VALUES = tuple(d.value for d in Direction)
 
 
 @dataclass(frozen=True)
@@ -437,180 +442,136 @@ class FunctionSpec:
         return None
 
 
-def _set_param(name: str, role: str | None, doc: str) -> ParamSpec:
-    return ParamSpec(name, "scenario_set", doc, role=role)
+# The candidate parameters take their (kind, doc) from their name, and the name is their role.
+_CANDIDATES = {
+    ROLE_TRACK: ("scenario_set", "scenario set; the subject objects — the result is drawn from this set"),
+    ROLE_RELATED: ("scenario_set", "scenario set; the reference objects tested against the track candidates"),
+}
+_ENUM_VALUES = {"direction": DIRECTION_VALUES, "relation": RELATIONS, "flag": ("false", "true")}
 
 
-_TRACK_DOC = "scenario set; the subject objects — the result is drawn from this set"
-_RELATED_DOC = "scenario set; the reference objects tested against the track candidates"
+def _literal(default: object) -> object:
+    """A Python default as the literal a program writes: a direction by its value, a bool as "false"/"true"."""
+    if isinstance(default, Direction):
+        return default.value
+    if isinstance(default, bool):
+        return "true" if default else "false"
+    return default
 
-DIRECTION_VALUES = tuple(d.value for d in Direction)
+
+def _spec(impl: Callable[..., ScenarioSet], summary: str, name: str | None = None, /, **declared) -> FunctionSpec:
+    """The registry entry of ``impl(log, ...)``, with ``declared`` mapping each parameter to its (kind, doc).
+
+    Raises TypeError when a declared parameter is not in the signature, or a
+    parameter other than the candidates is not declared.
+    """
+    _log, *signature = inspect.signature(impl).parameters.values()
+    name = name or impl.__name__
+    names = {p.name for p in signature}
+    unknown, undeclared = declared.keys() - names, names - declared.keys() - _CANDIDATES.keys()
+    if unknown or undeclared:
+        raise TypeError(
+            f"{name}: declared parameters missing from the signature: {sorted(unknown)}; "
+            f"parameters not declared: {sorted(undeclared)}"
+        )
+    params = []
+    for p in signature:
+        kind, doc = declared[p.name] if p.name in declared else _CANDIDATES[p.name]
+        role = p.name if p.name in _CANDIDATES else None
+        params.append(ParamSpec(p.name, kind, doc, _literal(p.default), _ENUM_VALUES.get(kind, ()), role))
+    return FunctionSpec(name, summary, tuple(params), impl)
 
 
-def _build_registry() -> dict[str, FunctionSpec]:
-    specs = [
-        FunctionSpec(
-            "get_objects_of_category",
-            "All objects of one category, at every timestamp where they exist.",
-            (
-                ParamSpec("category", "category", 'string category name, e.g. "REGULAR_VEHICLE"'),
-            ),
+REGISTRY: dict[str, FunctionSpec] = {
+    spec.name: spec
+    for spec in (
+        _spec(
             get_objects_of_category,
+            "All objects of one category, at every timestamp where they exist.",
+            category=("category", 'string category name, e.g. "REGULAR_VEHICLE"'),
         ),
-        FunctionSpec(
-            "has_objects_in_relative_direction",
-            "Track objects that have between min_number and max_number related objects in the given direction.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec(
-                    "direction",
-                    "direction",
-                    "direction of the related candidates relative to the track candidates",
-                    enum_values=DIRECTION_VALUES,
-                ),
-                ParamSpec("min_number", "int", "smallest count of related objects that qualifies", 1),
-                ParamSpec("max_number", "float", "largest count of related objects that qualifies", math.inf),
-                ParamSpec("within_distance", "float", "maximum planar center distance in meters", 50.0),
-                ParamSpec("lateral_thresh", "float", "maximum offset orthogonal to the direction axis, meters", math.inf),
-            ),
+        _spec(
             has_objects_in_relative_direction,
+            "Track objects that have between min_number and max_number related objects in the given direction.",
+            direction=("direction", "direction of the related candidates relative to the track candidates"),
+            min_number=("int", "smallest count of related objects that qualifies"),
+            max_number=("float", "largest count of related objects that qualifies"),
+            within_distance=("float", "maximum planar center distance in meters"),
+            lateral_thresh=("float", "maximum offset orthogonal to the direction axis, meters"),
         ),
-        FunctionSpec(
-            "being_crossed_by",
-            "Track objects whose direction axis is currently being crossed by a related object's motion.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec(
-                    "direction",
-                    "direction",
-                    "which side of the track candidates is crossed",
-                    Direction.FORWARD.value,
-                    enum_values=DIRECTION_VALUES,
-                ),
-                ParamSpec("lateral_band", "float", "half-width of the crossing corridor around the axis, meters", 5.0),
-                ParamSpec("forward_extent", "float", "how far from the object the crossing may occur, meters", 10.0),
-            ),
+        _spec(
             being_crossed_by,
+            "Track objects whose direction axis is currently being crossed by a related object's motion.",
+            direction=("direction", "which side of the track candidates is crossed"),
+            lateral_band=("float", "half-width of the crossing corridor around the axis, meters"),
+            forward_extent=("float", "how far from the object the crossing may occur, meters"),
         ),
-        FunctionSpec(
-            "heading_in_relative_direction_to",
-            "Track objects travelling in the same, opposite, or perpendicular direction as a related object.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec(
-                    "direction",
-                    "relation",
-                    "travel-direction relation of the related candidates to the track candidates",
-                    enum_values=RELATIONS,
-                ),
-            ),
+        _spec(
             heading_in_relative_direction_to,
+            "Track objects travelling in the same, opposite, or perpendicular direction as a related object.",
+            direction=("relation", "travel-direction relation of the related candidates to the track candidates"),
         ),
-        FunctionSpec(
-            "facing_toward",
-            "Track objects whose heading points at some related object within a half-angle.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec("within_angle", "float", "half-angle of the facing cone, radians", math.pi / 8),
-                ParamSpec("max_distance", "float", "maximum planar center distance in meters", 50.0),
-            ),
+        _spec(
             facing_toward,
+            "Track objects whose heading points at some related object within a half-angle.",
+            within_angle=("float", "half-angle of the facing cone, radians"),
+            max_distance=("float", "maximum planar center distance in meters"),
         ),
-        FunctionSpec(
-            "heading_toward",
-            "Track objects whose velocity vector points at some related object.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec("within_angle", "float", "half-angle around the velocity vector, radians", math.pi / 8),
-                ParamSpec("minimum_speed", "float", "smallest planar speed that counts as moving, m/s", 0.5),
-                ParamSpec("max_distance", "float", "maximum planar center distance in meters", 50.0),
-            ),
+        _spec(
             heading_toward,
+            "Track objects whose velocity vector points at some related object.",
+            within_angle=("float", "half-angle around the velocity vector, radians"),
+            minimum_speed=("float", "smallest planar speed that counts as moving, m/s"),
+            max_distance=("float", "maximum planar center distance in meters"),
         ),
-        FunctionSpec(
-            "near_objects",
-            "Track objects with at least min_objects related objects within a distance.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                _set_param("related_candidates", ROLE_RELATED, _RELATED_DOC),
-                ParamSpec("distance_thresh", "float", "maximum planar center distance in meters", 10.0),
-                ParamSpec("min_objects", "int", "smallest count of nearby related objects", 1),
-            ),
+        _spec(
             near_objects,
+            "Track objects with at least min_objects related objects within a distance.",
+            distance_thresh=("float", "maximum planar center distance in meters"),
+            min_objects=("int", "smallest count of nearby related objects"),
         ),
-        FunctionSpec(
-            "has_velocity",
-            "Frames where a track's planar speed lies within a closed interval.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                ParamSpec("min_velocity", "float", "lower speed bound in m/s", 0.0),
-                ParamSpec("max_velocity", "float", "upper speed bound in m/s", math.inf),
-            ),
+        _spec(
             has_velocity,
+            "Frames where a track's planar speed lies within a closed interval.",
+            min_velocity=("float", "lower speed bound in m/s"),
+            max_velocity=("float", "upper speed bound in m/s"),
         ),
-        FunctionSpec(
-            "decelerating",
-            "Frames where planar speed dropped by at least min_decel m/s^2 since the previous frame.",
-            (
-                _set_param("track_candidates", ROLE_TRACK, _TRACK_DOC),
-                ParamSpec("min_decel", "float", "deceleration threshold in m/s^2", 4.0),
-            ),
+        _spec(
             decelerating,
+            "Frames where planar speed dropped by at least min_decel m/s^2 since the previous frame.",
+            min_decel=("float", "deceleration threshold in m/s^2"),
         ),
-        FunctionSpec(
-            "scenario_and",
-            "Pairs present in both scenario sets.",
-            (
-                _set_param("a", None, "scenario set; first operand"),
-                _set_param("b", None, "scenario set; second operand"),
-            ),
+        _spec(
             lambda log, a, b: scenario_and(a, b),
+            "Pairs present in both scenario sets.",
+            "scenario_and",
+            a=("scenario_set", "scenario set; first operand"),
+            b=("scenario_set", "scenario set; second operand"),
         ),
-        FunctionSpec(
-            "scenario_or",
-            "Pairs present in either scenario set.",
-            (
-                _set_param("a", None, "scenario set; first operand"),
-                _set_param("b", None, "scenario set; second operand"),
-            ),
+        _spec(
             lambda log, a, b: scenario_or(a, b),
+            "Pairs present in either scenario set.",
+            "scenario_or",
+            a=("scenario_set", "scenario set; first operand"),
+            b=("scenario_set", "scenario set; second operand"),
         ),
-        FunctionSpec(
-            "scenario_not",
-            "Pairs of base that are not in s.",
-            (
-                _set_param("base", None, "scenario set; the universe to subtract from"),
-                _set_param("s", None, "scenario set; the pairs to remove"),
-            ),
+        _spec(
             lambda log, base, s: scenario_not(base, s),
+            "Pairs of base that are not in s.",
+            "scenario_not",
+            base=("scenario_set", "scenario set; the universe to subtract from"),
+            s=("scenario_set", "scenario set; the pairs to remove"),
         ),
-        FunctionSpec(
-            "followed_by",
-            "Pairs of second preceded by a first hit within a time window.",
-            (
-                _set_param("first", None, "scenario set; the earlier event"),
-                _set_param("second", None, "scenario set; the later event the result is drawn from"),
-                ParamSpec("within_seconds", "float", "largest allowed gap between the events, seconds"),
-                ParamSpec(
-                    "cross_track",
-                    "flag",
-                    'whether the first event may occur on a different track ("true" or "false")',
-                    "false",
-                    enum_values=("false", "true"),
-                ),
-            ),
+        _spec(
             followed_by,
+            "Pairs of second preceded by a first hit within a time window.",
+            first=("scenario_set", "scenario set; the earlier event"),
+            second=("scenario_set", "scenario set; the later event the result is drawn from"),
+            within_seconds=("float", "largest allowed gap between the events, seconds"),
+            cross_track=("flag", 'whether the first event may occur on a different track ("true" or "false")'),
         ),
-    ]
-    return {spec.name: spec for spec in specs}
-
-
-REGISTRY: dict[str, FunctionSpec] = _build_registry()
+    )
+}
 
 
 def _default_repr(value: object) -> object:
@@ -621,10 +582,10 @@ def _default_repr(value: object) -> object:
     return value
 
 
-def registry_catalog(registry: Mapping[str, FunctionSpec] = REGISTRY) -> list[dict]:
+def registry_catalog() -> list[dict]:
     """JSON-able view of the registry (names, parameters, defaults, roles)."""
     out = []
-    for spec in registry.values():
+    for spec in REGISTRY.values():
         out.append(
             {
                 "name": spec.name,

@@ -184,6 +184,29 @@ def test_mine_unknown_provider_in_config(tmp_path, bundle_dir, capsys):
     assert "unknown provider" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iterations", "abc"),
+        ("max_iterations", 2.0),
+        ("max_iterations", True),
+        ("workers", "2"),
+        ("workers", False),
+        ("epsrf", "false"),
+        ("epsrf", 0),
+        ("fixture", 9),
+    ],
+)
+def test_mine_config_values_are_type_checked(tmp_path, bundle_dir, capsys, key, value):
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    config_path = _write(tmp_path / "config.json", json.dumps({"fixture": fixture_path, key: value}))
+    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out,
+                 "--config", config_path])
+    assert code == 2
+    assert f"'{key}' must be a JSON" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_mine_rejects_duplicate_queries(tmp_path, bundle_dir, capsys):
     queries_path = _write(tmp_path / "queries.txt", "same query\nsame query\n")
     fixture_path = _write(

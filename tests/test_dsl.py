@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,7 @@ from scenemine.dsl import (
 from scenemine.predicates import REGISTRY, registry_catalog
 from scenemine.scenario_set import ScenarioSet
 
-from util import catalog_function_names, make_log, sset, stamps, static_obj
+from util import catalog_function_names, make_log, random_track_log, sset, stamps, static_obj
 
 MINIMAL = 'x = get_objects_of_category(category="TRUCK")\noutput(x)\n'
 
@@ -359,22 +360,30 @@ def test_catalog_contains_every_function_once():
 
 def test_every_catalog_default_parses_and_checks():
     # each keyword default the catalog advertises, passed explicitly, is valid program text
-    required_values = {"scenario_set": "base", "category": '"TRUCK"', "float": "1"}
+    # and runs exactly as the call that leaves it out, so the catalog shows the executed defaults;
+    # on these logs every call with a default keeps some pairs, so a wrong default can show
     catalog = describe_functions()
-    for spec in REGISTRY.values():
-        signature = catalog.split(f"\n{spec.name}(", 1)[1].split(")\n", 1)[0]
-        defaults = [part for part in signature.split(", ") if "=" in part]
-        required = [
-            f'{p.name}="{p.enum_values[0]}"' if p.enum_values else f"{p.name}={required_values[p.kind]}"
-            for p in spec.params
-            if p.required
-        ]
-        text = (
-            'base = get_objects_of_category(category="TRUCK")\n'
-            f"x = {spec.name}({', '.join(required + defaults)})\n"
-            "output(x)\n"
-        )
-        assert check(parse(text)) == [], text
+    for log in (random_track_log(seed, max_objects=40, max_frames=40) for seed in (5, 33)):
+        category = Counter(obj.category.name for obj in log.objects.values()).most_common(1)[0][0]
+        required_values = {"scenario_set": "base", "category": f'"{category}"', "float": "1"}
+        for spec in REGISTRY.values():
+            signature = catalog.split(f"\n{spec.name}(", 1)[1].split(")\n", 1)[0]
+            defaults = [part for part in signature.split(", ") if "=" in part]
+            required = [
+                f'{p.name}="{p.enum_values[0]}"' if p.enum_values else f"{p.name}={required_values[p.kind]}"
+                for p in spec.params
+                if p.required
+            ]
+            spelled, omitted = (
+                f'base = get_objects_of_category(category="{category}")\n'
+                f"x = {spec.name}({', '.join(required + extra)})\n"
+                "output(x)\n"
+                for extra in (defaults, [])
+            )
+            assert check(parse(spelled)) == [], spelled
+            result = interpret(parse(spelled), log)
+            assert result == interpret(parse(omitted), log), spelled
+            assert not (defaults and result.is_empty), spelled
 
 
 def test_inf_is_a_number_literal_that_round_trips():

@@ -263,15 +263,49 @@ def test_run_batch_translates_each_query_once():
     assert per_log["log-a"] is per_log["log-b"]
 
 
-def test_runtime_error_on_any_log_is_repair_feedback():
+class _Raising:
+    """A third-party provider that raises ``error`` on its first ``times`` calls for prompts holding ``query``."""
+
+    def __init__(self, inner, query, error, times=None):
+        self.inner, self.query, self.error, self.times = inner, query, error, times
+        self.raised = 0
+
+    def generate(self, prompt):
+        if self.query in prompt and (self.times is None or self.raised < self.times):
+            self.raised += 1
+            raise self.error
+        return self.inner.generate(prompt)
+
+
+def test_any_provider_exception_is_retried_within_the_round():
+    sleeps = []
+    provider = _Raising(ScriptedProvider(_batch_fixture()), "trucks", RuntimeError("socket reset"), times=1)
+    outcome = mine_scenario("trucks", _two_logs(), MiningConfig(provider=provider, sleeper=sleeps.append))
+    assert outcome.status == STATUS_SUCCEEDED
+    assert len(outcome.iterations) == 1 and sleeps == [2.0]
+
+
+def test_a_provider_that_always_raises_fails_only_its_query():
+    sleeps = []
+    provider = _Raising(ScriptedProvider(_batch_fixture()), "walkers", KeyError("choices"))
+    batch = run_batch(["trucks", "walkers"], _two_logs(), MiningConfig(provider=provider, sleeper=sleeps.append))
+    assert sorted(batch.failed_runs()) == [("walkers", "log-a"), ("walkers", "log-b")]
+    assert batch.outcomes["trucks"]["log-a"].succeeded
+    rounds = batch.outcomes["walkers"]["log-a"].iterations
+    assert [r.error_kind for r in rounds] == [TRANSPORT_ERROR] * 5
+    assert rounds[0].error_message == "KeyError: 'choices'"
+    assert provider.raised == 10 and sleeps == [2.0] * 5  # each round retries once
+
+
+def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
     def fails_on_log_b(log):
         if log.log_id == "log-b":
             raise InvalidParameter("no data for log-b")
         return ScenarioSet.empty()
 
-    registry = dict(REGISTRY, only_log_a=FunctionSpec("only_log_a", "Fails on log-b.", (), fails_on_log_b))
+    monkeypatch.setitem(REGISTRY, "only_log_a", FunctionSpec("only_log_a", "Fails on log-b.", (), fails_on_log_b))
     fixture = make_fixture({"trucks": [fenced("x = only_log_a()\noutput(x)"), fenced(GOOD_CODE)]})
-    config = MiningConfig(provider=ScriptedProvider(fixture), registry=registry)
+    config = MiningConfig(provider=ScriptedProvider(fixture))
     outcome = mine_scenario("trucks", _two_logs(), config)
     assert outcome.status == STATUS_SUCCEEDED
     first, second = outcome.iterations

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from scenemine import predicates
 from scenemine.errors import InvalidEnumValue, InvalidParameter, UnknownCategory
+from scenemine.geometry import Direction
 from scenemine.predicates import (
     REGISTRY,
     being_crossed_by,
@@ -582,3 +583,27 @@ def test_registry_lists_all_predicates():
     assert set(REGISTRY) == set(oracles.ORACLE_PREDICATES)
     for spec in REGISTRY.values():
         assert spec.name and spec.summary and spec.params
+
+
+def test_registry_entries_come_from_the_signature():
+    def throwaway(log, track_candidates, side=Direction.LEFT, strict=False, reach=2.5):
+        return track_candidates
+
+    spec = predicates._spec(
+        throwaway, "A throwaway.", side=("direction", "which side"), strict=("flag", "strictly"), reach=("float", "m")
+    )
+    assert spec.name == "throwaway" and spec.impl is throwaway
+    assert [(p.name, p.kind, p.required, p.default, p.role) for p in spec.params] == [
+        ("track_candidates", "scenario_set", True, predicates._REQUIRED, predicates.ROLE_TRACK),
+        ("side", "direction", False, "left", None),
+        ("strict", "flag", False, "false", None),
+        ("reach", "float", False, 2.5, None),
+    ]
+    assert spec.param("side").enum_values == predicates.DIRECTION_VALUES
+    assert spec.param("strict").enum_values == ("false", "true")
+
+    with pytest.raises(TypeError, match=r"missing from the signature: \['radius'\]"):
+        predicates._spec(throwaway, "A throwaway.", side=("direction", ""), strict=("flag", ""),
+                         reach=("float", ""), radius=("float", ""))
+    with pytest.raises(TypeError, match=r"not declared: \['reach'\]"):
+        predicates._spec(throwaway, "A throwaway.", side=("direction", ""), strict=("flag", ""))

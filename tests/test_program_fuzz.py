@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenemine.categories import DEFAULT_REGISTRY
@@ -92,8 +93,11 @@ def test_random_programs_answer_or_raise_a_dsl_error(text, log):
     program = parse(text)
     canonical = pretty_print(program)
     assert pretty_print(parse(canonical)) == canonical
-    try:
-        result = interpret(program, log, CHECKED_REGISTRY)
-    except DslError:
-        return
+    with pytest.MonkeyPatch.context() as patch:
+        for name, spec in CHECKED_REGISTRY.items():
+            patch.setitem(REGISTRY, name, spec)
+        try:
+            result = interpret(program, log)
+        except DslError:
+            return
     assert isinstance(result, ScenarioSet)
