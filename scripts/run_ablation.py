@@ -8,6 +8,7 @@ import argparse
 import sys
 
 from scenemine.ablation import run_ablation
+from scenemine.errors import InvalidParameter
 
 
 def main() -> int:
@@ -16,7 +17,11 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
-    outcome = run_ablation(out_dir=args.out, workers=args.workers)
+    try:
+        outcome = run_ablation(out_dir=args.out, workers=args.workers)
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(outcome.summary_table())
     if args.out:
         print(f"reports written to {args.out}")

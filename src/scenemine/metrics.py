@@ -9,14 +9,24 @@ one-to-one matching with maximum total similarity, breaking ties by the
 lexicographically smallest sorted (pred id, gt id) pair list. Ties are real
 -- symmetric layouts produce them -- and an arbitrary argmax would make
 scores depend on dict order.
+
+HOTA is defined per alpha, but a frame's eligible pairs change only where an
+alpha crosses one of its similarities. So each frame is matched once per
+connected component of its candidate pairs and per band of alphas over which
+that component's eligible set stays the same, never once per alpha. Matching
+a component alone gives the same pairs as matching the whole frame, and the
+association sums add the same terms in the same order as a separate pass per
+alpha, so every score is bit-identical to that pass (``hota_per_alpha`` in
+the test oracles keeps it as the reference).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -51,27 +61,59 @@ def _max_total(matrix: np.ndarray) -> float:
     return float(matrix[rows, cols].sum())
 
 
+def _components(pairs: Iterable[tuple[str, str]]) -> list[list[tuple[str, str]]]:
+    """The pairs grouped by connected component of the pred-gt graph they span."""
+    gts_of: dict[str, list[str]] = {}
+    preds_of: dict[str, list[str]] = {}
+    for p, g in pairs:
+        gts_of.setdefault(p, []).append(g)
+        preds_of.setdefault(g, []).append(p)
+    groups = []
+    reached: set[str] = set()
+    for start in gts_of:
+        if start in reached:
+            continue
+        reached.add(start)
+        preds = [start]
+        gts_reached: set[str] = set()
+        for p in preds:  # grows while it is walked: a breadth-first search
+            for g in gts_of[p]:
+                if g not in gts_reached:
+                    gts_reached.add(g)
+                    for q in preds_of[g]:
+                        if q not in reached:
+                            reached.add(q)
+                            preds.append(q)
+        groups.append([(p, g) for p in preds for g in gts_of[p]])
+    return groups
+
+
 def _lexmin_matching(eligible: Mapping[tuple[str, str], float]) -> list[tuple[str, str]]:
     """Max-total-similarity matching, lex-smallest pair list among optima.
 
-    Pairs are visited in ascending (pred id, gt id) order and fixed whenever
-    some maximum matching extends the already-fixed pairs with this one,
-    checked as fixed-total + pair + best-residual >= optimum. Fixing greedily
-    in that order yields exactly the lexicographically smallest sorted pair
-    list over all maximum matchings.
+    A maximum matching is a maximum matching of each connected component of
+    the eligible graph, so each component is solved alone and the sorted
+    union returned; a single-pair component is its own matching. Within a
+    component, pairs are visited in ascending (pred id, gt id) order and
+    fixed whenever some maximum matching extends the already-fixed pairs with
+    this one, checked as fixed-total + pair + best-residual >= optimum.
+    Fixing greedily in that order yields exactly the lexicographically
+    smallest sorted pair list over all maximum matchings, and whether a pair
+    can be fixed depends only on the pairs fixed in its own component.
     """
-    if not eligible:
-        return []
-    pred_deg: dict[str, int] = {}
-    gt_deg: dict[str, int] = {}
-    for p, g in eligible:
-        pred_deg[p] = pred_deg.get(p, 0) + 1
-        gt_deg[g] = gt_deg.get(g, 0) + 1
-    if all(v == 1 for v in pred_deg.values()) and all(v == 1 for v in gt_deg.values()):
-        return sorted(eligible)
+    matches: list[tuple[str, str]] = []
+    for component in _components(eligible):
+        if len(component) == 1:
+            matches += component
+        else:
+            matches += _lexmin_component({pair: eligible[pair] for pair in component})
+    matches.sort()
+    return matches
 
-    preds = sorted(pred_deg)
-    gts = sorted(gt_deg)
+
+def _lexmin_component(eligible: Mapping[tuple[str, str], float]) -> list[tuple[str, str]]:
+    preds = sorted({p for p, _ in eligible})
+    gts = sorted({g for _, g in eligible})
     p_index = {p: i for i, p in enumerate(preds)}
     g_index = {g: j for j, g in enumerate(gts)}
     matrix = np.zeros((len(preds), len(gts)))
@@ -117,6 +159,9 @@ class HotaResult:
     per_alpha: tuple[AlphaScore, ...]
 
 
+_EMPTY_VS_EMPTY = HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in DEFAULT_ALPHAS))
+
+
 def hota_from_fragments(
     pred: Fragments,
     gt: Fragments,
@@ -128,12 +173,28 @@ def hota_from_fragments(
     restricted to pairs with similarity >= alpha; the association term for a
     matched pair (p, g) is their co-match count over the union of their
     detection counts. Empty vs empty scores 1 by convention.
+
+    Each frame is matched once per distinct eligible set, not once per
+    alpha. With the alphas sorted, a pair of similarity s is eligible at
+    exactly the first k = bisect_right(alphas, s) of them, so a frame's
+    eligible set changes only at its pairs' distinct k. Each connected
+    component of the frame's pairs is matched once per band between
+    consecutive distinct k, and the matches are credited to that band's
+    alphas; a frame whose every degree is 1 needs no matching at all. The
+    per-alpha match sets are therefore the ones a separate pass per alpha
+    finds. The association sum then adds its terms per alpha in order of
+    (first frame matched at that alpha, pair), which is the order a per-alpha
+    pass meets them, since every frame's matches are sorted. The scores are
+    built from the same float operations in the same order, so the result is
+    bit-identical.
     """
     pred_counts = {p: len(frames) for p, frames in pred.items() if frames}
     gt_counts = {g: len(frames) for g, frames in gt.items() if frames}
     total_pred = sum(pred_counts.values())
     total_gt = sum(gt_counts.values())
     if total_pred == 0 and total_gt == 0:
+        if alphas is DEFAULT_ALPHAS:
+            return _EMPTY_VS_EMPTY
         return HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in alphas))
 
     timestamps: set[int] = set()
@@ -142,41 +203,78 @@ def hota_from_fragments(
     for frames in gt.values():
         timestamps.update(frames)
 
-    frame_sims: list[dict[tuple[str, str], float]] = []
-    for ts in sorted(timestamps):
+    # Band j of the sorted alphas is caller's alpha order[j].
+    order = sorted(range(len(alphas)), key=alphas.__getitem__)
+    bounds = [alphas[i] for i in order]
+    pred_items = sorted(pred.items())
+    gt_items = sorted(gt.items())
+    # pair -> (lo, hi) -> [frames matched at alphas lo..hi-1, first such frame]
+    spans: dict[tuple[str, str], dict[tuple[int, int], list[int]]] = {}
+
+    def credit(pair: tuple[str, str], lo: int, hi: int) -> None:
+        """Record that ``pair`` is matched in the current frame at sorted alphas lo..hi-1."""
+        spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])[0] += 1
+
+    for frame, ts in enumerate(sorted(timestamps)):
         sims: dict[tuple[str, str], float] = {}
-        preds_here = [(p, frames[ts]) for p, frames in sorted(pred.items()) if ts in frames]
-        gts_here = [(g, frames[ts]) for g, frames in sorted(gt.items()) if ts in frames]
-        for p, ppos in preds_here:
+        bands: dict[tuple[str, str], int] = {}
+        gts_here = [(g, frames[ts]) for g, frames in gt_items if ts in frames]
+        for p, frames in pred_items:
+            if ts not in frames:
+                continue
+            ppos = frames[ts]
             for g, gpos in gts_here:
                 s = center_distance_similarity(ppos, gpos)
                 if s > 0.0:
-                    sims[(p, g)] = s
-        frame_sims.append(sims)
+                    k = bisect_right(bounds, s)
+                    if k:
+                        sims[(p, g)] = s
+                        bands[(p, g)] = k
+        if len({p for p, _ in bands}) == len(bands) == len({g for _, g in bands}):
+            # every degree is 1: each pair is matched wherever it is eligible
+            for pair, k in bands.items():
+                credit(pair, 0, k)
+            continue
+        for component in _components(sims):
+            lo = 0
+            for k in sorted({bands[pair] for pair in component}):
+                eligible = {pair: sims[pair] for pair in component if bands[pair] >= k}
+                for pair in _lexmin_matching(eligible):
+                    credit(pair, lo, k)
+                lo = k
 
-    per_alpha: list[AlphaScore] = []
-    match_cache: list[dict[frozenset, list[tuple[str, str]]]] = [{} for _ in frame_sims]
-    for alpha in alphas:
-        co_match: dict[tuple[str, str], int] = {}
-        tp = 0
-        for sims, cache in zip(frame_sims, match_cache):
-            eligible = {pair: s for pair, s in sims.items() if s >= alpha}
-            key = frozenset(eligible)
-            matches = cache.get(key)
-            if matches is None:
-                matches = _lexmin_matching(eligible)
-                cache[key] = matches
-            for pair in matches:
-                co_match[pair] = co_match.get(pair, 0) + 1
-                tp += 1
+    # Between consecutive span ends every pair's count and first frame are
+    # constant, so each such run of alphas shares one association sum.
+    ends = {0, len(bounds)}
+    for by_span in spans.values():
+        for span in by_span:
+            ends.update(span)
+    edges = sorted(ends)
+    per_alpha: list[AlphaScore | None] = [None] * len(alphas)
+    for lo, hi in zip(edges, edges[1:]):
+        # (first frame matched at these alphas, pair, frames matched there)
+        entries = []
+        for pair, by_span in spans.items():
+            count = 0
+            first = None
+            for (start, end), (span_count, span_first) in by_span.items():  # in order of first frame
+                if start <= lo < end:
+                    count += span_count
+                    if first is None:
+                        first = span_first
+            if count:
+                entries.append((first, pair, count))
+        entries.sort()
+        tp = sum(c for _, _, c in entries)
         fn = total_gt - tp
         fp = total_pred - tp
         assoc = 0.0
-        for (p, g), c in co_match.items():
+        for _, (p, g), c in entries:
             assoc += c * (c / (pred_counts[p] + gt_counts[g] - c))
         denom = tp + fn + fp
         score = math.sqrt(assoc / denom) if denom else 1.0
-        per_alpha.append(AlphaScore(alpha, score, tp, fn, fp, assoc))
+        for j in range(lo, hi):
+            per_alpha[order[j]] = AlphaScore(bounds[j], score, tp, fn, fp, assoc)
     final = sum(a.score for a in per_alpha) / len(per_alpha)
     return HotaResult(final, tuple(per_alpha))
 

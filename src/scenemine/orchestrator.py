@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .dsl import DslError, check, describe_functions, execute, parse
-from .errors import EmptyResponse, ProviderError
+from .errors import EmptyResponse, InvalidParameter, ProviderError
 from .promptgen import Prompt, compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
@@ -35,6 +35,11 @@ EMPTY_RESPONSE = "EmptyResponse"
 MISSING_CODE_PLACEHOLDER = "<no code returned>"
 
 TRANSPORT_BACKOFF_S = 2.0  # wait before the one retry of a failed provider call
+
+# Most mining threads one batch may ask for. Each thread waits on one provider
+# request at a time, so a larger value asks a model endpoint for more requests
+# in flight than any serves; it is a mistyped option, not a speed-up.
+MAX_WORKERS = 256
 
 _FENCE = re.compile(r"^\s*```")
 
@@ -77,6 +82,10 @@ class MiningConfig:
     catalog: str = field(init=False, repr=False)  # the registry's catalog text, for every prompt
 
     def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise InvalidParameter(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise InvalidParameter(f"workers must be between 1 and {MAX_WORKERS}, got {self.workers!r}")
         self.catalog = describe_functions()
 
 

@@ -88,20 +88,21 @@ BLOCK_ELEMENTS = 1 << 16
 def _relate(
     log: TrackLog,
     track_candidates: ScenarioSet,
-    related_candidates: ScenarioSet,
+    related: tuple[np.ndarray, np.ndarray],
     pair_test: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
     at_least: int = 1,
     at_most: float = math.inf,
 ) -> ScenarioSet:
     """Track pairs with between at_least (>= 1) and at_most related objects passing ``pair_test``.
 
-    ``pair_test(rows, tc, rc)`` answers for a block of frames; a view array
-    indexed [rows, tc, None] gives the track side and [rows, None, rc] the
-    related side. An object paired with itself, and related pairs outside
-    the related candidates, never count.
+    ``related`` is ``_candidates`` of the related candidates. ``pair_test(rows,
+    tc, rc)`` answers for a block of frames; a view array indexed [rows, tc,
+    None] gives the track side and [rows, None, rc] the related side. An
+    object paired with itself, and related pairs outside the related
+    candidates, never count.
     """
     tc, track_mask = _candidates(log, track_candidates)
-    rc, related_mask = _candidates(log, related_candidates)
+    rc, related_mask = related
     if not (np.count_nonzero(track_mask) and np.count_nonzero(related_mask)):
         return ScenarioSet.empty()
     counts = np.zeros(track_mask.shape, dtype=np.intp)
@@ -166,7 +167,7 @@ def has_objects_in_relative_direction(
             & within_radius(lon, lat, within_distance)
         )
 
-    return _relate(log, track_candidates, related_candidates, seen, min_number, max_number)
+    return _relate(log, track_candidates, _candidates(log, related_candidates), seen, min_number, max_number)
 
 
 def being_crossed_by(
@@ -189,7 +190,7 @@ def being_crossed_by(
     _positive(forward_extent, "forward_extent")
     view = log.columns
     last = len(log.timestamps) - 1
-    _, related_mask = _candidates(log, related_candidates)
+    rc, related_mask = _candidates(log, related_candidates)
     # [2, T, |rc|]: the related object is a candidate at both ends of the
     # segment from the frame before, and of the segment to the frame after.
     segment = related_mask[:-1] & related_mask[1:]
@@ -208,7 +209,7 @@ def being_crossed_by(
         crossing = crosses_front_plane(lon[:-1], lat[:-1], lon[1:], lat[1:], direction, lateral_band, forward_extent)
         return (crossing & segments[:, rows, None, :]).any(axis=0)
 
-    return _relate(log, track_candidates, related_candidates, crossed)
+    return _relate(log, track_candidates, (rc, related_mask), crossed)
 
 
 def heading_in_relative_direction_to(
@@ -239,7 +240,7 @@ def heading_in_relative_direction_to(
             in_bin = np.abs(delta - math.pi / 2) <= math.pi / 4
         return in_bin & moving[rows, tc, None] & moving[rows, None, rc]
 
-    return _relate(log, track_candidates, related_candidates, related)
+    return _relate(log, track_candidates, _candidates(log, related_candidates), related)
 
 
 def facing_toward(
@@ -258,7 +259,7 @@ def facing_toward(
         heading = log.columns.heading[rows, tc, None]
         return within_radius(dx, dy, max_distance) & points_at(dx, dy, heading, within_angle)
 
-    return _relate(log, track_candidates, related_candidates, faces)
+    return _relate(log, track_candidates, _candidates(log, related_candidates), faces)
 
 
 def heading_toward(
@@ -286,7 +287,7 @@ def heading_toward(
             & points_at(dx, dy, view.velocity_angle[rows, tc, None], within_angle)
         )
 
-    return _relate(log, track_candidates, related_candidates, aims)
+    return _relate(log, track_candidates, _candidates(log, related_candidates), aims)
 
 
 def near_objects(
@@ -301,7 +302,7 @@ def near_objects(
     if min_objects < 1:
         raise InvalidParameter(f"min_objects must be >= 1, got {min_objects!r}")
     close = lambda rows, tc, rc: within_radius(*_displacements(log, rows, tc, rc), distance_thresh)  # noqa: E731
-    return _relate(log, track_candidates, related_candidates, close, min_objects)
+    return _relate(log, track_candidates, _candidates(log, related_candidates), close, min_objects)
 
 
 def has_velocity(

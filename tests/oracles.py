@@ -12,6 +12,11 @@ import cmath
 import itertools
 import math
 
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from scenemine.metrics import DEFAULT_ALPHAS, AlphaScore, HotaResult
+
 NS = 1_000_000_000
 MOVING = 0.5
 
@@ -382,3 +387,105 @@ def f1(tp, fp, fn):
 def timestamp_f1(pred_pairs, gt_pairs):
     tp = len(pred_pairs & gt_pairs)
     return f1(tp, len(pred_pairs) - tp, len(gt_pairs) - tp)
+
+
+# ---------------------------------------------------------------------------
+# HOTA one alpha at a time. Unlike the rest of this file, this is not an
+# independent derivation: it is the package's earlier implementation, which
+# ran one full pass over every frame per alpha and matched each frame's whole
+# eligible set at once. The banded, per-component scoring must reproduce it
+# bit for bit, so tests compare the two with ==.
+
+
+def _max_total(matrix):
+    if matrix.size == 0:
+        return 0.0
+    rows, cols = linear_sum_assignment(matrix, maximize=True)
+    return float(matrix[rows, cols].sum())
+
+
+def lexmin_matching(eligible):
+    """Max-total matching over the whole eligible set, lex-smallest among optima."""
+    if not eligible:
+        return []
+    pred_deg = {}
+    gt_deg = {}
+    for p, g in eligible:
+        pred_deg[p] = pred_deg.get(p, 0) + 1
+        gt_deg[g] = gt_deg.get(g, 0) + 1
+    if all(v == 1 for v in pred_deg.values()) and all(v == 1 for v in gt_deg.values()):
+        return sorted(eligible)
+
+    preds = sorted(pred_deg)
+    gts = sorted(gt_deg)
+    p_index = {p: i for i, p in enumerate(preds)}
+    g_index = {g: j for j, g in enumerate(gts)}
+    matrix = np.zeros((len(preds), len(gts)))
+    for (p, g), sim in eligible.items():
+        matrix[p_index[p], g_index[g]] = sim
+    optimum = _max_total(matrix)
+
+    fixed = []
+    used_p = set()
+    used_g = set()
+    total = 0.0
+    for p, g in sorted(eligible):
+        if p in used_p or g in used_g:
+            continue
+        rows = [p_index[q] for q in preds if q not in used_p and q != p]
+        cols = [g_index[h] for h in gts if h not in used_g and h != g]
+        residual = _max_total(matrix[np.ix_(rows, cols)]) if rows and cols else 0.0
+        if total + eligible[(p, g)] + residual >= optimum - 1e-9:
+            fixed.append((p, g))
+            used_p.add(p)
+            used_g.add(g)
+            total += eligible[(p, g)]
+    return fixed
+
+
+def hota_per_alpha(pred, gt, alphas=DEFAULT_ALPHAS):
+    """HotaResult by one pass over every frame per alpha."""
+    pred_counts = {p: len(frames) for p, frames in pred.items() if frames}
+    gt_counts = {g: len(frames) for g, frames in gt.items() if frames}
+    total_pred = sum(pred_counts.values())
+    total_gt = sum(gt_counts.values())
+    if total_pred == 0 and total_gt == 0:
+        return HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in alphas))
+
+    timestamps = set()
+    for frames in pred.values():
+        timestamps.update(frames)
+    for frames in gt.values():
+        timestamps.update(frames)
+
+    frame_sims = []
+    for ts in sorted(timestamps):
+        sims = {}
+        preds_here = [(p, frames[ts]) for p, frames in sorted(pred.items()) if ts in frames]
+        gts_here = [(g, frames[ts]) for g, frames in sorted(gt.items()) if ts in frames]
+        for p, ppos in preds_here:
+            for g, gpos in gts_here:
+                s = _similarity(ppos, gpos)
+                if s > 0.0:
+                    sims[(p, g)] = s
+        frame_sims.append(sims)
+
+    per_alpha = []
+    for alpha in alphas:
+        co_match = {}
+        tp = 0
+        for sims in frame_sims:
+            eligible = {pair: s for pair, s in sims.items() if s >= alpha}
+            for pair in lexmin_matching(eligible):
+                co_match[pair] = co_match.get(pair, 0) + 1
+                tp += 1
+        fn = total_gt - tp
+        fp = total_pred - tp
+        assoc = 0.0
+        for (p, g), c in co_match.items():
+            assoc += c * (c / (pred_counts[p] + gt_counts[g] - c))
+        denom = tp + fn + fp
+        score = math.sqrt(assoc / denom) if denom else 1.0
+        per_alpha.append(AlphaScore(alpha, score, tp, fn, fp, assoc))
+    final = sum(a.score for a in per_alpha) / len(per_alpha)
+    return HotaResult(final, tuple(per_alpha))

@@ -1,0 +1,27 @@
+"""scripts/bench.py's scale sweep, at a tiny size: its row shape, never its timings."""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_sweep_row_times_each_layer(monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
+    row = _bench_module().sweep_row(6, num_frames=4, repeats=1)
+    assert (row["objects"], row["frames"]) == (6, 4)
+    timed = ("save_log_s", "load_log_s", "hota_temporal_s", "hota_full_s")
+    assert set(row) == {"objects", "frames", "log_mb", "host_scale", *timed}
+    assert all(row[key] >= 0.0 for key in timed)
+    assert row["log_mb"] > 0.0 and row["host_scale"] > 0.0

@@ -207,6 +207,30 @@ def test_mine_config_values_are_type_checked(tmp_path, bundle_dir, capsys, key, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("max_iterations", 0, "max_iterations must be >= 1"),
+        ("max_iterations", -3, "max_iterations must be >= 1"),
+        ("workers", 0, "workers must be between 1"),
+        ("workers", -2, "workers must be between 1"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_mine_rejects_out_of_range_rounds_and_workers(tmp_path, bundle_dir, capsys, key, value, message, source):
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    args = ["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out]
+    if source == "flag":
+        flag = "-K" if key == "max_iterations" else "--workers"
+        args += ["--fixture", fixture_path, flag, str(value)]
+    else:
+        config_path = _write(tmp_path / "config.json", json.dumps({"fixture": fixture_path, key: value}))
+        args += ["--config", config_path]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_mine_rejects_duplicate_queries(tmp_path, bundle_dir, capsys):
     queries_path = _write(tmp_path / "queries.txt", "same query\nsame query\n")
     fixture_path = _write(

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scenemine.errors import InconsistentInput, UnknownTrack
 from scenemine.metrics import (
@@ -226,6 +226,48 @@ def test_hota_matches_enumeration_oracle(pred, gt):
 def test_hota_score_is_bounded(pred, gt):
     result = hota_from_fragments(pred, gt)
     assert 0.0 <= result.score <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact equivalence with one matching pass per alpha
+
+# Centres on a 0.5 m grid put similarities exactly on the alpha bounds
+# 0.25, 0.5 and 0.75 and make ties; up to six tracks a side give frames where
+# a track has several candidates and frames with several components. Both
+# sides draw ids from one pool, as hota_full's do.
+_GRID = st.tuples(
+    st.sampled_from([i * 0.5 for i in range(7)]),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    st.just(0.0),
+)
+_TIE_FRAGMENTS = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+    st.dictionaries(st.sampled_from(stamps(4)), _GRID, max_size=4),
+    max_size=6,
+)
+_ALPHAS = st.one_of(
+    st.just(DEFAULT_ALPHAS),
+    st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=300)
+@given(_TIE_FRAGMENTS, _TIE_FRAGMENTS, _ALPHAS)
+def test_hota_is_bit_identical_to_one_pass_per_alpha(pred, gt, alphas):
+    assert hota_from_fragments(pred, gt, alphas) == oracles.hota_per_alpha(pred, gt, alphas)
+
+
+_ELIGIBLE = st.dictionaries(
+    st.tuples(st.sampled_from(["p1", "p2", "p3", "p4", "p5"]), st.sampled_from(["g1", "g2", "g3", "g4", "g5"])),
+    st.sampled_from([0.25, 0.3, 0.5, 0.6, 0.75, 1.0]),
+    max_size=12,
+)
+
+
+@settings(max_examples=300)
+@given(_ELIGIBLE)
+def test_lexmin_matching_per_component_equals_the_global_matching(eligible):
+    assert _lexmin_matching(eligible) == oracles.lexmin_matching(eligible)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,30 @@ def test_run_batch_worker_count_does_not_change_bytes():
     assert serial.predictions_json() == threaded.predictions_json()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_iterations": 0}, "max_iterations must be >= 1"),
+        ({"max_iterations": -3}, "max_iterations must be >= 1"),
+        ({"workers": 0}, "workers must be between 1"),
+        ({"workers": -2}, "workers must be between 1"),
+        # rejected while the config is built, before any pool exists
+        ({"workers": orchestrator.MAX_WORKERS + 1}, "workers must be between 1"),
+    ],
+)
+def test_mining_config_rejects_out_of_range_rounds_and_workers(kwargs, message):
+    provider = ScriptedProvider(make_fixture({}))
+    with pytest.raises(InvalidParameter, match=message):
+        MiningConfig(provider=provider, **kwargs)
+    assert provider.calls == 0
+
+
+def test_mining_config_accepts_the_bounds():
+    provider = ScriptedProvider(make_fixture({}))
+    assert MiningConfig(provider=provider, max_iterations=1, workers=1).workers == 1
+    assert MiningConfig(provider=provider, workers=orchestrator.MAX_WORKERS).workers == orchestrator.MAX_WORKERS
+
+
 def test_threads_share_one_provider_without_lost_updates():
     # every query needs two rounds; a lost cursor or call-count update shows
     # up as a third round or a wrong total
