@@ -9,8 +9,10 @@ of ``--trace 0`` and ``--trace 1``, runs the checkout's ``scenebench/run.py``
 for BENCHMARK.json's run length in a fresh process, and keeps the JSON result
 line it prints last, with the machine line, the seed and ``--seconds``. Then,
 in one more fresh process, sweeps ``scenes.argo_log`` at 50, 70 and 200
-objects x 150 frames, timing ``save_log`` then ``load_log`` of the log, and
-``hota_temporal`` and ``hota_full`` scoring every other track (all of its
+objects x 150 frames, timing ``save_log`` then ``load_log`` of the log (up to
+its columnar view, which some versions build on first use), each of the 13
+scenario functions called as the benchmark's ``argo_files`` queries call it,
+and ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
 frames) against all tracks. Sweep times are unscaled seconds, the median of
 SWEEP_REPEATS, given with the host scale ``run.py`` would apply to a time
 measured between the row's calibrations. Nothing gates the sweep.
@@ -76,6 +78,37 @@ def _median_time(action, repeats: int) -> float:
     return statistics.median(times)
 
 
+def predicate_calls(log) -> dict:
+    """Each scenario function, called with the arguments an ``argo_files`` query gives it."""
+    from scenemine import predicates as p
+
+    vehicles, peds, buses, trucks = (
+        p.get_objects_of_category(log, category) for category in ("REGULAR_VEHICLE", "PEDESTRIAN", "BUS", "TRUCK")
+    )
+    near = p.near_objects(log, vehicles, peds, distance_thresh=5)
+    fast = p.has_velocity(log, vehicles, min_velocity=5)
+    close = p.near_objects(log, peds, vehicles, distance_thresh=5)
+    braking = p.decelerating(log, vehicles, min_decel=4)
+    still = p.has_velocity(log, vehicles, max_velocity=0.5)
+    return {
+        "get_objects_of_category": lambda: p.get_objects_of_category(log, "REGULAR_VEHICLE"),
+        "has_objects_in_relative_direction": lambda: p.has_objects_in_relative_direction(
+            log, vehicles, vehicles, "forward", within_distance=12, lateral_thresh=1.5
+        ),
+        "being_crossed_by": lambda: p.being_crossed_by(log, peds, buses, forward_extent=10),
+        "heading_in_relative_direction_to": lambda: p.heading_in_relative_direction_to(log, peds, vehicles, "perpendicular"),
+        "facing_toward": lambda: p.facing_toward(log, peds, buses, within_angle=0.5, max_distance=30),
+        "heading_toward": lambda: p.heading_toward(log, vehicles, peds, max_distance=8),
+        "near_objects": lambda: p.near_objects(log, vehicles, vehicles, distance_thresh=4, min_objects=2),
+        "has_velocity": lambda: p.has_velocity(log, vehicles, max_velocity=0.5),
+        "decelerating": lambda: p.decelerating(log, vehicles, min_decel=4),
+        "scenario_and": lambda: p.scenario_and(near, fast),
+        "scenario_or": lambda: p.scenario_or(buses, trucks),
+        "scenario_not": lambda: p.scenario_not(peds, close),
+        "followed_by": lambda: p.followed_by(log, braking, still, within_seconds=3),
+    }
+
+
 def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = SWEEP_REPEATS) -> dict:
     """Times for one argo_log size; needs the checkout's src/ and scenebench/ on sys.path."""
     import run
@@ -95,9 +128,10 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             "objects": num_objects,
             "frames": num_frames,
             "save_log_s": _median_time(lambda: save_log(log, path), repeats),
-            "load_log_s": _median_time(lambda: load_log(path), repeats),
+            "load_log_s": _median_time(lambda: load_log(path).columns, repeats),
             "log_mb": os.path.getsize(path) / 1e6,
         }
+    row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
     row["host_scale"] = run.host_scale(before + run.calibration_times())
@@ -143,6 +177,7 @@ def main(argv=None) -> int:
     for row in sweep["rows"]:
         print(
             f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, "
+            f"predicates {sum(row['predicate_s'].values()):.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s"
         )
 

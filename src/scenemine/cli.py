@@ -212,7 +212,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             log = load_log(path)
             logs[log.log_id] = log
-            print(f"{path}: ok ({len(log.objects)} objects, {len(log.timestamps)} frames)")
+            print(f"{path}: ok ({len(log.columns.track_ids)} objects, {len(log.timestamps)} frames)")
         except ScenarioMiningError as exc:
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)

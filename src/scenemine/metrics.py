@@ -291,21 +291,22 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
     it only the flagged timestamps count.
     """
     fragments: dict[str, dict[int, tuple[float, float, float]]] = {}
+    positions = log.columns.positions
     for track_id in scenario.tracks():
-        if track_id not in log.objects:
+        if track_id not in positions:
             raise UnknownTrack(f"scenario references track '{track_id}' absent from log '{log.log_id}'")
-        states = log.objects[track_id].states
+        track = positions[track_id]
         if full_lifespan:
-            fragments[track_id] = {ts: state.position for ts, state in states.items()}
+            fragments[track_id] = dict(track)
         else:
             frames = {}
             for ts in scenario.timestamps_for(track_id):
-                state = states.get(ts)
-                if state is None:
+                position = track.get(ts)
+                if position is None:
                     raise InconsistentInput(
                         f"scenario flags track '{track_id}' at {ts} but the track has no state there"
                     )
-                frames[ts] = state.position
+                frames[ts] = position
             fragments[track_id] = frames
     return fragments
 

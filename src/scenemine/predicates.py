@@ -123,12 +123,11 @@ def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
 def get_objects_of_category(log: TrackLog, category: str) -> ScenarioSet:
     """All objects of one category, at every timestamp where they exist."""
     DEFAULT_REGISTRY.category(category)  # raises UnknownCategory for names outside the vocabulary
-    entries = {
-        obj.track_id: frozenset(obj.states)
-        for obj in log.objects.values()
-        if obj.category.name == category
-    }
-    return ScenarioSet(entries)
+    view = log.columns
+    positions = view.positions
+    return ScenarioSet(
+        {track: positions[track].keys() for track, kind in zip(view.track_ids, view.categories) if kind.name == category}
+    )
 
 
 def has_objects_in_relative_direction(

@@ -1,20 +1,24 @@
 """Tracked-object log data model and JSON file I/O.
 
 A log is a sequence of shared timestamps (integer nanoseconds) plus a set of
-tracked objects; each object carries a per-timestamp kinematic state. Files
-are rejected with a diagnostic naming the violated schema field
+tracked objects; each object carries a per-timestamp kinematic state. A
+:class:`TrackLog` stores all of it as one columnar view, :class:`LogColumns`.
+Files are rejected with a diagnostic naming the violated schema field
 (:class:`MalformedFile`) or structural invariant (:class:`InvariantViolation`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -56,10 +60,6 @@ class ObjectState:
         if any(d <= 0 for d in self.box_dims):
             raise InvariantViolation(f"box_dims must all be > 0, got {self.box_dims!r}")
 
-    @property
-    def planar_speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
-
 
 @dataclass(frozen=True)
 class TrackedObject:
@@ -80,75 +80,132 @@ class TrackedObject:
 class LogColumns:
     """A log as [T, N] arrays: a row per log timestamp, a column per track id.
 
-    Columns follow the sorted track ids. Where a track has no state,
-    ``present`` is False and the values are 0. Cos and sin of the heading,
-    the planar speed and the velocity angle atan2(vy, vx) come from ``math``,
-    so array code built on them reproduces the scalar definitions exactly.
+    Columns follow the sorted track ids, and ``categories`` holds each
+    column's category. ``states`` is [10, T, N]: a state's position,
+    heading, velocity and box dims in file order, also named ``x``, ``y``,
+    ``z``, ``heading``, ``vx``, ``vy``, ``vz``, ``length``, ``width`` and
+    ``height``. Where a track has no state, ``present`` is False and the
+    values are 0. Cos and sin of the heading, the planar speed and the
+    velocity angle atan2(vy, vx) come from ``math``, so array code built on
+    them reproduces the scalar definitions exactly. Every array is read-only.
     """
 
-    def __init__(self, log: TrackLog):
-        self.track_ids = tuple(sorted(log.objects))
-        self.row = {ts: i for i, ts in enumerate(log.timestamps)}
+    def __init__(
+        self,
+        timestamps: Sequence[int],
+        tracks: Sequence[tuple[str, ObjectCategory]],
+        owners: np.ndarray,
+        rows: np.ndarray,
+        values: np.ndarray,
+    ):
+        """State s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``."""
+        order = sorted(range(len(tracks)), key=lambda k: tracks[k][0])
+        self.track_ids = tuple(tracks[k][0] for k in order)
+        self.categories = tuple(tracks[k][1] for k in order)
+        self.row = {ts: i for i, ts in enumerate(timestamps)}
         self.column = {track: j for j, track in enumerate(self.track_ids)}
-        rows, cols, values = [], [], []
-        for j, track in enumerate(self.track_ids):
-            for ts, st in log.objects[track].states.items():
-                rows.append(self.row[ts])
-                cols.append(j)
-                h, (x, y, _), (vx, vy, _) = st.heading, st.position, st.velocity
-                values.append((x, y, h, math.cos(h), math.sin(h), st.planar_speed, math.atan2(vy, vx)))
-        table = np.zeros((7, len(self.row), len(self.track_ids)))
-        table[:, rows, cols] = np.array(values).reshape(-1, 7).T
-        self.x, self.y, self.heading, self.cos_heading, self.sin_heading, self.speed, self.velocity_angle = table
+        column_of = np.empty(len(order), dtype=np.intp)
+        column_of[order] = np.arange(len(order))
+        cols = column_of[owners]
+        heading, vx, vy = values[3].tolist(), values[4].tolist(), values[5].tolist()
+        derived = (map(math.cos, heading), map(math.sin, heading), map(math.hypot, vx, vy), map(math.atan2, vy, vx))
+        table = np.zeros((14, len(self.row), len(order)))
+        table[:10, rows, cols] = values
+        table[10:, rows, cols] = [list(d) for d in derived]
         self.present = np.zeros(table.shape[1:], dtype=bool)
         self.present[rows, cols] = True
+        table.flags.writeable = self.present.flags.writeable = False
+        self.states = table[:10]
+        (
+            self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height,
+            self.cos_heading, self.sin_heading, self.speed, self.velocity_angle,
+        ) = table
+
+    def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
+        """Per column: the track id, its category, the rows where it has a state and those states' values."""
+        for j, (track, category) in enumerate(zip(self.track_ids, self.categories)):
+            rows = np.flatnonzero(self.present[:, j])
+            yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
+
+    @functools.cached_property
+    def positions(self) -> Mapping[str, Mapping[int, Vec3]]:
+        """Each track's {timestamp: (x, y, z)} where it has a state, built on first use and kept."""
+        stamps = tuple(self.row)
+        return {
+            track: {stamps[i]: (v[0], v[1], v[2]) for i, v in zip(rows, values)}
+            for track, _, rows, values in self.track_states()
+        }
 
 
-@dataclass(frozen=True)
 class TrackLog:
-    """A log: id, strictly increasing shared timestamps, objects keyed by track id."""
+    """A log: an id, strictly increasing shared timestamps and the columnar view of its objects.
 
-    log_id: str
-    timestamps: tuple[int, ...]
-    objects: Mapping[str, TrackedObject] = field(default_factory=dict)
+    :meth:`build` and :func:`load_log` check every invariant before they make one.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "timestamps", tuple(int(t) for t in self.timestamps))
-        if not self.log_id:
-            raise InvariantViolation("log_id must be a non-empty string")
-        if len(self.timestamps) < 2:
-            raise InvariantViolation(f"log '{self.log_id}' needs at least 2 timestamps, got {len(self.timestamps)}")
-        for i in range(1, len(self.timestamps)):
-            if self.timestamps[i] <= self.timestamps[i - 1]:
-                raise InvariantViolation(
-                    f"log '{self.log_id}' timestamps not strictly increasing at index {i}"
-                )
-        known = set(self.timestamps)
-        for obj in self.objects.values():
-            stray = [ts for ts in obj.states if ts not in known]
-            if stray:
-                raise InvariantViolation(
-                    f"object '{obj.track_id}' has states at timestamps absent from the log: {sorted(stray)[:3]}"
-                )
+    def __init__(self, log_id: str, timestamps: tuple[int, ...], columns: LogColumns):
+        self.log_id = log_id
+        self.timestamps = timestamps
+        self.columns = columns
 
     @classmethod
     def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
-        """Construct from an object sequence, rejecting duplicate track ids."""
+        """Construct from an object sequence, rejecting duplicate track ids and states at unknown timestamps."""
         by_id: dict[str, TrackedObject] = {}
         for obj in objects:
             if obj.track_id in by_id:
                 raise InvariantViolation(f"duplicate track_id '{obj.track_id}'")
             by_id[obj.track_id] = obj
-        return cls(log_id, tuple(timestamps), by_id)
-
-    def state_of(self, track_id: str, ts: int) -> ObjectState | None:
-        obj = self.objects.get(track_id)
-        return None if obj is None else obj.states.get(ts)
+        timestamps = tuple(int(t) for t in timestamps)
+        if not log_id:
+            raise InvariantViolation("log_id must be a non-empty string")
+        if len(timestamps) < 2:
+            raise InvariantViolation(f"log '{log_id}' needs at least 2 timestamps, got {len(timestamps)}")
+        for i in range(1, len(timestamps)):
+            if timestamps[i] <= timestamps[i - 1]:
+                raise InvariantViolation(f"log '{log_id}' timestamps not strictly increasing at index {i}")
+        row = {ts: i for i, ts in enumerate(timestamps)}
+        owners, rows, values = [], [], []
+        for k, obj in enumerate(by_id.values()):
+            stray = [ts for ts in obj.states if ts not in row]
+            if stray:
+                raise InvariantViolation(
+                    f"object '{obj.track_id}' has states at timestamps absent from the log: {sorted(stray)[:3]}"
+                )
+            for ts, st in obj.states.items():
+                owners.append(k)
+                rows.append(row[ts])
+                values.append((*st.position, st.heading, *st.velocity, *st.box_dims))
+        tracks = [(obj.track_id, obj.category) for obj in by_id.values()]
+        columns = LogColumns(
+            timestamps, tracks, np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
+            np.array(values, dtype=np.float64).reshape(-1, 10).T,
+        )
+        return cls(log_id, timestamps, columns)
 
     @functools.cached_property
-    def columns(self) -> LogColumns:
-        """The columnar view the predicates scan, built on first use and kept."""
-        return LogColumns(self)
+    def objects(self) -> Mapping[str, TrackedObject]:
+        """Each track as a TrackedObject: a read-only mapping rebuilt from the columns on first use."""
+        objects = {}
+        for track, category, rows, values in self.columns.track_states():
+            states = {
+                self.timestamps[i]: ObjectState(tuple(v[0:3]), v[3], tuple(v[4:7]), tuple(v[7:10]))
+                for i, v in zip(rows, values)
+            }
+            objects[track] = TrackedObject(track, category, states)
+        return MappingProxyType(objects)
+
+    def __eq__(self, other: object) -> bool:
+        """Same id, timestamps, tracks and categories, and equal state values."""
+        if not isinstance(other, TrackLog):
+            return NotImplemented
+        mine, theirs = self.columns, other.columns
+        return (
+            (self.log_id, self.timestamps, mine.track_ids, mine.categories)
+            == (other.log_id, other.timestamps, theirs.track_ids, theirs.categories)
+            and np.array_equal(mine.present, theirs.present)
+            and np.array_equal(mine.states, theirs.states)
+        )
 
 
 @dataclass(frozen=True)
@@ -163,8 +220,10 @@ class GroundTruthScenario:
         """Raise InvariantViolation if any relevant pair is missing from the log."""
         if log.log_id != self.log_id:
             raise InvariantViolation(f"ground truth targets log '{self.log_id}', got '{log.log_id}'")
+        view = log.columns
         for track, ts in self.relevant.pairs():
-            if log.state_of(track, ts) is None:
+            j, i = view.column.get(track), view.row.get(ts)
+            if j is None or i is None or not view.present[i, j]:
                 raise InvariantViolation(
                     f"ground truth pair ({track!r}, {ts}) does not exist in log '{log.log_id}'"
                 )
@@ -184,10 +243,13 @@ def read_text(path: str | Path, what: str) -> str:
 
 def read_json(path: str | Path, what: str) -> object:
     """A JSON file's value; MalformedFile names the file when it is not UTF-8 JSON."""
+    text = read_text(path, what)
     try:
-        return json.loads(read_text(path, what))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedFile(f"{path}: {what} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise MalformedFile(f"{path}: {what} holds a number that cannot be read: {exc}") from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -207,10 +269,17 @@ def _require(raw: Mapping, key: str, kind: type | tuple[type, ...], where: str):
     return value
 
 
+def _float(value: int | float, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise MalformedFile(f"{where}: number too large for a float") from None
+
+
 def _float_triple(raw: object, where: str) -> Vec3:
     if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, (int, float)) for c in raw):
         raise MalformedFile(f"{where}: expected a list of 3 numbers")
-    return (float(raw[0]), float(raw[1]), float(raw[2]))
+    return (_float(raw[0], where), _float(raw[1], where), _float(raw[2], where))
 
 
 def _parse_state(raw: object, where: str) -> ObjectState:
@@ -221,18 +290,81 @@ def _parse_state(raw: object, where: str) -> ObjectState:
     velocity = _float_triple(_require(raw, "velocity", list, where), f"{where}.velocity")
     box_dims = _float_triple(_require(raw, "box_dims", list, where), f"{where}.box_dims")
     try:
-        return ObjectState(position, float(heading), velocity, box_dims)
+        return ObjectState(position, _float(heading, f"{where}.heading"), velocity, box_dims)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from None
 
 
-def load_log(path: str | Path) -> TrackLog:
-    """Load a track log from JSON, enforcing the schema and all invariants."""
-    path = Path(path)
-    raw = read_json(path, "track log")
+_STATE_PARTS = operator.itemgetter("position", "heading", "velocity", "box_dims")
+
+
+def _log_from_arrays(raw: object) -> TrackLog | None:
+    """The log a parsed file holds, read into arrays in one pass and checked by array tests.
+
+    None when any test fails. The tests pass only a file the state-by-state
+    walk (``_walk_log``) reads to an equal log; they may also fail a file
+    the walk accepts, such as one with ``true`` for a number, which the walk
+    then reads.
+    """
+    if type(raw) is not dict:
+        return None
+    log_id, stamps, objects = raw.get("log_id"), raw.get("timestamps"), raw.get("objects")
+    if not (type(log_id) is str and log_id and type(stamps) is list and len(stamps) >= 2 and type(objects) is list):
+        return None
+    tracks, keys, states, counts = [], [], [], []
+    for obj in objects:
+        if type(obj) is not dict:
+            return None
+        track_id, category, by_key = obj.get("track_id"), obj.get("category"), obj.get("states")
+        if not (
+            type(track_id) is str and track_id and type(category) is str and category in DEFAULT_REGISTRY
+            and type(by_key) is dict and by_key
+        ):
+            return None
+        tracks.append((track_id, DEFAULT_REGISTRY.category(category)))
+        keys += by_key
+        states += by_key.values()
+        counts.append(len(by_key))
+    if not states or len({track for track, _ in tracks}) < len(tracks):
+        return None
+    try:
+        key_stamps = list(map(int, keys))
+        positions, headings, velocities, boxes = zip(*map(_STATE_PARTS, states))
+    except (ValueError, TypeError, KeyError):  # a key not an integer, a state not an object or missing a field
+        return None
+    triples = positions + velocities + boxes
+    if list(map(str, key_stamps)) != keys or set(map(type, triples)) != {list} or set(map(len, triples)) != {3}:
+        return None
+    numbers = list(itertools.chain.from_iterable(triples))
+    numbers += headings
+    if set(map(type, stamps)) != {int} or not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        flat = np.array(numbers, dtype=np.float64)
+        stamp_array = np.array(stamps, dtype=np.int64)
+        key_array = np.array(key_stamps, dtype=np.int64)
+    except OverflowError:
+        return None
+    s = len(states)
+    position, velocity, box_dims = flat[: 9 * s].reshape(3, s, 3)
+    heading = flat[9 * s:]
+    if not (
+        np.isfinite(flat).all() and (heading > -math.pi).all() and (heading <= math.pi).all() and (box_dims > 0).all()
+        and (stamp_array[1:] > stamp_array[:-1]).all()
+    ):
+        return None
+    rows = np.minimum(np.searchsorted(stamp_array, key_array), len(stamps) - 1)
+    if not np.array_equal(stamp_array[rows], key_array):  # a state at a timestamp the log lacks
+        return None
+    owners = np.repeat(np.arange(len(tracks)), counts)
+    values = np.vstack([position.T, heading, velocity.T, box_dims.T])
+    return TrackLog(log_id, tuple(stamps), LogColumns(stamps, tracks, owners, rows, values))
+
+
+def _walk_log(raw: object, where: str) -> TrackLog:
+    """The log a parsed file holds, read state by state; raises naming the first fault it meets."""
     if not isinstance(raw, dict):
-        raise MalformedFile(f"{path.name}: top level must be an object")
-    where = path.name
+        raise MalformedFile(f"{where}: top level must be an object")
     log_id = _require(raw, "log_id", str, where)
     timestamps_raw = _require(raw, "timestamps", list, where)
     if not all(isinstance(t, int) and not isinstance(t, bool) for t in timestamps_raw):
@@ -257,6 +389,8 @@ def load_log(path: str | Path) -> TrackLog:
                 ts = int(ts_key)
             except ValueError:
                 raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not an integer timestamp") from None
+            if str(ts) != ts_key:  # else "01000" and "1000" would both name one timestamp
+                raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not a timestamp written as '{ts}'")
             states[ts] = _parse_state(state_raw, f"{owhere}.states[{ts_key}]")
         try:
             objects.append(TrackedObject(track_id, DEFAULT_REGISTRY.category(category_name), states))
@@ -269,20 +403,26 @@ def load_log(path: str | Path) -> TrackLog:
         raise InvariantViolation(f"{where}: {exc}") from None
 
 
+def load_log(path: str | Path) -> TrackLog:
+    """Load a track log from JSON, enforcing the schema and all invariants.
+
+    The file goes straight into arrays; only a file that fails an array
+    test is walked state by state, to name its first fault.
+    """
+    path = Path(path)
+    raw = read_json(path, "track log")
+    log = _log_from_arrays(raw)
+    return log if log is not None else _walk_log(raw, path.name)
+
+
 def _log_to_json_dict(log: TrackLog) -> dict:
     objects = []
-    for track_id in sorted(log.objects):
-        obj = log.objects[track_id]
+    for track_id, category, rows, values in log.columns.track_states():
         states = {
-            str(ts): {
-                "position": list(st.position),
-                "heading": st.heading,
-                "velocity": list(st.velocity),
-                "box_dims": list(st.box_dims),
-            }
-            for ts, st in sorted(obj.states.items())
+            str(log.timestamps[i]): {"position": v[0:3], "heading": v[3], "velocity": v[4:7], "box_dims": v[7:10]}
+            for i, v in zip(rows, values)
         }
-        objects.append({"track_id": obj.track_id, "category": obj.category.name, "states": states})
+        objects.append({"track_id": track_id, "category": category.name, "states": states})
     return {"log_id": log.log_id, "timestamps": list(log.timestamps), "objects": objects}
 
 

@@ -12,10 +12,15 @@ import cmath
 import itertools
 import math
 
+from pathlib import Path
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from scenemine.categories import DEFAULT_REGISTRY
+from scenemine.errors import InvariantViolation, MalformedFile
 from scenemine.metrics import DEFAULT_ALPHAS, AlphaScore, HotaResult
+from scenemine.tracklog import ObjectState, TrackedObject, TrackLog, read_json
 
 NS = 1_000_000_000
 MOVING = 0.5
@@ -489,3 +494,84 @@ def hota_per_alpha(pred, gt, alphas=DEFAULT_ALPHAS):
         per_alpha.append(AlphaScore(alpha, score, tp, fn, fp, assoc))
     final = sum(a.score for a in per_alpha) / len(per_alpha)
     return HotaResult(final, tuple(per_alpha))
+
+
+# ---------------------------------------------------------------------------
+# Log loading one state at a time. Like hota_per_alpha, this is the package's
+# earlier implementation: it builds an ObjectState per state and a
+# TrackedObject per track, each checking its own invariants, then the log.
+# The array-first loader must read every file it accepts to an equal log, and
+# reject every other file with the same error, except where this walk has no
+# clean error of its own: a number too large for a float (OverflowError) and
+# a state key that int() reads but that is not written canonically (which
+# this walk accepts, keeping the last state of a timestamp written twice).
+
+
+def _require(raw, key, kind, where):
+    if key not in raw:
+        raise MalformedFile(f"{where}: missing required field '{key}'")
+    value = raw[key]
+    if not isinstance(value, kind):
+        raise MalformedFile(f"{where}.{key}: expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+    return value
+
+
+def _float_triple(raw, where):
+    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, (int, float)) for c in raw):
+        raise MalformedFile(f"{where}: expected a list of 3 numbers")
+    return (float(raw[0]), float(raw[1]), float(raw[2]))
+
+
+def _parse_state(raw, where):
+    if not isinstance(raw, dict):
+        raise MalformedFile(f"{where}: expected an object")
+    position = _float_triple(_require(raw, "position", list, where), f"{where}.position")
+    heading = _require(raw, "heading", (int, float), where)
+    velocity = _float_triple(_require(raw, "velocity", list, where), f"{where}.velocity")
+    box_dims = _float_triple(_require(raw, "box_dims", list, where), f"{where}.box_dims")
+    try:
+        return ObjectState(position, float(heading), velocity, box_dims)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{where}: {exc}") from None
+
+
+def load_log_walk(path):
+    path = Path(path)
+    raw = read_json(path, "track log")
+    if not isinstance(raw, dict):
+        raise MalformedFile(f"{path.name}: top level must be an object")
+    where = path.name
+    log_id = _require(raw, "log_id", str, where)
+    timestamps_raw = _require(raw, "timestamps", list, where)
+    if not all(isinstance(t, int) and not isinstance(t, bool) for t in timestamps_raw):
+        raise MalformedFile(f"{where}.timestamps: expected a list of integers")
+    objects_raw = _require(raw, "objects", list, where)
+
+    objects = []
+    for i, obj_raw in enumerate(objects_raw):
+        owhere = f"{where}.objects[{i}]"
+        if not isinstance(obj_raw, dict):
+            raise MalformedFile(f"{owhere}: expected an object")
+        track_id = _require(obj_raw, "track_id", str, owhere)
+        category_name = _require(obj_raw, "category", str, owhere)
+        if category_name not in DEFAULT_REGISTRY:
+            raise MalformedFile(
+                f"{owhere}.category: unknown category '{category_name}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
+            )
+        states_raw = _require(obj_raw, "states", dict, owhere)
+        states = {}
+        for ts_key, state_raw in states_raw.items():
+            try:
+                ts = int(ts_key)
+            except ValueError:
+                raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not an integer timestamp") from None
+            states[ts] = _parse_state(state_raw, f"{owhere}.states[{ts_key}]")
+        try:
+            objects.append(TrackedObject(track_id, DEFAULT_REGISTRY.category(category_name), states))
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"{owhere}: {exc}") from None
+
+    try:
+        return TrackLog.build(log_id, timestamps_raw, objects)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{where}: {exc}") from None

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 
+from scenemine.predicates import REGISTRY
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -22,6 +24,8 @@ def test_sweep_row_times_each_layer(monkeypatch):
     row = _bench_module().sweep_row(6, num_frames=4, repeats=1)
     assert (row["objects"], row["frames"]) == (6, 4)
     timed = ("save_log_s", "load_log_s", "hota_temporal_s", "hota_full_s")
-    assert set(row) == {"objects", "frames", "log_mb", "host_scale", *timed}
+    assert set(row) == {"objects", "frames", "log_mb", "host_scale", "predicate_s", *timed}
     assert all(row[key] >= 0.0 for key in timed)
+    assert set(row["predicate_s"]) == set(REGISTRY)
+    assert all(seconds >= 0.0 for seconds in row["predicate_s"].values())
     assert row["log_mb"] > 0.0 and row["host_scale"] > 0.0

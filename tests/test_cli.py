@@ -434,3 +434,29 @@ def test_undecodable_input_file_is_a_documented_exit(tmp_path, bundle_dir, capsy
     assert main(argv) == expected_code
     err = capsys.readouterr().err
     assert bad in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("fault", ["number too large for a float", "over-long integer literal", "non-canonical key"])
+@pytest.mark.parametrize("command, expected_code", [("validate", 1), ("mine", 2), ("eval", 2)])
+def test_unreadable_log_values_are_a_documented_exit(tmp_path, bundle_dir, capsys, fault, command, expected_code):
+    predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    raw = json.loads((bundle_dir / "near-0007.json").read_text())
+    states = raw["objects"][0]["states"]
+    key = next(iter(states))
+    if fault == "non-canonical key":
+        states["0" + key] = states.pop(key)
+    else:
+        states[key]["heading"] = "@number@"
+    digits = "1" * (400 if fault == "number too large for a float" else 5000)
+    logs = tmp_path / "bad-logs"
+    logs.mkdir()
+    (logs / "near-0007.json").write_text(json.dumps(raw).replace('"@number@"', digits))
+    capsys.readouterr()
+    argv = {
+        "validate": ["validate", "--logs", str(logs)],
+        "mine": ["mine", "--queries", queries_path, "--logs", str(logs), "--out", out, "--fixture", fixture_path],
+        "eval": ["eval", "--predictions", predictions, "--gt", gt_path, "--logs", str(logs)],
+    }[command]
+    assert main(argv) == expected_code
+    assert "near-0007.json" in capsys.readouterr().err

@@ -396,7 +396,7 @@ def test_threads_share_one_provider_without_lost_updates():
     # up as a third round or a wrong total
     queries = [f"query number {i:02d}" for i in range(40)]
     fixture = make_fixture({q: [fenced(BAD_FUNCTION), fenced(GOOD_CODE)] for q in queries})
-    config = MiningConfig(provider=ScriptedProvider(fixture), workers=2 * (os.cpu_count() or 1))
+    config = MiningConfig(provider=ScriptedProvider(fixture), workers=min(2 * (os.cpu_count() or 1), orchestrator.MAX_WORKERS))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -129,7 +129,7 @@ def test_distractors_are_slow_far_and_unflagged():
     for bg in backgrounds:
         assert bg not in flagged
         for ts, s in busy.log.objects[bg].states.items():
-            assert s.planar_speed < 0.5
+            assert math.hypot(s.velocity[0], s.velocity[1]) < 0.5
             for other in scene:
                 other_state = busy.log.objects[other].states.get(ts)
                 if other_state is not None:

@@ -1,8 +1,10 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scenemine.errors import InvariantViolation, MalformedFile
 from scenemine.scenario_set import ScenarioSet
@@ -11,6 +13,7 @@ from scenemine.tracklog import (
     ObjectState,
     TrackedObject,
     TrackLog,
+    _log_from_arrays,
     dump_ground_truth_text,
     dump_log_text,
     load_ground_truth,
@@ -19,7 +22,11 @@ from scenemine.tracklog import (
     save_log,
 )
 
-from util import make_log, obj, random_track_log, sset, state, stamps, static_obj
+import oracles
+from util import make_log, obj, random_track_log, random_track_objects, sset, state, stamps, static_obj
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenebench"))
+import scenes  # noqa: E402  the benchmark's Argoverse-shaped logs
 
 
 # ---------------------------------------------------------------------------
@@ -32,9 +39,10 @@ def test_object_state_normalizes_components():
     assert isinstance(st_.heading, float)
 
 
-def test_planar_speed_ignores_vertical():
-    assert state(0, 0, vx=3.0, vy=4.0).planar_speed == 5.0
-    assert ObjectState((0, 0, 0), 0.0, (0.0, 0.0, 9.0), (1, 1, 1)).planar_speed == 0.0
+def test_view_speed_ignores_vertical():
+    t0, t1 = stamps(2)
+    moving = obj("a", "BUS", {t0: state(0, 0, vx=3.0, vy=4.0), t1: ObjectState((0, 0, 0), 0.0, (0.0, 0.0, 9.0), (1, 1, 1))})
+    assert make_log([moving]).columns.speed[:, 0].tolist() == [5.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -86,52 +94,64 @@ def test_log_invariants():
 def test_log_lookup_helpers():
     log = make_log([static_obj("a", "BUS", 1, 2)])
     t0, t1 = log.timestamps
-    assert log.state_of("a", t0).position[0] == 1.0
-    assert log.state_of("a", t1 + 999) is None
-    assert log.state_of("nope", t0) is None
+    assert log.objects["a"].states[t0].position[0] == 1.0
+    assert t1 + 999 not in log.objects["a"].states
+    assert "nope" not in log.objects
+    assert log.objects["a"].category.name == "BUS"
+    with pytest.raises(TypeError):
+        log.objects["b"] = log.objects["a"]  # a derived view, not storage
 
 
 # ---------------------------------------------------------------------------
 # Columnar view
 
 
-def test_view_is_built_on_first_use_and_kept(tmp_path):
+def test_view_is_the_log_and_objects_are_built_on_demand(tmp_path):
     path = tmp_path / "log.json"
     save_log(random_track_log(3), path)
     log = load_log(path)
-    assert "columns" not in vars(log)  # loading alone builds no arrays
-    save_log(log, path)
-    assert "columns" not in vars(log)
     view = log.columns
-    assert log.columns is view
-    assert load_log(path).columns is not view
+    save_log(log, path)
+    assert "objects" not in vars(log)  # loading and saving walk no per-state objects
+    assert log.columns is view and load_log(path).columns is not view
+    assert log.objects is log.objects
+    with pytest.raises(ValueError):
+        view.x[0, 0] = 1.0  # the arrays are read-only
 
 
 @given(st.integers(0, 200))
 def test_view_arrays_equal_the_logged_states(seed):
-    log = random_track_log(seed, max_objects=6, max_frames=12)
+    timestamps, objects = random_track_objects(seed, max_objects=6, max_frames=12)
+    log = TrackLog.build("log", timestamps, objects)
+    given_objects = {o.track_id: o for o in objects}
+    assert dict(log.objects) == given_objects
     view = log.columns
-    assert view.track_ids == tuple(sorted(log.objects))
-    assert view.present.sum() == sum(len(o.states) for o in log.objects.values())
+    assert view.track_ids == tuple(sorted(given_objects))
+    assert view.categories == tuple(given_objects[t].category for t in view.track_ids)
+    assert view.present.sum() == sum(len(o.states) for o in objects)
     for j, track in enumerate(view.track_ids):
         assert view.column[track] == j
         for i, ts in enumerate(log.timestamps):
             assert view.row[ts] == i
-            st_ = log.objects[track].states.get(ts)
+            st_ = given_objects[track].states.get(ts)
             assert view.present[i, j] == (st_ is not None)
             if st_ is None:
                 continue
             vx, vy = st_.velocity[0], st_.velocity[1]
             want = (
-                st_.position[0],
-                st_.position[1],
+                *st_.position,
                 st_.heading,
+                *st_.velocity,
+                *st_.box_dims,
                 math.cos(st_.heading),
                 math.sin(st_.heading),
-                st_.planar_speed,
+                math.hypot(vx, vy),
                 math.atan2(vy, vx),
             )
-            got = (view.x, view.y, view.heading, view.cos_heading, view.sin_heading, view.speed, view.velocity_angle)
+            got = (
+                view.x, view.y, view.z, view.heading, view.vx, view.vy, view.vz, view.length, view.width, view.height,
+                view.cos_heading, view.sin_heading, view.speed, view.velocity_angle,
+            )
             assert tuple(a[i, j] for a in got) == want
 
 
@@ -168,7 +188,9 @@ def test_random_log_round_trip(tmp_path_factory, seed):
     save_log(log, path)
     again = load_log(path)
     assert again == log
-    assert dump_log_text(again) == path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert dump_log_text(again) == text
+    assert _log_from_arrays(json.loads(text)) == log  # read by the array path, not the walk
 
 
 def test_empty_objects_log_round_trips(tmp_path):
@@ -247,6 +269,134 @@ def test_rejects_state_outside_invariants(tmp_path):
     raw["objects"][0]["states"][first_ts]["heading"] = 9.9
     with pytest.raises(InvariantViolation, match="heading"):
         load_log(_write(tmp_path, raw))
+
+
+def test_rejects_number_too_large_for_a_float(tmp_path):
+    first_ts = str(stamps(2)[0])
+    for field, value in (("position", [0, 10**400, 0]), ("heading", -(10**400)), ("box_dims", [1, 1, 10**400])):
+        raw = _valid_log_dict()
+        raw["objects"][0]["states"][first_ts][field] = value
+        with pytest.raises(MalformedFile, match=rf"states\[{first_ts}\]\.{field}: number too large for a float"):
+            load_log(_write(tmp_path, raw))
+
+
+def test_rejects_integer_literal_past_the_digit_limit(tmp_path):
+    raw = _valid_log_dict()
+    raw["objects"][0]["states"][str(stamps(2)[0])]["heading"] = "@digits@"
+    path = _write(tmp_path, json.dumps(raw).replace('"@digits@"', "1" * 5000))
+    with pytest.raises(MalformedFile, match="bad.json: track log holds a number that cannot be read"):
+        load_log(path)
+
+
+@pytest.mark.parametrize("spelling", ["0{}{}", " {}{}", "+{}{}", "{}{}\n", "{}_{}"])
+def test_rejects_non_canonical_state_key(tmp_path, spelling):
+    raw = _valid_log_dict()
+    first_ts = str(stamps(2)[0])
+    key = spelling.format(first_ts[:1], first_ts[1:])
+    states = raw["objects"][0]["states"]
+    states[key] = states[first_ts]  # both keys name one timestamp
+    with pytest.raises(MalformedFile, match="is not a timestamp written as"):
+        load_log(_write(tmp_path, raw))
+
+
+# ---------------------------------------------------------------------------
+# The array-first loader against the state-by-state walk
+
+_BASE_LOG = json.loads(dump_log_text(random_track_log(5, max_objects=3, max_frames=5)))
+
+_VALUE_MUTATIONS = {
+    "wrong type": lambda v: None,
+    "bool": lambda v: True,
+    "numeric string": str,
+    "nested list": lambda v: [v],
+    "NaN": lambda v: math.nan,
+    "Infinity": lambda v: math.inf,
+    "-Infinity": lambda v: -math.inf,
+    "pi": lambda v: math.pi,
+    "minus pi": lambda v: -math.pi,
+    "zero": lambda v: 0,
+    "oversized integer": lambda v: 10**400,
+}
+_STRUCTURE_MUTATIONS = (
+    "stray key", "duplicate key", "non-canonical key", "non-canonical duplicate key", "duplicate track id",
+)
+
+
+def _nodes(doc, path=()):
+    """The path of every value inside a parsed JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+def _mutated_log_text(data) -> tuple[str, str]:
+    """(mutation, file text): one mutation of a small valid log file."""
+    doc = json.loads(json.dumps(_BASE_LOG))
+    of_structure = data.draw(st.booleans())
+    mutation = data.draw(st.sampled_from(_STRUCTURE_MUTATIONS if of_structure else ["drop", *_VALUE_MUTATIONS]))
+    if mutation == "duplicate track id":
+        doc["objects"][-1]["track_id"] = doc["objects"][0]["track_id"]
+        return mutation, json.dumps(doc)
+    if of_structure:
+        states = data.draw(st.sampled_from(doc["objects"]))["states"]
+        key = data.draw(st.sampled_from(sorted(states)))
+        moved = json.loads(json.dumps(states[key]))
+        moved["position"][0] += 1.0
+        if mutation == "stray key":
+            states[str(doc["timestamps"][-1] + 7)] = moved
+        elif mutation == "duplicate key":
+            states[key + "@"] = moved  # written below as a second copy of the key
+        elif mutation == "non-canonical key":
+            states[data.draw(st.sampled_from(["0", " ", "+"])) + key] = states.pop(key)
+        else:
+            states[key[:1] + "_" + key[1:]] = moved
+        return mutation, json.dumps(doc).replace(f'"{key}@"', f'"{key}"')
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if mutation == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _VALUE_MUTATIONS[mutation](parent[path[-1]])
+    return mutation, json.dumps(doc)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the error is the outcome under test
+        return exc
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_array_loader_matches_the_state_walk(tmp_path_factory, data):
+    """Every mutated file loads to the walk's log or fails with the walk's error."""
+    mutation, text = _mutated_log_text(data)
+    path = tmp_path_factory.mktemp("logs") / "log.json"
+    path.write_text(text, encoding="utf-8")
+    want, got = _outcome(oracles.load_log_walk, path), _outcome(load_log, path)
+    if isinstance(want, OverflowError) or mutation in ("non-canonical key", "non-canonical duplicate key"):
+        assert isinstance(got, MalformedFile), (mutation, want, got)
+    elif isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, TrackLog) and got == want, (mutation, got)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 9), st.integers(0, 3), st.integers(2, 12))
+def test_argo_shaped_log_files_round_trip_byte_for_byte(tmp_path_factory, seed, slot, num_objects):
+    log = scenes.argo_log(seed, slot, num_objects, num_frames=20)
+    path = tmp_path_factory.mktemp("logs") / "log.json"
+    save_log(log, path)
+    again = load_log(path)
+    assert again == log
+    text = path.read_text(encoding="utf-8")
+    assert dump_log_text(again) == text
+    assert _log_from_arrays(json.loads(text)) == log  # read by the array path, not the walk
 
 
 # ---------------------------------------------------------------------------

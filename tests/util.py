@@ -84,6 +84,11 @@ def load_fixture(path: str) -> dict:
 
 def random_track_log(seed: int, max_objects: int = 10, max_frames: int = 50) -> TrackLog:
     """A structurally valid but behaviourally arbitrary log."""
+    return TrackLog.build(f"random-{seed:05d}", *random_track_objects(seed, max_objects, max_frames))
+
+
+def random_track_objects(seed: int, max_objects: int = 10, max_frames: int = 50) -> tuple[tuple[int, ...], list[TrackedObject]]:
+    """The timestamps and the objects random_track_log builds its log from."""
     rng = random.Random(seed)
     n_frames = rng.randint(4, max(4, max_frames))
     gaps = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n_frames - 1)]
@@ -113,4 +118,4 @@ def random_track_log(seed: int, max_objects: int = 10, max_frames: int = 50) -> 
             x += rng.uniform(-1.5, 1.5)
             y += rng.uniform(-1.5, 1.5)
         objects.append(TrackedObject(f"obj-{k:02d}", DEFAULT_REGISTRY.category(category), states))
-    return TrackLog.build(f"random-{seed:05d}", timestamps, objects)
+    return timestamps, objects
