@@ -15,7 +15,9 @@ scenario functions called as the benchmark's ``argo_files`` queries call it,
 and ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
 frames) against all tracks. Sweep times are unscaled seconds, the median of
 SWEEP_REPEATS, given with the host scale ``run.py`` would apply to a time
-measured between the row's calibrations. Nothing gates the sweep.
+measured between the row's calibrations. Each row also holds the SHA-256 of
+the file ``save_log`` wrote, so two checkouts' rows show whether they write
+the same bytes. Nothing gates the sweep.
 
 ``--checkout`` (default: the checkout holding this script) is the tree whose
 ``scenebench/`` and ``src/`` are measured; the BENCH file is written next to
@@ -26,6 +28,7 @@ exits with code 1 when any benchmark run fails its gate.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -131,6 +134,8 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             "load_log_s": _median_time(lambda: load_log(path).columns, repeats),
             "log_mb": os.path.getsize(path) / 1e6,
         }
+        with open(path, "rb") as fh:
+            row["log_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)

@@ -242,7 +242,7 @@ def read_text(path: str | Path, what: str) -> str:
 
 
 def read_json(path: str | Path, what: str) -> object:
-    """A JSON file's value; MalformedFile names the file when it is not UTF-8 JSON."""
+    """A JSON file's value; MalformedFile names the file when it is not UTF-8 JSON or nests too deeply to read."""
     text = read_text(path, what)
     try:
         return json.loads(text)
@@ -250,6 +250,8 @@ def read_json(path: str | Path, what: str) -> object:
         raise MalformedFile(f"{path}: {what} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer literal longer than the interpreter converts
         raise MalformedFile(f"{path}: {what} holds a number that cannot be read: {exc}") from None
+    except RecursionError:
+        raise MalformedFile(f"{path}: {what} is nested too deeply to read") from None
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
@@ -277,7 +279,7 @@ def _float(value: int | float, where: str) -> float:
 
 
 def _float_triple(raw: object, where: str) -> Vec3:
-    if not isinstance(raw, list) or len(raw) != 3 or not all(isinstance(c, (int, float)) for c in raw):
+    if not isinstance(raw, list) or len(raw) != 3 or not all(type(c) in (int, float) for c in raw):  # no bool
         raise MalformedFile(f"{where}: expected a list of 3 numbers")
     return (_float(raw[0], where), _float(raw[1], where), _float(raw[2], where))
 
@@ -287,6 +289,8 @@ def _parse_state(raw: object, where: str) -> ObjectState:
         raise MalformedFile(f"{where}: expected an object")
     position = _float_triple(_require(raw, "position", list, where), f"{where}.position")
     heading = _require(raw, "heading", (int, float), where)
+    if isinstance(heading, bool):
+        raise MalformedFile(f"{where}.heading: expected a number, got bool")
     velocity = _float_triple(_require(raw, "velocity", list, where), f"{where}.velocity")
     box_dims = _float_triple(_require(raw, "box_dims", list, where), f"{where}.box_dims")
     try:
@@ -303,8 +307,7 @@ def _log_from_arrays(raw: object) -> TrackLog | None:
 
     None when any test fails. The tests pass only a file the state-by-state
     walk (``_walk_log``) reads to an equal log; they may also fail a file
-    the walk accepts, such as one with ``true`` for a number, which the walk
-    then reads.
+    the walk accepts, such as one with no objects, which the walk then reads.
     """
     if type(raw) is not dict:
         return None
@@ -415,20 +418,60 @@ def load_log(path: str | Path) -> TrackLog:
     return log if log is not None else _walk_log(raw, path.name)
 
 
-def _log_to_json_dict(log: TrackLog) -> dict:
-    objects = []
-    for track_id, category, rows, values in log.columns.track_states():
-        states = {
-            str(log.timestamps[i]): {"position": v[0:3], "heading": v[3], "velocity": v[4:7], "box_dims": v[7:10]}
-            for i, v in zip(rows, values)
-        }
-        objects.append({"track_id": track_id, "category": category.name, "states": states})
-    return {"log_id": log.log_id, "timestamps": list(log.timestamps), "objects": objects}
+_STATE_TEXT = """\
+        "%s": {
+          "position": [
+            %r,
+            %r,
+            %r
+          ],
+          "heading": %r,
+          "velocity": [
+            %r,
+            %r,
+            %r
+          ],
+          "box_dims": [
+            %r,
+            %r,
+            %r
+          ]
+        }"""
+_OBJECT_TEXT = """\
+    {
+      "track_id": %s,
+      "category": %s,
+      "states": {
+%s
+      }
+    }"""
+_LOG_TEXT = """\
+{
+  "log_id": %s,
+  "timestamps": [
+%s
+  ],
+  "objects": %s
+}
+"""
 
 
 def dump_log_text(log: TrackLog) -> str:
-    """Deterministic JSON text for a log (numbers at full round-trip precision)."""
-    return json.dumps(_log_to_json_dict(log), indent=2) + "\n"
+    """The log's JSON text, written from its columns as ``json.dumps(..., indent=2)`` lays it out.
+
+    Strings go through ``json.dumps``; a state value is a finite float, whose
+    ``repr`` is the text ``json`` writes for it (full round-trip precision).
+    """
+    keys = [str(ts) for ts in log.timestamps]
+    objects = [
+        _OBJECT_TEXT % (
+            json.dumps(track), json.dumps(category.name),
+            ",\n".join([_STATE_TEXT % (keys[i], *v) for i, v in zip(rows, values)]),
+        )
+        for track, category, rows, values in log.columns.track_states()
+    ]
+    body = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
+    return _LOG_TEXT % (json.dumps(log.log_id), ",\n".join(["    " + key for key in keys]), body)
 
 
 def save_log(log: TrackLog, path: str | Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
 
 from pathlib import Path
@@ -504,7 +505,8 @@ def hota_per_alpha(pred, gt, alphas=DEFAULT_ALPHAS):
 # reject every other file with the same error, except where this walk has no
 # clean error of its own: a number too large for a float (OverflowError) and
 # a state key that int() reads but that is not written canonically (which
-# this walk accepts, keeping the last state of a timestamp written twice).
+# this walk accepts, keeping the last state of a timestamp written twice),
+# and true or false for a state number (which this walk reads as 1 or 0).
 
 
 def _require(raw, key, kind, where):
@@ -575,3 +577,20 @@ def load_log_walk(path):
         return TrackLog.build(log_id, timestamps_raw, objects)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Log text through the json module. Like load_log_walk, this is the package's
+# earlier implementation: a dict per state, encoded by json.dumps with
+# indent=2. The template writer must produce the same text for every log.
+
+
+def dump_log_text_json(log):
+    objects = []
+    for track_id, category, rows, values in log.columns.track_states():
+        states = {
+            str(log.timestamps[i]): {"position": v[0:3], "heading": v[3], "velocity": v[4:7], "box_dims": v[7:10]}
+            for i, v in zip(rows, values)
+        }
+        objects.append({"track_id": track_id, "category": category.name, "states": states})
+    return json.dumps({"log_id": log.log_id, "timestamps": list(log.timestamps), "objects": objects}, indent=2) + "\n"

@@ -394,30 +394,25 @@ def test_eval_missing_log_is_exit_two(tmp_path, bundle_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# input files that are not UTF-8
+# input files the CLI cannot read: bytes that are not UTF-8, JSON nested too deeply
+
+_INPUT_ROLES = [
+    ("validate --logs", 1),
+    ("validate --gt", 1),
+    ("eval --predictions", 2),
+    ("eval --gt", 2),
+    ("mine --queries (text)", 2),
+    ("mine --queries (JSON)", 2),
+    ("mine --fixture", 2),
+    ("mine --config", 2),
+]
 
 
-@pytest.mark.parametrize(
-    "role, expected_code",
-    [
-        ("validate --logs", 1),
-        ("validate --gt", 1),
-        ("eval --predictions", 2),
-        ("eval --gt", 2),
-        ("mine --queries (text)", 2),
-        ("mine --queries (JSON)", 2),
-        ("mine --fixture", 2),
-        ("mine --config", 2),
-    ],
-)
-def test_undecodable_input_file_is_a_documented_exit(tmp_path, bundle_dir, capsys, role, expected_code):
-    bad = tmp_path / ("bad.json" if role != "mine --queries (text)" else "bad.txt")
-    bad.write_bytes(b"\xff\xfe")
-    bad = str(bad)
+def _argv_reading(role, bad, tmp_path, bundle_dir):
+    """A command line whose other files are valid and whose file in ``role`` is ``bad``."""
     predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
     queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
-    capsys.readouterr()
-    argv = {
+    return {
         "validate --logs": ["validate", "--logs", bad],
         "validate --gt": ["validate", "--gt", bad],
         "eval --predictions": ["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)],
@@ -431,9 +426,28 @@ def test_undecodable_input_file_is_a_documented_exit(tmp_path, bundle_dir, capsy
         "mine --config": ["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out,
                           "--config", bad],
     }[role]
+
+
+@pytest.mark.parametrize("role, expected_code", _INPUT_ROLES)
+def test_undecodable_input_file_is_a_documented_exit(tmp_path, bundle_dir, capsys, role, expected_code):
+    bad = tmp_path / ("bad.json" if role != "mine --queries (text)" else "bad.txt")
+    bad.write_bytes(b"\xff\xfe")
+    argv = _argv_reading(role, str(bad), tmp_path, bundle_dir)
+    capsys.readouterr()
     assert main(argv) == expected_code
     err = capsys.readouterr().err
-    assert bad in err and "not UTF-8" in err
+    assert str(bad) in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("role, expected_code", [r for r in _INPUT_ROLES if r[0] != "mine --queries (text)"])
+def test_too_deeply_nested_json_is_a_documented_exit(tmp_path, bundle_dir, capsys, role, expected_code):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    argv = _argv_reading(role, str(bad), tmp_path, bundle_dir)
+    capsys.readouterr()
+    assert main(argv) == expected_code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "nested too deeply" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("fault", ["number too large for a float", "over-long integer literal", "non-canonical key"])

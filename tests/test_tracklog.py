@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.errors import InvariantViolation, MalformedFile
 from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import (
@@ -204,6 +205,49 @@ def test_save_log_unwritable_path(tmp_path):
         save_log(make_log([]), tmp_path / "no-such-dir" / "x.json")
 
 
+_ODD_TEXT = ('say "hi"', "back\\slash", "bell\x07", "line\nbreak", "café", "日本語", "\u2028", "\U0001f697")
+_EDGE_VALUES = (-0.0, 5e-324, 1e-300, 1e16, 0.1, math.pi, -math.pi)
+_HEADINGS = tuple(v for v in _EDGE_VALUES if -math.pi < v <= math.pi)
+_BOX_DIMS = tuple(v for v in _EDGE_VALUES if v > 0)
+_NAMES = st.sampled_from(_ODD_TEXT) | st.text(min_size=1, max_size=8)
+
+
+@st.composite
+def _edge_logs(draw) -> TrackLog:
+    """Up to two objects with odd ids, each state value one whose float text is an edge case."""
+    timestamps = sorted(draw(st.lists(st.integers(-(10**18), 10**18), min_size=2, max_size=4, unique=True)))
+
+    def triple(values):
+        return tuple(draw(st.sampled_from(values)) for _ in range(3))
+
+    objects = []
+    for track_id in draw(st.lists(_NAMES, max_size=2, unique=True)):
+        states = {
+            ts: ObjectState(
+                triple(_EDGE_VALUES), draw(st.sampled_from(_HEADINGS)), triple(_EDGE_VALUES), triple(_BOX_DIMS)
+            )
+            for ts in draw(st.lists(st.sampled_from(timestamps), min_size=1, unique=True))
+        }
+        category = DEFAULT_REGISTRY.category(draw(st.sampled_from(DEFAULT_REGISTRY.names)))
+        objects.append(TrackedObject(track_id, category, states))
+    return TrackLog.build(draw(_NAMES), timestamps, objects)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.integers(0, 60).map(lambda seed: random_track_log(seed, max_objects=4, max_frames=8)),
+        st.builds(scenes.argo_log, st.integers(0, 9), st.integers(0, 3), st.integers(2, 6), st.integers(2, 10)),
+        _edge_logs(),
+    )
+)
+@example(TrackLog.build("empty", stamps(2), []))
+@example(make_log([static_obj("a", "BUS", 0.1, -0.0, heading=math.pi)], log_id='log "1"\\é'))
+def test_log_text_is_the_json_module_text(log):
+    """The template writer's text is json.dumps(..., indent=2)'s, byte for byte."""
+    assert dump_log_text(log) == oracles.dump_log_text_json(log)
+
+
 def _write(tmp_path, payload, name="bad.json"):
     path = tmp_path / name
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
@@ -280,6 +324,19 @@ def test_rejects_number_too_large_for_a_float(tmp_path):
             load_log(_write(tmp_path, raw))
 
 
+def test_rejects_a_bool_for_a_state_number(tmp_path):
+    first_ts = str(stamps(2)[0])
+    for field, value, message in (
+        ("heading", True, "heading: expected a number, got bool"),
+        ("position", [0, False, 0], "position: expected a list of 3 numbers"),
+        ("box_dims", [1, 1, True], "box_dims: expected a list of 3 numbers"),
+    ):
+        raw = _valid_log_dict()
+        raw["objects"][0]["states"][first_ts][field] = value
+        with pytest.raises(MalformedFile, match=rf"states\[{first_ts}\]\.{message}"):
+            load_log(_write(tmp_path, raw))
+
+
 def test_rejects_integer_literal_past_the_digit_limit(tmp_path):
     raw = _valid_log_dict()
     raw["objects"][0]["states"][str(stamps(2)[0])]["heading"] = "@digits@"
@@ -330,14 +387,14 @@ def _nodes(doc, path=()):
         yield from _nodes(value, path + (key,))
 
 
-def _mutated_log_text(data) -> tuple[str, str]:
-    """(mutation, file text): one mutation of a small valid log file."""
+def _mutated_log_text(data) -> tuple[str, tuple, str]:
+    """(mutation, path of the mutated value or (), file text): one mutation of a small valid log file."""
     doc = json.loads(json.dumps(_BASE_LOG))
     of_structure = data.draw(st.booleans())
     mutation = data.draw(st.sampled_from(_STRUCTURE_MUTATIONS if of_structure else ["drop", *_VALUE_MUTATIONS]))
     if mutation == "duplicate track id":
         doc["objects"][-1]["track_id"] = doc["objects"][0]["track_id"]
-        return mutation, json.dumps(doc)
+        return mutation, (), json.dumps(doc)
     if of_structure:
         states = data.draw(st.sampled_from(doc["objects"]))["states"]
         key = data.draw(st.sampled_from(sorted(states)))
@@ -351,7 +408,7 @@ def _mutated_log_text(data) -> tuple[str, str]:
             states[data.draw(st.sampled_from(["0", " ", "+"])) + key] = states.pop(key)
         else:
             states[key[:1] + "_" + key[1:]] = moved
-        return mutation, json.dumps(doc).replace(f'"{key}@"', f'"{key}"')
+        return mutation, (), json.dumps(doc).replace(f'"{key}@"', f'"{key}"')
     path = data.draw(st.sampled_from(list(_nodes(doc))))
     parent = doc
     for step in path[:-1]:
@@ -360,7 +417,7 @@ def _mutated_log_text(data) -> tuple[str, str]:
         del parent[path[-1]]
     else:
         parent[path[-1]] = _VALUE_MUTATIONS[mutation](parent[path[-1]])
-    return mutation, json.dumps(doc)
+    return mutation, path, json.dumps(doc)
 
 
 def _outcome(load, path):
@@ -374,11 +431,15 @@ def _outcome(load, path):
 @given(st.data())
 def test_array_loader_matches_the_state_walk(tmp_path_factory, data):
     """Every mutated file loads to the walk's log or fails with the walk's error."""
-    mutation, text = _mutated_log_text(data)
+    mutation, node, text = _mutated_log_text(data)
     path = tmp_path_factory.mktemp("logs") / "log.json"
     path.write_text(text, encoding="utf-8")
     want, got = _outcome(oracles.load_log_walk, path), _outcome(load_log, path)
-    if isinstance(want, OverflowError) or mutation in ("non-canonical key", "non-canonical duplicate key"):
+    state_number = node[2:3] == ("states",) and (len(node) == 6 or node[-1] == "heading")
+    if (
+        isinstance(want, OverflowError) or mutation in ("non-canonical key", "non-canonical duplicate key")
+        or (mutation == "bool" and state_number)  # the walk reads true as 1.0
+    ):
         assert isinstance(got, MalformedFile), (mutation, want, got)
     elif isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
