@@ -10,12 +10,15 @@ for BENCHMARK.json's run length in a fresh process, and keeps the JSON result
 line it prints last, with the machine line, the seed and ``--seconds``. Then,
 in one more fresh process, sweeps ``scenes.argo_log`` at 50, 70 and 200
 objects x 150 frames, timing ``save_log`` then ``load_log`` of the log (up to
-its columnar view, which some versions build on first use), each of the 13
-scenario functions called as the benchmark's ``argo_files`` queries call it,
-and ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
-frames) against all tracks. Sweep times are unscaled seconds, the median of
-SWEEP_REPEATS, given with the host scale ``run.py`` would apply to a time
-measured between the row's calibrations. Each row also holds the SHA-256 of
+its columnar view, which some versions build on first use), the build of the
+log's neighbour table on a freshly loaded log (``hota_table_s``; null where the
+checkout has none), each of the 13 scenario functions called as the
+benchmark's ``argo_files`` queries call it, and ``hota_temporal`` and
+``hota_full`` scoring every other track (all of its frames) against all
+tracks. The HOTA rows reuse one log, so after their first repeat its table is
+built, and only ``hota_table_s`` shows what building it costs. Sweep times
+are unscaled seconds, the median of SWEEP_REPEATS, given with the host scale
+``run.py`` would apply to a time measured between the row's calibrations. Each row also holds the SHA-256 of
 the file ``save_log`` wrote, so two checkouts' rows show whether they write
 the same bytes. Nothing gates the sweep.
 
@@ -81,6 +84,24 @@ def _median_time(action, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _table_time(path: str, repeats: int) -> float | None:
+    """Median time to build the neighbour table HOTA scores from, each time on a freshly loaded log.
+
+    None for a checkout whose logs have no such table.
+    """
+    from scenemine.tracklog import LogColumns, load_log
+
+    if not hasattr(LogColumns, "neighbours"):
+        return None
+    times = []
+    for _ in range(repeats):
+        view = load_log(path).columns
+        start = time.perf_counter()
+        view.neighbours
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def predicate_calls(log) -> dict:
     """Each scenario function, called with the arguments an ``argo_files`` query gives it."""
     from scenemine import predicates as p
@@ -136,6 +157,7 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
         }
         with open(path, "rb") as fh:
             row["log_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        row["hota_table_s"] = _table_time(path, repeats)
     row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
@@ -180,8 +202,9 @@ def main(argv=None) -> int:
     )
     sweep = json.loads(done.stdout.splitlines()[-1])
     for row in sweep["rows"]:
+        table = "none" if row["hota_table_s"] is None else f"{row['hota_table_s']:.3f} s"
         print(
-            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, "
+            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, hota_table {table}, "
             f"predicates {sum(row['predicate_s'].values()):.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s"
         )

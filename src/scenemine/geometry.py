@@ -1,6 +1,7 @@
-"""Planar geometric kernels shared by the scenario predicates.
+"""Geometric kernels shared by the scenario predicates and by scoring.
 
-All quantities are expressed in the observer's body frame: +longitudinal is
+Apart from the 3D centre-distance similarity that HOTA scores with, all
+quantities are expressed in the observer's body frame: +longitudinal is
 the heading direction, +lateral is the observer's left. Angles are radians.
 Kernels take floats or numpy arrays and answer elementwise. Their decisions
 match the scalar ``math`` definitions bit for bit: numpy's ``hypot`` and
@@ -12,12 +13,25 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 
 GUARD = 1e-9
 HALF_ANGLE = math.pi / 4  # half-width of each direction cone
 TWO_PI = 2 * math.pi
+
+# Array code over pairs of tracks sees [frames, tracks, tracks] arrays, a
+# block of frames at a time, so no temporary grows much past this many elements.
+BLOCK_ELEMENTS = 1 << 16
+
+SIMILARITY_SCALE_M = 2.0
+
+
+def center_distance_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """1 at zero distance, linearly down to 0 at SIMILARITY_SCALE_M metres, clamped."""
+    d = math.dist(a, b)
+    return max(0.0, 1.0 - d / SIMILARITY_SCALE_M)
 
 
 class Direction(enum.Enum):

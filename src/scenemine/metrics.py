@@ -18,6 +18,10 @@ a component alone gives the same pairs as matching the whole frame, and the
 association sums add the same terms in the same order as a separate pass per
 alpha, so every score is bit-identical to that pass (``hota_per_alpha`` in
 the test oracles keeps it as the reference).
+
+Only centres under SIMILARITY_SCALE_M apart can match, so a log's candidate
+pairs come from its neighbour table (``LogColumns.neighbours``), built once
+per log and read by every ``hota_temporal`` and ``hota_full`` call on it.
 """
 
 from __future__ import annotations
@@ -25,29 +29,25 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InconsistentInput, UnknownTrack
+from .geometry import center_distance_similarity
 from .scenario_set import ScenarioSet
 from .tracklog import GroundTruthScenario, TrackLog
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
-SIMILARITY_SCALE_M = 2.0
-
 _MATCH_EPS = 1e-9
 
 Fragments = Mapping[str, Mapping[int, tuple[float, float, float]]]
-
-
-def center_distance_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """1 at zero distance, linearly down to 0 at SIMILARITY_SCALE_M metres, clamped."""
-    d = math.dist(a, b)
-    return max(0.0, 1.0 - d / SIMILARITY_SCALE_M)
+# pred track -> timestamp -> [(gt track, similarity above 0), ...] in gt id order
+Candidates = Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,36 @@ def hota_from_fragments(
     A fragment maps a track id to {timestamp: centre}. Per alpha, matching is
     restricted to pairs with similarity >= alpha; the association term for a
     matched pair (p, g) is their co-match count over the union of their
-    detection counts. Empty vs empty scores 1 by convention.
+    detection counts. Empty vs empty scores 1 by convention. The similarity
+    of every (pred, gt) pair present in a frame is computed here; logs score
+    through ``hota_temporal`` and ``hota_full``, which read theirs from the
+    log's neighbour table.
+    """
+    gt_items = sorted(gt.items())
+    candidates: dict[str, dict[int, list[tuple[str, float]]]] = {}
+    for p, frames in pred.items():
+        row = candidates[p] = {}
+        for ts, ppos in frames.items():
+            row[ts] = []
+            for g, gt_frames in gt_items:
+                if ts in gt_frames:
+                    s = center_distance_similarity(ppos, gt_frames[ts])
+                    if s > 0.0:
+                        row[ts].append((g, s))
+    return _hota(pred, gt, candidates, alphas)
+
+
+def _hota(
+    pred: Mapping[str, Collection[int]],
+    gt: Mapping[str, Collection[int]],
+    candidates: Candidates,
+    alphas: Sequence[float],
+) -> HotaResult:
+    """HOTA of pred vs gt, each track -> the timestamps it is detected at.
+
+    ``candidates[p][ts]`` lists, in gt id order, every (g, similarity) with
+    similarity above 0 that pred track p may match at a timestamp it is
+    detected at; a g not detected in gt there is skipped.
 
     Each frame is matched once per distinct eligible set, not once per
     alpha. With the alphas sorted, a pair of similarity s is eligible at
@@ -197,17 +226,21 @@ def hota_from_fragments(
             return _EMPTY_VS_EMPTY
         return HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in alphas))
 
-    timestamps: set[int] = set()
-    for frames in pred.values():
-        timestamps.update(frames)
-    for frames in gt.values():
-        timestamps.update(frames)
-
     # Band j of the sorted alphas is caller's alpha order[j].
     order = sorted(range(len(alphas)), key=alphas.__getitem__)
     bounds = [alphas[i] for i in order]
-    pred_items = sorted(pred.items())
-    gt_items = sorted(gt.items())
+    # timestamp -> {pair: similarity} and {pair: k} over its eligible pairs, in (pred id, gt id) order
+    sims_at: defaultdict[int, dict[tuple[str, str], float]] = defaultdict(dict)
+    bands_at: defaultdict[int, dict[tuple[str, str], int]] = defaultdict(dict)
+    for p, stamps in sorted(pred.items()):
+        row = candidates[p]
+        for ts in stamps:
+            for g, s in row[ts]:
+                if ts in gt.get(g, ()):
+                    k = bisect_right(bounds, s)
+                    if k:
+                        sims_at[ts][(p, g)] = s
+                        bands_at[ts][(p, g)] = k
     # pair -> (lo, hi) -> [frames matched at alphas lo..hi-1, first such frame]
     spans: dict[tuple[str, str], dict[tuple[int, int], list[int]]] = {}
 
@@ -215,21 +248,8 @@ def hota_from_fragments(
         """Record that ``pair`` is matched in the current frame at sorted alphas lo..hi-1."""
         spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])[0] += 1
 
-    for frame, ts in enumerate(sorted(timestamps)):
-        sims: dict[tuple[str, str], float] = {}
-        bands: dict[tuple[str, str], int] = {}
-        gts_here = [(g, frames[ts]) for g, frames in gt_items if ts in frames]
-        for p, frames in pred_items:
-            if ts not in frames:
-                continue
-            ppos = frames[ts]
-            for g, gpos in gts_here:
-                s = center_distance_similarity(ppos, gpos)
-                if s > 0.0:
-                    k = bisect_right(bounds, s)
-                    if k:
-                        sims[(p, g)] = s
-                        bands[(p, g)] = k
+    for frame in sorted(sims_at):
+        sims, bands = sims_at[frame], bands_at[frame]
         if len({p for p, _ in bands}) == len(bands) == len({g for _, g in bands}):
             # every degree is 1: each pair is matched wherever it is eligible
             for pair, k in bands.items():
@@ -283,43 +303,44 @@ def hota_from_fragments(
 # Scenario sets -> fragments
 
 
-def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool = False) -> dict:
-    """Positioned fragments for a scenario set's tracks.
+def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool = False) -> dict[str, Collection[int]]:
+    """Each of a scenario set's tracks -> the timestamps its fragment covers.
 
     With full_lifespan the fragment covers every frame the track exists in,
     so identity and detection quality are judged over whole tracks; without
     it only the flagged timestamps count.
     """
-    fragments: dict[str, dict[int, tuple[float, float, float]]] = {}
-    positions = log.columns.positions
+    fragments: dict[str, Collection[int]] = {}
+    neighbours = log.columns.neighbours  # keyed by every track, then by each timestamp it has a state at
     for track_id in scenario.tracks():
-        if track_id not in positions:
+        if track_id not in neighbours:
             raise UnknownTrack(f"scenario references track '{track_id}' absent from log '{log.log_id}'")
-        track = positions[track_id]
+        track = neighbours[track_id]
         if full_lifespan:
-            fragments[track_id] = dict(track)
+            fragments[track_id] = track.keys()
         else:
-            frames = {}
-            for ts in scenario.timestamps_for(track_id):
-                position = track.get(ts)
-                if position is None:
+            frames = scenario.timestamps_for(track_id)
+            for ts in frames:
+                if ts not in track:
                     raise InconsistentInput(
                         f"scenario flags track '{track_id}' at {ts} but the track has no state there"
                     )
-                frames[ts] = position
             fragments[track_id] = frames
     return fragments
 
 
 def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return hota_from_fragments(scenario_fragments(log, pred), scenario_fragments(log, gt))
+    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.columns.neighbours, DEFAULT_ALPHAS)
 
 
 def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over the flagged tracks extended to their full lifespans."""
-    return hota_from_fragments(
-        scenario_fragments(log, pred, full_lifespan=True), scenario_fragments(log, gt, full_lifespan=True)
+    return _hota(
+        scenario_fragments(log, pred, full_lifespan=True),
+        scenario_fragments(log, gt, full_lifespan=True),
+        log.columns.neighbours,
+        DEFAULT_ALPHAS,
     )
 
 

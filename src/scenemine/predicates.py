@@ -20,6 +20,7 @@ import numpy as np
 from .categories import DEFAULT_REGISTRY
 from .errors import InvalidEnumValue, InvalidParameter
 from .geometry import (
+    BLOCK_ELEMENTS,
     Direction,
     body_offset,
     crosses_front_plane,
@@ -80,11 +81,6 @@ def _scenario_set(log: TrackLog, cols: np.ndarray, mask: np.ndarray) -> Scenario
     return ScenarioSet(kept)
 
 
-# Pair tests see [frames, |tc|, |rc|] arrays, a block of frames at a time, so
-# no temporary grows much past this many elements.
-BLOCK_ELEMENTS = 1 << 16
-
-
 def _relate(
     log: TrackLog,
     track_candidates: ScenarioSet,
@@ -124,9 +120,9 @@ def get_objects_of_category(log: TrackLog, category: str) -> ScenarioSet:
     """All objects of one category, at every timestamp where they exist."""
     DEFAULT_REGISTRY.category(category)  # raises UnknownCategory for names outside the vocabulary
     view = log.columns
-    positions = view.positions
+    lifespans = view.lifespans
     return ScenarioSet(
-        {track: positions[track].keys() for track, kind in zip(view.track_ids, view.categories) if kind.name == category}
+        {track: lifespans[track] for track, kind in zip(view.track_ids, view.categories) if kind.name == category}
     )
 
 

@@ -79,7 +79,12 @@ class ScriptedProvider:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedProvider":
-        return cls(read_json(path, "fixture"))  # validated once, by __init__
+        """The provider a fixture file holds; every fault it has is a MalformedFile naming the file."""
+        fixture = read_json(path, "fixture")
+        try:
+            return cls(fixture)  # validated once, by __init__
+        except MalformedFile as exc:
+            raise MalformedFile(f"{path}: {exc}") from None
 
     def _match(self, prompt: str) -> str:
         best_key = None

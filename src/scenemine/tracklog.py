@@ -24,9 +24,14 @@ import numpy as np
 
 from .categories import DEFAULT_REGISTRY, ObjectCategory
 from .errors import InvariantViolation, MalformedFile
+from .geometry import BLOCK_ELEMENTS, SIMILARITY_SCALE_M, center_distance_similarity
 from .scenario_set import ScenarioSet
 
 Vec3 = tuple[float, float, float]
+
+# A squared centre distance numpy puts under this is a neighbour candidate: the
+# bound is a little wider than SIMILARITY_SCALE_M, so rounding drops none.
+_NEAR_SQUARED = (SIMILARITY_SCALE_M * (1 + 1e-9)) ** 2
 
 
 def _check_vec3(value: Vec3, what: str) -> None:
@@ -128,13 +133,43 @@ class LogColumns:
             yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
 
     @functools.cached_property
-    def positions(self) -> Mapping[str, Mapping[int, Vec3]]:
-        """Each track's {timestamp: (x, y, z)} where it has a state, built on first use and kept."""
+    def lifespans(self) -> Mapping[str, list[int]]:
+        """Each track's timestamps where it has a state, in order, built on first use and kept."""
         stamps = tuple(self.row)
         return {
-            track: {stamps[i]: (v[0], v[1], v[2]) for i, v in zip(rows, values)}
-            for track, _, rows, values in self.track_states()
+            track: [stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()]
+            for j, track in enumerate(self.track_ids)
         }
+
+    @functools.cached_property
+    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
+        """Each track's {timestamp: [(track, similarity), ...]} where it has a state, built on first use and kept.
+
+        A timestamp lists, in track order, every track present there whose
+        centre has a ``center_distance_similarity`` above 0 to this track's
+        (the track itself, at 1.0, included), with that similarity, this
+        track's centre first. A squared distance under a bound a little wider
+        than SIMILARITY_SCALE_M picks the candidates, a block of frames at a
+        time, so numpy's rounding can only add one; each candidate's
+        similarity is then the scalar function's value.
+        """
+        stamps, ids, centres = tuple(self.row), self.track_ids, (self.x, self.y, self.z)
+        table: dict[str, dict[int, list[tuple[str, float]]]] = {track: {} for track in ids}
+        step = max(1, BLOCK_ELEMENTS // max(1, len(ids) ** 2))
+        for start in range(0, len(stamps), step):
+            rows = slice(start, start + step)
+            with np.errstate(over="ignore"):  # centres too far apart to square are no candidates
+                dx, dy, dz = (v[rows, :, None] - v[rows, None, :] for v in centres)
+                near = dx * dx + dy * dy + dz * dz < _NEAR_SQUARED
+            here = self.present[rows]
+            r, i, j = np.nonzero(near & here[:, :, None] & here[:, None, :])
+            r += start
+            columns = (r.tolist(), i.tolist(), j.tolist(), *(v[r, k].tolist() for k in (i, j) for v in centres))
+            for row, a, b, ax, ay, az, bx, by, bz in zip(*columns):
+                s = center_distance_similarity((ax, ay, az), (bx, by, bz))
+                if s > 0.0:
+                    table[ids[a]].setdefault(stamps[row], []).append((ids[b], s))
+        return table
 
 
 class TrackLog:

@@ -175,6 +175,30 @@ def test_mine_scripted_requires_fixture(tmp_path, bundle_dir, capsys):
     assert "needs --fixture" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("top-level array", "must be a JSON object keyed by query hash"),
+        ("entry not an object", "must be an object"),
+        ("hash mismatch", "does not match the hash of its query text"),
+    ],
+)
+def test_misshapen_fixture_is_an_exit_naming_the_file(tmp_path, bundle_dir, capsys, fault, message):
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    fixture = json.loads(open(fixture_path, encoding="utf-8").read())
+    key, entry = next(iter(fixture.items()))
+    shape = {
+        "top-level array": [entry],
+        "entry not an object": {key: entry["replies"]},
+        "hash mismatch": {"0" * 64: entry},
+    }[fault]
+    bad = _write(tmp_path / "misshapen-fixture.json", json.dumps(shape))
+    capsys.readouterr()
+    assert main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out, "--fixture", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err and message in err and "Traceback" not in err
+
+
 def test_mine_unknown_provider_in_config(tmp_path, bundle_dir, capsys):
     queries_path, _, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
     config_path = _write(tmp_path / "config.json", json.dumps({"provider": "telepathy"}))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scenemine.errors import InconsistentInput, UnknownTrack
 from scenemine.metrics import (
     DEFAULT_ALPHAS,
+    _hota,
     _lexmin_matching,
     center_distance_similarity,
     evaluate,
@@ -22,7 +23,7 @@ from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import GroundTruthScenario
 
 import oracles
-from util import T0, DT, make_log, obj, sset, stamps, state, static_obj
+from util import T0, DT, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
 
 TS = stamps(3)
 
@@ -165,7 +166,7 @@ def _partial_log():
 def test_scenario_fragments_flagged_only():
     log = _partial_log()
     frags = scenario_fragments(log, sset({"x": TS[:2]}))
-    assert frags == {"x": {TS[0]: (0.0, 0.0, 0.0), TS[1]: (1.0, 0.0, 0.0)}}
+    assert frags == {"x": {TS[0], TS[1]}}
 
 
 def test_scenario_fragments_full_lifespan():
@@ -255,6 +256,40 @@ _ALPHAS = st.one_of(
 @given(_TIE_FRAGMENTS, _TIE_FRAGMENTS, _ALPHAS)
 def test_hota_is_bit_identical_to_one_pass_per_alpha(pred, gt, alphas):
     assert hota_from_fragments(pred, gt, alphas) == oracles.hota_per_alpha(pred, gt, alphas)
+
+
+@st.composite
+def _log_and_scenarios(draw):
+    """A near-pair log with a predicted and a ground-truth scenario set drawn from its (track, timestamp) pairs."""
+    log = draw(near_pair_logs())
+    present = [(track, ts) for track, o in sorted(log.objects.items()) for ts in sorted(o.states)]
+    pred, gt = (ScenarioSet.from_pairs(draw(st.sets(st.sampled_from(present)))) for _ in range(2))
+    return log, pred, gt
+
+
+def _positioned(log, scenario, full_lifespan):
+    """Fragments with centres, read from the log's objects."""
+    out = {}
+    for track in scenario.tracks():
+        states = log.objects[track].states
+        out[track] = {ts: states[ts].position for ts in (states if full_lifespan else scenario.timestamps_for(track))}
+    return out
+
+
+_TINY_ALPHAS = (math.ulp(0.0), 0.5)
+
+
+@settings(max_examples=150)
+@given(_log_and_scenarios())
+def test_log_hota_is_bit_identical_to_one_pass_per_alpha_on_positions(drawn):
+    log, pred, gt = drawn
+    for score, full in ((hota_temporal, False), (hota_full, True)):
+        expected = oracles.hota_per_alpha(_positioned(log, pred, full), _positioned(log, gt, full))
+        assert score(pred, gt, log) == expected
+        # at an alpha of the least positive float every pair above 0 is eligible, even one an ulp inside 2 m
+        fragments = (scenario_fragments(log, pred, full), scenario_fragments(log, gt, full))
+        expected = oracles.hota_per_alpha(_positioned(log, pred, full), _positioned(log, gt, full), _TINY_ALPHAS)
+        assert _hota(*fragments, log.columns.neighbours, _TINY_ALPHAS) == expected
 
 
 _ELIGIBLE = st.dictionaries(

@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import sys
@@ -6,11 +9,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scenemine import cli, tracklog
 from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.errors import InvariantViolation, MalformedFile
+from scenemine.geometry import center_distance_similarity
+from scenemine.metrics import evaluate
+from scenemine.providers import make_fixture
 from scenemine.scenario_set import ScenarioSet
+from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 from scenemine.tracklog import (
     GroundTruthScenario,
+    LogColumns,
     ObjectState,
     TrackedObject,
     TrackLog,
@@ -24,7 +33,9 @@ from scenemine.tracklog import (
 )
 
 import oracles
-from util import make_log, obj, random_track_log, random_track_objects, sset, state, stamps, static_obj
+from util import (
+    make_log, near_pair_logs, obj, random_track_log, random_track_objects, sset, state, stamps, static_obj,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenebench"))
 import scenes  # noqa: E402  the benchmark's Argoverse-shaped logs
@@ -154,6 +165,81 @@ def test_view_arrays_equal_the_logged_states(seed):
                 view.cos_heading, view.sin_heading, view.speed, view.velocity_angle,
             )
             assert tuple(a[i, j] for a in got) == want
+
+
+def _scanned_neighbours(log):
+    """Each track's {timestamp: [(track, similarity)]} by scoring every pair of tracks present in a frame."""
+    objects = sorted(log.objects.items())
+    return {
+        track: {
+            ts: [
+                (other, s)
+                for other, o in objects
+                if ts in o.states and (s := center_distance_similarity(st_.position, o.states[ts].position)) > 0.0
+            ]
+            for ts, st_ in obj_.states.items()
+        }
+        for track, obj_ in objects
+    }
+
+
+@settings(max_examples=200)
+@given(near_pair_logs())
+def test_neighbour_table_equals_a_scan_of_every_pair(log):
+    assert log.columns.neighbours == _scanned_neighbours(log)
+
+
+@pytest.mark.parametrize("budget", [1, 2000, 1 << 16])  # a frame, 5 frames and all 10 frames a block
+def test_neighbour_table_is_the_same_in_any_block_size(monkeypatch, budget):
+    monkeypatch.setattr(tracklog, "BLOCK_ELEMENTS", budget)
+    log = scenes.argo_log(0, 0, 20, num_frames=10)
+    table = log.columns.neighbours
+    assert table == _scanned_neighbours(log)
+    assert any(len(near) > 1 for row in table.values() for near in row.values())  # not only the self pairs
+
+
+def _counted_table_builds(monkeypatch) -> list:
+    """The views whose neighbour table is built from now on, one entry per build."""
+    built = []
+    build = LogColumns.__dict__["neighbours"].func
+
+    def counted(view):
+        built.append(view)
+        return build(view)
+
+    table = functools.cached_property(counted)
+    table.__set_name__(LogColumns, "neighbours")
+    monkeypatch.setattr(LogColumns, "neighbours", table)
+    return built
+
+
+def test_neighbour_table_is_built_once_per_log_and_only_to_score(tmp_path, monkeypatch):
+    built = _counted_table_builds(monkeypatch)
+    data = tmp_path / "data"
+    write_bundle(generate_scenario_log(ScenarioSpec("near", 7)), str(data))
+    path = data / "near-0007.json"
+    save_log(load_log(path), path)
+    queries = ["trucks in the scene", "buses in the scene", "vehicles in the scene"]
+    fixture = make_fixture({q: ['```\nx = get_objects_of_category(category="TRUCK")\noutput(x)\n```'] for q in queries})
+    (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+    (tmp_path / "queries.txt").write_text("\n".join(queries) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["validate", "--logs", str(data), "--gt", str(data / "near-0007.gt.json")]) == 0
+        assert cli.main([
+            "mine", "--queries", str(tmp_path / "queries.txt"), "--logs", str(data),
+            "--out", str(tmp_path / "run"), "--fixture", str(tmp_path / "fixture.json"),
+        ]) == 0
+    assert built == []  # loading, saving, validating and mining score nothing
+
+    log = load_log(path)
+    every = ScenarioSet({track: log.objects[track].states for track in log.objects})
+    first = ScenarioSet({track: list(log.objects[track].states)[:1] for track in log.objects})
+    report = evaluate(
+        {q: {log.log_id: first} for q in queries},
+        [GroundTruthScenario(q, log.log_id, every) for q in queries],
+        {log.log_id: log},
+    )
+    assert len(report.pairs) == 3 and built == [log.columns]  # six HOTA calls, one table
 
 
 def test_ground_truth_validate_against():

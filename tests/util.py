@@ -6,6 +6,8 @@ import math
 import random
 from typing import Iterable
 
+from hypothesis import strategies as st
+
 from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.errors import ProviderError
 from scenemine.geometry import wrap_angle
@@ -119,3 +121,34 @@ def random_track_objects(seed: int, max_objects: int = 10, max_frames: int = 50)
             y += rng.uniform(-1.5, 1.5)
         objects.append(TrackedObject(f"obj-{k:02d}", DEFAULT_REGISTRY.category(category), states))
     return timestamps, objects
+
+
+# Offsets from an anchor at the origin around the 2 m at which centre-distance
+# similarity reaches 0: exactly 2 m and one ulp either side, on an axis and in
+# z alone; coincident; inside; two under 2 m by math.dist whose squares sum,
+# in float arithmetic, to 4.0 or more; and two too far apart to square.
+NEAR_OFFSETS = (
+    (1.5e308, 0.0, 0.0),
+    (-1.5e308, 0.0, 0.0),
+    (2.0, 0.0, 0.0),
+    (math.nextafter(2.0, 0.0), 0.0, 0.0),
+    (math.nextafter(2.0, 3.0), 0.0, 0.0),
+    (0.0, 0.0, -2.0),
+    (0.0, 0.0, math.nextafter(2.0, 0.0)),
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0),
+    (-1.0, 0.5, 0.25),
+    (1.621342063065417, 1.1710038063707466, 0.0),
+    (1.8393530254597295, -0.43907593341895196, 0.6511472739898521),
+)
+
+
+@st.composite
+def near_pair_logs(draw) -> TrackLog:
+    """A random_track_log's objects plus an anchor and probes at NEAR_OFFSETS from it, each in some frames only."""
+    timestamps, objects = random_track_objects(draw(st.integers(0, 200)), max_objects=5, max_frames=8)
+    some_frames = st.sets(st.sampled_from(timestamps), min_size=1)
+    objects.append(obj("anchor", "REGULAR_VEHICLE", {ts: state(0.0, 0.0) for ts in draw(some_frames)}))
+    for k, (x, y, z) in enumerate(draw(st.lists(st.sampled_from(NEAR_OFFSETS), max_size=4))):
+        objects.append(obj(f"probe-{k}", "PEDESTRIAN", {ts: state(x, y, z=z) for ts in draw(some_frames)}))
+    return TrackLog.build("near-pairs", timestamps, objects)
