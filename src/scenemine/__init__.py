@@ -14,13 +14,12 @@ from .errors import (
     ProviderError,
     ScenarioMiningError,
 )
+from .geometry import center_distance_similarity
 from .metrics import (
     DEFAULT_ALPHAS,
     EvalReport,
     HotaResult,
-    center_distance_similarity,
     evaluate,
-    hota_from_fragments,
     hota_full,
     hota_temporal,
     timestamp_f1,
@@ -92,7 +91,6 @@ __all__ = [
     "execute",
     "extract_code",
     "generate_scenario_log",
-    "hota_from_fragments",
     "hota_full",
     "hota_temporal",
     "interpret",

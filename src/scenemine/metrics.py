@@ -37,7 +37,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InconsistentInput, UnknownTrack
-from .geometry import center_distance_similarity
 from .scenario_set import ScenarioSet
 from .tracklog import GroundTruthScenario, TrackLog
 
@@ -45,7 +44,6 @@ DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
 _MATCH_EPS = 1e-9
 
-Fragments = Mapping[str, Mapping[int, tuple[float, float, float]]]
 # pred track -> timestamp -> [(gt track, similarity above 0), ...] in gt id order
 Candidates = Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]
 
@@ -140,7 +138,7 @@ def _lexmin_component(eligible: Mapping[tuple[str, str], float]) -> list[tuple[s
 
 
 # ---------------------------------------------------------------------------
-# HOTA over detection fragments
+# HOTA over detection timestamps
 
 
 @dataclass(frozen=True)
@@ -162,55 +160,29 @@ class HotaResult:
 _EMPTY_VS_EMPTY = HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in DEFAULT_ALPHAS))
 
 
-def hota_from_fragments(
-    pred: Fragments,
-    gt: Fragments,
-    alphas: Sequence[float] = DEFAULT_ALPHAS,
-) -> HotaResult:
-    """Detection + association accuracy over positioned fragments.
-
-    A fragment maps a track id to {timestamp: centre}. Per alpha, matching is
-    restricted to pairs with similarity >= alpha; the association term for a
-    matched pair (p, g) is their co-match count over the union of their
-    detection counts. Empty vs empty scores 1 by convention. The similarity
-    of every (pred, gt) pair present in a frame is computed here; logs score
-    through ``hota_temporal`` and ``hota_full``, which read theirs from the
-    log's neighbour table.
-    """
-    gt_items = sorted(gt.items())
-    candidates: dict[str, dict[int, list[tuple[str, float]]]] = {}
-    for p, frames in pred.items():
-        row = candidates[p] = {}
-        for ts, ppos in frames.items():
-            row[ts] = []
-            for g, gt_frames in gt_items:
-                if ts in gt_frames:
-                    s = center_distance_similarity(ppos, gt_frames[ts])
-                    if s > 0.0:
-                        row[ts].append((g, s))
-    return _hota(pred, gt, candidates, alphas)
-
-
 def _hota(
     pred: Mapping[str, Collection[int]],
     gt: Mapping[str, Collection[int]],
     candidates: Candidates,
-    alphas: Sequence[float],
 ) -> HotaResult:
     """HOTA of pred vs gt, each track -> the timestamps it is detected at.
 
     ``candidates[p][ts]`` lists, in gt id order, every (g, similarity) with
     similarity above 0 that pred track p may match at a timestamp it is
-    detected at; a g not detected in gt there is skipped.
+    detected at; a g not detected in gt there is skipped. Per alpha of
+    DEFAULT_ALPHAS, matching is restricted to pairs with similarity >= alpha;
+    the association term for a matched pair (p, g) is their co-match count
+    over the union of their detection counts. Empty vs empty scores 1 by
+    convention.
 
     Each frame is matched once per distinct eligible set, not once per
-    alpha. With the alphas sorted, a pair of similarity s is eligible at
-    exactly the first k = bisect_right(alphas, s) of them, so a frame's
-    eligible set changes only at its pairs' distinct k. Each connected
-    component of the frame's pairs is matched once per band between
-    consecutive distinct k, and the matches are credited to that band's
-    alphas; a frame whose every degree is 1 needs no matching at all. The
-    per-alpha match sets are therefore the ones a separate pass per alpha
+    alpha. The alphas ascend, so a pair of similarity s is eligible at
+    exactly the first k = bisect_right(DEFAULT_ALPHAS, s) of them, and a
+    frame's eligible set changes only at its pairs' distinct k. Each
+    connected component of the frame's pairs is matched once per band
+    between consecutive distinct k, and the matches are credited to that
+    band's alphas; a frame whose every degree is 1 needs no matching at all.
+    The per-alpha match sets are therefore the ones a separate pass per alpha
     finds. The association sum then adds its terms per alpha in order of
     (first frame matched at that alpha, pair), which is the order a per-alpha
     pass meets them, since every frame's matches are sorted. The scores are
@@ -222,13 +194,8 @@ def _hota(
     total_pred = sum(pred_counts.values())
     total_gt = sum(gt_counts.values())
     if total_pred == 0 and total_gt == 0:
-        if alphas is DEFAULT_ALPHAS:
-            return _EMPTY_VS_EMPTY
-        return HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in alphas))
+        return _EMPTY_VS_EMPTY
 
-    # Band j of the sorted alphas is caller's alpha order[j].
-    order = sorted(range(len(alphas)), key=alphas.__getitem__)
-    bounds = [alphas[i] for i in order]
     # timestamp -> {pair: similarity} and {pair: k} over its eligible pairs, in (pred id, gt id) order
     sims_at: defaultdict[int, dict[tuple[str, str], float]] = defaultdict(dict)
     bands_at: defaultdict[int, dict[tuple[str, str], int]] = defaultdict(dict)
@@ -237,7 +204,7 @@ def _hota(
         for ts in stamps:
             for g, s in row[ts]:
                 if ts in gt.get(g, ()):
-                    k = bisect_right(bounds, s)
+                    k = bisect_right(DEFAULT_ALPHAS, s)
                     if k:
                         sims_at[ts][(p, g)] = s
                         bands_at[ts][(p, g)] = k
@@ -245,7 +212,7 @@ def _hota(
     spans: dict[tuple[str, str], dict[tuple[int, int], list[int]]] = {}
 
     def credit(pair: tuple[str, str], lo: int, hi: int) -> None:
-        """Record that ``pair`` is matched in the current frame at sorted alphas lo..hi-1."""
+        """Record that ``pair`` is matched in the current frame at alphas lo..hi-1."""
         spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])[0] += 1
 
     for frame in sorted(sims_at):
@@ -265,12 +232,12 @@ def _hota(
 
     # Between consecutive span ends every pair's count and first frame are
     # constant, so each such run of alphas shares one association sum.
-    ends = {0, len(bounds)}
+    ends = {0, len(DEFAULT_ALPHAS)}
     for by_span in spans.values():
         for span in by_span:
             ends.update(span)
     edges = sorted(ends)
-    per_alpha: list[AlphaScore | None] = [None] * len(alphas)
+    per_alpha: list[AlphaScore] = []
     for lo, hi in zip(edges, edges[1:]):
         # (first frame matched at these alphas, pair, frames matched there)
         entries = []
@@ -293,8 +260,7 @@ def _hota(
             assoc += c * (c / (pred_counts[p] + gt_counts[g] - c))
         denom = tp + fn + fp
         score = math.sqrt(assoc / denom) if denom else 1.0
-        for j in range(lo, hi):
-            per_alpha[order[j]] = AlphaScore(bounds[j], score, tp, fn, fp, assoc)
+        per_alpha += (AlphaScore(alpha, score, tp, fn, fp, assoc) for alpha in DEFAULT_ALPHAS[lo:hi])
     final = sum(a.score for a in per_alpha) / len(per_alpha)
     return HotaResult(final, tuple(per_alpha))
 
@@ -331,7 +297,7 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
 
 def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.columns.neighbours, DEFAULT_ALPHAS)
+    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.columns.neighbours)
 
 
 def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
@@ -340,7 +306,6 @@ def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
         scenario_fragments(log, pred, full_lifespan=True),
         scenario_fragments(log, gt, full_lifespan=True),
         log.columns.neighbours,
-        DEFAULT_ALPHAS,
     )
 
 

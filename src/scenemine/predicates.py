@@ -106,7 +106,11 @@ def _relate(
     step = max(1, BLOCK_ELEMENTS // (tc.size * rc.size))
     for start in range(0, len(log.timestamps), step):
         rows = slice(start, start + step)
-        counts[rows] = (pair_test(rows, tc, rc) & other & related_mask[rows, None, :]).sum(axis=2)
+        # An offset between centres more than the largest float apart is +-inf, and inf - inf is
+        # nan, as in the scalar definitions' Python floats, which do not warn either.
+        with np.errstate(over="ignore", invalid="ignore"):
+            passed = pair_test(rows, tc, rc)
+        counts[rows] = (passed & other & related_mask[rows, None, :]).sum(axis=2)
     return _scenario_set(log, tc, track_mask & (at_least <= counts) & (counts <= at_most))
 
 

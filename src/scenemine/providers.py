@@ -113,6 +113,8 @@ class HttpProvider:
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, timeout: float = 60.0):
         if not endpoint:
             raise ProviderError("endpoint URL is required")
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ProviderError(f"endpoint {endpoint!r} must be an http:// or https:// URL")
         if not model:
             raise ProviderError("model name is required")
         self.endpoint = endpoint

@@ -17,7 +17,7 @@ from scenemine.cli import main
 from scenemine.ablation import run_ablation
 from scenemine.dsl import interpret, parse
 from scenemine.errors import InvariantViolation, MalformedFile
-from scenemine.metrics import DEFAULT_ALPHAS, evaluate, hota_from_fragments, timestamp_f1
+from scenemine.metrics import DEFAULT_ALPHAS, evaluate, hota_temporal, timestamp_f1
 from scenemine.orchestrator import (
     STATUS_FAILED,
     STATUS_SUCCEEDED,
@@ -52,7 +52,7 @@ from scenemine.tracklog import (
     save_log,
 )
 
-from util import as_dict, make_log, random_track_log, sset, stamps, static_obj
+from util import as_dict, fragment_log, make_log, random_track_log, sset, stamps, static_obj
 
 FEEDBACK_RE = re.compile(
     r"This is the code generated last time: .*, with the error message: .*\."
@@ -264,7 +264,8 @@ def test_hota_matches_the_enumeration_oracle_on_small_instances():
         rng = random.Random(seed)
         pred = random_fragments(rng, ["p1", "p2", "p3"])
         gt = random_fragments(rng, ["g1", "g2", "g3"])
-        result = hota_from_fragments(pred, gt)
+        log, pred_set, gt_set = fragment_log(pred, gt)
+        result = hota_temporal(pred_set, gt_set, log)
         oracle_score, oracle_alphas = oracles.hota(pred, gt, DEFAULT_ALPHAS)
         assert result.score == pytest.approx(oracle_score, abs=1e-9)
         for ours, (_, theirs) in zip(result.per_alpha, oracle_alphas):

@@ -339,6 +339,20 @@ def test_mine_http_needs_endpoint_and_model(tmp_path, bundle_dir, capsys):
     assert "--endpoint and --model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "ftp://api.test/v1", "api.test/v1"])
+def test_mine_http_rejects_an_endpoint_without_an_http_scheme(tmp_path, bundle_dir, capsys, monkeypatch, endpoint):
+    def fake_urlopen(request, timeout=None):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
+    queries_path, _, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", out,
+                 "--provider", "http", "--endpoint", endpoint, "--model", "m-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert endpoint in err and "http://" in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

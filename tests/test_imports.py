@@ -51,3 +51,9 @@ def test_module_uses_every_import(module):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert unused == {}, f"{module}: imported but never used (name: line) {unused}"
+
+
+def test_every_public_name_resolves():
+    """``__init__.py`` is skipped above, so a stale export would only show here."""
+    assert len(set(scenemine.__all__)) == len(scenemine.__all__)
+    assert [name for name in scenemine.__all__ if not hasattr(scenemine, name)] == []

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenemine.errors import InconsistentInput, UnknownTrack
+from scenemine.geometry import center_distance_similarity
 from scenemine.metrics import (
     DEFAULT_ALPHAS,
-    _hota,
     _lexmin_matching,
-    center_distance_similarity,
     evaluate,
     f1_from_counts,
-    hota_from_fragments,
     hota_full,
     hota_temporal,
     scenario_fragments,
@@ -23,9 +21,15 @@ from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import GroundTruthScenario
 
 import oracles
-from util import T0, DT, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
+from util import T0, DT, fragment_log, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
 
 TS = stamps(3)
+
+
+def _hota_of(pred, gt):
+    """hota_temporal of hand-written {track: {ts: centre}} fragments, scored on a log that holds them."""
+    log, pred_set, gt_set = fragment_log(pred, gt)
+    return hota_temporal(pred_set, gt_set, log)
 
 
 def test_default_alphas_are_the_nineteen_twentieths():
@@ -71,7 +75,7 @@ def test_lexmin_matching_prefers_total_over_cardinality():
 
 
 # ---------------------------------------------------------------------------
-# HOTA over fragments: frozen cases
+# HOTA over hand-written fragments: frozen cases
 
 
 def _swap_fragments():
@@ -91,7 +95,7 @@ def test_identity_swap_costs_association_not_detection():
     similarity 1, so TP=6 with no misses, but the association term drops to
     2.4 and the score lands at sqrt(0.4) for every alpha."""
     pred, gt = _swap_fragments()
-    result = hota_from_fragments(pred, gt)
+    result = _hota_of(pred, gt)
     assert result.score == 0.6324555320336759
     assert result.score == math.sqrt(0.4)
     for a in result.per_alpha:
@@ -102,7 +106,7 @@ def test_identity_swap_costs_association_not_detection():
 
 def test_identity_swap_matches_oracle_exactly():
     pred, gt = _swap_fragments()
-    result = hota_from_fragments(pred, gt)
+    result = _hota_of(pred, gt)
     oracle_score, oracle_alphas = oracles.hota(pred, gt, DEFAULT_ALPHAS)
     assert result.score == oracle_score
     assert [a.score for a in result.per_alpha] == [s for _, s in oracle_alphas]
@@ -110,38 +114,39 @@ def test_identity_swap_matches_oracle_exactly():
 
 def test_perfect_tracking_scores_one():
     _, gt = _swap_fragments()
-    result = hota_from_fragments(gt, gt)
+    result = _hota_of(gt, gt)
     assert result.score == 1.0
     assert all(a.score == 1.0 and a.tp == 6 and a.fn == a.fp == 0 for a in result.per_alpha)
 
 
 def test_empty_conventions():
-    both = hota_from_fragments({}, {})
+    both = _hota_of({}, {})
     assert both.score == 1.0
     assert all(a == a.__class__(a.alpha, 1.0, 0, 0, 0, 0.0) for a in both.per_alpha)
 
     _, gt = _swap_fragments()
-    assert hota_from_fragments({}, gt).score == 0.0
-    assert hota_from_fragments(gt, {}).score == 0.0
+    assert _hota_of({}, gt).score == 0.0
+    assert _hota_of(gt, {}).score == 0.0
     # tracks with no frames are dropped before counting
-    assert hota_from_fragments({"x": {}}, {"y": {}}).score == 1.0
+    assert _hota_of({"x": {}}, {"y": {}}).score == 1.0
 
 
 def test_tie_break_is_deterministic_and_lex_min():
     pred = {"p1": {TS[0]: (0.0, 0.0, 0.0), TS[1]: (50.0, 0.0, 0.0)}, "p2": {TS[0]: (1.0, 0.0, 0.0)}}
     gt = {"g": {TS[0]: (0.5, 0.0, 0.0)}}
-    result = hota_from_fragments(pred, gt, alphas=(0.5,))
+    at_half = _hota_of(pred, gt).per_alpha[DEFAULT_ALPHAS.index(0.5)]
     # p1 and p2 tie at similarity 0.75; the lex-min match (p1, g) has the
     # bigger union so the association term is 1/2, not 1
-    assert result.per_alpha[0].assoc_sum == 0.5
-    assert result.score == math.sqrt(0.5 / 3)
-    assert result.score == oracles.hota(pred, gt, (0.5,))[0]
+    assert at_half.alpha == 0.5
+    assert at_half.assoc_sum == 0.5
+    assert at_half.score == math.sqrt(0.5 / 3)
+    assert at_half.score == oracles.hota(pred, gt, (0.5,))[0]
 
 
 def test_alpha_threshold_excludes_weak_pairs():
     pred = {"p": {TS[0]: (1.0, 0.0, 0.0)}}
     gt = {"g": {TS[0]: (0.0, 0.0, 0.0)}}
-    result = hota_from_fragments(pred, gt, alphas=(0.25, 0.5, 0.75))
+    result = _hota_of(pred, gt)
     by_alpha = {a.alpha: a for a in result.per_alpha}
     assert by_alpha[0.25].tp == 1
     assert by_alpha[0.5].tp == 1  # similarity 0.5 is still eligible at 0.5
@@ -215,7 +220,7 @@ def _fragments(names):
 
 @given(_fragments(["p1", "p2", "p3"]), _fragments(["g1", "g2", "g3"]))
 def test_hota_matches_enumeration_oracle(pred, gt):
-    result = hota_from_fragments(pred, gt)
+    result = _hota_of(pred, gt)
     oracle_score, oracle_alphas = oracles.hota(pred, gt, DEFAULT_ALPHAS)
     assert result.score == pytest.approx(oracle_score, abs=1e-9)
     for ours, (alpha, theirs) in zip(result.per_alpha, oracle_alphas):
@@ -225,7 +230,7 @@ def test_hota_matches_enumeration_oracle(pred, gt):
 
 @given(_fragments(["p1", "p2"]), _fragments(["g1", "g2"]))
 def test_hota_score_is_bounded(pred, gt):
-    result = hota_from_fragments(pred, gt)
+    result = _hota_of(pred, gt)
     assert 0.0 <= result.score <= 1.0
 
 
@@ -233,38 +238,36 @@ def test_hota_score_is_bounded(pred, gt):
 # Bit-exact equivalence with one matching pass per alpha
 
 # Centres on a 0.5 m grid put similarities exactly on the alpha bounds
-# 0.25, 0.5 and 0.75 and make ties; up to six tracks a side give frames where
-# a track has several candidates and frames with several components. Both
-# sides draw ids from one pool, as hota_full's do.
+# 0.25, 0.5 and 0.75 and make ties; up to six tracks give frames where a
+# track has several candidates and frames with several components. Both
+# sides flag tracks from one pool, as hota_full's do, so a frame can pair a
+# track with itself.
 _GRID = st.tuples(
     st.sampled_from([i * 0.5 for i in range(7)]),
     st.sampled_from([0.0, 0.5, 1.0, 1.5]),
     st.just(0.0),
 )
-_TIE_FRAGMENTS = st.dictionaries(
+_TIE_POOL = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d", "e", "f"]),
     st.dictionaries(st.sampled_from(stamps(4)), _GRID, max_size=4),
     max_size=6,
 )
-_ALPHAS = st.one_of(
-    st.just(DEFAULT_ALPHAS),
-    st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=5).map(tuple),
-)
-
-
-@settings(max_examples=300)
-@given(_TIE_FRAGMENTS, _TIE_FRAGMENTS, _ALPHAS)
-def test_hota_is_bit_identical_to_one_pass_per_alpha(pred, gt, alphas):
-    assert hota_from_fragments(pred, gt, alphas) == oracles.hota_per_alpha(pred, gt, alphas)
 
 
 @st.composite
-def _log_and_scenarios(draw):
-    """A near-pair log with a predicted and a ground-truth scenario set drawn from its (track, timestamp) pairs."""
-    log = draw(near_pair_logs())
-    present = [(track, ts) for track, o in sorted(log.objects.items()) for ts in sorted(o.states)]
-    pred, gt = (ScenarioSet.from_pairs(draw(st.sets(st.sampled_from(present)))) for _ in range(2))
-    return log, pred, gt
+def _tie_fragments(draw):
+    """Pred and gt fragments, each flagging some of one tie-heavy pool's (track, timestamp) centres."""
+    pool = draw(_TIE_POOL)
+    present = [(track, ts) for track, frames in sorted(pool.items()) for ts in sorted(frames)]
+    if not present:
+        return {}, {}
+    sides = []
+    for _ in range(2):
+        side: dict = {}
+        for track, ts in draw(st.sets(st.sampled_from(present))):
+            side.setdefault(track, {})[ts] = pool[track][ts]
+        sides.append(side)
+    return sides
 
 
 def _positioned(log, scenario, full_lifespan):
@@ -276,20 +279,31 @@ def _positioned(log, scenario, full_lifespan):
     return out
 
 
-_TINY_ALPHAS = (math.ulp(0.0), 0.5)
+def _assert_log_hota_is_one_pass_per_alpha(log, pred, gt):
+    for score, full in ((hota_temporal, False), (hota_full, True)):
+        expected = oracles.hota_per_alpha(_positioned(log, pred, full), _positioned(log, gt, full))
+        assert score(pred, gt, log) == expected
+
+
+@settings(max_examples=300)
+@given(_tie_fragments())
+def test_hota_is_bit_identical_to_one_pass_per_alpha(fragments):
+    _assert_log_hota_is_one_pass_per_alpha(*fragment_log(*fragments))
+
+
+@st.composite
+def _log_and_scenarios(draw):
+    """A near-pair log with a predicted and a ground-truth scenario set drawn from its (track, timestamp) pairs."""
+    log = draw(near_pair_logs())
+    present = [(track, ts) for track, o in sorted(log.objects.items()) for ts in sorted(o.states)]
+    pred, gt = (ScenarioSet.from_pairs(draw(st.sets(st.sampled_from(present)))) for _ in range(2))
+    return log, pred, gt
 
 
 @settings(max_examples=150)
 @given(_log_and_scenarios())
 def test_log_hota_is_bit_identical_to_one_pass_per_alpha_on_positions(drawn):
-    log, pred, gt = drawn
-    for score, full in ((hota_temporal, False), (hota_full, True)):
-        expected = oracles.hota_per_alpha(_positioned(log, pred, full), _positioned(log, gt, full))
-        assert score(pred, gt, log) == expected
-        # at an alpha of the least positive float every pair above 0 is eligible, even one an ulp inside 2 m
-        fragments = (scenario_fragments(log, pred, full), scenario_fragments(log, gt, full))
-        expected = oracles.hota_per_alpha(_positioned(log, pred, full), _positioned(log, gt, full), _TINY_ALPHAS)
-        assert _hota(*fragments, log.columns.neighbours, _TINY_ALPHAS) == expected
+    _assert_log_hota_is_one_pass_per_alpha(*drawn)
 
 
 _ELIGIBLE = st.dictionaries(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -569,6 +570,29 @@ def test_frame_blocks_agree_with_the_oracles(monkeypatch, budget):
                 assert as_dict(got) == want, (seed, name, kwargs)
         assert as_dict(has_velocity(log, subset, 0.5, 8.0)) == oracles.has_velocity(*_oracle_args(log, subset), 0.5, 8.0)
         assert as_dict(decelerating(log, subset, 1.0)) == oracles.decelerating(*_oracle_args(log, subset), 1.0)
+
+
+def _far_apart_log():
+    """Objects at the origin and at x = +-1.5e308, whose centre differences overflow to +-inf."""
+    t = stamps(3)
+    return make_log(
+        [
+            obj("mid", "REGULAR_VEHICLE", {ts: state(0.0, 0.0, 0.3, vx=2.0, vy=1.0) for ts in t}),
+            obj("east", "PEDESTRIAN", {ts: state(1.5e308, 0.0, math.pi, vx=-1.0) for ts in t}),
+            obj("west", "BUS", {ts: state(-1.5e308, float(i), -math.pi / 2, vy=1.0) for i, ts in enumerate(t)}),
+        ],
+        n=3,
+    )
+
+
+@pytest.mark.parametrize("name,kwargs", RELATIONAL_CASES)
+def test_far_apart_centres_raise_no_warning_and_match_the_oracles(name, kwargs):
+    log = _far_apart_log()
+    cand = full_set(log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = REGISTRY[name].impl(log, track_candidates=cand, related_candidates=cand, **kwargs)
+    assert as_dict(got) == oracles.ORACLE_PREDICATES[name](*_oracle_args(log, cand, cand), **kwargs)
 
 
 def test_candidates_outside_the_log_are_ignored():

@@ -46,6 +46,26 @@ def sset(entries) -> ScenarioSet:
     return ScenarioSet({t: frozenset(ts) for t, ts in entries.items()})
 
 
+def fragment_log(pred, gt) -> tuple[TrackLog, ScenarioSet, ScenarioSet]:
+    """A log holding hand-written {track: {ts: centre}} fragments, and the pred and gt scenario sets they flag.
+
+    A track with no frames is dropped. A track id used on both sides must
+    have the same centre wherever both place it.
+    """
+    centres: dict[str, dict[int, tuple[float, float, float]]] = {}
+    for side in (pred, gt):
+        for track, frames in side.items():
+            for ts, centre in frames.items():
+                if centres.setdefault(track, {}).setdefault(ts, centre) != centre:
+                    raise ValueError(f"track '{track}' has two centres at {ts}")
+    timestamps = sorted({ts for frames in centres.values() for ts in frames} | {T0, T0 + DT})
+    objects = [
+        obj(track, "REGULAR_VEHICLE", {ts: state(x, y, z=z) for ts, (x, y, z) in frames.items()})
+        for track, frames in centres.items()
+    ]
+    return TrackLog.build("fragments", timestamps, objects), sset(pred), sset(gt)
+
+
 def as_dict(s: ScenarioSet) -> dict[str, set[int]]:
     """ScenarioSet -> plain {track: set(ts)} dict, the shape the oracles speak."""
     return {t: set(s.timestamps_for(t)) for t in s.tracks()}
