@@ -84,18 +84,23 @@ def _median_time(action, repeats: int) -> float:
     return statistics.median(times)
 
 
+def _arrays(log):
+    """What holds a log's arrays: the log itself, or in older checkouts ``log.columns``, built there on first use."""
+    return getattr(log, "columns", log)
+
+
 def _table_time(path: str, repeats: int) -> float | None:
     """Median time to build the neighbour table HOTA scores from, each time on a freshly loaded log.
 
     None for a checkout whose logs have no such table.
     """
-    from scenemine.tracklog import LogColumns, load_log
+    from scenemine.tracklog import load_log
 
-    if not hasattr(LogColumns, "neighbours"):
-        return None
     times = []
     for _ in range(repeats):
-        view = load_log(path).columns
+        view = _arrays(load_log(path))
+        if not hasattr(type(view), "neighbours"):
+            return None
         start = time.perf_counter()
         view.neighbours
         times.append(time.perf_counter() - start)
@@ -152,7 +157,7 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             "objects": num_objects,
             "frames": num_frames,
             "save_log_s": _median_time(lambda: save_log(log, path), repeats),
-            "load_log_s": _median_time(lambda: load_log(path).columns, repeats),
+            "load_log_s": _median_time(lambda: _arrays(load_log(path)), repeats),
             "log_mb": os.path.getsize(path) / 1e6,
         }
         with open(path, "rb") as fh:

@@ -34,7 +34,7 @@ from .orchestrator import (
     run_batch,
 )
 from .predicates import REGISTRY, FunctionSpec, ParamSpec, registry_catalog
-from .promptgen import Prompt, compose_initial, compose_iteration
+from .promptgen import compose_initial, compose_iteration
 from .providers import HttpProvider, LlmProvider, ScriptedProvider, make_fixture, query_key
 from .scenario_set import ScenarioSet
 from .synth import ScenarioSpec, SynthResult, generate_scenario_log, write_bundle
@@ -71,7 +71,6 @@ __all__ = [
     "ObjectCategory",
     "ObjectState",
     "ParamSpec",
-    "Prompt",
     "ProviderError",
     "REGISTRY",
     "ScenarioMiningError",

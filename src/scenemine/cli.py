@@ -172,6 +172,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predictions = _load_predictions(args.predictions)
     ground_truth = load_ground_truth(args.gt)
     logs = _load_logs(args.logs)
+    # evaluate() rejects these too; checked here, the message can name the file at fault
+    if not ground_truth:
+        raise InconsistentInput(f"{args.gt}: ground truth is empty; nothing to evaluate")
+    missing = min(((gt.query_text, gt.log_id) for gt in ground_truth if gt.log_id not in logs), default=None)
+    if missing:
+        raise InconsistentInput(f"{args.gt}: ground truth references log '{missing[1]}' but it was not provided")
     report = evaluate(predictions, ground_truth, logs)
     sys.stdout.write(report.summary_table())
     if args.out:
@@ -212,7 +218,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             log = load_log(path)
             logs[log.log_id] = log
-            print(f"{path}: ok ({len(log.columns.track_ids)} objects, {len(log.timestamps)} frames)")
+            print(f"{path}: ok ({len(log.track_ids)} objects, {len(log.timestamps)} frames)")
         except ScenarioMiningError as exc:
             failures += 1
             print(f"{path}: {exc}", file=sys.stderr)

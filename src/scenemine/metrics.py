@@ -20,7 +20,7 @@ alpha, so every score is bit-identical to that pass (``hota_per_alpha`` in
 the test oracles keeps it as the reference).
 
 Only centres under SIMILARITY_SCALE_M apart can match, so a log's candidate
-pairs come from its neighbour table (``LogColumns.neighbours``), built once
+pairs come from its neighbour table (``TrackLog.neighbours``), built once
 per log and read by every ``hota_temporal`` and ``hota_full`` call on it.
 """
 
@@ -277,7 +277,7 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
     it only the flagged timestamps count.
     """
     fragments: dict[str, Collection[int]] = {}
-    neighbours = log.columns.neighbours  # keyed by every track, then by each timestamp it has a state at
+    neighbours = log.neighbours  # keyed by every track, then by each timestamp it has a state at
     for track_id in scenario.tracks():
         if track_id not in neighbours:
             raise UnknownTrack(f"scenario references track '{track_id}' absent from log '{log.log_id}'")
@@ -297,7 +297,7 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
 
 def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.columns.neighbours)
+    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.neighbours)
 
 
 def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
@@ -305,7 +305,7 @@ def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     return _hota(
         scenario_fragments(log, pred, full_lifespan=True),
         scenario_fragments(log, gt, full_lifespan=True),
-        log.columns.neighbours,
+        log.neighbours,
     )
 
 
@@ -337,19 +337,6 @@ def timestamp_f1(pred: ScenarioSet, gt: ScenarioSet) -> float:
 
 
 @dataclass(frozen=True)
-class PairEvaluation:
-    query_text: str
-    log_id: str
-    hota_temporal: HotaResult
-    hota: HotaResult
-    ts_tp: int
-    ts_fp: int
-    ts_fn: int
-    pred_positive: bool
-    gt_positive: bool
-
-
-@dataclass(frozen=True)
 class QueryReport:
     query_text: str
     hota_temporal: float
@@ -359,7 +346,7 @@ class QueryReport:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregate scores plus the per-query and per-pair numbers behind them."""
+    """Aggregate scores plus the per-query and per-log numbers behind them."""
 
     hota_temporal: float
     hota: float
@@ -369,7 +356,6 @@ class EvalReport:
     hota_temporal_curve: tuple[float, ...]
     hota_curve: tuple[float, ...]
     per_query: Mapping[str, QueryReport]
-    pairs: tuple[PairEvaluation, ...]
 
     def summary_table(self) -> str:
         headers = ("HOTA-T", "HOTA", "TS-F1", "Log-F1")
@@ -431,7 +417,6 @@ def evaluate(
     if not universe:
         raise InconsistentInput("ground truth is empty; nothing to evaluate")
 
-    pair_evals: list[PairEvaluation] = []
     query_reports: dict[str, QueryReport] = {}
     query_t_curves: list[list[float]] = []
     query_f_curves: list[list[float]] = []
@@ -472,9 +457,6 @@ def evaluate(
             f_scores.append(f_result.score)
             t_curves.append(tuple(a.score for a in t_result.per_alpha))
             f_curves.append(tuple(a.score for a in f_result.per_alpha))
-            pair_evals.append(
-                PairEvaluation(query_text, log_id, t_result, f_result, tp, fp, fn, pred_pos, gt_pos)
-            )
         query_reports[query_text] = QueryReport(
             query_text, _mean(t_scores), _mean(f_scores), per_log_scores
         )
@@ -497,5 +479,4 @@ def evaluate(
         t_curve,
         f_curve,
         query_reports,
-        tuple(pair_evals),
     )

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .dsl import DslError, check, describe_functions, execute, parse
 from .errors import EmptyResponse, InvalidParameter, ProviderError
-from .promptgen import Prompt, compose_initial, compose_iteration
+from .promptgen import compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
 from .tracklog import TrackLog, write_text_atomic
@@ -139,17 +139,17 @@ class MiningOutcome:
         }
 
 
-def _generate_once(prompt: Prompt, config: MiningConfig) -> str:
+def _generate_once(prompt: str, config: MiningConfig) -> str:
     """One provider call with a single retry after a failure.
 
     A provider may be third-party code, so any exception it raises counts as
     a transport failure, not just ProviderError.
     """
     try:
-        return config.provider.generate(prompt.text)
+        return config.provider.generate(prompt)
     except Exception:
         config.sleeper(TRANSPORT_BACKOFF_S)
-        return config.provider.generate(prompt.text)
+        return config.provider.generate(prompt)
 
 
 def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfig) -> MiningOutcome:
@@ -170,7 +170,7 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
             response = _generate_once(prompt, config)
         except Exception as exc:
             message = str(exc) if isinstance(exc, ProviderError) else f"{type(exc).__name__}: {exc}"
-            records.append(IterationRecord(index, prompt.text, None, None, TRANSPORT_ERROR, message, None))
+            records.append(IterationRecord(index, prompt, None, None, TRANSPORT_ERROR, message, None))
             prior_code, prior_error = None, message
             continue
 
@@ -180,7 +180,7 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
                 raise EmptyResponse("completion contained no program text")
         except EmptyResponse as exc:
             records.append(
-                IterationRecord(index, prompt.text, response, None, EMPTY_RESPONSE, str(exc), None)
+                IterationRecord(index, prompt, response, None, EMPTY_RESPONSE, str(exc), None)
             )
             prior_code, prior_error = None, str(exc)
             continue
@@ -194,12 +194,12 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
         except DslError as exc:
             span = (exc.span.line, exc.span.col) if exc.span else None
             records.append(
-                IterationRecord(index, prompt.text, response, code, exc.kind, str(exc), span)
+                IterationRecord(index, prompt, response, code, exc.kind, str(exc), span)
             )
             prior_code, prior_error = code, str(exc)
             continue
 
-        records.append(IterationRecord(index, prompt.text, response, code, None, None, None))
+        records.append(IterationRecord(index, prompt, response, code, None, None, None))
         return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, predictions)
 
     empty = {log.log_id: ScenarioSet.empty() for log in logs}

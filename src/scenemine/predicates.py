@@ -54,25 +54,24 @@ def _positive(value: float, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# A predicate turns its candidate sets into masks over the log's columnar view
-# and its result back into a set, and works on masks in between. ``tc``/``rc``
-# are the view columns of the track/related candidates; a mask is [T, |tc|].
+# A predicate turns its candidate sets into masks over the log's arrays and its
+# result back into a set, and works on masks in between. ``tc``/``rc`` are the
+# log columns of the track/related candidates; a mask is [T, |tc|].
 
 
 def _candidates(log: TrackLog, sset: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-    """The view columns of a set's tracks and the mask of its pairs that exist in the log."""
-    view, entries = log.columns, sset.entries
-    row = view.row
-    tracks = [track for track in entries if track in view.column]
+    """The log columns of a set's tracks and the mask of its pairs that exist in the log."""
+    entries, row = sset.entries, log.row
+    tracks = [track for track in entries if track in log.column]
     width = len(tracks)
     mask = np.zeros((len(row), width), dtype=bool)
     mask.ravel()[[row[ts] * width + k for k, track in enumerate(tracks) for ts in entries[track] if ts in row]] = True
-    cols = np.array([view.column[track] for track in tracks], dtype=np.intp)
-    return cols, mask & view.present[:, cols]
+    cols = np.array([log.column[track] for track in tracks], dtype=np.intp)
+    return cols, mask & log.present[:, cols]
 
 
 def _scenario_set(log: TrackLog, cols: np.ndarray, mask: np.ndarray) -> ScenarioSet:
-    track_ids, stamps = log.columns.track_ids, log.timestamps
+    track_ids, stamps = log.track_ids, log.timestamps
     tracks = [track_ids[col] for col in cols.tolist()]
     kept: dict[str, list[int]] = {}
     rows, ks = np.nonzero(mask)
@@ -92,7 +91,7 @@ def _relate(
     """Track pairs with between at_least (>= 1) and at_most related objects passing ``pair_test``.
 
     ``related`` is ``_candidates`` of the related candidates. ``pair_test(rows,
-    tc, rc)`` answers for a block of frames; a view array indexed [rows, tc,
+    tc, rc)`` answers for a block of frames; a log array indexed [rows, tc,
     None] gives the track side and [rows, None, rc] the related side. An
     object paired with itself, and related pairs outside the related
     candidates, never count.
@@ -116,17 +115,15 @@ def _relate(
 
 def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
     """Planar (dx, dy) from each track object to each related object."""
-    view = log.columns
-    return view.x[rows, None, rc] - view.x[rows, tc, None], view.y[rows, None, rc] - view.y[rows, tc, None]
+    return log.x[rows, None, rc] - log.x[rows, tc, None], log.y[rows, None, rc] - log.y[rows, tc, None]
 
 
 def get_objects_of_category(log: TrackLog, category: str) -> ScenarioSet:
     """All objects of one category, at every timestamp where they exist."""
     DEFAULT_REGISTRY.category(category)  # raises UnknownCategory for names outside the vocabulary
-    view = log.columns
-    lifespans = view.lifespans
+    lifespans = log.lifespans
     return ScenarioSet(
-        {track: lifespans[track] for track, kind in zip(view.track_ids, view.categories) if kind.name == category}
+        {track: lifespans[track] for track, kind in zip(log.track_ids, log.categories) if kind.name == category}
     )
 
 
@@ -153,11 +150,10 @@ def has_objects_in_relative_direction(
         raise InvalidParameter(f"max_number ({max_number!r}) must be >= min_number ({min_number!r})")
     _positive(within_distance, "within_distance")
     _positive(lateral_thresh, "lateral_thresh")
-    view = log.columns
 
     def seen(rows, tc, rc):
         lon, lat = body_offset(
-            *_displacements(log, rows, tc, rc), view.cos_heading[rows, tc, None], view.sin_heading[rows, tc, None]
+            *_displacements(log, rows, tc, rc), log.cos_heading[rows, tc, None], log.sin_heading[rows, tc, None]
         )
         orthogonal = lat if direction in (Direction.FORWARD, Direction.BACKWARD) else lon
         return (
@@ -187,7 +183,6 @@ def being_crossed_by(
     direction = _as_direction(direction)
     _positive(lateral_band, "lateral_band")
     _positive(forward_extent, "forward_extent")
-    view = log.columns
     last = len(log.timestamps) - 1
     rc, related_mask = _candidates(log, related_candidates)
     # [2, T, |rc|]: the related object is a candidate at both ends of the
@@ -200,10 +195,10 @@ def being_crossed_by(
         frames = np.arange(last + 1)[rows]
         around = np.stack([np.maximum(frames - 1, 0), frames, np.minimum(frames + 1, last)])[..., None, None]
         lon, lat = body_offset(
-            view.x[around, rc] - view.x[rows, tc, None],
-            view.y[around, rc] - view.y[rows, tc, None],
-            view.cos_heading[rows, tc, None],
-            view.sin_heading[rows, tc, None],
+            log.x[around, rc] - log.x[rows, tc, None],
+            log.y[around, rc] - log.y[rows, tc, None],
+            log.cos_heading[rows, tc, None],
+            log.sin_heading[rows, tc, None],
         )
         crossing = crosses_front_plane(lon[:-1], lat[:-1], lon[1:], lat[1:], direction, lateral_band, forward_extent)
         return (crossing & segments[:, rows, None, :]).any(axis=0)
@@ -226,11 +221,10 @@ def heading_in_relative_direction_to(
     """
     if direction not in RELATIONS:
         raise InvalidEnumValue(f"invalid direction '{direction}'; allowed values: {', '.join(RELATIONS)}")
-    view = log.columns
-    moving = view.speed >= MIN_RELATION_SPEED
+    moving = log.speed >= MIN_RELATION_SPEED
 
     def related(rows, tc, rc):
-        delta = unsigned_turn(view.velocity_angle[rows, tc, None] - view.velocity_angle[rows, None, rc])
+        delta = unsigned_turn(log.velocity_angle[rows, tc, None] - log.velocity_angle[rows, None, rc])
         if direction == "same":
             in_bin = delta < math.pi / 4
         elif direction == "opposite":
@@ -255,7 +249,7 @@ def facing_toward(
 
     def faces(rows, tc, rc):
         dx, dy = _displacements(log, rows, tc, rc)
-        heading = log.columns.heading[rows, tc, None]
+        heading = log.heading[rows, tc, None]
         return within_radius(dx, dy, max_distance) & points_at(dx, dy, heading, within_angle)
 
     return _relate(log, track_candidates, _candidates(log, related_candidates), faces)
@@ -274,16 +268,15 @@ def heading_toward(
     _positive(max_distance, "max_distance")
     if minimum_speed < 0:
         raise InvalidParameter(f"minimum_speed must be >= 0, got {minimum_speed!r}")
-    view = log.columns
 
     def aims(rows, tc, rc):
         dx, dy = _displacements(log, rows, tc, rc)
-        speed = view.speed[rows, tc, None]
+        speed = log.speed[rows, tc, None]
         return (
             (speed >= minimum_speed)
             & (speed != 0.0)
             & within_radius(dx, dy, max_distance)
-            & points_at(dx, dy, view.velocity_angle[rows, tc, None], within_angle)
+            & points_at(dx, dy, log.velocity_angle[rows, tc, None], within_angle)
         )
 
     return _relate(log, track_candidates, _candidates(log, related_candidates), aims)
@@ -318,7 +311,7 @@ def has_velocity(
             f"max_velocity ({max_velocity!r}) must be >= min_velocity ({min_velocity!r})"
         )
     tc, mask = _candidates(log, track_candidates)
-    speed = log.columns.speed[:, tc]
+    speed = log.speed[:, tc]
     return _scenario_set(log, tc, mask & (min_velocity <= speed) & (speed <= max_velocity))
 
 
@@ -335,7 +328,7 @@ def decelerating(
     """
     _positive(min_decel, "min_decel")
     tc, mask = _candidates(log, track_candidates)
-    speed, present = log.columns.speed[:, tc], log.columns.present[:, tc]
+    speed, present = log.speed[:, tc], log.present[:, tc]
     stamps = log.timestamps
     dt = np.array([(b - a) / NS_PER_SECOND for a, b in zip(stamps, stamps[1:])])
     mask[1:] &= present[:-1] & ((speed[1:] - speed[:-1]) / dt[:, None] <= -min_decel)

@@ -1,14 +1,12 @@
 """Prompt assembly for query translation.
 
-A prompt is built from labelled parts so tests and ablations can assert on
-exactly one region changing: toggling the relational-semantics guidance
-swaps a single part, and repair rounds append a single feedback part. The
-full text is always the in-order concatenation of the parts.
+A prompt is plain text in a fixed order: the task header, the function
+catalog, the relational-semantics guidance (when on), then the query
+verbatim. A repair round's prompt is that text plus one feedback paragraph
+naming the previous program and its diagnostic.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import EmptyFeedback, EmptyQuery
 
@@ -37,48 +35,24 @@ ITERATION_TEMPLATE = (
 )
 
 
-@dataclass(frozen=True)
-class Prompt:
-    """Prompt text plus the ordered labelled parts it was assembled from."""
+def _base_text(query_text: str, catalog_text: str, epsrf: bool) -> str:
+    """The initial prompt's text.
 
-    parts: tuple[tuple[str, str], ...]
-    text: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "text", "".join(chunk for _, chunk in self.parts))
-
-    def part(self, label: str) -> str | None:
-        for name, chunk in self.parts:
-            if name == label:
-                return chunk
-        return None
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.parts)
-
-
-def _normalized_catalog(catalog_text: str) -> str:
-    if not catalog_text.strip():
-        raise EmptyFeedback("function catalog text is empty")
-    return catalog_text.rstrip("\n") + "\n\n"
-
-
-def _base_parts(query_text: str, catalog_text: str, epsrf: bool) -> list[tuple[str, str]]:
+    compose_iteration builds on this, not on compose_initial, so a repair
+    prompt is one compose call to anything that wraps them, such as the
+    benchmark's tracer.
+    """
     if not query_text.strip():
         raise EmptyQuery("query text is empty")
-    parts = [
-        ("task_header", TASK_HEADER + "\n"),
-        ("function_catalog", _normalized_catalog(catalog_text)),
-    ]
-    if epsrf:
-        parts.append(("epsrf_guidance", EPSRF_GUIDANCE + "\n\n"))
-    parts.append(("query", query_text))
-    return parts
+    if not catalog_text.strip():
+        raise EmptyFeedback("function catalog text is empty")
+    guidance = EPSRF_GUIDANCE + "\n\n" if epsrf else ""
+    return TASK_HEADER + "\n" + catalog_text.rstrip("\n") + "\n\n" + guidance + query_text
 
 
-def compose_initial(query_text: str, catalog_text: str, epsrf: bool = True) -> Prompt:
+def compose_initial(query_text: str, catalog_text: str, epsrf: bool = True) -> str:
     """First-round prompt: header, catalog, optional guidance, then the query verbatim."""
-    return Prompt(tuple(_base_parts(query_text, catalog_text, epsrf)))
+    return _base_text(query_text, catalog_text, epsrf)
 
 
 def compose_iteration(
@@ -87,8 +61,8 @@ def compose_iteration(
     epsrf: bool,
     prior_code: str,
     error_message: str,
-) -> Prompt:
-    """Repair-round prompt: the initial parts plus one feedback part.
+) -> str:
+    """Repair-round prompt: the initial prompt plus one feedback paragraph.
 
     The feedback sentence embeds the previous program and its diagnostic
     verbatim; downstream parsing of transcripts relies on this fixed shape.
@@ -97,7 +71,5 @@ def compose_iteration(
         raise EmptyFeedback("prior code for a repair round must be non-empty")
     if not error_message:
         raise EmptyFeedback("error message for a repair round must be non-empty")
-    parts = _base_parts(query_text, catalog_text, epsrf)
     feedback = ITERATION_TEMPLATE.format(code=prior_code, error=error_message)
-    parts.append(("iteration_feedback", "\n\n" + feedback + "\n"))
-    return Prompt(tuple(parts))
+    return _base_text(query_text, catalog_text, epsrf) + "\n\n" + feedback + "\n"

@@ -2,7 +2,7 @@
 
 A log is a sequence of shared timestamps (integer nanoseconds) plus a set of
 tracked objects; each object carries a per-timestamp kinematic state. A
-:class:`TrackLog` stores all of it as one columnar view, :class:`LogColumns`.
+:class:`TrackLog` holds all of it as [frames, tracks] arrays.
 Files are rejected with a diagnostic naming the violated schema field
 (:class:`MalformedFile`) or structural invariant (:class:`InvariantViolation`).
 """
@@ -82,28 +82,34 @@ class TrackedObject:
             raise InvariantViolation(f"object '{self.track_id}' has no states")
 
 
-class LogColumns:
-    """A log as [T, N] arrays: a row per log timestamp, a column per track id.
+class TrackLog:
+    """A log as [T, N] arrays: a row per shared timestamp, a column per track id.
 
-    Columns follow the sorted track ids, and ``categories`` holds each
-    column's category. ``states`` is [10, T, N]: a state's position,
-    heading, velocity and box dims in file order, also named ``x``, ``y``,
-    ``z``, ``heading``, ``vx``, ``vy``, ``vz``, ``length``, ``width`` and
-    ``height``. Where a track has no state, ``present`` is False and the
-    values are 0. Cos and sin of the heading, the planar speed and the
-    velocity angle atan2(vy, vx) come from ``math``, so array code built on
-    them reproduces the scalar definitions exactly. Every array is read-only.
+    ``timestamps`` are strictly increasing integer nanoseconds. Columns follow
+    the sorted track ids, and ``categories`` holds each column's category.
+    ``states`` is [10, T, N]: a state's position, heading, velocity and box
+    dims in file order, also named ``x``, ``y``, ``z``, ``heading``, ``vx``,
+    ``vy``, ``vz``, ``length``, ``width`` and ``height``. Where a track has no
+    state, ``present`` is False and the values are 0. Cos and sin of the
+    heading, the planar speed and the velocity angle atan2(vy, vx) come from
+    ``math``, so array code built on them reproduces the scalar definitions
+    exactly. Every array is read-only.
+
+    :meth:`build` and :func:`load_log` check every invariant before they make one.
     """
 
     def __init__(
         self,
-        timestamps: Sequence[int],
+        log_id: str,
+        timestamps: tuple[int, ...],
         tracks: Sequence[tuple[str, ObjectCategory]],
         owners: np.ndarray,
         rows: np.ndarray,
         values: np.ndarray,
     ):
         """State s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``."""
+        self.log_id = log_id
+        self.timestamps = timestamps
         order = sorted(range(len(tracks)), key=lambda k: tracks[k][0])
         self.track_ids = tuple(tracks[k][0] for k in order)
         self.categories = tuple(tracks[k][1] for k in order)
@@ -125,63 +131,6 @@ class LogColumns:
             self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height,
             self.cos_heading, self.sin_heading, self.speed, self.velocity_angle,
         ) = table
-
-    def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
-        """Per column: the track id, its category, the rows where it has a state and those states' values."""
-        for j, (track, category) in enumerate(zip(self.track_ids, self.categories)):
-            rows = np.flatnonzero(self.present[:, j])
-            yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
-
-    @functools.cached_property
-    def lifespans(self) -> Mapping[str, list[int]]:
-        """Each track's timestamps where it has a state, in order, built on first use and kept."""
-        stamps = tuple(self.row)
-        return {
-            track: [stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()]
-            for j, track in enumerate(self.track_ids)
-        }
-
-    @functools.cached_property
-    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
-        """Each track's {timestamp: [(track, similarity), ...]} where it has a state, built on first use and kept.
-
-        A timestamp lists, in track order, every track present there whose
-        centre has a ``center_distance_similarity`` above 0 to this track's
-        (the track itself, at 1.0, included), with that similarity, this
-        track's centre first. A squared distance under a bound a little wider
-        than SIMILARITY_SCALE_M picks the candidates, a block of frames at a
-        time, so numpy's rounding can only add one; each candidate's
-        similarity is then the scalar function's value.
-        """
-        stamps, ids, centres = tuple(self.row), self.track_ids, (self.x, self.y, self.z)
-        table: dict[str, dict[int, list[tuple[str, float]]]] = {track: {} for track in ids}
-        step = max(1, BLOCK_ELEMENTS // max(1, len(ids) ** 2))
-        for start in range(0, len(stamps), step):
-            rows = slice(start, start + step)
-            with np.errstate(over="ignore"):  # centres too far apart to square are no candidates
-                dx, dy, dz = (v[rows, :, None] - v[rows, None, :] for v in centres)
-                near = dx * dx + dy * dy + dz * dz < _NEAR_SQUARED
-            here = self.present[rows]
-            r, i, j = np.nonzero(near & here[:, :, None] & here[:, None, :])
-            r += start
-            columns = (r.tolist(), i.tolist(), j.tolist(), *(v[r, k].tolist() for k in (i, j) for v in centres))
-            for row, a, b, ax, ay, az, bx, by, bz in zip(*columns):
-                s = center_distance_similarity((ax, ay, az), (bx, by, bz))
-                if s > 0.0:
-                    table[ids[a]].setdefault(stamps[row], []).append((ids[b], s))
-        return table
-
-
-class TrackLog:
-    """A log: an id, strictly increasing shared timestamps and the columnar view of its objects.
-
-    :meth:`build` and :func:`load_log` check every invariant before they make one.
-    """
-
-    def __init__(self, log_id: str, timestamps: tuple[int, ...], columns: LogColumns):
-        self.log_id = log_id
-        self.timestamps = timestamps
-        self.columns = columns
 
     @classmethod
     def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
@@ -212,17 +161,61 @@ class TrackLog:
                 rows.append(row[ts])
                 values.append((*st.position, st.heading, *st.velocity, *st.box_dims))
         tracks = [(obj.track_id, obj.category) for obj in by_id.values()]
-        columns = LogColumns(
-            timestamps, tracks, np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
+        return cls(
+            log_id, timestamps, tracks, np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
             np.array(values, dtype=np.float64).reshape(-1, 10).T,
         )
-        return cls(log_id, timestamps, columns)
+
+    def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
+        """Per column: the track id, its category, the rows where it has a state and those states' values."""
+        for j, (track, category) in enumerate(zip(self.track_ids, self.categories)):
+            rows = np.flatnonzero(self.present[:, j])
+            yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
+
+    @functools.cached_property
+    def lifespans(self) -> Mapping[str, list[int]]:
+        """Each track's timestamps where it has a state, in order, built on first use and kept."""
+        stamps = self.timestamps
+        return {
+            track: [stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()]
+            for j, track in enumerate(self.track_ids)
+        }
+
+    @functools.cached_property
+    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
+        """Each track's {timestamp: [(track, similarity), ...]} where it has a state, built on first use and kept.
+
+        A timestamp lists, in track order, every track present there whose
+        centre has a ``center_distance_similarity`` above 0 to this track's
+        (the track itself, at 1.0, included), with that similarity, this
+        track's centre first. A squared distance under a bound a little wider
+        than SIMILARITY_SCALE_M picks the candidates, a block of frames at a
+        time, so numpy's rounding can only add one; each candidate's
+        similarity is then the scalar function's value.
+        """
+        stamps, ids, centres = self.timestamps, self.track_ids, (self.x, self.y, self.z)
+        table: dict[str, dict[int, list[tuple[str, float]]]] = {track: {} for track in ids}
+        step = max(1, BLOCK_ELEMENTS // max(1, len(ids) ** 2))
+        for start in range(0, len(stamps), step):
+            rows = slice(start, start + step)
+            with np.errstate(over="ignore"):  # centres too far apart to square are no candidates
+                dx, dy, dz = (v[rows, :, None] - v[rows, None, :] for v in centres)
+                near = dx * dx + dy * dy + dz * dz < _NEAR_SQUARED
+            here = self.present[rows]
+            r, i, j = np.nonzero(near & here[:, :, None] & here[:, None, :])
+            r += start
+            columns = (r.tolist(), i.tolist(), j.tolist(), *(v[r, k].tolist() for k in (i, j) for v in centres))
+            for row, a, b, ax, ay, az, bx, by, bz in zip(*columns):
+                s = center_distance_similarity((ax, ay, az), (bx, by, bz))
+                if s > 0.0:
+                    table[ids[a]].setdefault(stamps[row], []).append((ids[b], s))
+        return table
 
     @functools.cached_property
     def objects(self) -> Mapping[str, TrackedObject]:
-        """Each track as a TrackedObject: a read-only mapping rebuilt from the columns on first use."""
+        """Each track as a TrackedObject: a read-only mapping rebuilt from the arrays on first use."""
         objects = {}
-        for track, category, rows, values in self.columns.track_states():
+        for track, category, rows, values in self.track_states():
             states = {
                 self.timestamps[i]: ObjectState(tuple(v[0:3]), v[3], tuple(v[4:7]), tuple(v[7:10]))
                 for i, v in zip(rows, values)
@@ -234,12 +227,11 @@ class TrackLog:
         """Same id, timestamps, tracks and categories, and equal state values."""
         if not isinstance(other, TrackLog):
             return NotImplemented
-        mine, theirs = self.columns, other.columns
         return (
-            (self.log_id, self.timestamps, mine.track_ids, mine.categories)
-            == (other.log_id, other.timestamps, theirs.track_ids, theirs.categories)
-            and np.array_equal(mine.present, theirs.present)
-            and np.array_equal(mine.states, theirs.states)
+            (self.log_id, self.timestamps, self.track_ids, self.categories)
+            == (other.log_id, other.timestamps, other.track_ids, other.categories)
+            and np.array_equal(self.present, other.present)
+            and np.array_equal(self.states, other.states)
         )
 
 
@@ -255,10 +247,9 @@ class GroundTruthScenario:
         """Raise InvariantViolation if any relevant pair is missing from the log."""
         if log.log_id != self.log_id:
             raise InvariantViolation(f"ground truth targets log '{self.log_id}', got '{log.log_id}'")
-        view = log.columns
         for track, ts in self.relevant.pairs():
-            j, i = view.column.get(track), view.row.get(ts)
-            if j is None or i is None or not view.present[i, j]:
+            j, i = log.column.get(track), log.row.get(ts)
+            if j is None or i is None or not log.present[i, j]:
                 raise InvariantViolation(
                     f"ground truth pair ({track!r}, {ts}) does not exist in log '{log.log_id}'"
                 )
@@ -396,7 +387,7 @@ def _log_from_arrays(raw: object) -> TrackLog | None:
         return None
     owners = np.repeat(np.arange(len(tracks)), counts)
     values = np.vstack([position.T, heading, velocity.T, box_dims.T])
-    return TrackLog(log_id, tuple(stamps), LogColumns(stamps, tracks, owners, rows, values))
+    return TrackLog(log_id, tuple(stamps), tracks, owners, rows, values)
 
 
 def _walk_log(raw: object, where: str) -> TrackLog:
@@ -503,7 +494,7 @@ def dump_log_text(log: TrackLog) -> str:
             json.dumps(track), json.dumps(category.name),
             ",\n".join([_STATE_TEXT % (keys[i], *v) for i, v in zip(rows, values)]),
         )
-        for track, category, rows, values in log.columns.track_states()
+        for track, category, rows, values in log.track_states()
     ]
     body = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
     return _LOG_TEXT % (json.dumps(log.log_id), ",\n".join(["    " + key for key in keys]), body)

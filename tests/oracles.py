@@ -587,7 +587,7 @@ def load_log_walk(path):
 
 def dump_log_text_json(log):
     objects = []
-    for track_id, category, rows, values in log.columns.track_states():
+    for track_id, category, rows, values in log.track_states():
         states = {
             str(log.timestamps[i]): {"position": v[0:3], "heading": v[3], "velocity": v[4:7], "box_dims": v[7:10]}
             for i, v in zip(rows, values)

@@ -431,6 +431,27 @@ def test_eval_missing_log_is_exit_two(tmp_path, bundle_dir, capsys):
     assert "but it was not provided" in capsys.readouterr().err
 
 
+def test_eval_ground_truth_faults_name_the_file(tmp_path, bundle_dir, capsys):
+    predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
+    with open(gt_path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    empty = _write(tmp_path / "empty.gt.json", "[]")
+    stray = _write(tmp_path / "stray.gt.json", json.dumps(entries + [dict(entries[0], log_id="missing-log")]))
+    capsys.readouterr()
+    assert main(["eval", "--predictions", predictions, "--gt", empty, "--logs", str(bundle_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: ground truth is empty; nothing to evaluate\n"
+    assert main(["eval", "--predictions", predictions, "--gt", stray, "--logs", str(bundle_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {stray}: ground truth references log 'missing-log' but it was not provided\n"
+    )
+    # a fault in the predictions is never put on the ground-truth file
+    bad = _write(tmp_path / "bad_predictions.json", json.dumps({entries[0]["query_text"]: {
+        entries[0]["log_id"]: {"no-such-track": [0]}}}))
+    assert main(["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "'no-such-track'" in err and gt_path not in err
+
+
 # ---------------------------------------------------------------------------
 # input files the CLI cannot read: bytes that are not UTF-8, JSON nested too deeply
 

@@ -395,7 +395,7 @@ def test_evaluate_averages_per_query_then_across_queries():
     assert report.log_f1 == pytest.approx(4 / 5, abs=1e-12)
     assert len(report.hota_temporal_curve) == len(DEFAULT_ALPHAS)
     assert report.hota_temporal_curve[0] == 0.75
-    assert [ (p.query_text, p.log_id) for p in report.pairs ] == [
+    assert [(q, log_id) for q, r in report.per_query.items() for log_id in r.per_log] == [
         ("q1", "log-a"), ("q1", "log-b"), ("q2", "log-a"),
     ]
 

@@ -19,7 +19,6 @@ from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 from scenemine.tracklog import (
     GroundTruthScenario,
-    LogColumns,
     ObjectState,
     TrackedObject,
     TrackLog,
@@ -54,7 +53,7 @@ def test_object_state_normalizes_components():
 def test_view_speed_ignores_vertical():
     t0, t1 = stamps(2)
     moving = obj("a", "BUS", {t0: state(0, 0, vx=3.0, vy=4.0), t1: ObjectState((0, 0, 0), 0.0, (0.0, 0.0, 9.0), (1, 1, 1))})
-    assert make_log([moving]).columns.speed[:, 0].tolist() == [5.0, 0.0]
+    assert make_log([moving]).speed[:, 0].tolist() == [5.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -122,13 +121,11 @@ def test_view_is_the_log_and_objects_are_built_on_demand(tmp_path):
     path = tmp_path / "log.json"
     save_log(random_track_log(3), path)
     log = load_log(path)
-    view = log.columns
     save_log(log, path)
     assert "objects" not in vars(log)  # loading and saving walk no per-state objects
-    assert log.columns is view and load_log(path).columns is not view
     assert log.objects is log.objects
     with pytest.raises(ValueError):
-        view.x[0, 0] = 1.0  # the arrays are read-only
+        log.x[0, 0] = 1.0  # the arrays are read-only
 
 
 @given(st.integers(0, 200))
@@ -137,16 +134,15 @@ def test_view_arrays_equal_the_logged_states(seed):
     log = TrackLog.build("log", timestamps, objects)
     given_objects = {o.track_id: o for o in objects}
     assert dict(log.objects) == given_objects
-    view = log.columns
-    assert view.track_ids == tuple(sorted(given_objects))
-    assert view.categories == tuple(given_objects[t].category for t in view.track_ids)
-    assert view.present.sum() == sum(len(o.states) for o in objects)
-    for j, track in enumerate(view.track_ids):
-        assert view.column[track] == j
+    assert log.track_ids == tuple(sorted(given_objects))
+    assert log.categories == tuple(given_objects[t].category for t in log.track_ids)
+    assert log.present.sum() == sum(len(o.states) for o in objects)
+    for j, track in enumerate(log.track_ids):
+        assert log.column[track] == j
         for i, ts in enumerate(log.timestamps):
-            assert view.row[ts] == i
+            assert log.row[ts] == i
             st_ = given_objects[track].states.get(ts)
-            assert view.present[i, j] == (st_ is not None)
+            assert log.present[i, j] == (st_ is not None)
             if st_ is None:
                 continue
             vx, vy = st_.velocity[0], st_.velocity[1]
@@ -161,8 +157,8 @@ def test_view_arrays_equal_the_logged_states(seed):
                 math.atan2(vy, vx),
             )
             got = (
-                view.x, view.y, view.z, view.heading, view.vx, view.vy, view.vz, view.length, view.width, view.height,
-                view.cos_heading, view.sin_heading, view.speed, view.velocity_angle,
+                log.x, log.y, log.z, log.heading, log.vx, log.vy, log.vz, log.length, log.width, log.height,
+                log.cos_heading, log.sin_heading, log.speed, log.velocity_angle,
             )
             assert tuple(a[i, j] for a in got) == want
 
@@ -186,30 +182,30 @@ def _scanned_neighbours(log):
 @settings(max_examples=200)
 @given(near_pair_logs())
 def test_neighbour_table_equals_a_scan_of_every_pair(log):
-    assert log.columns.neighbours == _scanned_neighbours(log)
+    assert log.neighbours == _scanned_neighbours(log)
 
 
 @pytest.mark.parametrize("budget", [1, 2000, 1 << 16])  # a frame, 5 frames and all 10 frames a block
 def test_neighbour_table_is_the_same_in_any_block_size(monkeypatch, budget):
     monkeypatch.setattr(tracklog, "BLOCK_ELEMENTS", budget)
     log = scenes.argo_log(0, 0, 20, num_frames=10)
-    table = log.columns.neighbours
+    table = log.neighbours
     assert table == _scanned_neighbours(log)
     assert any(len(near) > 1 for row in table.values() for near in row.values())  # not only the self pairs
 
 
 def _counted_table_builds(monkeypatch) -> list:
-    """The views whose neighbour table is built from now on, one entry per build."""
+    """The logs whose neighbour table is built from now on, one entry per build."""
     built = []
-    build = LogColumns.__dict__["neighbours"].func
+    build = TrackLog.__dict__["neighbours"].func
 
-    def counted(view):
-        built.append(view)
-        return build(view)
+    def counted(log):
+        built.append(log)
+        return build(log)
 
     table = functools.cached_property(counted)
-    table.__set_name__(LogColumns, "neighbours")
-    monkeypatch.setattr(LogColumns, "neighbours", table)
+    table.__set_name__(TrackLog, "neighbours")
+    monkeypatch.setattr(TrackLog, "neighbours", table)
     return built
 
 
@@ -239,7 +235,7 @@ def test_neighbour_table_is_built_once_per_log_and_only_to_score(tmp_path, monke
         [GroundTruthScenario(q, log.log_id, every) for q in queries],
         {log.log_id: log},
     )
-    assert len(report.pairs) == 3 and built == [log.columns]  # six HOTA calls, one table
+    assert [len(r.per_log) for r in report.per_query.values()] == [1, 1, 1] and built == [log]  # six HOTA calls, one table
 
 
 def test_ground_truth_validate_against():
