@@ -19,6 +19,12 @@ FEEDBACK_RE = re.compile(
 )
 
 
+def test_text_is_concatenation_of_parts():
+    """Without guidance the prompt is header, catalog and query joined, nothing else."""
+    prompt = compose_initial(QUERY, CATALOG, epsrf=False)
+    assert prompt == "".join((TASK_HEADER, "\n", CATALOG.rstrip("\n"), "\n\n", QUERY))
+
+
 def test_initial_part_order():
     """Header, catalog, guidance, query: the prompt is exactly these, in this order."""
     prompt = compose_initial(QUERY, CATALOG, epsrf=True)
