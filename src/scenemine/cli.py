@@ -16,7 +16,7 @@ import sys
 from typing import Mapping, Sequence
 
 from .dsl import describe_functions
-from .errors import MalformedFile, InconsistentInput, ScenarioMiningError
+from .errors import MalformedFile, InconsistentInput, ScenarioMiningError, UnknownTrack
 from .metrics import evaluate
 from .orchestrator import MiningConfig, run_batch
 from .predicates import registry_catalog
@@ -178,7 +178,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     missing = min(((gt.query_text, gt.log_id) for gt in ground_truth if gt.log_id not in logs), default=None)
     if missing:
         raise InconsistentInput(f"{args.gt}: ground truth references log '{missing[1]}' but it was not provided")
-    report = evaluate(predictions, ground_truth, logs)
+    try:
+        report = evaluate(predictions, ground_truth, logs)
+    except (UnknownTrack, InconsistentInput) as exc:
+        if not hasattr(exc, "side"):
+            raise
+        raise type(exc)(f"{args.predictions if exc.side == 'predictions' else args.gt}: {exc}") from None
     sys.stdout.write(report.summary_table())
     if args.out:
         os.makedirs(args.out, exist_ok=True)

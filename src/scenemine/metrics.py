@@ -13,15 +13,18 @@ scores depend on dict order.
 HOTA is defined per alpha, but a frame's eligible pairs change only where an
 alpha crosses one of its similarities. So each frame is matched once per
 connected component of its candidate pairs and per band of alphas over which
-that component's eligible set stays the same, never once per alpha. Matching
-a component alone gives the same pairs as matching the whole frame, and the
-association sums add the same terms in the same order as a separate pass per
-alpha, so every score is bit-identical to that pass (``hota_per_alpha`` in
-the test oracles keeps it as the reference).
+that component's eligible set stays the same, never once per alpha, and a
+pair with no rival in its frame (most often a track with itself) is credited
+without matching. Matching a component alone gives the same pairs as
+matching the whole frame, and the association sums add the same terms in the
+same order as a separate pass per alpha, so every score is bit-identical to
+that pass (``hota_per_alpha`` in the test oracles keeps it as the reference).
 
 Only centres under SIMILARITY_SCALE_M apart can match, so a log's candidate
-pairs come from its neighbour table (``TrackLog.neighbours``), built once
-per log and read by every ``hota_temporal`` and ``hota_full`` call on it.
+cross pairs, of two different tracks, come from its neighbour table
+(``TrackLog.neighbours``), built once per log and read by every HOTA call on
+it. A track's similarity to itself is exactly 1.0, so self pairs come from
+the fragments alone.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -44,7 +47,8 @@ DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
 _MATCH_EPS = 1e-9
 
-# pred track -> timestamp -> [(gt track, similarity above 0), ...] in gt id order
+# pred track -> timestamp -> [(gt track other than pred, similarity above 0), ...] in gt id order,
+# at the timestamps that have one; a track is its own candidate, at 1.0, everywhere, and is not listed
 Candidates = Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]
 
 
@@ -161,32 +165,38 @@ _EMPTY_VS_EMPTY = HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a i
 
 
 def _hota(
-    pred: Mapping[str, Collection[int]],
-    gt: Mapping[str, Collection[int]],
+    pred: Mapping[str, AbstractSet[int]],
+    gt: Mapping[str, AbstractSet[int]],
     candidates: Candidates,
 ) -> HotaResult:
-    """HOTA of pred vs gt, each track -> the timestamps it is detected at.
+    """HOTA of pred vs gt, each track -> the set of timestamps it is detected at.
 
-    ``candidates[p][ts]`` lists, in gt id order, every (g, similarity) with
-    similarity above 0 that pred track p may match at a timestamp it is
-    detected at; a g not detected in gt there is skipped. Per alpha of
-    DEFAULT_ALPHAS, matching is restricted to pairs with similarity >= alpha;
-    the association term for a matched pair (p, g) is their co-match count
-    over the union of their detection counts. Empty vs empty scores 1 by
-    convention.
+    ``candidates[p][ts]``, where present, lists in gt id order every (g,
+    similarity) with g != p and similarity above 0 that pred track p may
+    match at timestamp ts; a g not detected in gt there is skipped. A track
+    matches itself at similarity 1.0 wherever it is detected on both sides.
+    Per alpha of DEFAULT_ALPHAS, matching is restricted to pairs with
+    similarity >= alpha; the association term for a matched pair (p, g) is
+    their co-match count over the union of their detection counts. Empty vs
+    empty scores 1 by convention.
 
     Each frame is matched once per distinct eligible set, not once per
     alpha. The alphas ascend, so a pair of similarity s is eligible at
     exactly the first k = bisect_right(DEFAULT_ALPHAS, s) of them, and a
-    frame's eligible set changes only at its pairs' distinct k. Each
-    connected component of the frame's pairs is matched once per band
-    between consecutive distinct k, and the matches are credited to that
-    band's alphas; a frame whose every degree is 1 needs no matching at all.
-    The per-alpha match sets are therefore the ones a separate pass per alpha
-    finds. The association sum then adds its terms per alpha in order of
-    (first frame matched at that alpha, pair), which is the order a per-alpha
-    pass meets them, since every frame's matches are sorted. The scores are
-    built from the same float operations in the same order, so the result is
+    frame's eligible set changes only at its pairs' distinct k. A pair with
+    no rival in its frame (no other eligible pair shares its pred or gt) is
+    matched at exactly those k alphas and is credited there directly. A self
+    pair joins a frame only where an eligible cross pair touches its track;
+    its other frames are all uncontested and credited in one step. Each
+    connected component of a frame's remaining pairs is matched once per
+    band between consecutive distinct k, and the matches are credited to
+    that band's alphas. The per-alpha match sets are therefore the ones a
+    separate pass per alpha finds. The association sum then adds its terms
+    per alpha in order of (first frame matched at that alpha, pair), which is
+    the order a per-alpha pass meets them, since every frame's matches are
+    sorted; frames are credited in no fixed order, so that first frame is the
+    smallest over the pair's spans covering the alpha. The scores are built
+    from the same float operations in the same order, so the result is
     bit-identical.
     """
     pred_counts = {p: len(frames) for p, frames in pred.items() if frames}
@@ -195,44 +205,62 @@ def _hota(
     total_gt = sum(gt_counts.values())
     if total_pred == 0 and total_gt == 0:
         return _EMPTY_VS_EMPTY
+    top = len(DEFAULT_ALPHAS)
 
-    # timestamp -> {pair: similarity} and {pair: k} over its eligible pairs, in (pred id, gt id) order
-    sims_at: defaultdict[int, dict[tuple[str, str], float]] = defaultdict(dict)
-    bands_at: defaultdict[int, dict[tuple[str, str], int]] = defaultdict(dict)
-    for p, stamps in sorted(pred.items()):
-        row = candidates[p]
-        for ts in stamps:
-            for g, s in row[ts]:
-                if ts in gt.get(g, ()):
-                    k = bisect_right(DEFAULT_ALPHAS, s)
-                    if k:
-                        sims_at[ts][(p, g)] = s
-                        bands_at[ts][(p, g)] = k
     # pair -> (lo, hi) -> [frames matched at alphas lo..hi-1, first such frame]
     spans: dict[tuple[str, str], dict[tuple[int, int], list[int]]] = {}
 
-    def credit(pair: tuple[str, str], lo: int, hi: int) -> None:
-        """Record that ``pair`` is matched in the current frame at alphas lo..hi-1."""
-        spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])[0] += 1
+    def credit(pair: tuple[str, str], lo: int, hi: int, frame: int, count: int = 1) -> None:
+        """Record that ``pair`` is matched at alphas lo..hi-1 in ``count`` frames, the earliest ``frame``."""
+        span = spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])
+        span[0] += count
+        span[1] = min(span[1], frame)
 
-    for frame in sorted(sims_at):
-        sims, bands = sims_at[frame], bands_at[frame]
-        if len({p for p, _ in bands}) == len(bands) == len({g for _, g in bands}):
-            # every degree is 1: each pair is matched wherever it is eligible
-            for pair, k in bands.items():
-                credit(pair, 0, k)
+    # timestamp -> {pair: (similarity, k)} over its eligible pairs that may need matching
+    pairs_at: defaultdict[int, dict[tuple[str, str], tuple[float, int]]] = defaultdict(dict)
+    touched: defaultdict[str, set[int]] = defaultdict(set)  # track -> frames an eligible cross pair touches it in
+    for p, stamps in pred.items():
+        row = candidates.get(p)
+        if not row:
             continue
-        for component in _components(sims):
+        small, large = (stamps, row) if len(stamps) <= len(row) else (row, stamps)
+        for ts in small:
+            if ts in large:
+                for g, s in row[ts]:
+                    if ts in gt.get(g, ()):
+                        k = bisect_right(DEFAULT_ALPHAS, s)
+                        if k:
+                            pairs_at[ts][(p, g)] = (s, k)
+                            touched[p].add(ts)
+                            touched[g].add(ts)
+    for t in pred.keys() & gt.keys():
+        both, hit = pred[t] & gt[t], touched.get(t, ())
+        for ts in both.intersection(hit):
+            pairs_at[ts][(t, t)] = (1.0, top)
+        alone = both.difference(hit)
+        if alone:
+            credit((t, t), 0, top, min(alone), len(alone))
+
+    for frame, pairs in pairs_at.items():
+        pred_degree = Counter(p for p, _ in pairs)
+        gt_degree = Counter(g for _, g in pairs)
+        contested = {}
+        for (p, g), (s, k) in pairs.items():
+            if pred_degree[p] == gt_degree[g] == 1:
+                credit((p, g), 0, k, frame)
+            else:
+                contested[(p, g)] = (s, k)
+        for component in _components(contested):
             lo = 0
-            for k in sorted({bands[pair] for pair in component}):
-                eligible = {pair: sims[pair] for pair in component if bands[pair] >= k}
+            for k in sorted({contested[pair][1] for pair in component}):
+                eligible = {pair: contested[pair][0] for pair in component if contested[pair][1] >= k}
                 for pair in _lexmin_matching(eligible):
-                    credit(pair, lo, k)
+                    credit(pair, lo, k, frame)
                 lo = k
 
     # Between consecutive span ends every pair's count and first frame are
     # constant, so each such run of alphas shares one association sum.
-    ends = {0, len(DEFAULT_ALPHAS)}
+    ends = {0, top}
     for by_span in spans.values():
         for span in by_span:
             ends.update(span)
@@ -242,15 +270,9 @@ def _hota(
         # (first frame matched at these alphas, pair, frames matched there)
         entries = []
         for pair, by_span in spans.items():
-            count = 0
-            first = None
-            for (start, end), (span_count, span_first) in by_span.items():  # in order of first frame
-                if start <= lo < end:
-                    count += span_count
-                    if first is None:
-                        first = span_first
-            if count:
-                entries.append((first, pair, count))
+            covering = [span for (start, end), span in by_span.items() if start <= lo < end]
+            if covering:
+                entries.append((min(first for _, first in covering), pair, sum(c for c, _ in covering)))
         entries.sort()
         tp = sum(c for _, _, c in entries)
         fn = total_gt - tp
@@ -269,25 +291,25 @@ def _hota(
 # Scenario sets -> fragments
 
 
-def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool = False) -> dict[str, Collection[int]]:
-    """Each of a scenario set's tracks -> the timestamps its fragment covers.
+def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool = False) -> dict[str, frozenset[int]]:
+    """Each of a scenario set's tracks -> the set of timestamps its fragment covers.
 
     With full_lifespan the fragment covers every frame the track exists in,
     so identity and detection quality are judged over whole tracks; without
     it only the flagged timestamps count.
     """
-    fragments: dict[str, Collection[int]] = {}
-    neighbours = log.neighbours  # keyed by every track, then by each timestamp it has a state at
+    fragments: dict[str, frozenset[int]] = {}
+    lifespans = log.lifespan_sets
     for track_id in scenario.tracks():
-        if track_id not in neighbours:
+        lifespan = lifespans.get(track_id)
+        if lifespan is None:
             raise UnknownTrack(f"scenario references track '{track_id}' absent from log '{log.log_id}'")
-        track = neighbours[track_id]
         if full_lifespan:
-            fragments[track_id] = track.keys()
+            fragments[track_id] = lifespan
         else:
             frames = scenario.timestamps_for(track_id)
             for ts in frames:
-                if ts not in track:
+                if ts not in lifespan:
                     raise InconsistentInput(
                         f"scenario flags track '{track_id}' at {ts} but the track has no state there"
                     )
@@ -315,10 +337,8 @@ def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
 
 def timestamp_counts(pred: ScenarioSet, gt: ScenarioSet) -> tuple[int, int, int]:
     """(tp, fp, fn) over flagged (track, timestamp) pairs."""
-    pred_pairs = set(pred.pairs())
-    gt_pairs = set(gt.pairs())
-    tp = len(pred_pairs & gt_pairs)
-    return tp, len(pred_pairs) - tp, len(gt_pairs) - tp
+    tp = sum(len(stamps & gt.timestamps_for(track)) for track, stamps in pred.entries.items())
+    return tp, len(pred) - tp, len(gt) - tp
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -405,6 +425,9 @@ def evaluate(
     one. The F1 metrics pool counts over every pair instead: timestamp F1 is
     micro over flagged (track, timestamp) pairs, log F1 treats each pair as
     one binary retrieval decision (positive = non-empty scenario set).
+
+    A scenario set ``hota_temporal`` would reject raises its error, with a
+    ``side`` attribute, "predictions" or "ground truth", naming the culprit.
     """
     universe: dict[str, dict[str, ScenarioSet]] = {}
     for gt in ground_truth:
@@ -437,8 +460,16 @@ def evaluate(
             gt_set = universe[query_text][log_id]
             pred_set = predictions.get(query_text, {}).get(log_id, ScenarioSet.empty())
 
-            t_result = hota_temporal(pred_set, gt_set, log)
-            f_result = hota_full(pred_set, gt_set, log)
+            sides = []
+            for scenario, side in ((pred_set, "predictions"), (gt_set, "ground truth")):
+                try:
+                    sides.append(scenario_fragments(log, scenario))
+                except (UnknownTrack, InconsistentInput) as exc:
+                    exc.side = side
+                    raise
+            lifespans = log.lifespan_sets
+            t_result = _hota(*sides, log.neighbours)
+            f_result = _hota(*({t: lifespans[t] for t in fragments} for fragments in sides), log.neighbours)
             tp, fp, fn = timestamp_counts(pred_set, gt_set)
             ts_tp, ts_fp, ts_fn = ts_tp + tp, ts_fp + fp, ts_fn + fn
 

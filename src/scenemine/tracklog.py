@@ -182,25 +182,34 @@ class TrackLog:
         }
 
     @functools.cached_property
-    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
-        """Each track's {timestamp: [(track, similarity), ...]} where it has a state, built on first use and kept.
+    def lifespan_sets(self) -> Mapping[str, frozenset[int]]:
+        """``lifespans`` as sets, for scoring, built on first use and kept."""
+        return {track: frozenset(stamps) for track, stamps in self.lifespans.items()}
 
-        A timestamp lists, in track order, every track present there whose
-        centre has a ``center_distance_similarity`` above 0 to this track's
-        (the track itself, at 1.0, included), with that similarity, this
-        track's centre first. A squared distance under a bound a little wider
-        than SIMILARITY_SCALE_M picks the candidates, a block of frames at a
-        time, so numpy's rounding can only add one; each candidate's
-        similarity is then the scalar function's value.
+    @functools.cached_property
+    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
+        """Each track's {timestamp: [(other track, similarity), ...]}, built on first use and kept.
+
+        A timestamp lists, in track order, every other track present there
+        whose centre has a ``center_distance_similarity`` above 0 to this
+        track's, with that similarity, this track's centre first. Only such
+        timestamps are listed, and only tracks with one have a row: a track's
+        similarity to itself is exactly 1.0 and is never stored. A squared
+        distance under a bound a little wider than SIMILARITY_SCALE_M picks
+        the candidates, a block of frames at a time, so numpy's rounding can
+        only add one; each candidate's similarity is then the scalar
+        function's value.
         """
         stamps, ids, centres = self.timestamps, self.track_ids, (self.x, self.y, self.z)
-        table: dict[str, dict[int, list[tuple[str, float]]]] = {track: {} for track in ids}
+        table: dict[str, dict[int, list[tuple[str, float]]]] = {}
+        diagonal = np.arange(len(ids))
         step = max(1, BLOCK_ELEMENTS // max(1, len(ids) ** 2))
         for start in range(0, len(stamps), step):
             rows = slice(start, start + step)
             with np.errstate(over="ignore"):  # centres too far apart to square are no candidates
                 dx, dy, dz = (v[rows, :, None] - v[rows, None, :] for v in centres)
                 near = dx * dx + dy * dy + dz * dz < _NEAR_SQUARED
+            near[:, diagonal, diagonal] = False
             here = self.present[rows]
             r, i, j = np.nonzero(near & here[:, :, None] & here[:, None, :])
             r += start
@@ -208,7 +217,7 @@ class TrackLog:
             for row, a, b, ax, ay, az, bx, by, bz in zip(*columns):
                 s = center_distance_similarity((ax, ay, az), (bx, by, bz))
                 if s > 0.0:
-                    table[ids[a]].setdefault(stamps[row], []).append((ids[b], s))
+                    table.setdefault(ids[a], {}).setdefault(stamps[row], []).append((ids[b], s))
         return table
 
     @functools.cached_property

@@ -452,6 +452,27 @@ def test_eval_ground_truth_faults_name_the_file(tmp_path, bundle_dir, capsys):
     assert "'no-such-track'" in err and gt_path not in err
 
 
+def test_eval_scenario_faults_name_the_file_at_fault(tmp_path, bundle_dir, capsys):
+    predictions, gt_path = _eval_setup(tmp_path, bundle_dir)
+    with open(gt_path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    query, log_id = entries[0]["query_text"], entries[0]["log_id"]
+    log = load_log(str(bundle_dir / f"{log_id}.json"))
+    track, between = log.track_ids[0], log.timestamps[0] + 1
+    faults = [
+        ({"no-such-track": [log.timestamps[0]]}, f"scenario references track 'no-such-track' absent from log '{log_id}'"),
+        ({track: [between]}, f"scenario flags track '{track}' at {between} but the track has no state there"),
+    ]
+    capsys.readouterr()
+    for k, (scenario, message) in enumerate(faults):
+        bad = _write(tmp_path / f"bad{k}.json", json.dumps({query: {log_id: scenario}}))
+        assert main(["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        bad = _write(tmp_path / f"bad{k}.gt.json", json.dumps([dict(entries[0], relevant=scenario)] + entries[1:]))
+        assert main(["eval", "--predictions", predictions, "--gt", bad, "--logs", str(bundle_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # input files the CLI cannot read: bytes that are not UTF-8, JSON nested too deeply
 

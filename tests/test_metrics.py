@@ -306,6 +306,23 @@ def test_log_hota_is_bit_identical_to_one_pass_per_alpha_on_positions(drawn):
     _assert_log_hota_is_one_pass_per_alpha(*drawn)
 
 
+def test_self_pairs_alone_early_and_contested_later_are_bit_identical():
+    # Track e matches itself with no rival at frames 1 and 2, and c at frame
+    # 2. At frame 3 both stand at one spot, so the cross pairs (c, e) and
+    # (e, c) contest both self pairs. Their association terms must still be
+    # summed in order of the frames first matched at, 1 and 2, not 3.
+    def at(*frames):
+        return {T0 + k * DT: (x, 0.0, 0.0) for k, x in frames}
+
+    pred = {"c": at((0, 0.5), (2, 3.0), (3, 3.0)), "d": at((1, 1.0)), "e": at((1, 3.0), (2, 1.0), (3, 3.0))}
+    gt = {
+        "b": at((0, 1.0), (1, 0.0), (3, 9.0), (4, 0.0), (5, 0.5)),
+        "c": at((2, 3.0), (3, 3.0)),
+        "e": at((1, 3.0), (2, 1.0), (3, 3.0)),
+    }
+    _assert_log_hota_is_one_pass_per_alpha(*fragment_log(pred, gt))
+
+
 _ELIGIBLE = st.dictionaries(
     st.tuples(st.sampled_from(["p1", "p2", "p3", "p4", "p5"]), st.sampled_from(["g1", "g2", "g3", "g4", "g5"])),
     st.sampled_from([0.25, 0.3, 0.5, 0.6, 0.75, 1.0]),

@@ -164,25 +164,36 @@ def test_view_arrays_equal_the_logged_states(seed):
 
 
 def _scanned_neighbours(log):
-    """Each track's {timestamp: [(track, similarity)]} by scoring every pair of tracks present in a frame."""
+    """Each track's {timestamp: [(other track, similarity)]} by scoring every pair of tracks present in a frame.
+
+    Only non-empty timestamps are kept, and only tracks with one.
+    """
     objects = sorted(log.objects.items())
-    return {
-        track: {
-            ts: [
+    table = {}
+    for track, obj_ in objects:
+        for ts, st_ in obj_.states.items():
+            near = [
                 (other, s)
                 for other, o in objects
-                if ts in o.states and (s := center_distance_similarity(st_.position, o.states[ts].position)) > 0.0
+                if other != track
+                and ts in o.states
+                and (s := center_distance_similarity(st_.position, o.states[ts].position)) > 0.0
             ]
-            for ts, st_ in obj_.states.items()
-        }
-        for track, obj_ in objects
-    }
+            if near:
+                table.setdefault(track, {})[ts] = near
+    return table
+
+
+def _assert_no_self_pairs(table):
+    assert all(other != track for track, row in table.items() for near in row.values() for other, _ in near)
 
 
 @settings(max_examples=200)
 @given(near_pair_logs())
 def test_neighbour_table_equals_a_scan_of_every_pair(log):
-    assert log.neighbours == _scanned_neighbours(log)
+    table = log.neighbours
+    assert table == _scanned_neighbours(log)
+    _assert_no_self_pairs(table)
 
 
 @pytest.mark.parametrize("budget", [1, 2000, 1 << 16])  # a frame, 5 frames and all 10 frames a block
@@ -191,7 +202,8 @@ def test_neighbour_table_is_the_same_in_any_block_size(monkeypatch, budget):
     log = scenes.argo_log(0, 0, 20, num_frames=10)
     table = log.neighbours
     assert table == _scanned_neighbours(log)
-    assert any(len(near) > 1 for row in table.values() for near in row.values())  # not only the self pairs
+    _assert_no_self_pairs(table)
+    assert any(row for row in table.values())  # some track has a neighbour
 
 
 def _counted_table_builds(monkeypatch) -> list:
