@@ -16,8 +16,8 @@ import sys
 from typing import Mapping, Sequence
 
 from .dsl import describe_functions
-from .errors import MalformedFile, InconsistentInput, ScenarioMiningError, UnknownTrack
-from .metrics import evaluate
+from .errors import MalformedFile, InconsistentInput, ScenarioMiningError
+from .metrics import PREDICTIONS, evaluate
 from .orchestrator import MiningConfig, run_batch
 from .predicates import registry_catalog
 from .providers import HttpProvider, ScriptedProvider
@@ -180,10 +180,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise InconsistentInput(f"{args.gt}: ground truth references log '{missing[1]}' but it was not provided")
     try:
         report = evaluate(predictions, ground_truth, logs)
-    except (UnknownTrack, InconsistentInput) as exc:
-        if not hasattr(exc, "side"):
+    except ScenarioMiningError as exc:
+        if exc.side is None:
             raise
-        raise type(exc)(f"{args.predictions if exc.side == 'predictions' else args.gt}: {exc}") from None
+        raise type(exc)(f"{args.predictions if exc.side == PREDICTIONS else args.gt}: {exc}") from None
     sys.stdout.write(report.summary_table())
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -6,6 +6,8 @@ from __future__ import annotations
 class ScenarioMiningError(Exception):
     """Base class for every domain error raised by this package."""
 
+    side: str | None = None  # which of two compared inputs is at fault, where the raiser knows
+
 
 class MalformedFile(ScenarioMiningError):
     """A file does not follow the documented schema (missing/ill-typed fields)."""

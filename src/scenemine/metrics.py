@@ -39,13 +39,16 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InconsistentInput, UnknownTrack
+from .errors import InconsistentInput, ScenarioMiningError, UnknownTrack
 from .scenario_set import ScenarioSet
 from .tracklog import GroundTruthScenario, TrackLog
 
 DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
 _MATCH_EPS = 1e-9
+
+# the ``side`` of a scenario set error raised by hota_temporal or hota_full
+PREDICTIONS, GROUND_TRUTH = "predictions", "ground truth"
 
 # pred track -> timestamp -> [(gt track other than pred, similarity above 0), ...] in gt id order,
 # at the timestamps that have one; a track is its own candidate, at 1.0, everywhere, and is not listed
@@ -317,18 +320,26 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
     return fragments
 
 
+def _sides(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog, full_lifespan: bool) -> list[dict[str, frozenset[int]]]:
+    """Both sides' fragments; an error names its side in ``side``, PREDICTIONS or GROUND_TRUTH."""
+    fragments = []
+    for scenario, side in ((pred, PREDICTIONS), (gt, GROUND_TRUTH)):
+        try:
+            fragments.append(scenario_fragments(log, scenario, full_lifespan))
+        except ScenarioMiningError as exc:
+            exc.side = side
+            raise
+    return fragments
+
+
 def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return _hota(scenario_fragments(log, pred), scenario_fragments(log, gt), log.neighbours)
+    return _hota(*_sides(pred, gt, log, full_lifespan=False), log.neighbours)
 
 
 def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over the flagged tracks extended to their full lifespans."""
-    return _hota(
-        scenario_fragments(log, pred, full_lifespan=True),
-        scenario_fragments(log, gt, full_lifespan=True),
-        log.neighbours,
-    )
+    return _hota(*_sides(pred, gt, log, full_lifespan=True), log.neighbours)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +436,6 @@ def evaluate(
     one. The F1 metrics pool counts over every pair instead: timestamp F1 is
     micro over flagged (track, timestamp) pairs, log F1 treats each pair as
     one binary retrieval decision (positive = non-empty scenario set).
-
-    A scenario set ``hota_temporal`` would reject raises its error, with a
-    ``side`` attribute, "predictions" or "ground truth", naming the culprit.
     """
     universe: dict[str, dict[str, ScenarioSet]] = {}
     for gt in ground_truth:
@@ -460,16 +468,8 @@ def evaluate(
             gt_set = universe[query_text][log_id]
             pred_set = predictions.get(query_text, {}).get(log_id, ScenarioSet.empty())
 
-            sides = []
-            for scenario, side in ((pred_set, "predictions"), (gt_set, "ground truth")):
-                try:
-                    sides.append(scenario_fragments(log, scenario))
-                except (UnknownTrack, InconsistentInput) as exc:
-                    exc.side = side
-                    raise
-            lifespans = log.lifespan_sets
-            t_result = _hota(*sides, log.neighbours)
-            f_result = _hota(*({t: lifespans[t] for t in fragments} for fragments in sides), log.neighbours)
+            t_result = hota_temporal(pred_set, gt_set, log)
+            f_result = hota_full(pred_set, gt_set, log)
             tp, fp, fn = timestamp_counts(pred_set, gt_set)
             ts_tp, ts_fp, ts_fn = ts_tp + tp, ts_fp + fp, ts_fn + fn
 

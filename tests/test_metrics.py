@@ -8,6 +8,8 @@ from scenemine.errors import InconsistentInput, UnknownTrack
 from scenemine.geometry import center_distance_similarity
 from scenemine.metrics import (
     DEFAULT_ALPHAS,
+    GROUND_TRUTH,
+    PREDICTIONS,
     _lexmin_matching,
     evaluate,
     f1_from_counts,
@@ -189,6 +191,18 @@ def test_scenario_fragments_rejects_unknown_track():
 def test_scenario_fragments_rejects_flag_without_state():
     with pytest.raises(InconsistentInput, match="no state there"):
         scenario_fragments(_partial_log(), sset({"y": [TS[2]]}))
+
+
+def test_hota_names_the_side_of_a_scenario_set_error():
+    log, good = _partial_log(), sset({"x": TS[:1]})
+    ghost, unstated = sset({"ghost": TS[:1]}), sset({"y": [TS[2]]})
+    for score, bad, error in ((hota_temporal, ghost, UnknownTrack), (hota_full, ghost, UnknownTrack),
+                              (hota_temporal, unstated, InconsistentInput)):
+        with pytest.raises(error) as pred_fault:
+            score(bad, good, log)
+        with pytest.raises(error) as gt_fault:
+            score(good, bad, log)
+        assert (pred_fault.value.side, gt_fault.value.side) == (PREDICTIONS, GROUND_TRUTH)
 
 
 def test_temporal_penalizes_partial_flagging_but_full_does_not():
