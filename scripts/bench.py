@@ -13,9 +13,11 @@ objects x 150 frames, timing ``save_log`` then ``load_log`` of the log (up to
 its columnar view, which some versions build on first use), the build of the
 log's neighbour table on a freshly loaded log (``hota_table_s``; null where the
 checkout has none), each of the 13 scenario functions called as the
-benchmark's ``argo_files`` queries call it, and ``hota_temporal`` and
-``hota_full`` scoring every other track (all of its frames) against all
-tracks. The HOTA rows reuse one log, so after their first repeat its table is
+benchmark's ``argo_files`` queries call it, ``dsl.interpret`` of one
+multi-statement ``argo_files`` program (``INTERPRET_QUERY``'s, parsed once)
+with its output read through ``to_json_dict`` (``interpret_s``), and
+``hota_temporal`` and ``hota_full`` scoring every other track (all of its
+frames) against all tracks. The HOTA rows reuse one log, so after their first repeat its table is
 built, and only ``hota_table_s`` shows what building it costs. Sweep times
 are unscaled seconds, the median of SWEEP_REPEATS, given with the host scale
 ``run.py`` would apply to a time measured between the row's calibrations. Each row also holds the SHA-256 of
@@ -46,6 +48,7 @@ SEEDS = (0, 7)  # the benchmark's default seed and its held-out one
 SWEEP_OBJECTS = (50, 70, 200)
 SWEEP_FRAMES = 150
 SWEEP_REPEATS = 3
+INTERPRET_QUERY = "fast vehicles within 5 meters of a pedestrian"
 
 
 def _env() -> dict:
@@ -142,6 +145,7 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     """Times for one argo_log size; needs the checkout's src/ and scenebench/ on sys.path."""
     import run
     import scenes
+    from scenemine.dsl import interpret, parse
     from scenemine.metrics import hota_full, hota_temporal
     from scenemine.scenario_set import ScenarioSet
     from scenemine.tracklog import load_log, save_log
@@ -164,6 +168,8 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             row["log_sha256"] = hashlib.sha256(fh.read()).hexdigest()
         row["hota_table_s"] = _table_time(path, repeats)
     row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
+    program = parse(next(code for query, code, _ in scenes.ARGO_QUERIES if query == INTERPRET_QUERY))
+    row["interpret_s"] = _median_time(lambda: interpret(program, log).to_json_dict(), repeats)
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
     row["host_scale"] = run.host_scale(before + run.calibration_times())
@@ -210,7 +216,7 @@ def main(argv=None) -> int:
         table = "none" if row["hota_table_s"] is None else f"{row['hota_table_s']:.3f} s"
         print(
             f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, hota_table {table}, "
-            f"predicates {sum(row['predicate_s'].values()):.3f} s, "
+            f"predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s"
         )
 

@@ -9,6 +9,7 @@ and is phrased to be actionable as repair feedback.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -122,6 +123,22 @@ class Program:
 
     assignments: tuple[Assignment, ...]
     output: Output
+
+    @functools.cached_property
+    def _plan(self) -> tuple:
+        """The program as execute() runs it, bound on first use and kept; valid only once check() accepts it.
+
+        Per assignment: (name, function name, {parameter: literal as a Python
+        value}, ((parameter, variable name), ...), span).
+        """
+        plan = []
+        for stmt in self.assignments:
+            spec = REGISTRY[stmt.call.function]
+            bound, _ = _bind_call(spec, stmt.call)
+            literals = {name: _to_python(spec.param(name), node) for name, node in bound.items() if isinstance(node, Literal)}
+            refs = tuple((name, node.name) for name, node in bound.items() if isinstance(node, VarRef))
+            plan.append((stmt.name, spec.name, literals, refs, stmt.span))
+        return tuple(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +524,7 @@ def check(program: Program) -> list[DslError]:
 # Interpreter
 
 
-def _to_python(param: ParamSpec, node, env: dict[str, ScenarioSet]):
-    if isinstance(node, VarRef):
-        return env[node.name]
+def _to_python(param: ParamSpec, node: Literal):
     value = node.value
     if param.kind == "int":
         return int(value)
@@ -523,21 +538,18 @@ def _to_python(param: ParamSpec, node, env: dict[str, ScenarioSet]):
 def execute(program: Program, log: TrackLog) -> ScenarioSet:
     """Run a program that check() accepted against a log and return the output scenario set.
 
-    Domain errors of the registry implementations surface as PredicateRuntime
-    diagnostics carrying the statement span.
+    Statements pass their sets on as log masks; only the output's pairs are
+    built. Domain errors of the registry implementations surface as
+    PredicateRuntime diagnostics carrying the statement span.
     """
     env: dict[str, ScenarioSet] = {}
-    for stmt in program.assignments:
-        spec = REGISTRY[stmt.call.function]
-        bound, _ = _bind_call(spec, stmt.call)
-        kwargs = {name: _to_python(spec.param(name), node, env) for name, node in bound.items()}
+    for name, function, literals, refs, span in program._plan:
+        spec = REGISTRY[function]  # looked up per run, so a wrapped registry entry is the one called
         try:
-            env[stmt.name] = spec.impl(log, **kwargs)
+            env[name] = spec.impl(log, **literals, **{param: env[var] for param, var in refs})
         except ScenarioMiningError as exc:
-            raise DslError(
-                PREDICATE_RUNTIME, f"{spec.name}(): {exc}", stmt.span
-            ) from exc
-    return env[program.output.name]
+            raise DslError(PREDICATE_RUNTIME, f"{spec.name}(): {exc}", span) from exc
+    return ScenarioSet._of(env[program.output.name].entries)
 
 
 def interpret(program: Program, log: TrackLog) -> ScenarioSet:

@@ -257,7 +257,8 @@ def _hota(
             lo = 0
             for k in sorted({contested[pair][1] for pair in component}):
                 eligible = {pair: contested[pair][0] for pair in component if contested[pair][1] >= k}
-                for pair in _lexmin_matching(eligible):
+                # At the lowest band the whole component is eligible, and it is connected.
+                for pair in _lexmin_component(eligible) if lo == 0 else _lexmin_matching(eligible):
                     credit(pair, lo, k, frame)
                 lo = k
 

@@ -5,15 +5,18 @@ same log. The convention throughout: ``track_candidates`` is the subject set
 (the result is always a subset of it) and ``related_candidates`` is the
 reference set it is tested against. Boundary comparisons are inclusive, an
 object is never related to itself, and inputs are treated as immutable.
+A predicate that takes a log reads its candidate sets masked against it,
+so pairs the log does not hold never count, and returns a set that holds
+its mask.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,54 +57,40 @@ def _positive(value: float, name: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# A predicate turns its candidate sets into masks over the log's arrays and its
-# result back into a set, and works on masks in between. ``tc``/``rc`` are the
-# log columns of the track/related candidates; a mask is [T, |tc|].
+# A predicate reads each candidate set as its [T, N] mask over the log
+# (``ScenarioSet.mask_on``) and returns its result as one. ``tc``/``rc`` are
+# the log columns where the track/related candidates hold at some frame.
 
 
-def _candidates(log: TrackLog, sset: ScenarioSet) -> tuple[np.ndarray, np.ndarray]:
-    """The log columns of a set's tracks and the mask of its pairs that exist in the log."""
-    entries, row = sset.entries, log.row
-    tracks = [track for track in entries if track in log.column]
-    width = len(tracks)
-    mask = np.zeros((len(row), width), dtype=bool)
-    mask.ravel()[[row[ts] * width + k for k, track in enumerate(tracks) for ts in entries[track] if ts in row]] = True
-    cols = np.array([log.column[track] for track in tracks], dtype=np.intp)
-    return cols, mask & log.present[:, cols]
-
-
-def _scenario_set(log: TrackLog, cols: np.ndarray, mask: np.ndarray) -> ScenarioSet:
-    track_ids, stamps = log.track_ids, log.timestamps
-    tracks = [track_ids[col] for col in cols.tolist()]
-    kept: dict[str, list[int]] = {}
-    rows, ks = np.nonzero(mask)
-    for row, k in zip(rows.tolist(), ks.tolist()):
-        kept.setdefault(tracks[k], []).append(stamps[row])
-    return ScenarioSet(kept)
+def _columns(mask: np.ndarray) -> np.ndarray:
+    """The columns of a [T, N] mask with at least one True."""
+    return mask.any(axis=0).nonzero()[0]
 
 
 def _relate(
     log: TrackLog,
     track_candidates: ScenarioSet,
-    related: tuple[np.ndarray, np.ndarray],
+    related_mask: np.ndarray,
     pair_test: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
     at_least: int = 1,
     at_most: float = math.inf,
 ) -> ScenarioSet:
     """Track pairs with between at_least (>= 1) and at_most related objects passing ``pair_test``.
 
-    ``related`` is ``_candidates`` of the related candidates. ``pair_test(rows,
-    tc, rc)`` answers for a block of frames; a log array indexed [rows, tc,
-    None] gives the track side and [rows, None, rc] the related side. An
-    object paired with itself, and related pairs outside the related
-    candidates, never count.
+    ``related_mask`` is the related candidates' mask. ``pair_test(rows, tc,
+    rc)`` answers for a block of frames; a log array indexed [rows, tc, None]
+    gives the track side and [rows, None, rc] the related side. An object
+    paired with itself, and related pairs outside the related candidates,
+    never count.
     """
-    tc, track_mask = _candidates(log, track_candidates)
-    rc, related_mask = related
-    if not (np.count_nonzero(track_mask) and np.count_nonzero(related_mask)):
-        return ScenarioSet.empty()
-    counts = np.zeros(track_mask.shape, dtype=np.intp)
+    track_mask = track_candidates.mask_on(log)
+    tc, rc = _columns(track_mask), _columns(related_mask)
+    kept = np.zeros_like(track_mask)
+    if not (tc.size and rc.size):
+        return ScenarioSet.from_mask(log, kept)
+    counts = np.zeros((len(log.timestamps), tc.size), dtype=np.intp)
     other = tc[:, None] != rc
+    related = related_mask[:, rc]
     step = max(1, BLOCK_ELEMENTS // (tc.size * rc.size))
     for start in range(0, len(log.timestamps), step):
         rows = slice(start, start + step)
@@ -109,8 +98,9 @@ def _relate(
         # nan, as in the scalar definitions' Python floats, which do not warn either.
         with np.errstate(over="ignore", invalid="ignore"):
             passed = pair_test(rows, tc, rc)
-        counts[rows] = (passed & other & related_mask[rows, None, :]).sum(axis=2)
-    return _scenario_set(log, tc, track_mask & (at_least <= counts) & (counts <= at_most))
+        counts[rows] = (passed & other & related[rows, None, :]).sum(axis=2)
+    kept[:, tc] = track_mask[:, tc] & (at_least <= counts) & (counts <= at_most)
+    return ScenarioSet.from_mask(log, kept)
 
 
 def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
@@ -121,10 +111,7 @@ def _displacements(log: TrackLog, rows: slice, tc: np.ndarray, rc: np.ndarray):
 def get_objects_of_category(log: TrackLog, category: str) -> ScenarioSet:
     """All objects of one category, at every timestamp where they exist."""
     DEFAULT_REGISTRY.category(category)  # raises UnknownCategory for names outside the vocabulary
-    lifespans = log.lifespans
-    return ScenarioSet(
-        {track: lifespans[track] for track, kind in zip(log.track_ids, log.categories) if kind.name == category}
-    )
+    return ScenarioSet.from_mask(log, log.present & (log.category_names == category))
 
 
 def has_objects_in_relative_direction(
@@ -162,7 +149,7 @@ def has_objects_in_relative_direction(
             & within_radius(lon, lat, within_distance)
         )
 
-    return _relate(log, track_candidates, _candidates(log, related_candidates), seen, min_number, max_number)
+    return _relate(log, track_candidates, related_candidates.mask_on(log), seen, min_number, max_number)
 
 
 def being_crossed_by(
@@ -184,8 +171,8 @@ def being_crossed_by(
     _positive(lateral_band, "lateral_band")
     _positive(forward_extent, "forward_extent")
     last = len(log.timestamps) - 1
-    rc, related_mask = _candidates(log, related_candidates)
-    # [2, T, |rc|]: the related object is a candidate at both ends of the
+    related_mask = related_candidates.mask_on(log)
+    # [2, T, N]: the related object is a candidate at both ends of the
     # segment from the frame before, and of the segment to the frame after.
     segment = related_mask[:-1] & related_mask[1:]
     none = np.zeros_like(segment[:1])
@@ -201,9 +188,9 @@ def being_crossed_by(
             log.sin_heading[rows, tc, None],
         )
         crossing = crosses_front_plane(lon[:-1], lat[:-1], lon[1:], lat[1:], direction, lateral_band, forward_extent)
-        return (crossing & segments[:, rows, None, :]).any(axis=0)
+        return (crossing & segments[:, rows, None, rc]).any(axis=0)
 
-    return _relate(log, track_candidates, (rc, related_mask), crossed)
+    return _relate(log, track_candidates, related_mask, crossed)
 
 
 def heading_in_relative_direction_to(
@@ -233,7 +220,7 @@ def heading_in_relative_direction_to(
             in_bin = np.abs(delta - math.pi / 2) <= math.pi / 4
         return in_bin & moving[rows, tc, None] & moving[rows, None, rc]
 
-    return _relate(log, track_candidates, _candidates(log, related_candidates), related)
+    return _relate(log, track_candidates, related_candidates.mask_on(log), related)
 
 
 def facing_toward(
@@ -252,7 +239,7 @@ def facing_toward(
         heading = log.heading[rows, tc, None]
         return within_radius(dx, dy, max_distance) & points_at(dx, dy, heading, within_angle)
 
-    return _relate(log, track_candidates, _candidates(log, related_candidates), faces)
+    return _relate(log, track_candidates, related_candidates.mask_on(log), faces)
 
 
 def heading_toward(
@@ -279,7 +266,7 @@ def heading_toward(
             & points_at(dx, dy, log.velocity_angle[rows, tc, None], within_angle)
         )
 
-    return _relate(log, track_candidates, _candidates(log, related_candidates), aims)
+    return _relate(log, track_candidates, related_candidates.mask_on(log), aims)
 
 
 def near_objects(
@@ -294,7 +281,7 @@ def near_objects(
     if min_objects < 1:
         raise InvalidParameter(f"min_objects must be >= 1, got {min_objects!r}")
     close = lambda rows, tc, rc: within_radius(*_displacements(log, rows, tc, rc), distance_thresh)  # noqa: E731
-    return _relate(log, track_candidates, _candidates(log, related_candidates), close, min_objects)
+    return _relate(log, track_candidates, related_candidates.mask_on(log), close, min_objects)
 
 
 def has_velocity(
@@ -310,9 +297,8 @@ def has_velocity(
         raise InvalidParameter(
             f"max_velocity ({max_velocity!r}) must be >= min_velocity ({min_velocity!r})"
         )
-    tc, mask = _candidates(log, track_candidates)
-    speed = log.speed[:, tc]
-    return _scenario_set(log, tc, mask & (min_velocity <= speed) & (speed <= max_velocity))
+    speed = log.speed
+    return ScenarioSet.from_mask(log, track_candidates.mask_on(log) & (min_velocity <= speed) & (speed <= max_velocity))
 
 
 def decelerating(
@@ -327,13 +313,14 @@ def decelerating(
     is missing) is never kept.
     """
     _positive(min_decel, "min_decel")
-    tc, mask = _candidates(log, track_candidates)
+    mask = track_candidates.mask_on(log)
+    tc = _columns(mask)
     speed, present = log.speed[:, tc], log.present[:, tc]
     stamps = log.timestamps
     dt = np.array([(b - a) / NS_PER_SECOND for a, b in zip(stamps, stamps[1:])])
-    mask[1:] &= present[:-1] & ((speed[1:] - speed[:-1]) / dt[:, None] <= -min_decel)
-    mask[0] = False
-    return _scenario_set(log, tc, mask)
+    kept = np.zeros_like(mask)
+    kept[1:, tc] = mask[1:, tc] & present[:-1] & ((speed[1:] - speed[:-1]) / dt[:, None] <= -min_decel)
+    return ScenarioSet.from_mask(log, kept)
 
 
 def scenario_and(a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:
@@ -370,21 +357,16 @@ def followed_by(
         raise InvalidParameter(f"within_seconds is too large for a time window, got {within_seconds!r}")
     window_ns = int(round(window))
 
+    # A first hit at a frame before row r counts when it is at or after row lo[r].
+    # The window is subtracted on Python ints, which a window past 2**63 ns cannot overflow.
+    stamps = log.timestamps
+    lo = np.array([bisect_left(stamps, ts - window_ns) for ts in stamps], dtype=np.intp)
+    hits = first.mask_on(log)
     if cross_track:
-        merged: list[int] = sorted({ts for _, ts in first.pairs()})
-        sources: Callable[[str], Sequence[int]] = lambda _track: merged
-    else:
-        per_track = {track: sorted(first.timestamps_for(track)) for track in first.tracks()}
-        sources = lambda track: per_track.get(track, ())
-
-    kept: list[tuple[str, int]] = []
-    for track, ts in second.pairs():
-        stamps = sources(track)
-        lo = bisect_left(stamps, ts - window_ns)
-        hi = bisect_right(stamps, ts - 1)
-        if hi > lo:
-            kept.append((track, ts))
-    return ScenarioSet.from_pairs(kept)
+        hits = hits.any(axis=1, keepdims=True)
+    before = np.zeros((len(stamps) + 1, hits.shape[1]), dtype=np.intp)
+    np.cumsum(hits, axis=0, out=before[1:])  # before[r]: hits in the rows before r
+    return ScenarioSet.from_mask(log, second.mask_on(log) & (before[:-1] > before[lo]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,31 +3,54 @@
 A ScenarioSet maps track ids to the non-empty set of timestamps at which a
 condition holds for that track. It behaves like an immutable set of
 (track_id, timestamp) pairs with a per-track grouping.
+
+A set a predicate makes on a log is held as that log plus a read-only
+[frames, tracks] bool mask of the log's present pairs. Predicates and set
+operations on one log read and combine the masks; the track -> timestamps
+mapping is built from a mask only when something reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+import functools
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .tracklog import TrackLog
 
 
-@dataclass(frozen=True)
 class ScenarioSet:
     """Mapping track_id -> frozenset of timestamps; tracks with no timestamps are dropped."""
 
-    entries: Mapping[str, frozenset[int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        normalized = {
-            str(track): frozenset(map(int, stamps))
-            for track, stamps in self.entries.items()
-            if len(stamps) > 0
+    def __init__(self, entries: Mapping[str, Iterable[int]] | None = None):
+        self.entries = {
+            str(track): frozenset(map(int, stamps)) for track, stamps in (entries or {}).items() if len(stamps) > 0
         }
-        object.__setattr__(self, "entries", normalized)
+        self._log = self._mask = None
+
+    @classmethod
+    def _of(cls, entries: dict[str, frozenset[int]]) -> "ScenarioSet":
+        """A set holding ``entries`` as they are: str keys, non-empty frozensets of int."""
+        out = cls.__new__(cls)
+        out.entries, out._log, out._mask = entries, None, None
+        return out
+
+    @classmethod
+    def from_mask(cls, log: "TrackLog", mask: np.ndarray) -> "ScenarioSet":
+        """The pairs of ``log`` where ``mask`` [frames, tracks] is True; every True pair must be present.
+
+        The mask becomes read-only and is kept, not copied.
+        """
+        mask.flags.writeable = False
+        out = cls.__new__(cls)
+        out._log, out._mask = log, mask
+        return out
 
     @classmethod
     def empty(cls) -> "ScenarioSet":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "ScenarioSet":
@@ -36,13 +59,55 @@ class ScenarioSet:
             grouped.setdefault(track, set()).add(ts)
         return cls(grouped)
 
+    @functools.cached_property
+    def entries(self) -> dict[str, frozenset[int]]:
+        """Track id -> its timestamps; a set made from a mask builds them on first use."""
+        stamps, mask = self._log.timestamps, self._mask
+        rows = mask.T.nonzero()[1].tolist()  # column by column, rows in order
+        entries, start = {}, 0
+        for track, end in zip(self._log.track_ids, np.count_nonzero(mask, axis=0).cumsum().tolist()):
+            if end > start:
+                entries[track] = frozenset([stamps[i] for i in rows[start:end]])
+                start = end
+        return entries
+
+    def mask_on(self, log: "TrackLog") -> np.ndarray:
+        """The read-only [frames, tracks] mask of this set's pairs that are present in ``log``."""
+        if self._mask is not None and self._log is log:
+            return self._mask
+        row, column = log.row, log.column
+        mask = np.zeros(log.present.shape, dtype=bool)
+        width = mask.shape[1]
+        cells = [
+            row[ts] * width + column[track]
+            for track, stamps in self.entries.items() if track in column
+            for ts in stamps if ts in row
+        ]
+        mask.ravel()[cells] = True
+        mask &= log.present
+        mask.flags.writeable = False
+        return mask
+
+    def _same_log(self, other: "ScenarioSet") -> bool:
+        return self._mask is not None and other._mask is not None and self._log is other._log
+
     @property
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.entries if self._mask is None else not np.count_nonzero(self._mask)
 
     def __len__(self) -> int:
         """Number of (track, timestamp) pairs."""
-        return sum(len(stamps) for stamps in self.entries.values())
+        if self._mask is None:
+            return sum(len(stamps) for stamps in self.entries.values())
+        return int(np.count_nonzero(self._mask))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScenarioSet):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return f"ScenarioSet(entries={self.entries!r})"
 
     def __contains__(self, pair: object) -> bool:
         if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -62,26 +127,32 @@ class ScenarioSet:
                 yield track, ts
 
     def union(self, other: "ScenarioSet") -> "ScenarioSet":
+        if self._same_log(other):
+            return ScenarioSet.from_mask(self._log, self._mask | other._mask)
         merged: dict[str, frozenset[int]] = dict(self.entries)
         for track, stamps in other.entries.items():
             merged[track] = merged.get(track, frozenset()) | stamps
-        return ScenarioSet(merged)
+        return ScenarioSet._of(merged)
 
     def intersection(self, other: "ScenarioSet") -> "ScenarioSet":
+        if self._same_log(other):
+            return ScenarioSet.from_mask(self._log, self._mask & other._mask)
         out: dict[str, frozenset[int]] = {}
         for track, stamps in self.entries.items():
             common = stamps & other.entries.get(track, frozenset())
             if common:
                 out[track] = common
-        return ScenarioSet(out)
+        return ScenarioSet._of(out)
 
     def difference(self, other: "ScenarioSet") -> "ScenarioSet":
+        if self._same_log(other):
+            return ScenarioSet.from_mask(self._log, self._mask & ~other._mask)
         out: dict[str, frozenset[int]] = {}
         for track, stamps in self.entries.items():
             left = stamps - other.entries.get(track, frozenset())
             if left:
                 out[track] = left
-        return ScenarioSet(out)
+        return ScenarioSet._of(out)
 
     def issubset(self, other: "ScenarioSet") -> bool:
         return all(stamps <= other.entries.get(track, frozenset()) for track, stamps in self.entries.items())
@@ -92,4 +163,4 @@ class ScenarioSet:
 
     @classmethod
     def from_json_dict(cls, raw: Mapping[str, Iterable[int]]) -> "ScenarioSet":
-        return cls({track: frozenset(stamps) for track, stamps in raw.items()})
+        return cls(raw)

@@ -173,6 +173,13 @@ class TrackLog:
             yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
 
     @functools.cached_property
+    def category_names(self) -> np.ndarray:
+        """Each column's category name, a read-only [N] string array built on first use and kept."""
+        names = np.array([category.name for category in self.categories], dtype=str)
+        names.flags.writeable = False
+        return names
+
+    @functools.cached_property
     def lifespans(self) -> Mapping[str, list[int]]:
         """Each track's timestamps where it has a state, in order, built on first use and kept."""
         stamps = self.timestamps

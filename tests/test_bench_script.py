@@ -23,7 +23,7 @@ def test_sweep_row_times_each_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
     row = _bench_module().sweep_row(6, num_frames=4, repeats=1)
     assert (row["objects"], row["frames"]) == (6, 4)
-    timed = ("save_log_s", "load_log_s", "hota_table_s", "hota_temporal_s", "hota_full_s")
+    timed = ("save_log_s", "load_log_s", "hota_table_s", "interpret_s", "hota_temporal_s", "hota_full_s")
     assert set(row) == {"objects", "frames", "log_mb", "log_sha256", "host_scale", "predicate_s", *timed}
     assert len(row["log_sha256"]) == 64 and int(row["log_sha256"], 16) >= 0
     assert all(row[key] >= 0.0 for key in timed)

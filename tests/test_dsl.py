@@ -312,6 +312,26 @@ def test_interpret_is_deterministic():
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_a_program_binds_its_arguments_once_for_every_log(monkeypatch):
+    from scenemine import dsl
+    from scenemine.predicates import get_objects_of_category, has_velocity
+
+    calls = Counter()
+    bind = dsl._bind_call
+    monkeypatch.setattr(dsl, "_bind_call", lambda spec, call: calls.update([spec.name]) or bind(spec, call))
+    program = parse(
+        'trucks = get_objects_of_category(category="TRUCK")\n'
+        "moving = has_velocity(track_candidates=trucks, min_velocity=1)\n"
+        "output(moving)\n"
+    )
+    logs = [_two_truck_log(), random_track_log(5)]
+    results = [dsl.execute(program, log) for log in logs for _ in range(2)]
+    assert calls == {"get_objects_of_category": 1, "has_velocity": 1}
+    for log, got in zip(logs, results[::2]):
+        assert got == has_velocity(log, get_objects_of_category(log, "TRUCK"), min_velocity=1)
+    assert results[0] == results[1] and results[2] == results[3]
+
+
 # ---------------------------------------------------------------------------
 # Pretty printer
 

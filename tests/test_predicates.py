@@ -543,6 +543,21 @@ def test_oracle_followed_by(seed, window, cross):
     assert as_dict(got) == want
 
 
+@given(seeds, st.booleans())
+def test_followed_by_on_masks_matches_the_oracle_at_extreme_windows(seed, cross):
+    """Both sets made on the log, with a window past 2**63 ns and windows exactly one frame gap long."""
+    log = random_track_log(seed, max_objects=6, max_frames=12)
+    cand = has_velocity(log, full_set(log))
+    first = has_velocity(log, cand, min_velocity=0.5)
+    gaps = sorted({b - a for a, b in zip(log.timestamps, log.timestamps[1:])})
+    windows = [1e10] + [gap / 1e9 for gap in gaps]
+    assert 1e10 * 1e9 > 2**63 and [round(w * 1e9) for w in windows[1:]] == gaps
+    for window in windows:
+        got = followed_by(log, first, cand, within_seconds=window, cross_track=cross)
+        want = oracles.followed_by(log, as_dict(first), as_dict(cand), within_seconds=window, cross_track=cross)
+        assert as_dict(got) == want
+
+
 RELATIONAL_CASES = [
     ("has_objects_in_relative_direction", dict(direction="forward", within_distance=25.0, lateral_thresh=8.0)),
     ("has_objects_in_relative_direction", dict(direction="left", min_number=2)),

@@ -1,8 +1,11 @@
+import numpy as np
 from hypothesis import given, strategies as st
 
+from scenemine.predicates import followed_by, get_objects_of_category, has_velocity, near_objects, scenario_or
 from scenemine.scenario_set import ScenarioSet
+from scenemine.tracklog import TrackLog
 
-from util import sset
+from util import random_track_log, sset
 
 
 def entries_strategy():
@@ -82,3 +85,80 @@ def test_issubset_matches_pair_semantics(a, b):
 @given(scenario_sets)
 def test_round_trip_preserves_value(s):
     assert ScenarioSet.from_json_dict(s.to_json_dict()) == s
+
+
+# ---------------------------------------------------------------------------
+# A set a predicate makes on a log holds a mask; one built from a dict holds
+# the pairs. Both must behave as the same set of pairs.
+
+
+def _random_mask(log: TrackLog, seed: int) -> np.ndarray:
+    """A random subset of the log's present pairs."""
+    return log.present & (np.random.default_rng(seed).random(log.present.shape) < 0.5)
+
+
+def _dict_copy(log: TrackLog, mask: np.ndarray, extra=None) -> ScenarioSet:
+    """The pairs of a mask as a dict-built set, read cell by cell, plus any ``extra`` entries."""
+    entries = {
+        track: {log.timestamps[i] for i in range(len(log.timestamps)) if mask[i, j]}
+        for j, track in enumerate(log.track_ids)
+    }
+    return ScenarioSet({**entries, **(extra or {})})
+
+
+def _assert_same(got: ScenarioSet, want: ScenarioSet, log: TrackLog) -> None:
+    assert got == want and want == got
+    assert len(got) == len(want)
+    assert got.is_empty == want.is_empty
+    assert got.tracks() == want.tracks()
+    assert list(got.pairs()) == list(want.pairs())
+    assert got.to_json_dict() == want.to_json_dict()
+    for track in (*log.track_ids, "ghost"):
+        assert got.timestamps_for(track) == want.timestamps_for(track)
+        for ts in (*log.timestamps, log.timestamps[-1] + 1):
+            assert ((track, ts) in got) == ((track, ts) in want)
+
+
+@given(st.integers(0, 120), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 120))
+def test_a_mask_backed_set_behaves_as_its_dict_built_copy(log_seed, seed_a, seed_b, other_seed):
+    log, other_log = random_track_log(log_seed, 6, 12), random_track_log(other_seed, 6, 12)
+    mask_a, mask_b, mask_c = _random_mask(log, seed_a), _random_mask(log, seed_b), _random_mask(other_log, seed_b)
+    a, b, c = ScenarioSet.from_mask(log, mask_a), ScenarioSet.from_mask(log, mask_b), ScenarioSet.from_mask(other_log, mask_c)
+    da, db, dc = _dict_copy(log, mask_a), _dict_copy(log, mask_b), _dict_copy(other_log, mask_c)
+    ghost = _dict_copy(log, mask_b, {"ghost": {log.timestamps[0], log.timestamps[-1] + 1}})
+    for got, want, on in ((a, da, log), (b, db, log), (c, dc, other_log)):
+        _assert_same(got, want, on)
+    # mask with mask on one log, mask with dict and dict with mask, masks of two logs, a track absent from the log
+    for (x, y), (dx, dy) in (
+        ((a, b), (da, db)),
+        ((a, db), (da, db)),
+        ((da, b), (da, db)),
+        ((a, c), (da, dc)),
+        ((c, a), (dc, da)),
+        ((a, ghost), (da, ghost)),
+        ((ghost, a), (ghost, da)),
+    ):
+        px, py = set(dx.pairs()), set(dy.pairs())
+        for op, want in (("union", px | py), ("intersection", px & py), ("difference", px - py)):
+            got = getattr(x, op)(y)
+            _assert_same(got, getattr(dx, op)(dy), log)
+            assert set(got.pairs()) == want
+
+
+def test_len_of_a_predicate_result_builds_no_pairs():
+    log = random_track_log(3, 6, 12)
+    vehicles = get_objects_of_category(log, "REGULAR_VEHICLE")
+    every = has_velocity(log, ScenarioSet({t: log.lifespans[t] for t in log.track_ids}))
+    results = [
+        vehicles,
+        every,
+        near_objects(log, every, every, distance_thresh=50.0),
+        scenario_or(vehicles, every),
+        followed_by(log, every, every, within_seconds=0.5),
+    ]
+    for result in results:
+        assert len(result) == np.count_nonzero(result.mask_on(log))
+        assert result.is_empty == (len(result) == 0)
+        assert "entries" not in vars(result)
+        assert not result.mask_on(log).flags.writeable
+    assert [len(r) for r in results] == [len(_dict_copy(log, r.mask_on(log))) for r in results]
