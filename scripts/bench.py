@@ -19,8 +19,10 @@ with its output read through ``to_json_dict`` (``interpret_s``), and
 ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
 frames) against all tracks. The HOTA rows reuse one log, so after their first repeat its table is
 built, and only ``hota_table_s`` shows what building it costs. Sweep times
-are unscaled seconds, the median of SWEEP_REPEATS, given with the host scale
-``run.py`` would apply to a time measured between the row's calibrations. Each row also holds the SHA-256 of
+are unscaled seconds, the median of SWEEP_REPEATS, given and printed with the
+host scale ``run.py`` would apply to a time measured between the row's
+calibrations; the host drifts between rows and runs, so two rows' times
+compare only at similar scales. Each row also holds the SHA-256 of
 the file ``save_log`` wrote, so two checkouts' rows show whether they write
 the same bytes. Nothing gates the sweep.
 
@@ -217,7 +219,8 @@ def main(argv=None) -> int:
         print(
             f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, hota_table {table}, "
             f"predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
-            f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s"
+            f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s, "
+            f"host scale {row['host_scale']:.2f}"
         )
 
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")

@@ -9,7 +9,9 @@ Files are rejected with a diagnostic naming the violated schema field
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import json
 import math
@@ -448,16 +450,39 @@ def _walk_log(raw: object, where: str) -> TrackLog:
         raise InvariantViolation(f"{where}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Turn the cyclic garbage collector off for the block, and back on after it, if it was on."""
+    if not gc.isenabled():  # off by the caller's choice, or during another thread's load
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 def load_log(path: str | Path) -> TrackLog:
     """Load a track log from JSON, enforcing the schema and all invariants.
 
     The file goes straight into arrays; only a file that fails an array
     test is walked state by state, to name its first fault.
+
+    The cyclic garbage collector is paused while the file is parsed and read,
+    and left on or off as it was found, whether the load returns or raises.
+    The parsed file is a tree of dicts and lists, tens of thousands for an
+    Argoverse-sized log, with no cycles: reference counting frees it, and a
+    collection could only scan it.
     """
     path = Path(path)
-    raw = read_json(path, "track log")
-    log = _log_from_arrays(raw)
-    return log if log is not None else _walk_log(raw, path.name)
+    with _collector_paused():
+        raw = read_json(path, "track log")
+        log = _log_from_arrays(raw)
+        if log is None:
+            log = _walk_log(raw, path.name)
+        del raw  # freed here, before the collector resumes
+    return log
 
 
 _STATE_TEXT = """\

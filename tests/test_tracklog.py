@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -552,6 +554,77 @@ def test_argo_shaped_log_files_round_trip_byte_for_byte(tmp_path_factory, seed, 
     text = path.read_text(encoding="utf-8")
     assert dump_log_text(again) == text
     assert _log_from_arrays(json.loads(text)) == log  # read by the array path, not the walk
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector during a load
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_log_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    log = make_log([static_obj("a", "BUS", 0, 0)])
+    save_log(log, tmp_path / "good.json")
+    unknown = _valid_log_dict()
+    unknown["objects"][0]["category"] = "UNICYCLE"
+    bent = _valid_log_dict()
+    bent["objects"][0]["states"][str(stamps(2)[0])]["heading"] = 9.9
+    rejected = [  # not JSON, walked to each fault class, missing
+        (_write(tmp_path, "{not json", "text.json"), MalformedFile),
+        (_write(tmp_path, unknown, "category.json"), MalformedFile),
+        (_write(tmp_path, bent, "heading.json"), InvariantViolation),
+        (tmp_path / "missing.json", OSError),
+    ]
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert load_log(tmp_path / "good.json") == log
+        assert gc.isenabled() is enabled
+        for path, error in rejected:
+            with pytest.raises(error):
+                load_log(path)
+            assert gc.isenabled() is enabled, path.name
+    finally:
+        gc.enable()
+
+
+def test_loading_a_log_sets_off_no_collection(tmp_path):
+    """The parsed file has no cycles, so reference counting frees it and no collection scans it."""
+    log = scenes.argo_log(0, 0, 20, num_frames=150)  # 3,000 states
+    save_log(log, tmp_path / "log.json")
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    # A first load fills the interpreter's free lists, which a full collection
+    # empties. Objects taken from or given back to them are not counted, so a
+    # load on empty lists can end with the count past the threshold, and one
+    # collection of the young generation (by then only the new log) follows it.
+    load_log(tmp_path / "log.json")
+    gc.collect(0)  # a zero count, so only the load's own allocations could set one off
+    gc.callbacks.append(count)
+    try:
+        again = load_log(tmp_path / "log.json")
+    finally:
+        gc.callbacks.remove(count)
+    assert again == log
+    assert starts == []
+
+
+def test_concurrent_loads_end_with_the_collector_on(tmp_path):
+    log = scenes.argo_log(0, 0, 10, num_frames=150)
+    paths = [tmp_path / f"log-{i}.json" for i in range(8)]
+    for path in paths:
+        save_log(log, path)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads trade the interpreter often, so loads overlap
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            loaded = list(pool.map(load_log, paths, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert loaded == [log] * 8
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------
