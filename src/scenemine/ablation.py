@@ -237,6 +237,7 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
     """Mine and score all three arms; optionally write reports to out_dir."""
     suite = build_suite()
     ordered_logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
+    results: dict = {}  # program text -> its predictions on ordered_logs, shared by every arm
     query_texts = [q.query_text for q in suite.queries]
 
     reports: dict[str, EvalReport] = {}
@@ -248,7 +249,7 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
             epsrf=arm.epsrf,
             workers=workers,
         )
-        batch = run_batch(query_texts, ordered_logs, config)
+        batch = run_batch(query_texts, ordered_logs, config, results=results)
         predictions = {
             query: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
             for query, per_log in batch.outcomes.items()

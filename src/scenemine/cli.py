@@ -79,13 +79,16 @@ def _collect_log_paths(paths: Sequence[str]) -> list[str]:
     return collected
 
 
+def _add_log(logs: dict[str, TrackLog], log: TrackLog, path: str) -> None:
+    if log.log_id in logs:
+        raise InconsistentInput(f"duplicate log id '{log.log_id}' (second copy in {path})")
+    logs[log.log_id] = log
+
+
 def _load_logs(paths: Sequence[str]) -> dict[str, TrackLog]:
     logs: dict[str, TrackLog] = {}
     for path in _collect_log_paths(paths):
-        log = load_log(path)
-        if log.log_id in logs:
-            raise InconsistentInput(f"duplicate log id '{log.log_id}' (second copy in {path})")
-        logs[log.log_id] = log
+        _add_log(logs, load_log(path), path)
     return logs
 
 
@@ -116,13 +119,14 @@ def _load_predictions(path: str) -> dict[str, dict[str, ScenarioSet]]:
         predictions[query] = {}
         for log_id, entries in per_log.items():
             if not isinstance(entries, dict) or not all(
-                isinstance(stamps, list) and all(isinstance(t, int) and not isinstance(t, bool) for t in stamps)
-                for stamps in entries.values()
+                isinstance(stamps, list) and set(map(type, stamps)) <= {int} for stamps in entries.values()
             ):
                 raise MalformedFile(
                     f"{path}: predictions[{query!r}][{log_id!r}] must map track ids to lists of integer timestamps"
                 )
-            predictions[query][log_id] = ScenarioSet.from_json_dict(entries)
+            predictions[query][log_id] = ScenarioSet._of(
+                {track: frozenset(stamps) for track, stamps in entries.items() if stamps}
+            )
     return predictions
 
 
@@ -222,7 +226,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     for path in _collect_log_paths(args.logs) if args.logs else []:
         try:
             log = load_log(path)
-            logs[log.log_id] = log
+            _add_log(logs, log, path)
             print(f"{path}: ok ({len(log.track_ids)} objects, {len(log.timestamps)} frames)")
         except ScenarioMiningError as exc:
             failures += 1

@@ -6,7 +6,8 @@ and its diagnostic), asks the provider for code, parses and checks it, and
 executes it on each log in turn; the first diagnostic is the next round's
 feedback. If every round up to the cap fails, the query reports Failed with
 empty predictions rather than raising -- a batch must survive any single bad
-query.
+query. A program that already ran cleanly on the same logs, found by its text
+in a results table that calls may share, is not run again.
 """
 
 from __future__ import annotations
@@ -152,8 +153,22 @@ def _generate_once(prompt: str, config: MiningConfig) -> str:
         return config.provider.generate(prompt)
 
 
-def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfig) -> MiningOutcome:
-    """Run the generate/execute/repair loop for one query over every log."""
+def mine_scenario(
+    query_text: str,
+    logs: Sequence[TrackLog],
+    config: MiningConfig,
+    results: dict[str, Mapping[str, ScenarioSet]] | None = None,
+) -> MiningOutcome:
+    """Run the generate/execute/repair loop for one query over every log.
+
+    ``results`` maps a program text to its predictions, log id -> set, on
+    ``logs``. A round whose code is in it succeeds with a copy of those
+    predictions and is not parsed, checked or run again; a program that runs
+    cleanly on every log is added to it. Only calls over the same logs may
+    share one table. It defaults to a fresh one per call.
+    """
+    if results is None:
+        results = {}
     records: list[IterationRecord] = []
     prior_code: str | None = None
     prior_error: str | None = None
@@ -185,22 +200,25 @@ def mine_scenario(query_text: str, logs: Sequence[TrackLog], config: MiningConfi
             prior_code, prior_error = None, str(exc)
             continue
 
-        try:
-            program = parse(code)
-            problems = check(program)
-            if problems:
-                raise problems[0]
-            predictions = {log.log_id: execute(program, log) for log in logs}
-        except DslError as exc:
-            span = (exc.span.line, exc.span.col) if exc.span else None
-            records.append(
-                IterationRecord(index, prompt, response, code, exc.kind, str(exc), span)
-            )
-            prior_code, prior_error = code, str(exc)
-            continue
+        predictions = results.get(code)
+        if predictions is None:
+            try:
+                program = parse(code)
+                problems = check(program)
+                if problems:
+                    raise problems[0]
+                predictions = {log.log_id: execute(program, log) for log in logs}
+            except DslError as exc:
+                span = (exc.span.line, exc.span.col) if exc.span else None
+                records.append(
+                    IterationRecord(index, prompt, response, code, exc.kind, str(exc), span)
+                )
+                prior_code, prior_error = code, str(exc)
+                continue
+            results[code] = predictions
 
         records.append(IterationRecord(index, prompt, response, code, None, None, None))
-        return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, predictions)
+        return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, dict(predictions))
 
     empty = {log.log_id: ScenarioSet.empty() for log in logs}
     return MiningOutcome(query_text, STATUS_FAILED, tuple(records), None, empty)
@@ -246,15 +264,25 @@ def run_batch(
     logs: Sequence[TrackLog],
     config: MiningConfig,
     out_dir: str | None = None,
+    results: dict[str, Mapping[str, ScenarioSet]] | None = None,
 ) -> BatchResult:
     """Mine every query over every log; optionally write prediction/transcript files.
 
     Worker threads mine queries side by side and only affect wall time:
     results are keyed by query and log id, and files are written after every
     query is done, so output bytes do not depend on scheduling order.
+
+    Every query shares ``results``, the table of programs already run on
+    ``logs`` (see ``mine_scenario``): keyed by program text, holding only
+    programs that ran cleanly on every log, and shared only between calls
+    over the same logs. It defaults to a fresh table per call. Two workers
+    may both miss the same program and both store it; that repeats work but
+    not results.
     """
     unique = list(dict.fromkeys(queries))
-    mine = lambda query: mine_scenario(query, logs, config)  # noqa: E731
+    if results is None:
+        results = {}
+    mine = lambda query: mine_scenario(query, logs, config, results)  # noqa: E731
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             mined = list(pool.map(mine, unique))

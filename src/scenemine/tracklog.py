@@ -554,12 +554,12 @@ def _ground_truth_from_dict(raw: object, where: str) -> GroundTruthScenario:
     relevant_raw = _require(raw, "relevant", dict, where)
     relevant: dict[str, frozenset[int]] = {}
     for track, stamps in relevant_raw.items():
-        if not isinstance(stamps, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in stamps):
+        if not isinstance(stamps, list) or not set(map(type, stamps)) <= {int}:
             raise MalformedFile(f"{where}.relevant['{track}']: expected a list of integer timestamps")
         if not stamps:
             raise MalformedFile(f"{where}.relevant['{track}']: empty timestamp list (omit the track instead)")
         relevant[track] = frozenset(stamps)
-    return GroundTruthScenario(query_text, log_id, ScenarioSet(relevant))
+    return GroundTruthScenario(query_text, log_id, ScenarioSet._of(relevant))
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthScenario]:

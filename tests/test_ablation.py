@@ -1,8 +1,11 @@
 import json
 import os
+import sys
+import time
 
 import pytest
 
+from scenemine import orchestrator
 from scenemine.ablation import (
     ARMS,
     FAULT_CLEAN,
@@ -18,7 +21,8 @@ from scenemine.ablation import (
 )
 from scenemine.dsl import DslError, interpret, parse, pretty_print
 from scenemine.errors import InfeasibleSpec
-from scenemine.providers import query_key
+from scenemine.orchestrator import MiningConfig, run_batch
+from scenemine.providers import ScriptedProvider, query_key
 
 CANONICAL = (
     'peds = get_objects_of_category(category="PEDESTRIAN")\n'
@@ -222,3 +226,62 @@ def test_report_files_written(outcome, tmp_path_factory):
     blob = json.loads((out_dir / "report_repair_guidance.json").read_text())
     assert blob["hota_temporal"] == 1.0
     assert (out_dir / "summary.txt").read_text() == outcome.summary_table()
+
+
+# ---------------------------------------------------------------------------
+# One results table across the arms
+
+
+def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, outcome):
+    runs = []
+    execute = orchestrator.execute
+
+    def counted(program, log):
+        runs.append((pretty_print(program), log.log_id))
+        return execute(program, log)
+
+    monkeypatch.setattr(orchestrator, "execute", counted)
+    rerun = run_ablation()
+    accepted = {
+        outcome.code
+        for batch in rerun.batches.values()
+        for per_log in batch.outcomes.values()
+        for outcome in per_log.values()
+        if outcome.succeeded
+    }
+    assert len(accepted) == 40
+    # Each arm mined alone runs its 80 accepted programs on all 30 logs: 2,400 calls.
+    assert len(set(runs)) == len(runs) == len(accepted) * 30 == 1200
+    assert rerun.summary_table() == outcome.summary_table()
+
+
+def test_each_arm_matches_that_arm_mined_alone(outcome, suite):
+    logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
+    queries = [q.query_text for q in suite.queries]
+    for arm in ARMS:
+        config = MiningConfig(
+            provider=ScriptedProvider(build_fixture(suite.queries, arm.epsrf)),
+            max_iterations=arm.max_iterations,
+            epsrf=arm.epsrf,
+        )
+        alone = run_batch(queries, logs, config, results={})
+        assert outcome.batches[arm.name].outcomes == alone.outcomes, arm.name
+
+
+def test_threaded_arms_share_the_table_without_changing_results(outcome):
+    # A short switch interval makes the workers interleave between bytecodes
+    # while they read and add to the table the arms share.
+    interval = sys.getswitchinterval()
+    deadline = time.perf_counter() + 20.0
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            threaded = run_ablation(workers=4)
+            assert threaded.summary_table() == outcome.summary_table()
+            for arm in ARMS:
+                assert threaded.batches[arm.name].outcomes == outcome.batches[arm.name].outcomes, arm.name
+                assert threaded.batches[arm.name].predictions_json() == outcome.batches[arm.name].predictions_json()
+            if time.perf_counter() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)

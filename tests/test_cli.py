@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from scenemine.cli import main
+from scenemine.cli import _load_predictions, main
 from scenemine.dsl import parse
 from scenemine.providers import make_fixture
+from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 from scenemine.tracklog import dump_log_text, load_log
 
@@ -98,6 +99,19 @@ def test_validate_reports_broken_log(tmp_path, capsys):
     bad = _write(tmp_path / "bad.json", "{not json")
     assert main(["validate", "--logs", bad]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_validate_reports_a_second_copy_of_a_log_id(bundle_dir, tmp_path, capsys):
+    first, copy = bundle_dir / "near-0007.json", tmp_path / "copy.json"
+    raw = json.loads(first.read_text())
+    raw["objects"] = raw["objects"][:1]  # a different log under the same id
+    copy.write_text(json.dumps(raw))
+    gt = str(bundle_dir / "near-0007.gt.json")
+    assert main(["validate", "--logs", str(first), str(copy), "--gt", gt]) == 1
+    captured = capsys.readouterr()
+    log_id = raw["log_id"]
+    assert f"duplicate log id '{log_id}' (second copy in {copy})" in captured.err
+    assert f"{gt}: ok (1 entries, 1 checked against logs)" in captured.out  # against the first copy
 
 
 def test_validate_needs_something(capsys):
@@ -408,6 +422,8 @@ def test_eval_rejects_malformed_predictions(tmp_path, bundle_dir, capsys):
         {"t": ["x"]},  # a string where a timestamp belongs
         [["t", [1]]],  # a list in place of the track map
         {"t": 5},  # an int in place of the timestamp list
+        {"t": [1, True]},  # a JSON boolean is not a timestamp
+        {"t": [1.0]},  # nor is a float, even a whole one
     ],
 )
 def test_eval_rejects_malformed_prediction_sets(tmp_path, bundle_dir, capsys, per_log):
@@ -417,6 +433,13 @@ def test_eval_rejects_malformed_prediction_sets(tmp_path, bundle_dir, capsys, pe
     code = main(["eval", "--predictions", bad, "--gt", gt_path, "--logs", str(bundle_dir)])
     assert code == 2
     assert "predictions['trucks in the scene']['near-0007']" in capsys.readouterr().err
+
+
+def test_predictions_drop_tracks_without_timestamps(tmp_path):
+    path = _write(tmp_path / "predictions.json", json.dumps({"q": {"log": {"a": [], "b": [3, 1, 3]}}}))
+    loaded = _load_predictions(path)
+    assert loaded == {"q": {"log": ScenarioSet({"b": [1, 3]})}}
+    assert loaded["q"]["log"].tracks() == ("b",) and len(loaded["q"]["log"]) == 2
 
 
 def test_eval_missing_log_is_exit_two(tmp_path, bundle_dir, capsys):

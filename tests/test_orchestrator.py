@@ -339,6 +339,45 @@ def test_each_round_checks_its_program_once(monkeypatch):
     assert len(executes) == 1 + 3  # round 2 stops at its first log; round 3 runs on all three
 
 
+def test_a_stored_program_is_not_parsed_checked_or_run_again(monkeypatch, log):
+    stored = {log.log_id: sset({"t1": stamps(2)})}
+    results = {GOOD_CODE: stored}
+    calls = [_counting(monkeypatch, name) for name in ("parse", "check", "execute")]
+    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)]), results=results)
+    assert calls == [[], [], []]
+    assert outcome.status == STATUS_SUCCEEDED and outcome.code == GOOD_CODE
+    assert [r.error_kind for r in outcome.iterations] == [None]
+    assert outcome.predictions == stored and outcome.predictions is not stored
+    assert results == {GOOD_CODE: stored}
+
+
+def test_only_programs_that_run_on_every_log_are_stored(monkeypatch, log):
+    results = {}
+    replies = [fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)]
+    first = mine_scenario(QUERY, [log], fixture_config(replies), results=results)
+    assert list(results) == [GOOD_CODE]
+    assert results[GOOD_CODE] == first.predictions and results[GOOD_CODE] is not first.predictions
+    executes = _counting(monkeypatch, "execute")
+    again = mine_scenario(QUERY, [log], fixture_config(replies), results=results)
+    assert len(executes) == 1  # round 2's program failed, so it runs again; round 3's is stored
+    assert again == first
+
+
+def test_run_batch_runs_a_program_two_queries_share_once_per_log(monkeypatch):
+    executes = _counting(monkeypatch, "execute")
+    fixture = make_fixture({"trucks": [fenced(GOOD_CODE)], "lorries": [fenced(GOOD_CODE)]})
+    batch = run_batch(["trucks", "lorries"], _two_logs(), MiningConfig(provider=ScriptedProvider(fixture)))
+    assert len(executes) == 2
+    assert batch.outcomes["trucks"]["log-a"].predictions == batch.outcomes["lorries"]["log-a"].predictions
+
+
+def test_run_batch_starts_from_a_fresh_table_by_default(monkeypatch):
+    executes = _counting(monkeypatch, "execute")
+    for _ in range(2):
+        run_batch(["trucks"], _two_logs(), _batch_config())
+    assert len(executes) == 2 * 2
+
+
 def test_catalog_text_is_built_once_per_batch(monkeypatch):
     described = _counting(monkeypatch, "describe_functions")
     config = _batch_config()

@@ -659,6 +659,8 @@ def test_ground_truth_accepts_bare_object(tmp_path):
         ({"query_text": "q", "log_id": "l", "relevant": {"a": [1.5]}}, "integer timestamps"),
         ({"query_text": "q", "log_id": "l", "relevant": {"a": []}}, "empty timestamp list"),
         (3, "top level"),
+        ({"query_text": "q", "log_id": "l", "relevant": {"a": [1, True]}}, "integer timestamps"),
+        ({"query_text": "q", "log_id": "l", "relevant": {"a": 1}}, "integer timestamps"),
     ],
 )
 def test_ground_truth_rejects_malformed(tmp_path, payload, pattern):
