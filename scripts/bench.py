@@ -24,7 +24,10 @@ host scale ``run.py`` would apply to a time measured between the row's
 calibrations; the host drifts between rows and runs, so two rows' times
 compare only at similar scales. Each row also holds the SHA-256 of
 the file ``save_log`` wrote, so two checkouts' rows show whether they write
-the same bytes. Nothing gates the sweep.
+the same bytes. The same process then times ``ablation.build_suite()``, the
+ablation's 30 certified logs and their ground truth, the median of
+BUILD_SUITE_REPEATS runs with its host scale (``build_suite_s``). Nothing
+gates the sweep or that row.
 
 ``--checkout`` (default: the checkout holding this script) is the tree whose
 ``scenebench/`` and ``src/`` are measured; the BENCH file is written next to
@@ -50,6 +53,7 @@ SEEDS = (0, 7)  # the benchmark's default seed and its held-out one
 SWEEP_OBJECTS = (50, 70, 200)
 SWEEP_FRAMES = 150
 SWEEP_REPEATS = 3
+BUILD_SUITE_REPEATS = 9
 INTERPRET_QUERY = "fast vehicles within 5 meters of a pedestrian"
 
 
@@ -178,12 +182,22 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     return row
 
 
+def build_suite_row(repeats: int = BUILD_SUITE_REPEATS) -> dict:
+    """The median time of ``ablation.build_suite()``; needs the checkout's src/ and scenebench/ on sys.path."""
+    import run
+    from scenemine import ablation
+
+    before = run.calibration_times()
+    seconds = _median_time(ablation.build_suite, repeats)
+    return {"build_suite_s": seconds, "host_scale": run.host_scale(before + run.calibration_times())}
+
+
 def _sweep_main(checkout: str) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "scenebench")]
     import run
 
     rows = [sweep_row(n) for n in SWEEP_OBJECTS]
-    print(json.dumps({"machine": run.machine(), "rows": rows}))
+    print(json.dumps({"machine": run.machine(), "rows": rows, "build_suite": build_suite_row()}))
     return 0
 
 
@@ -222,10 +236,16 @@ def main(argv=None) -> int:
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s, "
             f"host scale {row['host_scale']:.2f}"
         )
+    suite = sweep["build_suite"]
+    print(f"build_suite {suite['build_suite_s']:.3f} s, host scale {suite['host_scale']:.2f}")
 
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
-        json.dump({"label": args.label, "machine": sweep["machine"], "runs": runs, "sweep": sweep["rows"]}, fh, indent=2)
+        json.dump(
+            {"label": args.label, "machine": sweep["machine"], "runs": runs, "sweep": sweep["rows"],
+             "build_suite": suite},
+            fh, indent=2,
+        )
         fh.write("\n")
     print(f"wrote {os.path.relpath(out, ROOT)}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1

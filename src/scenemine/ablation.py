@@ -29,7 +29,7 @@ from .orchestrator import BatchResult, MiningConfig, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
 from .synth import ScenarioSpec, generate_scenario_log
-from .tracklog import GroundTruthScenario, TrackLog, write_text_atomic
+from .tracklog import GroundTruthScenario, TrackLog, pack_logs, write_text_atomic
 
 FAULT_SYNTAX = "syntax"
 FAULT_SWAP = "swap"
@@ -202,8 +202,9 @@ def build_suite() -> AblationSuite:
     """Thirty (query, log) seeds: six families, five parameter variants each.
 
     Ground truth covers the full query x log grid, computed by running each
-    query's reference program on every log -- a query can legitimately match
-    scenes from another family's log, and negatives matter for log F1.
+    query's reference program once per pack of equal-width logs -- a query
+    can legitimately match scenes from another family's log, and negatives
+    matter for log F1.
     """
     queries: list[AblationQuery] = []
     logs: dict[str, TrackLog] = {}
@@ -224,12 +225,14 @@ def build_suite() -> AblationSuite:
             logs[spec.log_id] = result.log
             index += 1
 
+    packs = pack_logs([logs[log_id] for log_id in sorted(logs)])
     ground_truth = []
     for query in queries:
         program = parse(query.program)  # certified above by generate_scenario_log, which checked it
-        for log_id in sorted(logs):
-            relevant = execute(program, logs[log_id])
-            ground_truth.append(GroundTruthScenario(query.query_text, log_id, relevant))
+        relevant = {}
+        for pack in packs:
+            relevant.update(pack.split(execute(program, pack.log)))
+        ground_truth += [GroundTruthScenario(query.query_text, log_id, relevant[log_id]) for log_id in sorted(logs)]
     return AblationSuite(tuple(queries), logs, tuple(ground_truth))
 
 

@@ -536,10 +536,12 @@ def _to_python(param: ParamSpec, node: Literal):
 
 
 def execute(program: Program, log: TrackLog) -> ScenarioSet:
-    """Run a program that check() accepted against a log and return the output scenario set.
+    """Run a program that check() accepted against a log and return the output scenario set, held on the log.
 
-    Statements pass their sets on as log masks; only the output's pairs are
-    built. Domain errors of the registry implementations surface as
+    Statements pass their sets on as log masks. The log may be a pack of
+    equal-width logs (``tracklog.pack_logs``), so a registry function may
+    receive a pack; ``LogPack.split`` cuts each member's set out of the
+    output. Domain errors of the registry implementations surface as
     PredicateRuntime diagnostics carrying the statement span.
     """
     env: dict[str, ScenarioSet] = {}
@@ -549,7 +551,7 @@ def execute(program: Program, log: TrackLog) -> ScenarioSet:
             env[name] = spec.impl(log, **literals, **{param: env[var] for param, var in refs})
         except ScenarioMiningError as exc:
             raise DslError(PREDICATE_RUNTIME, f"{spec.name}(): {exc}", span) from exc
-    return ScenarioSet._of(env[program.output.name].entries)
+    return env[program.output.name]
 
 
 def interpret(program: Program, log: TrackLog) -> ScenarioSet:

@@ -3,11 +3,13 @@
 Each query is translated into one program that runs on every log. A round
 composes a prompt (the first plain, later ones carrying the previous program
 and its diagnostic), asks the provider for code, parses and checks it, and
-executes it on each log in turn; the first diagnostic is the next round's
-feedback. If every round up to the cap fails, the query reports Failed with
-empty predictions rather than raising -- a batch must survive any single bad
-query. A program that already ran cleanly on the same logs, found by its text
-in a results table that calls may share, is not run again.
+executes it once per group of logs with the same track count, packed into
+one log (``tracklog.pack_logs``), then cuts each log's predictions back out;
+the first diagnostic is the next round's feedback. If every round up to the
+cap fails, the query reports Failed with empty predictions rather than
+raising -- a batch must survive any single bad query. A program that already
+ran cleanly on the same logs, found by its text in a results table that
+calls may share, is not run again.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import EmptyResponse, InvalidParameter, ProviderError
 from .promptgen import compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
-from .tracklog import TrackLog, write_text_atomic
+from .tracklog import LogPack, TrackLog, pack_logs, write_text_atomic
 
 STATUS_SUCCEEDED = "Succeeded"
 STATUS_FAILED = "Failed"
@@ -158,6 +160,7 @@ def mine_scenario(
     logs: Sequence[TrackLog],
     config: MiningConfig,
     results: dict[str, Mapping[str, ScenarioSet]] | None = None,
+    packs: Sequence[LogPack] | None = None,
 ) -> MiningOutcome:
     """Run the generate/execute/repair loop for one query over every log.
 
@@ -166,7 +169,13 @@ def mine_scenario(
     predictions and is not parsed, checked or run again; a program that runs
     cleanly on every log is added to it. Only calls over the same logs may
     share one table. It defaults to a fresh one per call.
+
+    ``packs`` is ``pack_logs(logs)``, built here when not given; each round's
+    program runs once per pack. InconsistentInput names a log id that two
+    logs share, before any provider call.
     """
+    if packs is None:
+        packs = pack_logs(logs)
     if results is None:
         results = {}
     records: list[IterationRecord] = []
@@ -207,7 +216,9 @@ def mine_scenario(
                 problems = check(program)
                 if problems:
                     raise problems[0]
-                predictions = {log.log_id: execute(program, log) for log in logs}
+                predictions = {}
+                for pack in packs:
+                    predictions.update(pack.split(execute(program, pack.log)))
             except DslError as exc:
                 span = (exc.span.line, exc.span.col) if exc.span else None
                 records.append(
@@ -278,11 +289,16 @@ def run_batch(
     over the same logs. It defaults to a fresh table per call. Two workers
     may both miss the same program and both store it; that repeats work but
     not results.
+
+    The logs are packed once per call (``tracklog.pack_logs``) and the packs
+    are dropped when it returns. InconsistentInput names a log id that two
+    logs share, before any provider call.
     """
+    packs = pack_logs(logs)
     unique = list(dict.fromkeys(queries))
     if results is None:
         results = {}
-    mine = lambda query: mine_scenario(query, logs, config, results)  # noqa: E731
+    mine = lambda query: mine_scenario(query, logs, config, results, packs)  # noqa: E731
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             mined = list(pool.map(mine, unique))

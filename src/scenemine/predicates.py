@@ -7,7 +7,10 @@ reference set it is tested against. Boundary comparisons are inclusive, an
 object is never related to itself, and inputs are treated as immutable.
 A predicate that takes a log reads its candidate sets masked against it,
 so pairs the log does not hold never count, and returns a set that holds
-its mask.
+its mask. The log may be a pack of equal-width logs (``tracklog.LogPack``):
+cells are tested row by row, the all-absent row between two members keeps
+a pair of frames from spanning them, and ``followed_by``'s window stops at
+a row's ``first_rows``.
 """
 
 from __future__ import annotations
@@ -357,10 +360,12 @@ def followed_by(
         raise InvalidParameter(f"within_seconds is too large for a time window, got {within_seconds!r}")
     window_ns = int(round(window))
 
-    # A first hit at a frame before row r counts when it is at or after row lo[r].
-    # The window is subtracted on Python ints, which a window past 2**63 ns cannot overflow.
+    # A first hit at a frame before row r counts when it is at or after row lo[r], which a
+    # pack's window never puts before r's own log. The window is subtracted on Python ints,
+    # which a window past 2**63 ns cannot overflow.
     stamps = log.timestamps
     lo = np.array([bisect_left(stamps, ts - window_ns) for ts in stamps], dtype=np.intp)
+    np.maximum(lo, log.first_rows, out=lo)
     hits = first.mask_on(log)
     if cross_track:
         hits = hits.any(axis=1, keepdims=True)

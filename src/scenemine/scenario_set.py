@@ -52,13 +52,6 @@ class ScenarioSet:
     def empty(cls) -> "ScenarioSet":
         return cls._of({})
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, int]]) -> "ScenarioSet":
-        grouped: dict[str, set[int]] = {}
-        for track, ts in pairs:
-            grouped.setdefault(track, set()).add(ts)
-        return cls(grouped)
-
     @functools.cached_property
     def entries(self) -> dict[str, frozenset[int]]:
         """Track id -> its timestamps; a set made from a mask builds them on first use."""
@@ -153,9 +146,6 @@ class ScenarioSet:
             if left:
                 out[track] = left
         return ScenarioSet._of(out)
-
-    def issubset(self, other: "ScenarioSet") -> bool:
-        return all(stamps <= other.entries.get(track, frozenset()) for track, stamps in self.entries.items())
 
     def to_json_dict(self) -> dict[str, list[int]]:
         """Serializable form: sorted track keys, sorted timestamp lists."""

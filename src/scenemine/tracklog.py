@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .categories import DEFAULT_REGISTRY, ObjectCategory
-from .errors import InvariantViolation, MalformedFile
+from .errors import InconsistentInput, InvariantViolation, MalformedFile
 from .geometry import BLOCK_ELEMENTS, SIMILARITY_SCALE_M, center_distance_similarity
 from .scenario_set import ScenarioSet
 
@@ -125,10 +125,14 @@ class TrackLog:
         table = np.zeros((14, len(self.row), len(order)))
         table[:10, rows, cols] = values
         table[10:, rows, cols] = [list(d) for d in derived]
-        self.present = np.zeros(table.shape[1:], dtype=bool)
-        self.present[rows, cols] = True
-        table.flags.writeable = self.present.flags.writeable = False
-        self.states = table[:10]
+        present = np.zeros(table.shape[1:], dtype=bool)
+        present[rows, cols] = True
+        self._hold(table, present)
+
+    def _hold(self, table: np.ndarray, present: np.ndarray) -> None:
+        """Keep the [14, T, N] value table and the [T, N] ``present`` mask read-only, and name their views."""
+        table.flags.writeable = present.flags.writeable = False
+        self._table, self.present, self.states = table, present, table[:10]
         (
             self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height,
             self.cos_heading, self.sin_heading, self.speed, self.velocity_angle,
@@ -176,10 +180,20 @@ class TrackLog:
 
     @functools.cached_property
     def category_names(self) -> np.ndarray:
-        """Each column's category name, a read-only [N] string array built on first use and kept."""
+        """Each column's category name, a read-only [N] string array built on first use and kept.
+
+        A pack's is [T, N]: each row holds its member's names, and a separator row empty strings.
+        """
         names = np.array([category.name for category in self.categories], dtype=str)
         names.flags.writeable = False
         return names
+
+    @functools.cached_property
+    def first_rows(self) -> np.ndarray:
+        """Each row's log's first row, a read-only [T] array: 0 throughout a log, a member's first row in a pack."""
+        rows = np.zeros(len(self.timestamps), dtype=np.intp)
+        rows.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def lifespans(self) -> Mapping[str, list[int]]:
@@ -271,6 +285,91 @@ class GroundTruthScenario:
                 raise InvariantViolation(
                     f"ground truth pair ({track!r}, {ts}) does not exist in log '{log.log_id}'"
                 )
+
+
+# ---------------------------------------------------------------------------
+# Packs: logs of one width run as one log
+
+# A pack's all-absent separator row sits this long after one member's last row
+# and before the next member's first, so a time step across it is a full
+# second and a speed difference divided by it stays as small as the speeds.
+_PACK_GAP_NS = 1_000_000_000
+
+
+@dataclass(frozen=True)
+class LogPack:
+    """Logs with one track count, held as one log that a program runs on once.
+
+    ``log`` holds each member's rows in order, with one all-absent separator
+    row between members; column j holds each member's j-th track. Its
+    timestamps start at 0 and keep each member's steps; its ``first_rows``
+    hold each row's member's first row, and its ``category_names`` are
+    [T, N]. Its log id joins the members' with "+", its columns are named
+    by their numbers, and it has no ``categories``. A group of one log is
+    that log itself, not a copy.
+    """
+
+    log: TrackLog
+    members: tuple[TrackLog, ...]
+    starts: tuple[int, ...]  # each member's first row in ``log``
+
+    def split(self, result: ScenarioSet) -> dict[str, ScenarioSet]:
+        """Each member's log id -> its rows of ``result``, a set on ``log``, as its own track ids and timestamps."""
+        mask = result.mask_on(self.log)
+        # Most members' sets are empty; only a member with a pair builds its track ids and timestamps.
+        hit = np.logical_or.reduceat(mask.any(axis=1), self.starts).tolist()
+        return {
+            member.log_id: ScenarioSet._of(
+                ScenarioSet.from_mask(member, mask[start : start + len(member.timestamps)]).entries if any_pair else {}
+            )
+            for member, start, any_pair in zip(self.members, self.starts, hit)
+        }
+
+
+def pack_logs(logs: Sequence[TrackLog]) -> list[LogPack]:
+    """The logs grouped by track count, each group packed into one log, groups in order of first appearance.
+
+    Raises InconsistentInput naming a log id that two logs share.
+    """
+    groups: dict[int, list[TrackLog]] = {}
+    seen: set[str] = set()
+    for log in logs:
+        if log.log_id in seen:
+            raise InconsistentInput(f"duplicate log id '{log.log_id}'")
+        seen.add(log.log_id)
+        groups.setdefault(len(log.track_ids), []).append(log)
+    return [_pack(group) for group in groups.values()]
+
+
+def _pack(members: list[TrackLog]) -> LogPack:
+    if len(members) == 1:
+        return LogPack(members[0], (members[0],), (0,))
+    width = len(members[0].track_ids)
+    tables, present, names, stamps, starts = [], [], [], [], []
+    for member in members:
+        if stamps:  # the separator row
+            tables.append(np.zeros((14, 1, width)))
+            present.append(np.zeros((1, width), dtype=bool))
+            names.append(np.full((1, width), ""))
+            stamps.append(stamps[-1] + _PACK_GAP_NS)
+        starts.append(len(stamps))
+        shift = stamps[-1] + _PACK_GAP_NS - member.timestamps[0] if stamps else -member.timestamps[0]
+        stamps += [ts + shift for ts in member.timestamps]
+        tables.append(member._table)
+        present.append(member.present)
+        names.append(np.broadcast_to(member.category_names, member.present.shape))
+    pack = TrackLog.__new__(TrackLog)
+    pack.log_id = "+".join(member.log_id for member in members)
+    pack.timestamps = tuple(stamps)
+    pack.track_ids, pack.categories = tuple(map(str, range(width))), ()
+    pack.row = {ts: i for i, ts in enumerate(stamps)}
+    pack.column = {track: j for j, track in enumerate(pack.track_ids)}
+    pack._hold(np.concatenate(tables, axis=1), np.concatenate(present))
+    first_rows = np.zeros(len(stamps), dtype=np.intp)
+    first_rows[starts] = starts
+    pack.category_names, pack.first_rows = np.concatenate(names), np.maximum.accumulate(first_rows)
+    pack.category_names.flags.writeable = pack.first_rows.flags.writeable = False
+    return LogPack(pack, tuple(members), tuple(starts))
 
 
 # ---------------------------------------------------------------------------

@@ -250,8 +250,12 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
         if outcome.succeeded
     }
     assert len(accepted) == 40
-    # Each arm mined alone runs its 80 accepted programs on all 30 logs: 2,400 calls.
-    assert len(set(runs)) == len(runs) == len(accepted) * 30 == 1200
+    # The 30 logs have 7, 8 or 10 tracks: three packs, which between them hold every log once.
+    packs = {pack for _, pack in runs}
+    assert len(packs) == 3
+    assert sorted(log_id for pack in packs for log_id in pack.split("+")) == sorted(rerun.suite.logs)
+    # Each arm mined alone runs its 80 accepted programs on all 30 logs: 2,400 (program, log) runs.
+    assert len(set(runs)) == len(runs) == len(accepted) * len(packs) == 120
     assert rerun.summary_table() == outcome.summary_table()
 
 

@@ -1,4 +1,4 @@
-"""scripts/bench.py's scale sweep, at a tiny size: its row shape, never its timings."""
+"""scripts/bench.py's scale sweep, at a tiny size, and its build_suite row: their shape, never their timings."""
 
 from __future__ import annotations
 
@@ -30,3 +30,10 @@ def test_sweep_row_times_each_layer(monkeypatch):
     assert set(row["predicate_s"]) == set(REGISTRY)
     assert all(seconds >= 0.0 for seconds in row["predicate_s"].values())
     assert row["log_mb"] > 0.0 and row["host_scale"] > 0.0
+
+
+def test_build_suite_row_times_the_ablation_suite(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
+    row = _bench_module().build_suite_row(repeats=1)
+    assert set(row) == {"build_suite_s", "host_scale"}
+    assert row["build_suite_s"] > 0.0 and row["host_scale"] > 0.0

@@ -23,7 +23,7 @@ from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import GroundTruthScenario
 
 import oracles
-from util import T0, DT, fragment_log, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
+from util import T0, DT, fragment_log, from_pairs, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
 
 TS = stamps(3)
 
@@ -310,7 +310,7 @@ def _log_and_scenarios(draw):
     """A near-pair log with a predicted and a ground-truth scenario set drawn from its (track, timestamp) pairs."""
     log = draw(near_pair_logs())
     present = [(track, ts) for track, o in sorted(log.objects.items()) for ts in sorted(o.states)]
-    pred, gt = (ScenarioSet.from_pairs(draw(st.sets(st.sampled_from(present)))) for _ in range(2))
+    pred, gt = (from_pairs(draw(st.sets(st.sampled_from(present)))) for _ in range(2))
     return log, pred, gt
 
 

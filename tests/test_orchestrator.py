@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from scenemine import orchestrator
-from scenemine.errors import EmptyResponse, InvalidParameter
+from scenemine.errors import EmptyResponse, InconsistentInput, InvalidParameter
 from scenemine.orchestrator import (
     EMPTY_RESPONSE,
     MISSING_CODE_PLACEHOLDER,
@@ -297,22 +297,34 @@ def test_a_provider_that_always_raises_fails_only_its_query():
     assert provider.raised == 10 and sleeps == [2.0] * 5  # each round retries once
 
 
+def _wide_log():
+    """A two-track log with pedestrians only: a pack of its own beside _two_logs()'s one-track logs."""
+    return make_log([static_obj("p2", "PEDESTRIAN", 0.0, 0.0), static_obj("p3", "PEDESTRIAN", 9.0, 0.0)], log_id="log-w")
+
+
 def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
-    def fails_on_log_b(log):
-        if log.log_id == "log-b":
-            raise InvalidParameter("no data for log-b")
+    ran = []
+
+    def fails_on_the_wide_log(log):
+        ran.append(log.log_id)
+        if len(log.track_ids) == 2:
+            raise InvalidParameter("no data for two tracks")
         return ScenarioSet.empty()
 
-    monkeypatch.setitem(REGISTRY, "only_log_a", FunctionSpec("only_log_a", "Fails on log-b.", (), fails_on_log_b))
-    fixture = make_fixture({"trucks": [fenced("x = only_log_a()\noutput(x)"), fenced(GOOD_CODE)]})
+    spec = FunctionSpec("one_track_only", "Fails on two-track logs.", (), fails_on_the_wide_log)
+    monkeypatch.setitem(REGISTRY, "one_track_only", spec)
+    fixture = make_fixture({"trucks": [fenced("x = one_track_only()\noutput(x)"), fenced(GOOD_CODE)]})
     config = MiningConfig(provider=ScriptedProvider(fixture))
-    outcome = mine_scenario("trucks", _two_logs(), config)
+    results = {}
+    outcome = mine_scenario("trucks", _two_logs() + [_wide_log()], config, results=results)
+    assert ran == ["log-a+log-b", "log-w"]  # the first pack ran cleanly; the error came from the second
     assert outcome.status == STATUS_SUCCEEDED
     first, second = outcome.iterations
-    assert first.error_kind == "PredicateRuntime" and "no data for log-b" in first.error_message
-    assert "no data for log-b" in second.prompt_text
+    assert first.error_kind == "PredicateRuntime" and "no data for two tracks" in first.error_message
+    assert "no data for two tracks" in second.prompt_text
     assert outcome.code == GOOD_CODE
-    assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty()}
+    assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty(), "log-w": ScenarioSet.empty()}
+    assert list(results) == [GOOD_CODE]
 
 
 def _counting(monkeypatch, name):
@@ -331,12 +343,17 @@ def _counting(monkeypatch, name):
 def test_each_round_checks_its_program_once(monkeypatch):
     checks = _counting(monkeypatch, "check")
     executes = _counting(monkeypatch, "execute")
-    logs = _two_logs() + [make_log([static_obj("t2", "TRUCK", 5.0, 0.0)], log_id="log-c")]
+    logs = _two_logs() + [_wide_log(), make_log([static_obj("t2", "TRUCK", 5.0, 0.0)], log_id="log-c")]
     config = fixture_config([fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)])
     outcome = mine_scenario(QUERY, logs, config)
     assert [r.error_kind for r in outcome.iterations] == ["UnknownFunction", "PredicateRuntime", None]
     assert len(checks) == 3  # one per round, however many logs
-    assert len(executes) == 1 + 3  # round 2 stops at its first log; round 3 runs on all three
+    # Round 2 stops at its first pack; round 3 runs once on each of the two packs.
+    assert [log.log_id for _, log in executes] == ["log-a+log-b+log-c", "log-a+log-b+log-c", "log-w"]
+    assert outcome.predictions == {
+        "log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty(),
+        "log-c": sset({"t2": stamps(2)}), "log-w": ScenarioSet.empty(),
+    }
 
 
 def test_a_stored_program_is_not_parsed_checked_or_run_again(monkeypatch, log):
@@ -352,30 +369,49 @@ def test_a_stored_program_is_not_parsed_checked_or_run_again(monkeypatch, log):
 
 
 def test_only_programs_that_run_on_every_log_are_stored(monkeypatch, log):
+    logs = _two_logs() + [log]  # two packs: the one-track logs, and the two-track fixture log
     results = {}
     replies = [fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)]
-    first = mine_scenario(QUERY, [log], fixture_config(replies), results=results)
+    first = mine_scenario(QUERY, logs, fixture_config(replies), results=results)
     assert list(results) == [GOOD_CODE]
     assert results[GOOD_CODE] == first.predictions and results[GOOD_CODE] is not first.predictions
+    assert set(first.predictions) == {"log-a", "log-b", log.log_id}
     executes = _counting(monkeypatch, "execute")
-    again = mine_scenario(QUERY, [log], fixture_config(replies), results=results)
-    assert len(executes) == 1  # round 2's program failed, so it runs again; round 3's is stored
+    again = mine_scenario(QUERY, logs, fixture_config(replies), results=results)
+    # Round 2's program failed on the first pack, so it runs there again; round 3's is stored.
+    assert [pack.log_id for _, pack in executes] == ["log-a+log-b"]
     assert again == first
 
 
 def test_run_batch_runs_a_program_two_queries_share_once_per_log(monkeypatch):
     executes = _counting(monkeypatch, "execute")
     fixture = make_fixture({"trucks": [fenced(GOOD_CODE)], "lorries": [fenced(GOOD_CODE)]})
-    batch = run_batch(["trucks", "lorries"], _two_logs(), MiningConfig(provider=ScriptedProvider(fixture)))
-    assert len(executes) == 2
+    logs = _two_logs() + [_wide_log()]
+    batch = run_batch(["trucks", "lorries"], logs, MiningConfig(provider=ScriptedProvider(fixture)))
+    # Once per pack, so each log's share of it runs once, for both queries.
+    assert [pack.log_id for _, pack in executes] == ["log-a+log-b", "log-w"]
     assert batch.outcomes["trucks"]["log-a"].predictions == batch.outcomes["lorries"]["log-a"].predictions
+    assert set(batch.outcomes["lorries"]["log-w"].predictions) == {"log-a", "log-b", "log-w"}
 
 
 def test_run_batch_starts_from_a_fresh_table_by_default(monkeypatch):
     executes = _counting(monkeypatch, "execute")
     for _ in range(2):
-        run_batch(["trucks"], _two_logs(), _batch_config())
-    assert len(executes) == 2 * 2
+        run_batch(["trucks"], _two_logs() + [_wide_log()], _batch_config())
+    assert [pack.log_id for _, pack in executes] == ["log-a+log-b", "log-w"] * 2
+
+
+@pytest.mark.parametrize("mine", [
+    lambda logs, config: mine_scenario("trucks", logs, config),
+    lambda logs, config: run_batch(["trucks", "walkers"], logs, config),
+])
+def test_a_log_id_two_logs_share_is_refused_before_any_provider_call(mine):
+    a, b = _two_logs()
+    twin = make_log([static_obj("t9", "TRUCK", 0.0, 0.0), static_obj("t8", "TRUCK", 9.0, 0.0)], log_id="log-b")
+    config = _batch_config()
+    with pytest.raises(InconsistentInput, match="duplicate log id 'log-b'"):
+        mine([a, b, twin], config)
+    assert config.provider.calls == 0
 
 
 def test_catalog_text_is_built_once_per_batch(monkeypatch):

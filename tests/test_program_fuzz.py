@@ -15,42 +15,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.dsl import DslError, interpret, parse, pretty_print
 from scenemine.predicates import REGISTRY, ROLE_TRACK
 from scenemine.scenario_set import ScenarioSet
 
-from util import make_log, obj, random_track_log, state, stamps
-
-EXTREMES = (0.0, -1.0, 5e-324, 1e308, math.inf, -math.inf)
-NUMBERS = st.sampled_from(EXTREMES + (0.5, 1.0, 2.0, 3.0, 10.0, 50.0)) | st.floats(-100.0, 100.0)
-
-
-def _render(value: float) -> str:
-    return "inf" if value == math.inf else repr(value)
-
-
-@st.composite
-def programs(draw) -> str:
-    names: list[str] = []
-    lines = []
-    for i in range(draw(st.integers(1, 6))):
-        spec = draw(st.sampled_from(list(REGISTRY.values()))) if names else REGISTRY["get_objects_of_category"]
-        args = []
-        for param in spec.params:
-            if param.kind == "scenario_set":
-                value = draw(st.sampled_from(names))
-            elif not param.required and draw(st.booleans()):
-                continue
-            elif param.kind in ("float", "int"):
-                value = _render(draw(NUMBERS))
-            else:
-                allowed = param.enum_values or DEFAULT_REGISTRY.names
-                value = '"' + draw(st.sampled_from(tuple(allowed) + ("sideways",))) + '"'
-            args.append(f"{param.name}={value}")
-        names.append(f"v{i}")
-        lines.append(f"v{i} = {spec.name}({', '.join(args)})")
-    return "\n".join(lines + [f"output({names[-1]})"])
+from util import issubset, make_log, obj, programs, random_track_log, state, stamps
 
 
 def _checked(spec):
@@ -58,7 +27,7 @@ def _checked(spec):
         result = spec.impl(log, **kwargs)
         assert isinstance(result, ScenarioSet)
         if ROLE_TRACK in kwargs:
-            assert result.issubset(kwargs[ROLE_TRACK])
+            assert issubset(result, kwargs[ROLE_TRACK])
         return result
 
     return dataclasses.replace(spec, impl=impl)

@@ -5,7 +5,7 @@ from scenemine.predicates import followed_by, get_objects_of_category, has_veloc
 from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import TrackLog
 
-from util import random_track_log, sset
+from util import from_pairs, issubset, random_track_log, sset
 
 
 def entries_strategy():
@@ -48,7 +48,7 @@ def test_pairs_are_sorted():
 
 
 def test_from_pairs_groups():
-    s = ScenarioSet.from_pairs([("a", 1), ("b", 2), ("a", 3)])
+    s = from_pairs([("a", 1), ("b", 2), ("a", 3)])
     assert s == sset({"a": [1, 3], "b": [2]})
 
 
@@ -79,7 +79,7 @@ def test_set_operations_match_pair_semantics(a, b):
 
 @given(scenario_sets, scenario_sets)
 def test_issubset_matches_pair_semantics(a, b):
-    assert a.issubset(b) == (set(a.pairs()) <= set(b.pairs()))
+    assert issubset(a, b) == (set(a.pairs()) <= set(b.pairs()))
 
 
 @given(scenario_sets)

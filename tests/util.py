@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.errors import ProviderError
 from scenemine.geometry import wrap_angle
+from scenemine.predicates import REGISTRY
 from scenemine.providers import LlmProvider, _validate_fixture
 from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import _BOX
@@ -44,6 +45,19 @@ def make_log(objects, n=2, log_id="log-test"):
 
 def sset(entries) -> ScenarioSet:
     return ScenarioSet({t: frozenset(ts) for t, ts in entries.items()})
+
+
+def from_pairs(pairs: Iterable[tuple[str, int]]) -> ScenarioSet:
+    """The scenario set of (track, timestamp) pairs."""
+    grouped: dict[str, set[int]] = {}
+    for track, ts in pairs:
+        grouped.setdefault(track, set()).add(ts)
+    return ScenarioSet(grouped)
+
+
+def issubset(a: ScenarioSet, b: ScenarioSet) -> bool:
+    """Whether every pair of ``a`` is in ``b``."""
+    return all(stamps <= b.timestamps_for(track) for track, stamps in a.entries.items())
 
 
 def fragment_log(pred, gt) -> tuple[TrackLog, ScenarioSet, ScenarioSet]:
@@ -172,3 +186,36 @@ def near_pair_logs(draw) -> TrackLog:
     for k, (x, y, z) in enumerate(draw(st.lists(st.sampled_from(NEAR_OFFSETS), max_size=4))):
         objects.append(obj(f"probe-{k}", "PEDESTRIAN", {ts: state(x, y, z=z) for ts in draw(some_frames)}))
     return TrackLog.build("near-pairs", timestamps, objects)
+
+
+# Numbers a generated program passes: the extremes a model may write, and ordinary values.
+EXTREMES = (0.0, -1.0, 5e-324, 1e308, math.inf, -math.inf)
+NUMBERS = st.sampled_from(EXTREMES + (0.5, 1.0, 2.0, 3.0, 10.0, 50.0)) | st.floats(-100.0, 100.0)
+
+
+def _render(value: float) -> str:
+    return "inf" if value == math.inf else repr(value)
+
+
+@st.composite
+def programs(draw) -> str:
+    """A random straight-line program of registry calls: it parses, and may fail check() or execute()."""
+    names: list[str] = []
+    lines = []
+    for i in range(draw(st.integers(1, 6))):
+        spec = draw(st.sampled_from(list(REGISTRY.values()))) if names else REGISTRY["get_objects_of_category"]
+        args = []
+        for param in spec.params:
+            if param.kind == "scenario_set":
+                value = draw(st.sampled_from(names))
+            elif not param.required and draw(st.booleans()):
+                continue
+            elif param.kind in ("float", "int"):
+                value = _render(draw(NUMBERS))
+            else:
+                allowed = param.enum_values or DEFAULT_REGISTRY.names
+                value = '"' + draw(st.sampled_from(tuple(allowed) + ("sideways",))) + '"'
+            args.append(f"{param.name}={value}")
+        names.append(f"v{i}")
+        lines.append(f"v{i} = {spec.name}({', '.join(args)})")
+    return "\n".join(lines + [f"output({names[-1]})"])
