@@ -241,6 +241,7 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
     suite = build_suite()
     ordered_logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
     results: dict = {}  # program text -> its predictions on ordered_logs, shared by every arm
+    scores: dict = {}  # (log id, prediction, ground truth) -> that pair's scores, shared by every arm
     query_texts = [q.query_text for q in suite.queries]
 
     reports: dict[str, EvalReport] = {}
@@ -257,7 +258,7 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
             query: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
             for query, per_log in batch.outcomes.items()
         }
-        reports[arm.name] = evaluate(predictions, suite.ground_truth, suite.logs)
+        reports[arm.name] = evaluate(predictions, suite.ground_truth, suite.logs, scores=scores)
         batches[arm.name] = batch
 
     outcome = AblationOutcome(suite, reports, batches)

@@ -429,6 +429,7 @@ def evaluate(
     predictions: Mapping[str, Mapping[str, ScenarioSet]],
     ground_truth: Sequence[GroundTruthScenario],
     logs: Mapping[str, TrackLog],
+    scores: dict | None = None,
 ) -> EvalReport:
     """Score predictions against ground truth over its (query, log) universe.
 
@@ -437,7 +438,13 @@ def evaluate(
     one. The F1 metrics pool counts over every pair instead: timestamp F1 is
     micro over flagged (track, timestamp) pairs, log F1 treats each pair as
     one binary retrieval decision (positive = non-empty scenario set).
+
+    ``scores`` maps (log id, prediction, ground truth) to that pair's scores
+    with the log they were made on, and is reused only for that same log
+    object; it defaults to a fresh dict per call.
     """
+    if scores is None:
+        scores = {}
     universe: dict[str, dict[str, ScenarioSet]] = {}
     for gt in ground_truth:
         per_log = universe.setdefault(gt.query_text, {})
@@ -467,11 +474,24 @@ def evaluate(
             if log is None:
                 raise InconsistentInput(f"ground truth references log '{log_id}' but it was not provided")
             gt_set = universe[query_text][log_id]
-            pred_set = predictions.get(query_text, {}).get(log_id, ScenarioSet.empty())
+            pred_set = predictions.get(query_text, {}).get(log_id)
+            if pred_set is None:
+                pred_set = ScenarioSet.empty()
 
-            t_result = hota_temporal(pred_set, gt_set, log)
-            f_result = hota_full(pred_set, gt_set, log)
-            tp, fp, fn = timestamp_counts(pred_set, gt_set)
+            key = (log_id, pred_set, gt_set)
+            scored = scores.get(key)
+            if scored is None or scored[0] is not log:
+                t_result = hota_temporal(pred_set, gt_set, log)
+                f_result = hota_full(pred_set, gt_set, log)
+                scored = scores[key] = (
+                    log,
+                    t_result.score,
+                    f_result.score,
+                    tuple(a.score for a in t_result.per_alpha),
+                    tuple(a.score for a in f_result.per_alpha),
+                    timestamp_counts(pred_set, gt_set),
+                )
+            _, t_score, f_score, t_curve, f_curve, (tp, fp, fn) = scored
             ts_tp, ts_fp, ts_fn = ts_tp + tp, ts_fp + fp, ts_fn + fn
 
             pred_pos = not pred_set.is_empty
@@ -484,11 +504,11 @@ def evaluate(
             elif gt_pos:
                 log_fn += 1
 
-            per_log_scores[log_id] = (t_result.score, f_result.score)
-            t_scores.append(t_result.score)
-            f_scores.append(f_result.score)
-            t_curves.append(tuple(a.score for a in t_result.per_alpha))
-            f_curves.append(tuple(a.score for a in f_result.per_alpha))
+            per_log_scores[log_id] = (t_score, f_score)
+            t_scores.append(t_score)
+            f_scores.append(f_score)
+            t_curves.append(t_curve)
+            f_curves.append(f_curve)
         query_reports[query_text] = QueryReport(
             query_text, _mean(t_scores), _mean(f_scores), per_log_scores
         )

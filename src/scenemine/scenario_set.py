@@ -99,6 +99,14 @@ class ScenarioSet:
             return NotImplemented
         return self.entries == other.entries
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(frozenset(self.entries.items()))
+
+    def __hash__(self) -> int:
+        """Agrees with ``__eq__``: computed over the entries, once per set."""
+        return self._hash
+
     def __repr__(self) -> str:
         return f"ScenarioSet(entries={self.entries!r})"
 

@@ -5,12 +5,13 @@ import time
 
 import pytest
 
-from scenemine import orchestrator
+from scenemine import metrics, orchestrator
 from scenemine.ablation import (
     ARMS,
     FAULT_CLEAN,
     FAULT_SWAP,
     FAULT_SYNTAX,
+    AblationOutcome,
     AblationQuery,
     build_fixture,
     build_suite,
@@ -21,6 +22,7 @@ from scenemine.ablation import (
 )
 from scenemine.dsl import DslError, interpret, parse, pretty_print
 from scenemine.errors import InfeasibleSpec
+from scenemine.metrics import evaluate
 from scenemine.orchestrator import MiningConfig, run_batch
 from scenemine.providers import ScriptedProvider, query_key
 
@@ -256,6 +258,30 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
     assert sorted(log_id for pack in packs for log_id in pack.split("+")) == sorted(rerun.suite.logs)
     # Each arm mined alone runs its 80 accepted programs on all 30 logs: 2,400 (program, log) runs.
     assert len(set(runs)) == len(runs) == len(accepted) * len(packs) == 120
+    assert rerun.summary_table() == outcome.summary_table()
+
+
+def test_each_distinct_pair_is_scored_once_across_the_arms(monkeypatch, outcome):
+    calls = []
+    for name in ("hota_temporal", "hota_full"):
+        def counted(pred, gt, log, name=name, score=getattr(metrics, name)):
+            calls.append(name)
+            return score(pred, gt, log)
+
+        monkeypatch.setattr(metrics, name, counted)
+    rerun = run_ablation()
+    # 3 arms x 30 queries x 30 logs = 2,700 pairs, but only 177 distinct (log, prediction, ground truth) keys
+    assert calls.count("hota_temporal") == calls.count("hota_full") == 177
+    monkeypatch.undo()
+    alone = {}
+    for arm in ARMS:
+        predictions = {
+            query: {log_id: mined.predictions[log_id] for log_id, mined in per_log.items()}
+            for query, per_log in rerun.batches[arm.name].outcomes.items()
+        }
+        alone[arm.name] = evaluate(predictions, rerun.suite.ground_truth, rerun.suite.logs, scores={})
+        assert rerun.reports[arm.name].to_json() == alone[arm.name].to_json(), arm.name
+    assert rerun.summary_table() == AblationOutcome(rerun.suite, alone, rerun.batches).summary_table()
     assert rerun.summary_table() == outcome.summary_table()
 
 

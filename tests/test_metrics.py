@@ -1,9 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scenemine import metrics
 from scenemine.errors import InconsistentInput, UnknownTrack
 from scenemine.geometry import center_distance_similarity
 from scenemine.metrics import (
@@ -498,3 +500,66 @@ def test_report_json_round_trip():
     assert blob["hota_temporal"] == 1.0
     assert blob["per_query"]["q1"]["per_log"]["log-a"] == [1.0, 1.0]
     assert len(blob["alphas"]) == len(DEFAULT_ALPHAS)
+
+
+# ---------------------------------------------------------------------------
+# The scores table evaluate may share between calls
+
+
+def test_a_shared_table_scores_each_distinct_pair_once(monkeypatch):
+    logs = _eval_logs()
+    hit = sset({"x": stamps(2)})
+    ground_truth = _gts([("q1", "log-a", hit), ("q2", "log-a", hit), ("q3", "log-b", hit)])
+    predictions = {"q1": {"log-a": hit}, "q2": {"log-a": sset({"x": stamps(2)})}, "q3": {"log-b": hit}}
+    fresh = evaluate(predictions, ground_truth, logs).to_json()
+    calls = Counter()
+    for name in ("hota_temporal", "hota_full"):
+        def counted(pred, gt, log, name=name, score=getattr(metrics, name)):
+            calls[name] += 1
+            return score(pred, gt, log)
+
+        monkeypatch.setattr(metrics, name, counted)
+    scores: dict = {}
+    assert evaluate(predictions, ground_truth, logs, scores=scores).to_json() == fresh
+    assert evaluate(predictions, ground_truth, logs, scores=scores).to_json() == fresh
+    # q1 and q2 pose one (log, prediction, ground truth) on log-a; q3 poses it on log-b
+    assert calls == {"hota_temporal": 2, "hota_full": 2}
+    assert len(scores) == 2
+
+
+def test_a_shared_table_scores_each_log_object_on_its_own():
+    near = make_log(
+        [static_obj("x", "REGULAR_VEHICLE", 0.0, 0.0), static_obj("y", "PEDESTRIAN", 0.5, 0.0)], log_id="log-a"
+    )
+    logs_far, logs_near = _eval_logs(), {**_eval_logs(), "log-a": near}
+    ground_truth = _gts([("q1", "log-a", sset({"x": stamps(2)}))])
+    predictions = {"q1": {"log-a": sset({"y": stamps(2)})}}
+    far_alone = evaluate(predictions, ground_truth, logs_far).to_json()
+    near_alone = evaluate(predictions, ground_truth, logs_near).to_json()
+    assert far_alone != near_alone  # y is 30 m from x on one log-a and 0.5 m on the other
+    scores: dict = {}
+    assert evaluate(predictions, ground_truth, logs_far, scores=scores).to_json() == far_alone
+    assert evaluate(predictions, ground_truth, logs_near, scores=scores).to_json() == near_alone
+    assert evaluate(predictions, ground_truth, logs_far, scores=scores).to_json() == far_alone
+
+
+def test_a_pair_that_fails_to_score_stores_nothing():
+    logs = _eval_logs()
+    ghost, hit = sset({"ghost": stamps(2)}), sset({"x": stamps(2)})
+    ground_truth = _gts([("q1", "log-a", hit), ("q2", "log-b", hit)])
+    predictions = {"q1": {"log-a": hit}, "q2": {"log-b": ghost}}
+    scores: dict = {}
+    for _ in range(2):
+        with pytest.raises(UnknownTrack, match="ghost") as fault:
+            evaluate(predictions, ground_truth, logs, scores=scores)
+        assert fault.value.side == PREDICTIONS
+        assert list(scores) == [("log-a", hit, hit)]
+
+
+def test_an_empty_table_gives_the_default_report():
+    logs = _eval_logs()
+    two = sset({"x": stamps(2)})
+    ground_truth = _gts([("q1", "log-a", two), ("q1", "log-b", two), ("q2", "log-a", ScenarioSet.empty())])
+    predictions = {"q1": {"log-a": two, "log-b": sset({"y": stamps(2)})}}
+    default = evaluate(predictions, ground_truth, logs).to_json()
+    assert evaluate(predictions, ground_truth, logs, scores={}).to_json() == default

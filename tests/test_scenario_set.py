@@ -108,6 +108,7 @@ def _dict_copy(log: TrackLog, mask: np.ndarray, extra=None) -> ScenarioSet:
 
 def _assert_same(got: ScenarioSet, want: ScenarioSet, log: TrackLog) -> None:
     assert got == want and want == got
+    assert hash(got) == hash(want)
     assert len(got) == len(want)
     assert got.is_empty == want.is_empty
     assert got.tracks() == want.tracks()
@@ -143,6 +144,23 @@ def test_a_mask_backed_set_behaves_as_its_dict_built_copy(log_seed, seed_a, seed
             got = getattr(x, op)(y)
             _assert_same(got, getattr(dx, op)(dy), log)
             assert set(got.pairs()) == want
+
+
+def test_equal_sets_hash_alike_and_unequal_sets_are_unequal():
+    a = ScenarioSet({"x": [1, 2], "y": [3]})
+    # other order and iterables; a track with no timestamps is dropped
+    same = ScenarioSet({"y": {3}, "x": (2, 1), "z": []})
+    assert a == same and hash(a) == hash(same)
+    assert hash(ScenarioSet.empty()) == hash(ScenarioSet({"z": []}))
+    others = [
+        ScenarioSet({"x": [1, 2]}),
+        ScenarioSet({"x": [1, 2], "y": [4]}),
+        ScenarioSet({"x": [1], "y": [2, 3]}),
+        ScenarioSet.empty(),
+    ]
+    for other in others:
+        assert a != other and other != a
+    assert len({a, same, *others}) == 1 + len(others)
 
 
 def test_len_of_a_predicate_result_builds_no_pairs():
