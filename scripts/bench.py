@@ -4,10 +4,14 @@
     python scripts/bench.py --label head
     python scripts/bench.py --label parent --checkout DIR
 
-For each workload in the checkout's BENCHMARK.json, seeds 0 and 7, and each
-of ``--trace 0`` and ``--trace 1``, runs the checkout's ``scenebench/run.py``
-for BENCHMARK.json's run length in a fresh process, and keeps the JSON result
-line it prints last, with the machine line, the seed and ``--seconds``. Then,
+For each workload in the checkout's BENCHMARK.json and seeds 0 and 7, runs
+the checkout's ``scenebench/run.py`` in a fresh process once with ``--trace 0``
+and TRACE_REPEATS times with ``--trace 1``, for BENCHMARK.json's run length,
+and keeps the JSON result line each prints last, with the machine line, the
+seed and ``--seconds``. The traced runs of one (workload, seed) are kept as one
+entry: each run's result under ``repeats``, and as its result their per-layer
+metrics, each time in seconds the runs' median and every other figure (a
+count, pair count, ratio or size) as they all give it. Then,
 in one more fresh process, sweeps ``scenes.argo_log`` at 50, 70 and 200
 objects x 150 frames, timing ``save_log`` then ``load_log`` of the log (up to
 its columnar view, which some versions build on first use), the build of the
@@ -32,7 +36,8 @@ gates the sweep or that row.
 ``--checkout`` (default: the checkout holding this script) is the tree whose
 ``scenebench/`` and ``src/`` are measured; the BENCH file is written next to
 this script's checkout, so one script measures any commit's copy. The run
-exits with code 1 when any benchmark run fails its gate.
+exits with code 1 when any benchmark run fails its gate, or when the traced
+runs of one (workload, seed) differ in a figure other than a time.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ SWEEP_OBJECTS = (50, 70, 200)
 SWEEP_FRAMES = 150
 SWEEP_REPEATS = 3
 BUILD_SUITE_REPEATS = 9
+TRACE_REPEATS = 3  # traced runs per (workload, seed); their per-layer seconds are medians
 INTERPRET_QUERY = "fast vehicles within 5 meters of a pedestrian"
 
 
@@ -81,6 +87,42 @@ def benchmark_run(checkout: str, workload: str, seed: int, seconds: float, trace
         "machine": machine,
         "result": json.loads(lines[-1]) if lines else None,
         "stderr": done.stderr[-2000:],
+    }
+
+
+def combine_traced(runs: list[dict]) -> dict:
+    """One entry for the traced runs of one (workload, seed), as ``benchmark_run`` returns them.
+
+    Its result's metrics are each time in seconds the runs' median and each
+    other figure the first run's; ``mismatches`` names every other figure
+    the runs do not all give alike. A run with no result line fails the
+    entry and leaves its metrics to the runs that have one.
+    """
+    results = [run["result"] for run in runs if run["result"]]
+    metrics, mismatches = {}, []
+    for name, metric in (results[0]["metrics"] if results else {}).items():
+        values = [result["metrics"].get(name, {}).get("value") for result in results]
+        if metric["unit"] == "s" and None not in values:
+            metric = dict(metric, value=statistics.median(values))
+        elif len(set(values)) > 1:
+            mismatches.append(name)
+        metrics[name] = metric
+    first = runs[0]
+    return {
+        "workload": first["workload"],
+        "seed": first["seed"],
+        "seconds": first["seconds"],
+        "trace": 1,
+        "exit": max(run["exit"] for run in runs),
+        "machine": first["machine"],
+        "result": {
+            "correct": len(results) == len(runs) and all(result["correct"] for result in results),
+            "attempted": sum(result["attempted"] for result in results),
+            "failed": sum(result["failed"] for result in results),
+            "metrics": metrics,
+        },
+        "mismatches": mismatches,
+        "repeats": runs,
     }
 
 
@@ -218,10 +260,14 @@ def main(argv=None) -> int:
     runs = []
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in SEEDS:
-            for trace in (0, 1):
-                runs.append(benchmark_run(checkout, workload, seed, spec["run_seconds"], trace))
-                result = runs[-1]["result"] or {}
-                print(f"{workload} seed {seed} trace {trace}: exit {runs[-1]['exit']}, correct {result.get('correct')}")
+            runs.append(benchmark_run(checkout, workload, seed, spec["run_seconds"], 0))
+            traced = [benchmark_run(checkout, workload, seed, spec["run_seconds"], 1) for _ in range(TRACE_REPEATS)]
+            runs.append(combine_traced(traced))
+            for run in runs[-2:]:
+                correct = (run["result"] or {}).get("correct")
+                print(f"{workload} seed {seed} trace {run['trace']}: exit {run['exit']}, correct {correct}")
+            if runs[-1]["mismatches"]:
+                print(f"{workload} seed {seed}: traced runs differ in {', '.join(runs[-1]['mismatches'])}")
 
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--sweep-only", "--checkout", checkout],
@@ -248,7 +294,7 @@ def main(argv=None) -> int:
         )
         fh.write("\n")
     print(f"wrote {os.path.relpath(out, ROOT)}")
-    return 0 if all(r["exit"] == 0 for r in runs) else 1
+    return 0 if all(r["exit"] == 0 and not r.get("mismatches") for r in runs) else 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import sys
 from typing import Mapping, Sequence
 
 from .dsl import describe_functions
-from .errors import MalformedFile, InconsistentInput, ScenarioMiningError
+from .errors import InconsistentInput, InvalidParameter, MalformedFile, ScenarioMiningError
 from .metrics import PREDICTIONS, evaluate
 from .orchestrator import MiningConfig, run_batch
 from .predicates import registry_catalog
@@ -198,6 +198,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise InvalidParameter(f"--count must be >= 1, got {args.count}")
     for offset in range(args.count):
         spec = ScenarioSpec(
             template=args.template,

@@ -15,6 +15,7 @@ negatives to chew on.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,6 +24,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .categories import DEFAULT_REGISTRY
 from .dsl import interpret, parse
 from .errors import InfeasibleSpec
@@ -30,8 +33,6 @@ from .geometry import wrap_angle
 from .scenario_set import ScenarioSet
 from .tracklog import (
     GroundTruthScenario,
-    ObjectState,
-    TrackedObject,
     TrackLog,
     dump_ground_truth_text,
     dump_log_text,
@@ -91,7 +92,29 @@ class SynthResult:
     ground_truth: GroundTruthScenario
     query: str
     program: str
-    manifest: dict
+
+    @functools.cached_property
+    def log_text(self) -> str:
+        """The log's JSON text, rendered on first use and kept."""
+        return dump_log_text(self.log)
+
+    @functools.cached_property
+    def manifest(self) -> dict:
+        """How the log was made, with the SHA-256 of ``log_text``; built on first use and kept."""
+        spec = self.spec
+        return {
+            "log_id": spec.log_id,
+            "template": spec.template,
+            "seed": spec.seed,
+            "negative": spec.negative,
+            "num_frames": spec.num_frames,
+            "num_distractors": spec.num_distractors,
+            "params": dict(spec.params),
+            "query": self.query,
+            "program": self.program,
+            "expected": self.ground_truth.relevant.to_json_dict(),
+            "log_sha256": hashlib.sha256(self.log_text.encode("utf-8")).hexdigest(),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -408,19 +431,6 @@ def _distractors(rng: random.Random, count: int, n: int) -> list:
     return actors
 
 
-def _to_tracked_object(actor: _Actor, timestamps: Sequence[int]) -> TrackedObject:
-    box = _BOX[actor.category]
-    states = {}
-    for ts, (x, y, heading, vx, vy) in zip(timestamps, actor.frames):
-        states[ts] = ObjectState(
-            position=(x, y, box[2] / 2.0),
-            heading=heading,
-            velocity=(vx, vy, 0.0),
-            box_dims=box,
-        )
-    return TrackedObject(actor.track_id, DEFAULT_REGISTRY.category(actor.category), states)
-
-
 def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
     """Build the log for a spec and certify its declared ground truth."""
     builder = _BUILDERS.get(spec.template)
@@ -444,8 +454,17 @@ def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
     actors.extend(_distractors(rng, spec.num_distractors, spec.num_frames))
 
     timestamps = tuple(BASE_TS + i * DT_NS for i in range(spec.num_frames))
-    log = TrackLog.build(
-        spec.log_id, timestamps, [_to_tracked_object(a, timestamps) for a in actors]
+    counts = [len(actor.frames) for actor in actors]
+    owners = np.repeat(np.arange(len(actors)), counts)
+    x, y, heading, vx, vy = np.array([point for actor in actors for point in actor.frames]).T
+    length, width, height = np.array([_BOX[actor.category] for actor in actors])[owners].T
+    log = TrackLog.from_arrays(
+        spec.log_id,
+        timestamps,
+        [(actor.track_id, DEFAULT_REGISTRY.category(actor.category)) for actor in actors],
+        owners,
+        np.concatenate([np.arange(count) for count in counts]),
+        np.array([x, y, height / 2.0, heading, vx, vy, np.zeros_like(x), length, width, height]),
     )
 
     expected = ScenarioSet(
@@ -466,22 +485,8 @@ def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
             f"but ground truth {'is' if expected.is_empty else 'is not'} empty"
         )
 
-    log_text = dump_log_text(log)
     ground_truth = GroundTruthScenario(layout.query, spec.log_id, expected)
-    manifest = {
-        "log_id": spec.log_id,
-        "template": spec.template,
-        "seed": spec.seed,
-        "negative": spec.negative,
-        "num_frames": spec.num_frames,
-        "num_distractors": spec.num_distractors,
-        "params": dict(spec.params),
-        "query": layout.query,
-        "program": layout.program,
-        "expected": expected.to_json_dict(),
-        "log_sha256": hashlib.sha256(log_text.encode("utf-8")).hexdigest(),
-    }
-    return SynthResult(spec, log, ground_truth, layout.query, layout.program, manifest)
+    return SynthResult(spec, log, ground_truth, layout.query, layout.program)
 
 
 def write_bundle(result: SynthResult, out_dir: str) -> dict[str, str]:
@@ -496,7 +501,7 @@ def write_bundle(result: SynthResult, out_dir: str) -> dict[str, str]:
     gt_text = dump_ground_truth_text([result.ground_truth])
     manifest_text = json.dumps(result.manifest, indent=2, sort_keys=True) + "\n"
     for key, text in (
-        ("log", dump_log_text(result.log)),
+        ("log", result.log_text),
         ("ground_truth", gt_text),
         ("manifest", manifest_text),
     ):

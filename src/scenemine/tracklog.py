@@ -36,9 +36,16 @@ Vec3 = tuple[float, float, float]
 _NEAR_SQUARED = (SIMILARITY_SCALE_M * (1 + 1e-9)) ** 2
 
 
-def _check_vec3(value: Vec3, what: str) -> None:
-    if len(value) != 3 or not all(math.isfinite(c) for c in value):
-        raise InvariantViolation(f"{what} must be three finite numbers, got {value!r}")
+def _state_fault(position: Vec3, heading: float, velocity: Vec3, box_dims: Vec3) -> str | None:
+    """What a state's values break, the first broken invariant in the order they are checked; None if none."""
+    for what, value in (("position", position), ("velocity", velocity), ("box_dims", box_dims)):
+        if len(value) != 3 or not all(map(math.isfinite, value)):
+            return f"{what} must be three finite numbers, got {value!r}"
+    if not -math.pi < heading <= math.pi:
+        return f"heading must lie in (-pi, pi], got {heading!r}"
+    if min(box_dims) <= 0:
+        return f"box_dims must all be > 0, got {box_dims!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -59,13 +66,9 @@ class ObjectState:
         object.__setattr__(self, "velocity", tuple(float(c) for c in self.velocity))
         object.__setattr__(self, "box_dims", tuple(float(c) for c in self.box_dims))
         object.__setattr__(self, "heading", float(self.heading))
-        _check_vec3(self.position, "position")
-        _check_vec3(self.velocity, "velocity")
-        _check_vec3(self.box_dims, "box_dims")
-        if not math.isfinite(self.heading) or not (-math.pi < self.heading <= math.pi):
-            raise InvariantViolation(f"heading must lie in (-pi, pi], got {self.heading!r}")
-        if any(d <= 0 for d in self.box_dims):
-            raise InvariantViolation(f"box_dims must all be > 0, got {self.box_dims!r}")
+        fault = _state_fault(self.position, self.heading, self.velocity, self.box_dims)
+        if fault:
+            raise InvariantViolation(fault)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class TrackLog:
     ``math``, so array code built on them reproduces the scalar definitions
     exactly. Every array is read-only.
 
-    :meth:`build` and :func:`load_log` check every invariant before they make one.
+    :meth:`from_arrays`, :meth:`build` and :func:`load_log` check every invariant before they make one.
     """
 
     def __init__(
@@ -139,13 +142,28 @@ class TrackLog:
         ) = table
 
     @classmethod
-    def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
-        """Construct from an object sequence, rejecting duplicate track ids and states at unknown timestamps."""
-        by_id: dict[str, TrackedObject] = {}
-        for obj in objects:
-            if obj.track_id in by_id:
-                raise InvariantViolation(f"duplicate track_id '{obj.track_id}'")
-            by_id[obj.track_id] = obj
+    def from_arrays(
+        cls,
+        log_id: str,
+        timestamps: Sequence[int],
+        tracks: Sequence[tuple[str, ObjectCategory]],
+        owners: np.ndarray,
+        rows: np.ndarray,
+        values: np.ndarray,
+    ) -> "TrackLog":
+        """The log ``__init__`` makes of these arguments, once every invariant is checked.
+
+        Rejects, in this order, a repeated track id, an empty log id, fewer
+        than 2 timestamps and timestamps not strictly increasing; then the
+        first state, in the column order of ``values``, whose values are not
+        finite, whose heading is outside (-pi, pi] or whose box has a
+        dimension <= 0, naming its track and timestamp.
+        """
+        seen: set[str] = set()
+        for track, _ in tracks:
+            if track in seen:
+                raise InvariantViolation(f"duplicate track_id '{track}'")
+            seen.add(track)
         timestamps = tuple(int(t) for t in timestamps)
         if not log_id:
             raise InvariantViolation("log_id must be a non-empty string")
@@ -154,23 +172,50 @@ class TrackLog:
         for i in range(1, len(timestamps)):
             if timestamps[i] <= timestamps[i - 1]:
                 raise InvariantViolation(f"log '{log_id}' timestamps not strictly increasing at index {i}")
+        heading, box_dims = values[3], values[7:]
+        bad = ~np.isfinite(values).all(axis=0) | (heading <= -math.pi) | (heading > math.pi)
+        bad |= (box_dims <= 0).any(axis=0)
+        if bad.any():
+            s = int(np.argmax(bad))
+            v = values[:, s].tolist()
+            fault = _state_fault(tuple(v[0:3]), v[3], tuple(v[4:7]), tuple(v[7:10]))
+            raise InvariantViolation(f"object '{tracks[owners[s]][0]}' state at {timestamps[rows[s]]}: {fault}")
+        return cls(log_id, timestamps, tracks, owners, rows, values)
+
+    @classmethod
+    def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
+        """Construct from an object sequence through :meth:`from_arrays`.
+
+        A repeated track id is rejected first, and a state at a timestamp the
+        log lacks after the checks of :meth:`from_arrays`.
+        """
+        by_id: dict[str, TrackedObject] = {}
+        for obj in objects:
+            if obj.track_id in by_id:
+                raise InvariantViolation(f"duplicate track_id '{obj.track_id}'")
+            by_id[obj.track_id] = obj
+        timestamps = tuple(int(t) for t in timestamps)
         row = {ts: i for i, ts in enumerate(timestamps)}
-        owners, rows, values = [], [], []
+        owners, rows, values, stray = [], [], [], None
         for k, obj in enumerate(by_id.values()):
-            stray = [ts for ts in obj.states if ts not in row]
-            if stray:
-                raise InvariantViolation(
-                    f"object '{obj.track_id}' has states at timestamps absent from the log: {sorted(stray)[:3]}"
-                )
             for ts, st in obj.states.items():
+                if ts not in row:
+                    stray = stray or obj  # reported once from_arrays has checked the rest
+                    continue
                 owners.append(k)
                 rows.append(row[ts])
                 values.append((*st.position, st.heading, *st.velocity, *st.box_dims))
-        tracks = [(obj.track_id, obj.category) for obj in by_id.values()]
-        return cls(
-            log_id, timestamps, tracks, np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
+        log = cls.from_arrays(
+            log_id, timestamps, [(obj.track_id, obj.category) for obj in by_id.values()],
+            np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
             np.array(values, dtype=np.float64).reshape(-1, 10).T,
         )
+        if stray is not None:
+            raise InvariantViolation(
+                f"object '{stray.track_id}' has states at timestamps absent from the log: "
+                f"{sorted(ts for ts in stray.states if ts not in row)[:3]}"
+            )
+        return log
 
     def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
         """Per column: the track id, its category, the rows where it has a state and those states' values."""
@@ -446,16 +491,17 @@ _STATE_PARTS = operator.itemgetter("position", "heading", "velocity", "box_dims"
 
 
 def _log_from_arrays(raw: object) -> TrackLog | None:
-    """The log a parsed file holds, read into arrays in one pass and checked by array tests.
+    """The log a parsed file holds, read into arrays in one pass and checked by :meth:`TrackLog.from_arrays`.
 
-    None when any test fails. The tests pass only a file the state-by-state
-    walk (``_walk_log``) reads to an equal log; they may also fail a file
-    the walk accepts, such as one with no objects, which the walk then reads.
+    None when any test or check fails. They pass only a file the
+    state-by-state walk (``_walk_log``) reads to an equal log; they may also
+    fail a file the walk accepts, such as one with no objects, which the walk
+    then reads.
     """
     if type(raw) is not dict:
         return None
     log_id, stamps, objects = raw.get("log_id"), raw.get("timestamps"), raw.get("objects")
-    if not (type(log_id) is str and log_id and type(stamps) is list and len(stamps) >= 2 and type(objects) is list):
+    if not (type(log_id) is str and type(stamps) is list and stamps and type(objects) is list):
         return None
     tracks, keys, states, counts = [], [], [], []
     for obj in objects:
@@ -471,7 +517,7 @@ def _log_from_arrays(raw: object) -> TrackLog | None:
         keys += by_key
         states += by_key.values()
         counts.append(len(by_key))
-    if not states or len({track for track, _ in tracks}) < len(tracks):
+    if not states:
         return None
     try:
         key_stamps = list(map(int, keys))
@@ -491,20 +537,16 @@ def _log_from_arrays(raw: object) -> TrackLog | None:
         key_array = np.array(key_stamps, dtype=np.int64)
     except OverflowError:
         return None
-    s = len(states)
-    position, velocity, box_dims = flat[: 9 * s].reshape(3, s, 3)
-    heading = flat[9 * s:]
-    if not (
-        np.isfinite(flat).all() and (heading > -math.pi).all() and (heading <= math.pi).all() and (box_dims > 0).all()
-        and (stamp_array[1:] > stamp_array[:-1]).all()
-    ):
-        return None
     rows = np.minimum(np.searchsorted(stamp_array, key_array), len(stamps) - 1)
     if not np.array_equal(stamp_array[rows], key_array):  # a state at a timestamp the log lacks
         return None
-    owners = np.repeat(np.arange(len(tracks)), counts)
-    values = np.vstack([position.T, heading, velocity.T, box_dims.T])
-    return TrackLog(log_id, tuple(stamps), tracks, owners, rows, values)
+    s = len(states)
+    position, velocity, box_dims = flat[: 9 * s].reshape(3, s, 3)
+    values = np.vstack([position.T, flat[9 * s:], velocity.T, box_dims.T])
+    try:
+        return TrackLog.from_arrays(log_id, stamps, tracks, np.repeat(np.arange(len(tracks)), counts), rows, values)
+    except InvariantViolation:
+        return None
 
 
 def _walk_log(raw: object, where: str) -> TrackLog:

@@ -1,9 +1,11 @@
-"""scripts/bench.py's scale sweep, at a tiny size, and its build_suite row: their shape, never their timings."""
+"""scripts/bench.py's scale sweep at a tiny size, its build_suite row and its traced repeats: shapes, never timings."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
+import types
 
 from scenemine.predicates import REGISTRY
 
@@ -37,3 +39,54 @@ def test_build_suite_row_times_the_ablation_suite(monkeypatch):
     row = _bench_module().build_suite_row(repeats=1)
     assert set(row) == {"build_suite_s", "host_scale"}
     assert row["build_suite_s"] > 0.0 and row["host_scale"] > 0.0
+
+
+def _traced_run(seconds, calls, exit=0):
+    metrics = {
+        "dsl.parse.s": {"value": seconds, "unit": "s"},
+        "dsl.parse.calls": {"value": calls, "unit": "count"},
+        "tracklog.load_log.mb": {"value": 3.9, "unit": "MB"},
+    }
+    return {
+        "workload": "argo_files", "seed": 7, "seconds": 50, "trace": 1, "exit": exit, "machine": None,
+        "result": {"correct": exit == 0, "attempted": 3, "failed": 0, "metrics": metrics}, "stderr": "",
+    }
+
+
+def test_traced_runs_report_median_seconds_and_their_common_counts():
+    runs = [_traced_run(0.5, 40), _traced_run(0.2, 40), _traced_run(0.3, 40)]
+    entry = _bench_module().combine_traced(runs)
+    assert (entry["workload"], entry["seed"], entry["trace"], entry["exit"]) == ("argo_files", 7, 1, 0)
+    assert entry["repeats"] == runs and entry["mismatches"] == []
+    assert entry["result"]["correct"] is True and entry["result"]["attempted"] == 9
+    metrics = entry["result"]["metrics"]
+    assert metrics["dsl.parse.s"] == {"value": 0.3, "unit": "s"}
+    assert metrics["dsl.parse.calls"] == {"value": 40, "unit": "count"}
+    assert metrics["tracklog.load_log.mb"] == {"value": 3.9, "unit": "MB"}
+
+
+def test_traced_runs_name_each_figure_they_disagree_on():
+    runs = [_traced_run(0.5, 40), _traced_run(0.2, 41), _traced_run(0.3, 40, exit=1)]
+    entry = _bench_module().combine_traced(runs)
+    assert entry["mismatches"] == ["dsl.parse.calls"]
+    assert entry["exit"] == 1 and entry["result"]["correct"] is False
+
+
+def test_a_count_that_differs_between_traced_runs_fails_the_run(tmp_path, monkeypatch, capsys):
+    bench = _bench_module()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 50, "workloads": [{"name": "argo_files"}]}))
+    calls = iter([40, 40, 41])
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        return dict(_traced_run(0.1, next(calls) if trace and seed == 7 else 40), seed=seed, trace=trace)
+
+    sweep = {"machine": {}, "rows": [], "build_suite": {"build_suite_s": 0.1, "host_scale": 1.0}}
+    monkeypatch.setattr(bench, "benchmark_run", fake_run)
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: types.SimpleNamespace(stdout=json.dumps(sweep)))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    assert bench.main(["--label", "test", "--checkout", str(tmp_path)]) == 1
+    assert "argo_files seed 7: traced runs differ in dsl.parse.calls" in capsys.readouterr().out
+    written = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert [(run["seed"], run["trace"], len(run.get("repeats", []))) for run in written["runs"]] == [
+        (0, 0, 0), (0, 1, 3), (7, 0, 0), (7, 1, 3)
+    ]

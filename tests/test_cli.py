@@ -77,6 +77,14 @@ def test_synth_rejects_unknown_template(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_rejects_a_count_below_one(tmp_path, capsys, count):
+    out = tmp_path / "logs"
+    assert main(["synth", "--template", "near", "--seed", "3", "--count", count, "--out", str(out)]) == 2
+    assert f"--count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_infeasible_spec_is_exit_two(tmp_path, capsys):
     code = main(["synth", "--template", "near", "--seed", "1", "--frames", "3", "--out", str(tmp_path)])
     assert code == 2

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from scenemine import ablation, synth, tracklog
 from scenemine.dsl import interpret, parse
 from scenemine.errors import InfeasibleSpec
 from scenemine.synth import (
@@ -94,9 +97,69 @@ def test_manifest_records_the_generation():
     assert m["query"] == result.query
     assert m["program"] == result.program
     assert m["expected"] == result.ground_truth.relevant.to_json_dict()
-    import hashlib
-
     assert m["log_sha256"] == hashlib.sha256(dump_log_text(result.log).encode()).hexdigest()
+
+
+# SHA-256 of each template's log text at seed 11, as the per-state object builder wrote it.
+LOG_SHA256 = {
+    ("relative_direction", False): "5007af9105c7570a074fac1f874089b36e117dbee42ab0a22dfa40e25869c980",
+    ("relative_direction", True): "6e685a788364207aff928057059cf060adca4175635a3a9c7894d02067d90ef4",
+    ("crossing", False): "eafe7f732d71ef5de4b1b414e6f6329c0a93625875af84a7cbc7908bde6d2286",
+    ("crossing", True): "3dd1fb7ea978a485d05de8966b66783869695c9e3df501968bfc87cde7ba8c9e",
+    ("facing", False): "0a0df0507898f649aa28cc080dcb779ccd9dfe4488857b7500bd266b2bb82b7d",
+    ("facing", True): "aa678b845f96dd0d4743160d7276b99387acc4f928c111259281b84f5dfb1ccf",
+    ("heading_toward", False): "4ced3b2b76b379a4dc518915be7398c53ef135bd2f9b3c62f775699ad9cfdd7f",
+    ("heading_toward", True): "536f4fb436a8c8235ba3983a4a10b8db039f5deda146ec2a1aed047fdd1dfde1",
+    ("near", False): "1b495dacd109538ad66b69a21ec2b76554a9069f7a0b14f845372b62ae0ab6fa",
+    ("near", True): "9792ce1f3fcba1197995491821332554765debaf33f4761a4262d7ada0cc913f",
+    ("braking_sequence", False): "0f162d74311562a7c92f61c85799c4efd242342806845379c09b404a53c024ec",
+    ("braking_sequence", True): "87ac3502a95d0ce56b54b030b56546c0034b9a09f0296f7e99a1ffc2e213a631",
+    ("compound", False): "772509f9d33f9bf8b3b2c14ba55bad3c402ff8dc27f30b0e33841acbe4036313",
+    ("compound", True): "a0bc2d944fc459e836153deccdb02f0d193ea927a5b395edff734ad76d127236",
+}
+
+
+@pytest.mark.parametrize("template, negative", sorted(LOG_SHA256))
+def test_log_bytes_are_pinned(template, negative):
+    result = generate_scenario_log(ScenarioSpec(template, seed=11, negative=negative))
+    digest = hashlib.sha256(dump_log_text(result.log).encode("utf-8")).hexdigest()
+    assert digest == LOG_SHA256[template, negative]
+
+
+def test_manifest_hash_is_the_hash_of_the_written_log(tmp_path):
+    result = generate_scenario_log(ScenarioSpec("braking_sequence", seed=4, negative=True))
+    paths = write_bundle(result, str(tmp_path))
+    digest = hashlib.sha256(Path(paths["log"]).read_bytes()).hexdigest()
+    assert result.manifest["log_sha256"] == digest
+    assert json.loads(Path(paths["manifest"]).read_text())["log_sha256"] == digest
+
+
+@pytest.fixture
+def rendered(monkeypatch):
+    """The log id of each log whose text is rendered, in order."""
+    log_ids = []
+
+    def counting(log):
+        log_ids.append(log.log_id)
+        return dump_log_text(log)
+
+    monkeypatch.setattr(synth, "dump_log_text", counting)
+    monkeypatch.setattr(tracklog, "dump_log_text", counting)
+    return log_ids
+
+
+def test_a_bundle_renders_its_log_once(tmp_path, rendered):
+    result = generate_scenario_log(ScenarioSpec("near", seed=2))
+    assert rendered == []
+    write_bundle(result, str(tmp_path / "a"))
+    write_bundle(result, str(tmp_path / "b"))
+    assert result.manifest["log_sha256"]
+    assert rendered == ["near-0002"]
+
+
+def test_the_ablation_suite_renders_no_log(rendered):
+    assert len(ablation.build_suite().logs) == 30
+    assert rendered == []
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ import gc
 import io
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -102,6 +104,86 @@ def test_log_invariants():
     stray = obj("s", "BUS", {stamps(3)[2]: state(0, 0)})
     with pytest.raises(InvariantViolation):
         TrackLog.build("log", stamps(2), [stray])  # state at unknown timestamp
+
+
+def _as_arrays(timestamps, objects):
+    """The objects' (tracks, owners, rows, values), gathered as TrackLog.from_arrays takes them."""
+    row = {ts: i for i, ts in enumerate(timestamps)}
+    tracks, owners, rows, values = [], [], [], []
+    for k, o in enumerate(objects):
+        tracks.append((o.track_id, o.category))
+        for ts, s in o.states.items():
+            owners.append(k)
+            rows.append(row[ts])
+            values.append([*s.position, s.heading, *s.velocity, *s.box_dims])
+    return tracks, np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp), np.array(values).reshape(-1, 10).T
+
+
+@pytest.mark.parametrize(
+    "log_id, timestamps, names",
+    [
+        ("log", stamps(1), ["a"]),  # too few timestamps
+        ("log", (stamps(2)[0], stamps(2)[0]), []),  # not increasing
+        ("log", (stamps(3)[0], stamps(3)[2], stamps(3)[1]), ["a"]),  # decreasing at index 2
+        ("", stamps(2), ["a"]),
+        ("log", stamps(2), ["a", "b", "a"]),  # duplicate track id
+        ("", stamps(1), ["a", "a"]),  # every fault at once: the duplicate is named first
+        ("", (stamps(2)[1], stamps(2)[0]), []),  # the empty id before the order
+    ],
+)
+def test_from_arrays_rejects_what_build_rejects_with_its_message(log_id, timestamps, names):
+    objects = [static_obj(name, "BUS", 0, 0, n=1) for name in names]
+    with pytest.raises(InvariantViolation) as built:
+        TrackLog.build(log_id, timestamps, objects)
+    with pytest.raises(InvariantViolation) as made:
+        TrackLog.from_arrays(log_id, timestamps, *_as_arrays(timestamps, objects))
+    assert str(made.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "index, value, fault",
+    [
+        (0, math.nan, "position must be three finite numbers"),
+        (1, math.inf, "position must be three finite numbers"),
+        (2, -math.inf, "position must be three finite numbers"),
+        (5, math.nan, "velocity must be three finite numbers"),
+        (9, math.inf, "box_dims must be three finite numbers"),
+        (3, math.nan, "heading must lie in (-pi, pi]"),
+        (3, -math.pi, "heading must lie in (-pi, pi]"),
+        (3, math.nextafter(math.pi, 4.0), "heading must lie in (-pi, pi]"),
+        (3, 4.0, "heading must lie in (-pi, pi]"),
+        (7, 0.0, "box_dims must all be > 0"),
+        (8, -1.5, "box_dims must all be > 0"),
+    ],
+)
+def test_from_arrays_names_the_first_bad_state_as_object_state_words_it(index, value, fault):
+    timestamps = stamps(3)
+    tracks, owners, rows, values = _as_arrays(timestamps, [static_obj(t, "BUS", 0, 0, n=3) for t in ("b", "a")])
+    values = values.copy()
+    values[index, 4:] = value  # track a at its second and third timestamps
+    with pytest.raises(InvariantViolation) as made:
+        TrackLog.from_arrays("log", timestamps, tracks, owners, rows, values)
+    v = values[:, 4].tolist()
+    with pytest.raises(InvariantViolation, match=re.escape(fault)) as worded:
+        ObjectState(tuple(v[0:3]), v[3], tuple(v[4:7]), tuple(v[7:10]))
+    assert str(made.value) == f"object 'a' state at {timestamps[1]}: {worded.value}"
+
+
+def test_from_arrays_accepts_the_bounds_of_each_range():
+    timestamps = stamps(2)
+    tracks, owners, rows, values = _as_arrays(timestamps, [static_obj("a", "BUS", 0, 0)])
+    values = values.copy()
+    values[3] = (math.pi, math.nextafter(-math.pi, 0.0))
+    values[7:] = 5e-324  # the least positive float
+    log = TrackLog.from_arrays("log", timestamps, tracks, owners, rows, values)
+    assert log.heading[:, 0].tolist() == [math.pi, math.nextafter(-math.pi, 0.0)]
+
+
+@given(st.integers(0, 200))
+def test_build_equals_from_arrays_on_the_same_states(seed):
+    timestamps, objects = random_track_objects(seed, max_objects=6, max_frames=12)
+    made = TrackLog.from_arrays("log", timestamps, *_as_arrays(timestamps, objects))
+    assert TrackLog.build("log", timestamps, objects) == made
 
 
 def test_log_lookup_helpers():
