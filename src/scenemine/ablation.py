@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from .dsl import Assignment, Call, KwArg, Program, execute, parse, pretty_print
 from .errors import InfeasibleSpec
 from .metrics import EvalReport, evaluate
-from .orchestrator import BatchResult, MiningConfig, run_batch
+from .orchestrator import BatchResult, MiningConfig, extract_code, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
 from .synth import ScenarioSpec, generate_scenario_log
@@ -202,9 +202,10 @@ def build_suite() -> AblationSuite:
     """Thirty (query, log) seeds: six families, five parameter variants each.
 
     Ground truth covers the full query x log grid, computed by running each
-    query's reference program once per pack of equal-width logs -- a query
-    can legitimately match scenes from another family's log, and negatives
-    matter for log F1.
+    query's reference program once per pack of equal-width logs of the
+    sorted logs -- a query can legitimately match scenes from another
+    family's log, and negatives matter for log F1. Those runs are the
+    reference programs' results that ``run_ablation`` starts its arms from.
     """
     queries: list[AblationQuery] = []
     logs: dict[str, TrackLog] = {}
@@ -236,19 +237,42 @@ def build_suite() -> AblationSuite:
     return AblationSuite(tuple(queries), logs, tuple(ground_truth))
 
 
+def reference_results(suite: AblationSuite) -> dict:
+    """Each reference program's predictions on the sorted logs, keyed as a mining round sees its code.
+
+    The key is the code the orchestrator pulls out of the program's scripted
+    reply; the value, log id -> set, is read from the suite's ground truth,
+    which ``build_suite`` made by running exactly that program on the same
+    packs. A fresh dict; the ground truth and its sets are not changed.
+    """
+    per_query: dict[str, dict] = {}
+    for truth in suite.ground_truth:
+        per_query.setdefault(truth.query_text, {})[truth.log_id] = truth.relevant
+    return {extract_code(_reply(q.program)): per_query[q.query_text] for q in suite.queries}
+
+
 def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcome:
-    """Mine and score all three arms; optionally write reports to out_dir."""
+    """Mine and score all three arms; optionally write reports to out_dir.
+
+    The arms share one table of programs' results on the sorted logs, which
+    starts from the suite's reference-program results (``reference_results``),
+    so a round that returns a reference program runs nothing; only programs
+    outside the suite, the role-swapped ones, are parsed and run. The arms
+    also share one table of scores, and the arms with the same ``epsrf``
+    share one fixture, each arm with its own provider.
+    """
     suite = build_suite()
     ordered_logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
-    results: dict = {}  # program text -> its predictions on ordered_logs, shared by every arm
+    results = reference_results(suite)  # program text -> its predictions on ordered_logs, shared by every arm
     scores: dict = {}  # (log id, prediction, ground truth) -> that pair's scores, shared by every arm
     query_texts = [q.query_text for q in suite.queries]
+    fixtures = {epsrf: build_fixture(suite.queries, epsrf) for epsrf in dict.fromkeys(arm.epsrf for arm in ARMS)}
 
     reports: dict[str, EvalReport] = {}
     batches: dict[str, BatchResult] = {}
     for arm in ARMS:
         config = MiningConfig(
-            provider=ScriptedProvider(build_fixture(suite.queries, arm.epsrf)),
+            provider=ScriptedProvider(fixtures[arm.epsrf]),
             max_iterations=arm.max_iterations,
             epsrf=arm.epsrf,
             workers=workers,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .dsl import DslError, check, describe_functions, execute, parse
-from .errors import EmptyResponse, InvalidParameter, ProviderError
+from .errors import EmptyResponse, InconsistentInput, InvalidParameter, ProviderError
 from .promptgen import compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
@@ -270,6 +270,18 @@ def _transcript_name(query_text: str, log_id: str) -> str:
     return f"{query_key(query_text)[:12]}__{safe_log}.json"
 
 
+def _check_transcript_names(query_text: str, logs: Sequence[TrackLog]) -> None:
+    """Raise InconsistentInput naming two log ids whose transcripts would share one file name."""
+    owners: dict[str, str] = {}
+    for log in logs:
+        name = _transcript_name(query_text, log.log_id)
+        other = owners.setdefault(name, log.log_id)
+        if other != log.log_id:
+            raise InconsistentInput(
+                f"log ids '{other}' and '{log.log_id}' would share the transcript file name '{name}'"
+            )
+
+
 def run_batch(
     queries: Sequence[str],
     logs: Sequence[TrackLog],
@@ -292,10 +304,14 @@ def run_batch(
 
     The logs are packed once per call (``tracklog.pack_logs``) and the packs
     are dropped when it returns. InconsistentInput names a log id that two
-    logs share, before any provider call.
+    logs share, before any provider call; with ``out_dir``, it also names two
+    log ids whose transcripts would share one file name, before any provider
+    call or file write.
     """
     packs = pack_logs(logs)
     unique = list(dict.fromkeys(queries))
+    if out_dir is not None and unique:
+        _check_transcript_names(unique[0], logs)
     if results is None:
         results = {}
     mine = lambda query: mine_scenario(query, logs, config, results, packs)  # noqa: E731

@@ -65,7 +65,8 @@ class ScriptedProvider:
 
     Prompts always embed the original query verbatim, so matching the query
     text against the prompt recovers which conversation this is. If several
-    entries match (one query a substring of another), the longest query wins.
+    entries match (one query a substring of another), the longest query wins;
+    among matching queries of equal length, the first in fixture order wins.
     Each entry keeps its own position counter; once replies are exhausted the
     last one repeats, which keeps deliberately-broken fixtures broken.
     """
@@ -73,6 +74,10 @@ class ScriptedProvider:
     def __init__(self, fixture: Mapping):
         _validate_fixture(fixture)
         self._entries = {key: dict(entry) for key, entry in fixture.items()}
+        # Longest query first; the sort is stable, so equal lengths keep fixture order.
+        self._by_length = sorted(
+            ((key, entry["query"]) for key, entry in self._entries.items()), key=lambda item: -len(item[1])
+        )
         self._cursor: dict[str, int] = {key: 0 for key in fixture}
         self._lock = threading.Lock()
         self.calls = 0
@@ -87,15 +92,10 @@ class ScriptedProvider:
             raise MalformedFile(f"{path}: {exc}") from None
 
     def _match(self, prompt: str) -> str:
-        best_key = None
-        best_len = -1
-        for key, entry in self._entries.items():
-            query = entry["query"]
-            if query in prompt and len(query) > best_len:
-                best_key, best_len = key, len(query)
-        if best_key is None:
-            raise ProviderError("no fixture entry matches the prompt")
-        return best_key
+        for key, query in self._by_length:
+            if query in prompt:
+                return key
+        raise ProviderError("no fixture entry matches the prompt")
 
     def generate(self, prompt: str) -> str:
         with self._lock:

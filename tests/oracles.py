@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from scenemine.categories import DEFAULT_REGISTRY
-from scenemine.errors import InvariantViolation, MalformedFile
+from scenemine.errors import InvariantViolation, MalformedFile, ProviderError
 from scenemine.metrics import DEFAULT_ALPHAS, AlphaScore, HotaResult
 from scenemine.tracklog import ObjectState, TrackedObject, TrackLog, read_json
 
@@ -594,3 +594,21 @@ def dump_log_text_json(log):
         }
         objects.append({"track_id": track_id, "category": category.name, "states": states})
     return json.dumps({"log_id": log.log_id, "timestamps": list(log.timestamps), "objects": objects}, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Scripted provider matching. This is the provider's earlier scan: every
+# entry is tested against the prompt and the longest matching query is kept,
+# the first of equal length in fixture order.
+
+
+def scripted_match(fixture, prompt):
+    best_key = None
+    best_len = -1
+    for key, entry in fixture.items():
+        query = entry["query"]
+        if query in prompt and len(query) > best_len:
+            best_key, best_len = key, len(query)
+    if best_key is None:
+        raise ProviderError("no fixture entry matches the prompt")
+    return best_key

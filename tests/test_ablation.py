@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from scenemine import metrics, orchestrator
+from scenemine import ablation, metrics, orchestrator
 from scenemine.ablation import (
     ARMS,
     FAULT_CLEAN,
@@ -15,6 +15,7 @@ from scenemine.ablation import (
     AblationQuery,
     build_fixture,
     build_suite,
+    reference_results,
     role_swapped,
     run_ablation,
     scripted_replies,
@@ -23,7 +24,7 @@ from scenemine.ablation import (
 from scenemine.dsl import DslError, interpret, parse, pretty_print
 from scenemine.errors import InfeasibleSpec
 from scenemine.metrics import evaluate
-from scenemine.orchestrator import MiningConfig, run_batch
+from scenemine.orchestrator import MiningConfig, extract_code, run_batch
 from scenemine.providers import ScriptedProvider, query_key
 
 CANONICAL = (
@@ -256,9 +257,100 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
     packs = {pack for _, pack in runs}
     assert len(packs) == 3
     assert sorted(log_id for pack in packs for log_id in pack.split("+")) == sorted(rerun.suite.logs)
-    # Each arm mined alone runs its 80 accepted programs on all 30 logs: 2,400 (program, log) runs.
-    assert len(set(runs)) == len(runs) == len(accepted) * len(packs) == 120
+    # The arms start from the 30 reference programs' results, so of the 40 accepted programs only
+    # the 10 role-swapped ones run: 300 (program, log) runs, where the three arms mined alone make 2,400.
+    references = set(reference_results(rerun.suite))
+    assert references < accepted
+    ran = {pretty_print(parse(code)) for code in accepted - references}
+    assert {program for program, _ in runs} == ran
+    assert len(set(runs)) == len(runs) == len(ran) * len(packs) == 30
     assert rerun.summary_table() == outcome.summary_table()
+
+
+def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatch, outcome):
+    parsed, checked, executed = [], [], []
+    parse_, check, execute = orchestrator.parse, orchestrator.check, orchestrator.execute
+
+    def counted_parse(code):
+        parsed.append(code)
+        return parse_(code)
+
+    def counted_check(program):
+        checked.append(pretty_print(program))
+        return check(program)
+
+    def counted_execute(program, log):
+        executed.append(pretty_print(program))
+        return execute(program, log)
+
+    monkeypatch.setattr(orchestrator, "parse", counted_parse)
+    monkeypatch.setattr(orchestrator, "check", counted_check)
+    monkeypatch.setattr(orchestrator, "execute", counted_execute)
+    rerun = run_ablation()
+    queries = rerun.suite.queries
+    references = set(reference_results(rerun.suite))
+    assert not references & set(parsed)
+    assert not {pretty_print(parse(code)) for code in references} & set(checked + executed)
+    # Each arm parses its 10 syntax-broken replies; the baseline parses the 10 role-swapped ones, which
+    # the repair arm then finds in the table.
+    first = {q.fault_class: [] for q in queries}
+    for q in queries:
+        first[q.fault_class].append(extract_code(scripted_replies(q, epsrf=False)[0]))
+    assert sorted(parsed) == sorted(3 * first[FAULT_SYNTAX] + first[FAULT_SWAP])
+    assert len(parsed) == 40
+    assert sorted(checked) == sorted(pretty_print(parse(code)) for code in first[FAULT_SWAP])
+    assert len(executed) == 30
+    assert rerun.summary_table() == outcome.summary_table()
+
+
+def test_reference_results_are_what_mining_the_reference_programs_gives(suite):
+    seeded = reference_results(suite)
+    logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
+    # With guidance and repair rounds every query ends on its reference program.
+    config = MiningConfig(provider=ScriptedProvider(build_fixture(suite.queries, epsrf=True)))
+    mined = run_batch([q.query_text for q in suite.queries], logs, config, results={})
+    codes = set()
+    for per_log in mined.outcomes.values():
+        outcome = per_log[logs[0].log_id]
+        assert outcome.succeeded
+        assert seeded[outcome.code] == outcome.predictions
+        assert list(seeded[outcome.code]) == sorted(suite.logs)
+        codes.add(outcome.code)
+    assert set(seeded) == codes and len(codes) == 30
+    assert reference_results(suite) == seeded and reference_results(suite) is not seeded
+
+
+def test_run_ablation_leaves_the_ground_truth_unchanged(monkeypatch):
+    built = build_suite()
+    truth = built.ground_truth
+    before = [(g.query_text, g.log_id, g.relevant.to_json_dict()) for g in truth]
+    monkeypatch.setattr(ablation, "build_suite", lambda: built)
+    rerun = run_ablation()
+    assert rerun.suite is built and rerun.suite.ground_truth is truth
+    assert [(g.query_text, g.log_id, g.relevant.to_json_dict()) for g in truth] == before
+    monkeypatch.undo()
+    assert truth == build_suite().ground_truth
+
+
+def test_one_fixture_per_guidance_setting_and_one_provider_per_arm(monkeypatch):
+    swaps, providers = [], []
+    swap, provider = ablation.role_swapped, ablation.ScriptedProvider
+
+    def counted_swap(program_text):
+        swaps.append(program_text)
+        return swap(program_text)
+
+    def counted_provider(fixture):
+        providers.append(provider(fixture))
+        return providers[-1]
+
+    monkeypatch.setattr(ablation, "role_swapped", counted_swap)
+    monkeypatch.setattr(ablation, "ScriptedProvider", counted_provider)
+    run_ablation()
+    # Only the fixture without guidance holds role-swapped replies; the two arms without guidance share it.
+    assert len(swaps) == 10
+    assert len({id(p) for p in providers}) == len(ARMS)
+    assert [p.calls for p in providers] == [30, 40, 40]
 
 
 def test_each_distinct_pair_is_scored_once_across_the_arms(monkeypatch, outcome):

@@ -10,6 +10,8 @@ from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 from scenemine.tracklog import dump_log_text, load_log
 
+from util import make_log, static_obj
+
 GOOD_CODE = 'x = get_objects_of_category(category="TRUCK")\noutput(x)'
 BAD_CODE = "x = summon_ghosts()\noutput(x)"
 
@@ -188,6 +190,18 @@ def test_mine_flag_overrides_config(tmp_path, bundle_dir, capsys):
     assert main(base) == 1
     assert main(base + ["-K", "3"]) == 0
     capsys.readouterr()
+
+
+def test_mine_refuses_log_ids_that_share_a_transcript_name(tmp_path, bundle_dir, capsys):
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    logs = tmp_path / "clashing"
+    logs.mkdir()
+    for name, log_id in (("a.json", "log.1"), ("b.json", "log_1")):
+        _write(logs / name, dump_log_text(make_log([static_obj("t1", "TRUCK", 0.0, 0.0)], log_id=log_id)))
+    code = main(["mine", "--queries", queries_path, "--logs", str(logs), "--out", out, "--fixture", fixture_path])
+    assert code == 2
+    assert "log ids 'log.1' and 'log_1' would share the transcript file name" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_mine_scripted_requires_fixture(tmp_path, bundle_dir, capsys):

@@ -505,3 +505,15 @@ def test_transcript_names_sanitize_log_ids(tmp_path):
     run_batch(["trucks"], [weird], MiningConfig(provider=ScriptedProvider(fixture)), out_dir=str(tmp_path))
     (name,) = [p.name for p in (tmp_path / "transcripts").iterdir()]
     assert name.endswith("__log_1_bad_id.json")
+
+
+def test_log_ids_that_share_a_transcript_name_are_refused_before_any_call(tmp_path):
+    logs = [make_log([static_obj("t1", "TRUCK", 0.0, 0.0)], log_id=log_id) for log_id in ("log.1", "log-a", "log_1")]
+    config = MiningConfig(provider=ScriptedProvider(make_fixture({"trucks": [fenced(GOOD_CODE)]})))
+    out = tmp_path / "results"
+    with pytest.raises(InconsistentInput, match=r"log ids 'log\.1' and 'log_1' would share the transcript file name '[0-9a-f]{12}__log_1\.json'"):
+        run_batch(["trucks"], logs, config, out_dir=str(out))
+    assert config.provider.calls == 0
+    assert not out.exists()
+    # Without result files there is nothing to overwrite.
+    assert not run_batch(["trucks"], logs, config).failed_runs()

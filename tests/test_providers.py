@@ -3,7 +3,10 @@ import json
 import urllib.error
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from scenemine.errors import MalformedFile, ProviderError
 from scenemine.orchestrator import MiningConfig, run_batch
 from scenemine.providers import (
@@ -72,6 +75,31 @@ def test_scripted_provider_prefers_longest_match():
     provider = ScriptedProvider(fixture)
     assert provider.generate("query: cars near buses") == "long"
     assert provider.generate("query: cars only") == "short"
+
+
+def test_scripted_provider_breaks_length_ties_by_fixture_order():
+    for first, second in (("cars", "bus_"), ("bus_", "cars")):
+        provider = ScriptedProvider(make_fixture({first: [first], second: [second]}))
+        assert provider.generate("cars and bus_ together") == first
+
+
+_QUERIES = st.lists(st.text("ab", min_size=1, max_size=4), min_size=1, max_size=6, unique=True)
+
+
+@given(data=st.data(), queries=_QUERIES)
+def test_scripted_provider_picks_the_entry_the_full_scan_picks(data, queries):
+    # Over a two-letter alphabet the queries nest, overlap and tie in length.
+    fixture = make_fixture({query: [query] for query in queries})
+    parts = data.draw(st.lists(st.sampled_from(queries) | st.text("ab ", max_size=3), max_size=5))
+    prompt = " ".join(parts)
+    provider = ScriptedProvider(fixture)
+    try:
+        expected = oracles.scripted_match(fixture, prompt)
+    except ProviderError:
+        with pytest.raises(ProviderError, match="no fixture entry matches"):
+            provider.generate(prompt)
+    else:
+        assert query_key(provider.generate(prompt)) == expected
 
 
 def test_scripted_provider_steps_through_replies_then_repeats_last():
