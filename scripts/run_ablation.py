@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from scenemine.ablation import run_ablation
-from scenemine.errors import InvalidParameter
+from scenemine.errors import ScenarioMiningError
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
 
     try:
         outcome = run_ablation(out_dir=args.out, workers=args.workers)
-    except InvalidParameter as exc:
+    except (ScenarioMiningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(outcome.summary_table())

@@ -27,6 +27,7 @@ from .metrics import (
 from .orchestrator import (
     BatchResult,
     IterationRecord,
+    LogSet,
     MiningConfig,
     MiningOutcome,
     extract_code,
@@ -65,6 +66,7 @@ __all__ = [
     "InvariantViolation",
     "IterationRecord",
     "LlmProvider",
+    "LogSet",
     "MalformedFile",
     "MiningConfig",
     "MiningOutcome",

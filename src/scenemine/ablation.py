@@ -22,14 +22,14 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .dsl import Assignment, Call, KwArg, Program, execute, parse, pretty_print
+from .dsl import Assignment, Call, KwArg, Program, parse, pretty_print
 from .errors import InfeasibleSpec
 from .metrics import EvalReport, evaluate
-from .orchestrator import BatchResult, MiningConfig, extract_code, run_batch
+from .orchestrator import BatchResult, LogSet, MiningConfig, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
 from .synth import ScenarioSpec, generate_scenario_log
-from .tracklog import GroundTruthScenario, TrackLog, pack_logs, write_text_atomic
+from .tracklog import GroundTruthScenario, TrackLog, write_text_atomic
 
 FAULT_SYNTAX = "syntax"
 FAULT_SWAP = "swap"
@@ -112,6 +112,7 @@ class AblationSuite:
     queries: tuple[AblationQuery, ...]
     logs: Mapping[str, TrackLog]
     ground_truth: tuple[GroundTruthScenario, ...]
+    log_set: LogSet  # the sorted logs, holding the reference programs' predictions
 
 
 @dataclass(frozen=True)
@@ -201,11 +202,12 @@ def build_fixture(queries: Sequence[AblationQuery], epsrf: bool) -> dict:
 def build_suite() -> AblationSuite:
     """Thirty (query, log) seeds: six families, five parameter variants each.
 
-    Ground truth covers the full query x log grid, computed by running each
-    query's reference program once per pack of equal-width logs of the
-    sorted logs -- a query can legitimately match scenes from another
-    family's log, and negatives matter for log F1. Those runs are the
-    reference programs' results that ``run_ablation`` starts its arms from.
+    Ground truth covers the full query x log grid -- a query can
+    legitimately match scenes from another family's log, and negatives
+    matter for log F1. It is each reference program run on the ``LogSet`` of
+    the sorted logs, under the text a mining round extracts from the
+    program's scripted reply, so a round that returns a reference program on
+    that ``LogSet`` runs nothing.
     """
     queries: list[AblationQuery] = []
     logs: dict[str, TrackLog] = {}
@@ -226,44 +228,28 @@ def build_suite() -> AblationSuite:
             logs[spec.log_id] = result.log
             index += 1
 
-    packs = pack_logs([logs[log_id] for log_id in sorted(logs)])
+    log_set = LogSet([logs[log_id] for log_id in sorted(logs)])
     ground_truth = []
     for query in queries:
-        program = parse(query.program)  # certified above by generate_scenario_log, which checked it
-        relevant = {}
-        for pack in packs:
-            relevant.update(pack.split(execute(program, pack.log)))
-        ground_truth += [GroundTruthScenario(query.query_text, log_id, relevant[log_id]) for log_id in sorted(logs)]
-    return AblationSuite(tuple(queries), logs, tuple(ground_truth))
-
-
-def reference_results(suite: AblationSuite) -> dict:
-    """Each reference program's predictions on the sorted logs, keyed as a mining round sees its code.
-
-    The key is the code the orchestrator pulls out of the program's scripted
-    reply; the value, log id -> set, is read from the suite's ground truth,
-    which ``build_suite`` made by running exactly that program on the same
-    packs. A fresh dict; the ground truth and its sets are not changed.
-    """
-    per_query: dict[str, dict] = {}
-    for truth in suite.ground_truth:
-        per_query.setdefault(truth.query_text, {})[truth.log_id] = truth.relevant
-    return {extract_code(_reply(q.program)): per_query[q.query_text] for q in suite.queries}
+        code = query.program.strip()  # what extract_code pulls out of _reply(query.program)
+        found = log_set.run(code)
+        ground_truth += [GroundTruthScenario(query.query_text, log_id, found[log_id]) for log_id in found]
+    return AblationSuite(tuple(queries), logs, tuple(ground_truth), log_set)
 
 
 def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcome:
     """Mine and score all three arms; optionally write reports to out_dir.
 
-    The arms share one table of programs' results on the sorted logs, which
-    starts from the suite's reference-program results (``reference_results``),
-    so a round that returns a reference program runs nothing; only programs
-    outside the suite, the role-swapped ones, are parsed and run. The arms
-    also share one table of scores, and the arms with the same ``epsrf``
-    share one fixture, each arm with its own provider.
+    ``out_dir`` is made before any arm runs. The arms mine on the suite's
+    ``LogSet``, which already holds the reference programs' predictions, so a
+    round that returns a reference program runs nothing; only programs
+    outside the suite, the role-swapped ones, are parsed and run, once for
+    all arms. The arms also share one table of scores, and the arms with the
+    same ``epsrf`` share one fixture, each arm with its own provider.
     """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     suite = build_suite()
-    ordered_logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
-    results = reference_results(suite)  # program text -> its predictions on ordered_logs, shared by every arm
     scores: dict = {}  # (log id, prediction, ground truth) -> that pair's scores, shared by every arm
     query_texts = [q.query_text for q in suite.queries]
     fixtures = {epsrf: build_fixture(suite.queries, epsrf) for epsrf in dict.fromkeys(arm.epsrf for arm in ARMS)}
@@ -277,7 +263,7 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
             epsrf=arm.epsrf,
             workers=workers,
         )
-        batch = run_batch(query_texts, ordered_logs, config, results=results)
+        batch = run_batch(query_texts, suite.log_set, config)
         predictions = {
             query: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
             for query, per_log in batch.outcomes.items()
@@ -287,7 +273,6 @@ def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcom
 
     outcome = AblationOutcome(suite, reports, batches)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         for arm in ARMS:
             name = arm.name.replace("+", "_")
             write_text_atomic(os.path.join(out_dir, f"report_{name}.json"), reports[arm.name].to_json())

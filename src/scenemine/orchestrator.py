@@ -3,13 +3,13 @@
 Each query is translated into one program that runs on every log. A round
 composes a prompt (the first plain, later ones carrying the previous program
 and its diagnostic), asks the provider for code, parses and checks it, and
-executes it once per group of logs with the same track count, packed into
-one log (``tracklog.pack_logs``), then cuts each log's predictions back out;
-the first diagnostic is the next round's feedback. If every round up to the
-cap fails, the query reports Failed with empty predictions rather than
-raising -- a batch must survive any single bad query. A program that already
-ran cleanly on the same logs, found by its text in a results table that
-calls may share, is not run again.
+runs it on a ``LogSet``; the first diagnostic is the next round's feedback.
+If every round up to the cap fails, the query reports Failed with empty
+predictions rather than raising -- a batch must survive any single bad query.
+A ``LogSet`` packs its logs once, each group of logs with the same track count
+into one log (``tracklog.pack_logs``), runs a program once per pack and cuts
+each log's predictions back out; it keeps the predictions of every program
+that ran cleanly, so calls that share it run no program twice.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import EmptyResponse, InconsistentInput, InvalidParameter, Provider
 from .promptgen import compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
 from .scenario_set import ScenarioSet
-from .tracklog import LogPack, TrackLog, pack_logs, write_text_atomic
+from .tracklog import TrackLog, pack_logs, write_text_atomic
 
 STATUS_SUCCEEDED = "Succeeded"
 STATUS_FAILED = "Failed"
@@ -142,42 +142,66 @@ class MiningOutcome:
         }
 
 
+class LogSet:
+    """Logs packed once, with the predictions of each program text that ran cleanly on all of them.
+
+    Calls that pass the same ``LogSet`` run no text twice; two threads that
+    miss the same text both run it, which repeats work but not results.
+    Building one raises InconsistentInput naming a log id two logs share.
+    """
+
+    def __init__(self, logs: Sequence[TrackLog]):
+        self.logs = tuple(logs)
+        self._packs = pack_logs(self.logs)
+        self._results: dict[str, dict[str, ScenarioSet]] = {}
+
+    def run(self, code: str) -> dict[str, ScenarioSet]:
+        """Parse, check and run ``code`` once per pack, unless it ran before; raises its first DslError.
+
+        Returns a fresh dict, log id -> set, in the logs' order.
+        """
+        predictions = self._results.get(code)
+        if predictions is None:
+            program = parse(code)
+            problems = check(program)
+            if problems:
+                raise problems[0]
+            predictions = dict.fromkeys(log.log_id for log in self.logs)
+            for pack in self._packs:
+                predictions.update(pack.split(execute(program, pack.log)))
+            self._results[code] = predictions
+        return dict(predictions)
+
+
 def _generate_once(prompt: str, config: MiningConfig) -> str:
     """One provider call with a single retry after a failure.
 
     A provider may be third-party code, so any exception it raises counts as
-    a transport failure, not just ProviderError.
+    a transport failure, not just ProviderError, and so does a reply that is
+    not a string.
     """
     try:
-        return config.provider.generate(prompt)
+        return _text(config.provider.generate(prompt))
     except Exception:
         config.sleeper(TRANSPORT_BACKOFF_S)
-        return config.provider.generate(prompt)
+        return _text(config.provider.generate(prompt))
 
 
-def mine_scenario(
-    query_text: str,
-    logs: Sequence[TrackLog],
-    config: MiningConfig,
-    results: dict[str, Mapping[str, ScenarioSet]] | None = None,
-    packs: Sequence[LogPack] | None = None,
-) -> MiningOutcome:
+def _text(reply: object) -> str:
+    if not isinstance(reply, str):
+        raise ProviderError(f"provider returned {type(reply).__name__}, not a string")
+    return reply
+
+
+def mine_scenario(query_text: str, logs: LogSet | Sequence[TrackLog], config: MiningConfig) -> MiningOutcome:
     """Run the generate/execute/repair loop for one query over every log.
 
-    ``results`` maps a program text to its predictions, log id -> set, on
-    ``logs``. A round whose code is in it succeeds with a copy of those
-    predictions and is not parsed, checked or run again; a program that runs
-    cleanly on every log is added to it. Only calls over the same logs may
-    share one table. It defaults to a fresh one per call.
-
-    ``packs`` is ``pack_logs(logs)``, built here when not given; each round's
-    program runs once per pack. InconsistentInput names a log id that two
-    logs share, before any provider call.
+    ``logs`` is a ``LogSet``, or a sequence of logs put in a fresh one. A
+    round whose code already ran cleanly on that ``LogSet`` succeeds with a
+    copy of its predictions. InconsistentInput names a log id that two logs
+    share, before any provider call.
     """
-    if packs is None:
-        packs = pack_logs(logs)
-    if results is None:
-        results = {}
+    log_set = logs if isinstance(logs, LogSet) else LogSet(logs)
     records: list[IterationRecord] = []
     prior_code: str | None = None
     prior_error: str | None = None
@@ -209,29 +233,18 @@ def mine_scenario(
             prior_code, prior_error = None, str(exc)
             continue
 
-        predictions = results.get(code)
-        if predictions is None:
-            try:
-                program = parse(code)
-                problems = check(program)
-                if problems:
-                    raise problems[0]
-                predictions = {}
-                for pack in packs:
-                    predictions.update(pack.split(execute(program, pack.log)))
-            except DslError as exc:
-                span = (exc.span.line, exc.span.col) if exc.span else None
-                records.append(
-                    IterationRecord(index, prompt, response, code, exc.kind, str(exc), span)
-                )
-                prior_code, prior_error = code, str(exc)
-                continue
-            results[code] = predictions
+        try:
+            predictions = log_set.run(code)
+        except DslError as exc:
+            span = (exc.span.line, exc.span.col) if exc.span else None
+            records.append(IterationRecord(index, prompt, response, code, exc.kind, str(exc), span))
+            prior_code, prior_error = code, str(exc)
+            continue
 
         records.append(IterationRecord(index, prompt, response, code, None, None, None))
-        return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, dict(predictions))
+        return MiningOutcome(query_text, STATUS_SUCCEEDED, tuple(records), code, predictions)
 
-    empty = {log.log_id: ScenarioSet.empty() for log in logs}
+    empty = {log.log_id: ScenarioSet.empty() for log in log_set.logs}
     return MiningOutcome(query_text, STATUS_FAILED, tuple(records), None, empty)
 
 
@@ -284,10 +297,9 @@ def _check_transcript_names(query_text: str, logs: Sequence[TrackLog]) -> None:
 
 def run_batch(
     queries: Sequence[str],
-    logs: Sequence[TrackLog],
+    logs: LogSet | Sequence[TrackLog],
     config: MiningConfig,
     out_dir: str | None = None,
-    results: dict[str, Mapping[str, ScenarioSet]] | None = None,
 ) -> BatchResult:
     """Mine every query over every log; optionally write prediction/transcript files.
 
@@ -295,32 +307,24 @@ def run_batch(
     results are keyed by query and log id, and files are written after every
     query is done, so output bytes do not depend on scheduling order.
 
-    Every query shares ``results``, the table of programs already run on
-    ``logs`` (see ``mine_scenario``): keyed by program text, holding only
-    programs that ran cleanly on every log, and shared only between calls
-    over the same logs. It defaults to a fresh table per call. Two workers
-    may both miss the same program and both store it; that repeats work but
-    not results.
-
-    The logs are packed once per call (``tracklog.pack_logs``) and the packs
-    are dropped when it returns. InconsistentInput names a log id that two
-    logs share, before any provider call; with ``out_dir``, it also names two
-    log ids whose transcripts would share one file name, before any provider
-    call or file write.
+    ``logs`` is a ``LogSet``, or a sequence of logs put in a fresh one that
+    is dropped when the call returns; every query runs its programs on it
+    (see ``mine_scenario``). InconsistentInput names a log id that two logs
+    share, before any provider call; with ``out_dir``, it also names two log
+    ids whose transcripts would share one file name, before any provider call
+    or file write.
     """
-    packs = pack_logs(logs)
+    log_set = logs if isinstance(logs, LogSet) else LogSet(logs)
     unique = list(dict.fromkeys(queries))
     if out_dir is not None and unique:
-        _check_transcript_names(unique[0], logs)
-    if results is None:
-        results = {}
-    mine = lambda query: mine_scenario(query, logs, config, results, packs)  # noqa: E731
+        _check_transcript_names(unique[0], log_set.logs)
+    mine = lambda query: mine_scenario(query, log_set, config)  # noqa: E731
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             mined = list(pool.map(mine, unique))
     else:
         mined = [mine(query) for query in unique]
-    batch = BatchResult({outcome.query_text: {log.log_id: outcome for log in logs} for outcome in mined})
+    batch = BatchResult({outcome.query_text: {log.log_id: outcome for log in log_set.logs} for outcome in mined})
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

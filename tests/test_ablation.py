@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+import pathlib
 import sys
 import time
 
@@ -15,7 +17,6 @@ from scenemine.ablation import (
     AblationQuery,
     build_fixture,
     build_suite,
-    reference_results,
     role_swapped,
     run_ablation,
     scripted_replies,
@@ -26,6 +27,8 @@ from scenemine.errors import InfeasibleSpec
 from scenemine.metrics import evaluate
 from scenemine.orchestrator import MiningConfig, extract_code, run_batch
 from scenemine.providers import ScriptedProvider, query_key
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CANONICAL = (
     'peds = get_objects_of_category(category="PEDESTRIAN")\n'
@@ -232,7 +235,12 @@ def test_report_files_written(outcome, tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
-# One results table across the arms
+# One LogSet across the arms
+
+
+def _reference_codes(queries):
+    """The code a mining round extracts from each query's reference program: the last guided reply."""
+    return {extract_code(scripted_replies(q, epsrf=True)[-1]) for q in queries}
 
 
 def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, outcome):
@@ -244,6 +252,10 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
         return execute(program, log)
 
     monkeypatch.setattr(orchestrator, "execute", counted)
+    built = build_suite()
+    suite_runs = runs[:]
+    del runs[:]
+    monkeypatch.setattr(ablation, "build_suite", lambda: built)
     rerun = run_ablation()
     accepted = {
         outcome.code
@@ -257,13 +269,16 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
     packs = {pack for _, pack in runs}
     assert len(packs) == 3
     assert sorted(log_id for pack in packs for log_id in pack.split("+")) == sorted(rerun.suite.logs)
-    # The arms start from the 30 reference programs' results, so of the 40 accepted programs only
-    # the 10 role-swapped ones run: 300 (program, log) runs, where the three arms mined alone make 2,400.
-    references = set(reference_results(rerun.suite))
+    # Building the suite runs the 30 reference programs, and the arms start from their results, so of
+    # the 40 accepted programs the arms run only the 10 role-swapped ones: 300 (program, log) runs,
+    # where the three arms mined alone make 2,400.
+    references = _reference_codes(rerun.suite.queries)
     assert references < accepted
+    assert {program for program, _ in suite_runs} == {pretty_print(parse(code)) for code in references}
     ran = {pretty_print(parse(code)) for code in accepted - references}
     assert {program for program, _ in runs} == ran
     assert len(set(runs)) == len(runs) == len(ran) * len(packs) == 30
+    assert len(set(suite_runs + runs)) == len(suite_runs + runs) == len(accepted) * len(packs)
     assert rerun.summary_table() == outcome.summary_table()
 
 
@@ -283,12 +298,14 @@ def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatc
         executed.append(pretty_print(program))
         return execute(program, log)
 
+    built = build_suite()
+    monkeypatch.setattr(ablation, "build_suite", lambda: built)
     monkeypatch.setattr(orchestrator, "parse", counted_parse)
     monkeypatch.setattr(orchestrator, "check", counted_check)
     monkeypatch.setattr(orchestrator, "execute", counted_execute)
     rerun = run_ablation()
     queries = rerun.suite.queries
-    references = set(reference_results(rerun.suite))
+    references = _reference_codes(queries)
     assert not references & set(parsed)
     assert not {pretty_print(parse(code)) for code in references} & set(checked + executed)
     # Each arm parses its 10 syntax-broken replies; the baseline parses the 10 role-swapped ones, which
@@ -303,21 +320,93 @@ def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatc
     assert rerun.summary_table() == outcome.summary_table()
 
 
-def test_reference_results_are_what_mining_the_reference_programs_gives(suite):
-    seeded = reference_results(suite)
+def test_reference_results_are_what_mining_the_reference_programs_gives(monkeypatch, suite):
     logs = [suite.logs[log_id] for log_id in sorted(suite.logs)]
+    assert suite.log_set.logs == tuple(logs)
+    truth = {}
+    for g in suite.ground_truth:
+        truth.setdefault(g.query_text, {})[g.log_id] = g.relevant
     # With guidance and repair rounds every query ends on its reference program.
     config = MiningConfig(provider=ScriptedProvider(build_fixture(suite.queries, epsrf=True)))
-    mined = run_batch([q.query_text for q in suite.queries], logs, config, results={})
+    mined = run_batch([q.query_text for q in suite.queries], logs, config)
+    parsed = []
+    parse_ = orchestrator.parse
+
+    def counted_parse(code):
+        parsed.append(code)
+        return parse_(code)
+
+    monkeypatch.setattr(orchestrator, "parse", counted_parse)
     codes = set()
-    for per_log in mined.outcomes.values():
+    for query, per_log in mined.outcomes.items():
         outcome = per_log[logs[0].log_id]
         assert outcome.succeeded
-        assert seeded[outcome.code] == outcome.predictions
-        assert list(seeded[outcome.code]) == sorted(suite.logs)
+        stored = suite.log_set.run(outcome.code)
+        assert stored == outcome.predictions == truth[query] and stored is not outcome.predictions
+        assert list(stored) == sorted(suite.logs)
         codes.add(outcome.code)
-    assert set(seeded) == codes and len(codes) == 30
-    assert reference_results(suite) == seeded and reference_results(suite) is not seeded
+    assert codes == _reference_codes(suite.queries) and len(codes) == 30
+    assert parsed == []  # building the suite stored every reference program under the code a round extracts
+
+
+def test_the_logs_are_packed_once_per_pass(monkeypatch):
+    packed = []
+    pack_logs = orchestrator.pack_logs
+
+    def counted(logs):
+        packed.append([log.log_id for log in logs])
+        return pack_logs(logs)
+
+    monkeypatch.setattr(orchestrator, "pack_logs", counted)
+    rerun = run_ablation()
+    assert packed == [sorted(rerun.suite.logs)]
+
+
+def _count_provider_calls(monkeypatch):
+    calls = []
+    generate = ScriptedProvider.generate
+
+    def counted(provider, prompt):
+        calls.append(prompt)
+        return generate(provider, prompt)
+
+    monkeypatch.setattr(ScriptedProvider, "generate", counted)
+    return calls
+
+
+def test_an_unusable_out_dir_fails_before_any_provider_call(monkeypatch, tmp_path):
+    calls = _count_provider_calls(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    with pytest.raises(FileExistsError):
+        run_ablation(out_dir=str(taken))
+    with pytest.raises(NotADirectoryError):
+        run_ablation(out_dir=str(taken / "reports"))
+    assert calls == []
+    assert taken.read_text() == "not a directory\n"
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("run_ablation_script", ROOT / "scripts" / "run_ablation.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--out", "{taken}"], "File exists"),
+    (["--out", "{taken}/reports"], "Not a directory"),
+    (["--workers", "0"], "workers must be between 1"),
+])
+def test_the_script_reports_an_error_and_exits_2(monkeypatch, capsys, tmp_path, args, message):
+    calls = _count_provider_calls(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr(sys, "argv", ["run_ablation.py", *(arg.format(taken=taken) for arg in args)])
+    assert _script().main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err and "Traceback" not in err
+    assert calls == []
 
 
 def test_run_ablation_leaves_the_ground_truth_unchanged(monkeypatch):
@@ -386,7 +475,7 @@ def test_each_arm_matches_that_arm_mined_alone(outcome, suite):
             max_iterations=arm.max_iterations,
             epsrf=arm.epsrf,
         )
-        alone = run_batch(queries, logs, config, results={})
+        alone = run_batch(queries, logs, config)
         assert outcome.batches[arm.name].outcomes == alone.outcomes, arm.name
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from scenemine import orchestrator
+from scenemine.dsl import DslError
 from scenemine.errors import EmptyResponse, InconsistentInput, InvalidParameter
 from scenemine.orchestrator import (
     EMPTY_RESPONSE,
@@ -13,6 +14,7 @@ from scenemine.orchestrator import (
     STATUS_FAILED,
     STATUS_SUCCEEDED,
     TRANSPORT_ERROR,
+    LogSet,
     MiningConfig,
     extract_code,
     mine_scenario,
@@ -297,6 +299,41 @@ def test_a_provider_that_always_raises_fails_only_its_query():
     assert provider.raised == 10 and sleeps == [2.0] * 5  # each round retries once
 
 
+class _Returning:
+    """A third-party provider that returns ``reply`` on its first ``times`` calls for prompts holding ``query``."""
+
+    def __init__(self, inner, query, reply, times=None):
+        self.inner, self.query, self.reply, self.times = inner, query, reply, times
+        self.returned = 0
+
+    def generate(self, prompt):
+        if self.query in prompt and (self.times is None or self.returned < self.times):
+            self.returned += 1
+            return self.reply
+        return self.inner.generate(prompt)
+
+
+@pytest.mark.parametrize("reply, kind", [(None, "NoneType"), (fenced(GOOD_CODE).encode(), "bytes"), ({"text": GOOD_CODE}, "dict")])
+def test_a_reply_that_is_not_a_string_fails_only_its_query(reply, kind):
+    sleeps = []
+    provider = _Returning(ScriptedProvider(_batch_fixture()), "walkers", reply)
+    batch = run_batch(["trucks", "walkers", "doomed"], _two_logs(), MiningConfig(provider=provider, sleeper=sleeps.append))
+    assert sorted(batch.failed_runs()) == [("doomed", "log-a"), ("doomed", "log-b"), ("walkers", "log-a"), ("walkers", "log-b")]
+    assert batch.outcomes["trucks"]["log-a"].predictions["log-a"] == sset({"t1": stamps(2)})
+    rounds = batch.outcomes["walkers"]["log-a"].iterations
+    assert [r.error_kind for r in rounds] == [TRANSPORT_ERROR] * 5
+    assert all(r.error_message == f"provider returned {kind}, not a string" and r.response_text is None for r in rounds)
+    assert provider.returned == 10 and sleeps == [2.0] * 5  # each round retries once
+
+
+def test_a_reply_that_is_not_a_string_is_retried_within_the_round():
+    sleeps = []
+    provider = _Returning(ScriptedProvider(_batch_fixture()), "trucks", None, times=1)
+    outcome = mine_scenario("trucks", _two_logs(), MiningConfig(provider=provider, sleeper=sleeps.append))
+    assert outcome.status == STATUS_SUCCEEDED and outcome.code == GOOD_CODE
+    assert len(outcome.iterations) == 1 and sleeps == [2.0]
+
+
 def _wide_log():
     """A two-track log with pedestrians only: a pack of its own beside _two_logs()'s one-track logs."""
     return make_log([static_obj("p2", "PEDESTRIAN", 0.0, 0.0), static_obj("p3", "PEDESTRIAN", 9.0, 0.0)], log_id="log-w")
@@ -315,8 +352,8 @@ def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
     monkeypatch.setitem(REGISTRY, "one_track_only", spec)
     fixture = make_fixture({"trucks": [fenced("x = one_track_only()\noutput(x)"), fenced(GOOD_CODE)]})
     config = MiningConfig(provider=ScriptedProvider(fixture))
-    results = {}
-    outcome = mine_scenario("trucks", _two_logs() + [_wide_log()], config, results=results)
+    logs = LogSet(_two_logs() + [_wide_log()])
+    outcome = mine_scenario("trucks", logs, config)
     assert ran == ["log-a+log-b", "log-w"]  # the first pack ran cleanly; the error came from the second
     assert outcome.status == STATUS_SUCCEEDED
     first, second = outcome.iterations
@@ -324,7 +361,12 @@ def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
     assert "no data for two tracks" in second.prompt_text
     assert outcome.code == GOOD_CODE
     assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty(), "log-w": ScenarioSet.empty()}
-    assert list(results) == [GOOD_CODE]
+    # Only the program that ran on every log is kept: the failing one runs again, the accepted one does not.
+    with pytest.raises(DslError, match="no data for two tracks"):
+        logs.run("x = one_track_only()\noutput(x)")
+    assert ran == ["log-a+log-b", "log-w"] * 2
+    parses = _counting(monkeypatch, "parse")
+    assert logs.run(GOOD_CODE) == outcome.predictions and parses == []
 
 
 def _counting(monkeypatch, name):
@@ -357,30 +399,57 @@ def test_each_round_checks_its_program_once(monkeypatch):
 
 
 def test_a_stored_program_is_not_parsed_checked_or_run_again(monkeypatch, log):
-    stored = {log.log_id: sset({"t1": stamps(2)})}
-    results = {GOOD_CODE: stored}
+    logs = LogSet([log])
+    stored = logs.run(GOOD_CODE)
+    assert stored == {log.log_id: sset({"t1": stamps(2)})}
     calls = [_counting(monkeypatch, name) for name in ("parse", "check", "execute")]
-    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)]), results=results)
+    outcome = mine_scenario(QUERY, logs, fixture_config([fenced(GOOD_CODE)]))
     assert calls == [[], [], []]
     assert outcome.status == STATUS_SUCCEEDED and outcome.code == GOOD_CODE
     assert [r.error_kind for r in outcome.iterations] == [None]
     assert outcome.predictions == stored and outcome.predictions is not stored
-    assert results == {GOOD_CODE: stored}
+    # Each caller gets its own copy, so changing one changes nothing stored.
+    stored.clear()
+    outcome.predictions.clear()
+    assert logs.run(GOOD_CODE) == {log.log_id: sset({"t1": stamps(2)})}
+    assert calls == [[], [], []]
 
 
 def test_only_programs_that_run_on_every_log_are_stored(monkeypatch, log):
-    logs = _two_logs() + [log]  # two packs: the one-track logs, and the two-track fixture log
-    results = {}
+    logs = LogSet(_two_logs() + [log])  # two packs: the one-track logs, and the two-track fixture log
     replies = [fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)]
-    first = mine_scenario(QUERY, logs, fixture_config(replies), results=results)
-    assert list(results) == [GOOD_CODE]
-    assert results[GOOD_CODE] == first.predictions and results[GOOD_CODE] is not first.predictions
+    first = mine_scenario(QUERY, logs, fixture_config(replies))
     assert set(first.predictions) == {"log-a", "log-b", log.log_id}
+    parses = _counting(monkeypatch, "parse")
     executes = _counting(monkeypatch, "execute")
-    again = mine_scenario(QUERY, logs, fixture_config(replies), results=results)
-    # Round 2's program failed on the first pack, so it runs there again; round 3's is stored.
+    again = mine_scenario(QUERY, logs, fixture_config(replies))
+    # Rounds 1 and 2 failed, so their programs are parsed again and round 2's runs again on the
+    # first pack, where it failed; round 3's is stored.
+    assert [code for code, in parses] == [BAD_FUNCTION, BAD_CATEGORY]
     assert [pack.log_id for _, pack in executes] == ["log-a+log-b"]
     assert again == first
+    assert logs.run(GOOD_CODE) == first.predictions and logs.run(GOOD_CODE) is not first.predictions
+
+
+def test_each_log_set_keeps_its_own_logs_predictions():
+    a, b = _two_logs()
+    on_a, on_b = LogSet([a]), LogSet([b])
+    first = mine_scenario(QUERY, on_a, fixture_config([fenced(GOOD_CODE)]))
+    second = mine_scenario(QUERY, on_b, fixture_config([fenced(GOOD_CODE)]))
+    assert first.predictions == {"log-a": sset({"t1": stamps(2)})}
+    assert second.predictions == {"log-b": ScenarioSet.empty()}
+    assert on_a.run(GOOD_CODE) == first.predictions and on_b.run(GOOD_CODE) == second.predictions
+
+
+def test_mining_a_list_or_a_log_set_of_it_gives_equal_outcomes():
+    queries = ["trucks", "walkers", "doomed"]
+    logs = _two_logs() + [_wide_log()]
+    listed = run_batch(queries, logs, _batch_config())
+    shared = LogSet(logs)
+    assert shared.logs == tuple(logs)
+    assert run_batch(queries, shared, _batch_config()).outcomes == listed.outcomes
+    assert mine_scenario("doomed", shared, _batch_config()) == mine_scenario("doomed", logs, _batch_config())
+    assert mine_scenario("trucks", shared, _batch_config()) == listed.outcomes["trucks"]["log-w"]
 
 
 def test_run_batch_runs_a_program_two_queries_share_once_per_log(monkeypatch):
@@ -404,6 +473,7 @@ def test_run_batch_starts_from_a_fresh_table_by_default(monkeypatch):
 @pytest.mark.parametrize("mine", [
     lambda logs, config: mine_scenario("trucks", logs, config),
     lambda logs, config: run_batch(["trucks", "walkers"], logs, config),
+    lambda logs, config: LogSet(logs),
 ])
 def test_a_log_id_two_logs_share_is_refused_before_any_provider_call(mine):
     a, b = _two_logs()
