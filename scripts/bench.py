@@ -30,8 +30,10 @@ compare only at similar scales. Each row also holds the SHA-256 of
 the file ``save_log`` wrote, so two checkouts' rows show whether they write
 the same bytes. The same process then times ``ablation.build_suite()``, the
 ablation's 30 certified logs and their ground truth, the median of
-BUILD_SUITE_REPEATS runs with its host scale (``build_suite_s``). Nothing
-gates the sweep or that row.
+BUILD_SUITE_REPEATS runs with its host scale (``build_suite_s``), and
+``dsl.parse`` of the ablation's 30 reference programs and their 30
+syntax-broken versions, the median of PARSE_REPEATS passes over all 60 with
+its host scale (``parse_s``). Nothing gates the sweep or these rows.
 
 ``--checkout`` (default: the checkout holding this script) is the tree whose
 ``scenebench/`` and ``src/`` are measured; the BENCH file is written next to
@@ -59,6 +61,7 @@ SWEEP_OBJECTS = (50, 70, 200)
 SWEEP_FRAMES = 150
 SWEEP_REPEATS = 3
 BUILD_SUITE_REPEATS = 9
+PARSE_REPEATS = 51
 TRACE_REPEATS = 3  # traced runs per (workload, seed); their per-layer seconds are medians
 INTERPRET_QUERY = "fast vehicles within 5 meters of a pedestrian"
 
@@ -234,12 +237,33 @@ def build_suite_row(repeats: int = BUILD_SUITE_REPEATS) -> dict:
     return {"build_suite_s": seconds, "host_scale": run.host_scale(before + run.calibration_times())}
 
 
+def parse_row(repeats: int = PARSE_REPEATS) -> dict:
+    """The median time to parse the ablation's reference and syntax-broken texts; needs src/ and scenebench/ on sys.path."""
+    import run
+    from scenemine import ablation
+    from scenemine.dsl import DslError, parse
+
+    programs = [query.program for query in ablation.build_suite().queries]
+    texts = programs + [ablation.syntax_broken(program) for program in programs]
+
+    def parse_all():
+        for text in texts:
+            try:
+                parse(text)
+            except DslError:
+                pass
+
+    before = run.calibration_times()
+    seconds = _median_time(parse_all, repeats)
+    return {"parse_s": seconds, "texts": len(texts), "host_scale": run.host_scale(before + run.calibration_times())}
+
+
 def _sweep_main(checkout: str) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "scenebench")]
     import run
 
     rows = [sweep_row(n) for n in SWEEP_OBJECTS]
-    print(json.dumps({"machine": run.machine(), "rows": rows, "build_suite": build_suite_row()}))
+    print(json.dumps({"machine": run.machine(), "rows": rows, "build_suite": build_suite_row(), "parse": parse_row()}))
     return 0
 
 
@@ -284,12 +308,14 @@ def main(argv=None) -> int:
         )
     suite = sweep["build_suite"]
     print(f"build_suite {suite['build_suite_s']:.3f} s, host scale {suite['host_scale']:.2f}")
+    parsing = sweep["parse"]
+    print(f"parse {parsing['texts']} texts {parsing['parse_s'] * 1e3:.2f} ms, host scale {parsing['host_scale']:.2f}")
 
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(
             {"label": args.label, "machine": sweep["machine"], "runs": runs, "sweep": sweep["rows"],
-             "build_suite": suite},
+             "build_suite": suite, "parse": parsing},
             fh, indent=2,
         )
         fh.write("\n")

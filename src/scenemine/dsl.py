@@ -5,6 +5,15 @@ single registry call, terminated by exactly one ``output(name)`` statement.
 Calls cannot nest and there are no loops, so interpretation can never execute
 anything outside the registry. Every diagnostic carries a line/column span
 and is phrased to be actionable as repair feedback.
+
+Each line is read by one compiled pattern, matched at each position in turn.
+Blanks and a ``#`` comment make no token; otherwise the named group that
+matched is the token's kind: a number (``inf`` and a signed ``inf`` too), a
+name, a quoted string or one of ``= ( ) ,``. A malformed number, a quote the
+line does not close and any other character are ParseErrors there. Tokens are
+plain (kind, text, line, column) tuples, with a ``newline`` token ending each
+line that has any; ``parse`` reads them by index and builds a ``Span`` only
+for AST nodes and diagnostics.
 """
 
 from __future__ import annotations
@@ -145,80 +154,60 @@ class Program:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT NUMBER STRING EQUALS LPAREN RPAREN COMMA NEWLINE EOF
-    text: str
-    span: Span
-
-
 # The unbounded number (also signed, as -inf or +inf): a literal, so it cannot name a variable.
 INF = "inf"
-_SIGNED_INF = re.compile(rf"[+-]{INF}(?![A-Za-z0-9_])")
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_PUNCT = {"=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+# Matched at each position of a line; the named group that matched is the token's kind.
+_TOKEN = re.compile(
+    rf"""[ \t]+ | \#.*                                  # blanks, and a comment to the end of the line
+    | (?P<number>[+-]?{INF}(?![A-Za-z0-9_]) | [+-]?[\d.]+(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<string>"[^"]*" | '[^']*')
+    | (?P<punct>[=(),])
+    | (?P<quote>["'])                                  # a quote the line does not close
+    | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _decimal_digits(line: str) -> str:
+    """The line as _TOKEN reads it: each digit that ``\\d`` misses ('²', '①') becomes '٠', which it matches.
+
+    A number runs over every ``str.isdigit()`` character, so ``1²`` is one
+    lexeme; cut from the original line, it fails float() as a malformed number.
+    """
+    if line.isascii():
+        return line
+    return "".join("\u0660" if ch.isdigit() and not ch.isdecimal() else ch for ch in line)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, column) of each token, and a ("newline", "", line, end) after each line that has any."""
+    tokens: list[tuple[str, str, int, int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        line_had_tokens = False
-        while i < len(line):
-            ch = line[i]
-            col = i + 1
-            if ch in " \t":
-                i += 1
+        before = len(tokens)
+        for match in _TOKEN.finditer(_decimal_digits(line)):
+            kind = match.lastgroup
+            if kind is None:
                 continue
-            if ch == "#":
-                break
-            if ch in _PUNCT:
-                tokens.append(_Token(_PUNCT[ch], ch, Span(line_no, col)))
-                i += 1
-            elif ch in _IDENT_START:
-                j = i + 1
-                while j < len(line) and line[j] in _IDENT_CONT:
-                    j += 1
-                word = line[i:j]
-                tokens.append(_Token("NUMBER" if word == INF else "IDENT", word, Span(line_no, col)))
-                i = j
-            elif _SIGNED_INF.match(line, i):
-                tokens.append(_Token("NUMBER", line[i : i + 1 + len(INF)], Span(line_no, col)))
-                i += 1 + len(INF)
-            elif ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < len(line) and (line[i + 1].isdigit() or line[i + 1] == ".")):
-                j = i + 1 if ch in "+-" else i
-                start = i
-                while j < len(line) and (line[j].isdigit() or line[j] == "."):
-                    j += 1
-                if j < len(line) and line[j] in "eE":
-                    k = j + 1
-                    if k < len(line) and line[k] in "+-":
-                        k += 1
-                    if k < len(line) and line[k].isdigit():
-                        j = k
-                        while j < len(line) and line[j].isdigit():
-                            j += 1
-                lexeme = line[start:j]
+            start, end = match.span()
+            word = line[start:end]
+            if kind == "number":
                 try:
-                    float(lexeme)
+                    float(word)
                 except ValueError:
-                    raise DslError(PARSE_ERROR, f"malformed number '{lexeme}'", Span(line_no, col)) from None
-                tokens.append(_Token("NUMBER", lexeme, Span(line_no, col)))
-                i = j
-            elif ch in "\"'":
-                end = line.find(ch, i + 1)
-                if end == -1:
-                    raise DslError(PARSE_ERROR, "unterminated string literal", Span(line_no, col))
-                tokens.append(_Token("STRING", line[i + 1 : end], Span(line_no, col)))
-                i = end + 1
-            else:
-                raise DslError(PARSE_ERROR, f"unexpected character {ch!r}", Span(line_no, col))
-            line_had_tokens = True
-        if line_had_tokens:
-            tokens.append(_Token("NEWLINE", "", Span(line_no, len(line) + 1)))
-    last_line = text.count("\n") + 1
-    tokens.append(_Token("EOF", "", Span(last_line, 1)))
+                    raise DslError(PARSE_ERROR, f"malformed number '{word}'", Span(line_no, start + 1)) from None
+            elif kind == "string":
+                word = word[1:-1]
+            elif kind == "punct":
+                kind = word
+            elif kind == "quote":
+                raise DslError(PARSE_ERROR, "unterminated string literal", Span(line_no, start + 1))
+            elif kind == "bad":
+                raise DslError(PARSE_ERROR, f"unexpected character {word!r}", Span(line_no, start + 1))
+            tokens.append((kind, word, line_no, start + 1))
+        if len(tokens) > before:
+            tokens.append(("newline", "", line_no, len(line) + 1))
     return tokens
 
 
@@ -226,143 +215,93 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or tok.kind.lower()
-            raise DslError(PARSE_ERROR, f"expected {what}, found '{shown}'", tok.span)
-        return self.advance()
-
-    def parse_value(self) -> Literal | VarRef:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Literal(float(tok.text), "number", tok.span)
-        if tok.kind == "STRING":
-            self.advance()
-            return Literal(tok.text, "string", tok.span)
-        if tok.kind == "IDENT":
-            self.advance()
-            if self.peek().kind == "LPAREN":
-                raise DslError(
-                    PARSE_ERROR,
-                    f"nested call '{tok.text}(...)': bind it to its own name on a previous line",
-                    tok.span,
-                )
-            return VarRef(tok.text, tok.span)
-        shown = tok.text or tok.kind.lower()
-        raise DslError(PARSE_ERROR, f"expected a value, found '{shown}'", tok.span)
-
-    def parse_call(self) -> Call:
-        name_tok = self.expect("IDENT", "a function name")
-        self.expect("LPAREN", "'('")
-        args: list = []
-        kwargs: list[KwArg] = []
-        seen_kw: set[str] = set()
-        if self.peek().kind != "RPAREN":
-            while True:
-                tok = self.peek()
-                if tok.kind == "IDENT" and self.tokens[self.pos + 1].kind == "EQUALS":
-                    self.advance()
-                    self.advance()
-                    value = self.parse_value()
-                    if tok.text in seen_kw:
-                        raise DslError(PARSE_ERROR, f"duplicate keyword argument '{tok.text}'", tok.span)
-                    seen_kw.add(tok.text)
-                    kwargs.append(KwArg(tok.text, value, tok.span))
-                else:
-                    value = self.parse_value()
-                    if kwargs:
-                        raise DslError(
-                            PARSE_ERROR, "positional argument after keyword argument", value.span
-                        )
-                    args.append(value)
-                if self.peek().kind == "COMMA":
-                    self.advance()
-                    continue
-                break
-        self.expect("RPAREN", "')' to close the call")
-        return Call(name_tok.text, tuple(args), tuple(kwargs), name_tok.span)
-
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind == "NEWLINE":
-            self.advance()
-        elif tok.kind != "EOF":
-            shown = tok.text or tok.kind.lower()
-            raise DslError(PARSE_ERROR, f"unexpected '{shown}' after statement", tok.span)
-
-
 def parse(text: str) -> Program:
-    """Parse program text, raising DslError on grammar or structure violations."""
+    """Parse program text, raising DslError on grammar or structure violations.
+
+    A statement is one line, so the parser never reads past a line's
+    ``newline`` token; a token is shown in a diagnostic by its text, or by its
+    kind when it has none (``newline``, an empty ``string``).
+    """
     tokens = _tokenize(text)
-    parser = _Parser(tokens)
+
+    def fail(message: str, at: int, kind: str = PARSE_ERROR):
+        _, _, line, col = tokens[at]
+        raise DslError(kind, message, Span(line, col))
+
+    def expect(at: int, kind: str, what: str) -> str:
+        if tokens[at][0] != kind:
+            fail(f"expected {what}, found '{tokens[at][1] or tokens[at][0]}'", at)
+        return tokens[at][1]
+
+    def value(at: int) -> Literal | VarRef:
+        kind, word, line, col = tokens[at]
+        if kind == "number":
+            return Literal(float(word), "number", Span(line, col))
+        if kind == "string":
+            return Literal(word, "string", Span(line, col))
+        if kind != "name":
+            fail(f"expected a value, found '{word or kind}'", at)
+        if tokens[at + 1][0] == "(":
+            fail(f"nested call '{word}(...)': bind it to its own name on a previous line", at)
+        return VarRef(word, Span(line, col))
+
+    def end_statement(at: int) -> int:
+        if tokens[at][0] != "newline":
+            fail(f"unexpected '{tokens[at][1] or tokens[at][0]}' after statement", at)
+        return at + 1
+
     assignments: list[Assignment] = []
     output: Output | None = None
-
-    while parser.peek().kind != "EOF":
-        if parser.peek().kind == "NEWLINE":
-            parser.advance()
-            continue
-        tok = parser.peek()
-        if tok.text == INF and parser.tokens[parser.pos + 1].kind == "EQUALS":
-            raise DslError(PARSE_ERROR, f"'{INF}' is reserved and cannot be assigned", tok.span)
-        if tok.kind != "IDENT":
-            shown = tok.text or tok.kind.lower()
-            raise DslError(PARSE_ERROR, f"expected a statement, found '{shown}'", tok.span)
+    pos = 0
+    while pos < len(tokens):
+        kind, name, line, col = tokens[pos]
+        follows = tokens[pos + 1][0]
+        if name == INF and follows == "=":
+            fail(f"'{INF}' is reserved and cannot be assigned", pos)
+        if kind != "name":
+            fail(f"expected a statement, found '{name or kind}'", pos)
+        is_output = name == "output" and follows == "("
         if output is not None:
-            if tok.text == "output" and parser.tokens[parser.pos + 1].kind == "LPAREN":
-                raise DslError(
-                    DUPLICATE_OUTPUT, "program has more than one output(...) statement", tok.span
-                )
-            raise DslError(PARSE_ERROR, "statement after output(...): output must be last", tok.span)
-
-        if tok.text == "output" and parser.tokens[parser.pos + 1].kind == "LPAREN":
-            parser.advance()
-            parser.expect("LPAREN", "'('")
-            name_tok = parser.expect("IDENT", "a variable name inside output(...)")
-            parser.expect("RPAREN", "')' to close output(...)")
-            parser.end_statement()
-            output = Output(name_tok.text, tok.span)
+            if is_output:
+                fail("program has more than one output(...) statement", pos, DUPLICATE_OUTPUT)
+            fail("statement after output(...): output must be last", pos)
+        if is_output:
+            output = Output(expect(pos + 2, "name", "a variable name inside output(...)"), Span(line, col))
+            expect(pos + 3, ")", "')' to close output(...)")
+            pos = end_statement(pos + 4)
             continue
+        if follows == "(":
+            fail(f"bare call '{name}(...)': assign the result to a name", pos)
+        if follows != "=":
+            fail(f"expected '=' after '{name}', found '{tokens[pos + 1][1] or follows}'", pos + 1)
+        if name == "output":
+            fail("'output' is reserved and cannot be assigned", pos)
 
-        name_tok = parser.advance()
-        nxt = parser.peek()
-        if nxt.kind == "LPAREN":
-            raise DslError(
-                PARSE_ERROR,
-                f"bare call '{name_tok.text}(...)': assign the result to a name",
-                name_tok.span,
-            )
-        if nxt.kind != "EQUALS":
-            shown = nxt.text or nxt.kind.lower()
-            raise DslError(PARSE_ERROR, f"expected '=' after '{name_tok.text}', found '{shown}'", nxt.span)
-        if name_tok.text == "output":
-            raise DslError(PARSE_ERROR, "'output' is reserved and cannot be assigned", name_tok.span)
-        parser.advance()
-        call = parser.parse_call()
-        parser.end_statement()
-        if any(a.name == name_tok.text for a in assignments):
-            raise DslError(
-                PARSE_ERROR,
-                f"name '{name_tok.text}' assigned more than once; every name is assigned exactly once",
-                name_tok.span,
-            )
-        assignments.append(Assignment(name_tok.text, call, name_tok.span))
+        function = expect(pos + 2, "name", "a function name")
+        expect(pos + 3, "(", "'('")
+        at, args, kwargs = pos + 4, [], []
+        more = tokens[at][0] != ")"
+        while more:  # one argument, then a comma and another, until none follows
+            keyword = tokens[at][0] == "name" and tokens[at + 1][0] == "="
+            arg = value(at + 2 if keyword else at)
+            if keyword:
+                if any(kw.name == tokens[at][1] for kw in kwargs):
+                    fail(f"duplicate keyword argument '{tokens[at][1]}'", at)
+                kwargs.append(KwArg(tokens[at][1], arg, Span(*tokens[at][2:])))
+            elif kwargs:
+                raise DslError(PARSE_ERROR, "positional argument after keyword argument", arg.span)
+            else:
+                args.append(arg)
+            at += 3 if keyword else 1
+            more = tokens[at][0] == ","
+            at += more
+        expect(at, ")", "')' to close the call")
+        end = end_statement(at + 1)
+        if any(a.name == name for a in assignments):
+            fail(f"name '{name}' assigned more than once; every name is assigned exactly once", pos)
+        call = Call(function, tuple(args), tuple(kwargs), Span(*tokens[pos + 2][2:]))
+        assignments.append(Assignment(name, call, Span(line, col)))
+        pos = end
 
     if output is None:
         raise DslError(MISSING_OUTPUT, "program has no output(...) statement")

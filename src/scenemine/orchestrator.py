@@ -9,7 +9,8 @@ predictions rather than raising -- a batch must survive any single bad query.
 A ``LogSet`` packs its logs once, each group of logs with the same track count
 into one log (``tracklog.pack_logs``), runs a program once per pack and cuts
 each log's predictions back out; it keeps the predictions of every program
-that ran cleanly, so calls that share it run no program twice.
+that ran cleanly and the first diagnostic of every one that did not, so
+calls that share it parse and run no program twice.
 """
 
 from __future__ import annotations
@@ -143,34 +144,43 @@ class MiningOutcome:
 
 
 class LogSet:
-    """Logs packed once, with the predictions of each program text that ran cleanly on all of them.
+    """Logs packed once, with what each program text run on them gave: its predictions, or its first DslError.
 
-    Calls that pass the same ``LogSet`` run no text twice; two threads that
-    miss the same text both run it, which repeats work but not results.
-    Building one raises InconsistentInput naming a log id two logs share.
+    Calls that pass the same ``LogSet`` parse and run no text twice; two
+    threads that miss the same text both run it, which repeats work but not
+    results. Building one raises InconsistentInput naming a log id two logs
+    share.
     """
 
     def __init__(self, logs: Sequence[TrackLog]):
         self.logs = tuple(logs)
         self._packs = pack_logs(self.logs)
-        self._results: dict[str, dict[str, ScenarioSet]] = {}
+        self._results: dict[str, dict[str, ScenarioSet] | tuple] = {}  # predictions, or (kind, message, span)
 
     def run(self, code: str) -> dict[str, ScenarioSet]:
         """Parse, check and run ``code`` once per pack, unless it ran before; raises its first DslError.
 
-        Returns a fresh dict, log id -> set, in the logs' order.
+        Returns a fresh dict, log id -> set, in the logs' order. A text that
+        failed raises a fresh DslError equal to its first one, and a text
+        that fails on any pack keeps no predictions.
         """
-        predictions = self._results.get(code)
-        if predictions is None:
-            program = parse(code)
-            problems = check(program)
-            if problems:
-                raise problems[0]
-            predictions = dict.fromkeys(log.log_id for log in self.logs)
-            for pack in self._packs:
-                predictions.update(pack.split(execute(program, pack.log)))
-            self._results[code] = predictions
-        return dict(predictions)
+        found = self._results.get(code)
+        if found is None:
+            try:
+                program = parse(code)
+                problems = check(program)
+                if problems:
+                    raise problems[0]
+                found = dict.fromkeys(log.log_id for log in self.logs)
+                for pack in self._packs:
+                    found.update(pack.split(execute(program, pack.log)))
+            except DslError as exc:
+                self._results[code] = (exc.kind, exc.message, exc.span)
+                raise
+            self._results[code] = found
+        if isinstance(found, tuple):
+            raise DslError(*found)
+        return dict(found)
 
 
 def _generate_once(prompt: str, config: MiningConfig) -> str:
@@ -197,9 +207,9 @@ def mine_scenario(query_text: str, logs: LogSet | Sequence[TrackLog], config: Mi
     """Run the generate/execute/repair loop for one query over every log.
 
     ``logs`` is a ``LogSet``, or a sequence of logs put in a fresh one. A
-    round whose code already ran cleanly on that ``LogSet`` succeeds with a
-    copy of its predictions. InconsistentInput names a log id that two logs
-    share, before any provider call.
+    round whose code already ran on that ``LogSet`` succeeds with a copy of
+    its predictions, or fails with its first diagnostic. InconsistentInput
+    names a log id that two logs share, before any provider call.
     """
     log_set = logs if isinstance(logs, LogSet) else LogSet(logs)
     records: list[IterationRecord] = []
@@ -312,12 +322,17 @@ def run_batch(
     (see ``mine_scenario``). InconsistentInput names a log id that two logs
     share, before any provider call; with ``out_dir``, it also names two log
     ids whose transcripts would share one file name, before any provider call
-    or file write.
+    or file write. Then ``out_dir`` and its ``transcripts`` folder are made,
+    also before any provider call, so an OSError there costs no model call.
     """
     log_set = logs if isinstance(logs, LogSet) else LogSet(logs)
     unique = list(dict.fromkeys(queries))
-    if out_dir is not None and unique:
-        _check_transcript_names(unique[0], log_set.logs)
+    if out_dir is not None:
+        if unique:
+            _check_transcript_names(unique[0], log_set.logs)
+        os.makedirs(out_dir, exist_ok=True)  # apart from transcripts/, so a file at out_dir is the path an error names
+        transcripts = os.path.join(out_dir, "transcripts")
+        os.makedirs(transcripts, exist_ok=True)
     mine = lambda query: mine_scenario(query, log_set, config)  # noqa: E731
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -327,9 +342,6 @@ def run_batch(
     batch = BatchResult({outcome.query_text: {log.log_id: outcome for log in log_set.logs} for outcome in mined})
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        transcripts = os.path.join(out_dir, "transcripts")
-        os.makedirs(transcripts, exist_ok=True)
         write_text_atomic(os.path.join(out_dir, "predictions.json"), batch.predictions_json())
         for query, per_log in batch.outcomes.items():
             for log_id, outcome in per_log.items():

@@ -12,13 +12,29 @@ import cmath
 import itertools
 import json
 import math
-
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from scenemine.categories import DEFAULT_REGISTRY
+from scenemine.dsl import (
+    DUPLICATE_OUTPUT,
+    INF,
+    MISSING_OUTPUT,
+    PARSE_ERROR,
+    Assignment,
+    Call,
+    DslError,
+    KwArg,
+    Literal,
+    Output,
+    Program,
+    Span,
+    VarRef,
+)
 from scenemine.errors import InvariantViolation, MalformedFile, ProviderError
 from scenemine.metrics import DEFAULT_ALPHAS, AlphaScore, HotaResult
 from scenemine.tracklog import ObjectState, TrackedObject, TrackLog, read_json
@@ -612,3 +628,228 @@ def scripted_match(fixture, prompt):
     if best_key is None:
         raise ProviderError("no fixture entry matches the prompt")
     return best_key
+
+
+# ---------------------------------------------------------------------------
+# DSL parsing. This is the package's earlier front end: a character-by-character
+# tokenizer into _Token objects and a recursive-descent _Parser over them.
+# dsl.parse must return an equal Program for every text, or raise a DslError
+# with the same kind, message and span.
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # IDENT NUMBER STRING EQUALS LPAREN RPAREN COMMA NEWLINE EOF
+    text: str
+    span: Span
+
+
+_SIGNED_INF = re.compile(rf"[+-]{INF}(?![A-Za-z0-9_])")
+_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CONT = _IDENT_START | set("0123456789")
+_PUNCT = {"=": "EQUALS", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        i = 0
+        line_had_tokens = False
+        while i < len(line):
+            ch = line[i]
+            col = i + 1
+            if ch in " \t":
+                i += 1
+                continue
+            if ch == "#":
+                break
+            if ch in _PUNCT:
+                tokens.append(_Token(_PUNCT[ch], ch, Span(line_no, col)))
+                i += 1
+            elif ch in _IDENT_START:
+                j = i + 1
+                while j < len(line) and line[j] in _IDENT_CONT:
+                    j += 1
+                word = line[i:j]
+                tokens.append(_Token("NUMBER" if word == INF else "IDENT", word, Span(line_no, col)))
+                i = j
+            elif _SIGNED_INF.match(line, i):
+                tokens.append(_Token("NUMBER", line[i : i + 1 + len(INF)], Span(line_no, col)))
+                i += 1 + len(INF)
+            elif ch.isdigit() or ch == "." or (ch in "+-" and i + 1 < len(line) and (line[i + 1].isdigit() or line[i + 1] == ".")):
+                j = i + 1 if ch in "+-" else i
+                start = i
+                while j < len(line) and (line[j].isdigit() or line[j] == "."):
+                    j += 1
+                if j < len(line) and line[j] in "eE":
+                    k = j + 1
+                    if k < len(line) and line[k] in "+-":
+                        k += 1
+                    if k < len(line) and line[k].isdigit():
+                        j = k
+                        while j < len(line) and line[j].isdigit():
+                            j += 1
+                lexeme = line[start:j]
+                try:
+                    float(lexeme)
+                except ValueError:
+                    raise DslError(PARSE_ERROR, f"malformed number '{lexeme}'", Span(line_no, col)) from None
+                tokens.append(_Token("NUMBER", lexeme, Span(line_no, col)))
+                i = j
+            elif ch in "\"'":
+                end = line.find(ch, i + 1)
+                if end == -1:
+                    raise DslError(PARSE_ERROR, "unterminated string literal", Span(line_no, col))
+                tokens.append(_Token("STRING", line[i + 1 : end], Span(line_no, col)))
+                i = end + 1
+            else:
+                raise DslError(PARSE_ERROR, f"unexpected character {ch!r}", Span(line_no, col))
+            line_had_tokens = True
+        if line_had_tokens:
+            tokens.append(_Token("NEWLINE", "", Span(line_no, len(line) + 1)))
+    last_line = text.count("\n") + 1
+    tokens.append(_Token("EOF", "", Span(last_line, 1)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            shown = tok.text or tok.kind.lower()
+            raise DslError(PARSE_ERROR, f"expected {what}, found '{shown}'", tok.span)
+        return self.advance()
+
+    def parse_value(self) -> Literal | VarRef:
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            self.advance()
+            return Literal(float(tok.text), "number", tok.span)
+        if tok.kind == "STRING":
+            self.advance()
+            return Literal(tok.text, "string", tok.span)
+        if tok.kind == "IDENT":
+            self.advance()
+            if self.peek().kind == "LPAREN":
+                raise DslError(
+                    PARSE_ERROR,
+                    f"nested call '{tok.text}(...)': bind it to its own name on a previous line",
+                    tok.span,
+                )
+            return VarRef(tok.text, tok.span)
+        shown = tok.text or tok.kind.lower()
+        raise DslError(PARSE_ERROR, f"expected a value, found '{shown}'", tok.span)
+
+    def parse_call(self) -> Call:
+        name_tok = self.expect("IDENT", "a function name")
+        self.expect("LPAREN", "'('")
+        args: list = []
+        kwargs: list[KwArg] = []
+        seen_kw: set[str] = set()
+        if self.peek().kind != "RPAREN":
+            while True:
+                tok = self.peek()
+                if tok.kind == "IDENT" and self.tokens[self.pos + 1].kind == "EQUALS":
+                    self.advance()
+                    self.advance()
+                    value = self.parse_value()
+                    if tok.text in seen_kw:
+                        raise DslError(PARSE_ERROR, f"duplicate keyword argument '{tok.text}'", tok.span)
+                    seen_kw.add(tok.text)
+                    kwargs.append(KwArg(tok.text, value, tok.span))
+                else:
+                    value = self.parse_value()
+                    if kwargs:
+                        raise DslError(
+                            PARSE_ERROR, "positional argument after keyword argument", value.span
+                        )
+                    args.append(value)
+                if self.peek().kind == "COMMA":
+                    self.advance()
+                    continue
+                break
+        self.expect("RPAREN", "')' to close the call")
+        return Call(name_tok.text, tuple(args), tuple(kwargs), name_tok.span)
+
+    def end_statement(self) -> None:
+        tok = self.peek()
+        if tok.kind == "NEWLINE":
+            self.advance()
+        elif tok.kind != "EOF":
+            shown = tok.text or tok.kind.lower()
+            raise DslError(PARSE_ERROR, f"unexpected '{shown}' after statement", tok.span)
+
+
+def parse(text: str) -> Program:
+    """Parse program text, raising DslError on grammar or structure violations."""
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
+    assignments: list[Assignment] = []
+    output: Output | None = None
+
+    while parser.peek().kind != "EOF":
+        if parser.peek().kind == "NEWLINE":
+            parser.advance()
+            continue
+        tok = parser.peek()
+        if tok.text == INF and parser.tokens[parser.pos + 1].kind == "EQUALS":
+            raise DslError(PARSE_ERROR, f"'{INF}' is reserved and cannot be assigned", tok.span)
+        if tok.kind != "IDENT":
+            shown = tok.text or tok.kind.lower()
+            raise DslError(PARSE_ERROR, f"expected a statement, found '{shown}'", tok.span)
+        if output is not None:
+            if tok.text == "output" and parser.tokens[parser.pos + 1].kind == "LPAREN":
+                raise DslError(
+                    DUPLICATE_OUTPUT, "program has more than one output(...) statement", tok.span
+                )
+            raise DslError(PARSE_ERROR, "statement after output(...): output must be last", tok.span)
+
+        if tok.text == "output" and parser.tokens[parser.pos + 1].kind == "LPAREN":
+            parser.advance()
+            parser.expect("LPAREN", "'('")
+            name_tok = parser.expect("IDENT", "a variable name inside output(...)")
+            parser.expect("RPAREN", "')' to close output(...)")
+            parser.end_statement()
+            output = Output(name_tok.text, tok.span)
+            continue
+
+        name_tok = parser.advance()
+        nxt = parser.peek()
+        if nxt.kind == "LPAREN":
+            raise DslError(
+                PARSE_ERROR,
+                f"bare call '{name_tok.text}(...)': assign the result to a name",
+                name_tok.span,
+            )
+        if nxt.kind != "EQUALS":
+            shown = nxt.text or nxt.kind.lower()
+            raise DslError(PARSE_ERROR, f"expected '=' after '{name_tok.text}', found '{shown}'", nxt.span)
+        if name_tok.text == "output":
+            raise DslError(PARSE_ERROR, "'output' is reserved and cannot be assigned", name_tok.span)
+        parser.advance()
+        call = parser.parse_call()
+        parser.end_statement()
+        if any(a.name == name_tok.text for a in assignments):
+            raise DslError(
+                PARSE_ERROR,
+                f"name '{name_tok.text}' assigned more than once; every name is assigned exactly once",
+                name_tok.span,
+            )
+        assignments.append(Assignment(name_tok.text, call, name_tok.span))
+
+    if output is None:
+        raise DslError(MISSING_OUTPUT, "program has no output(...) statement")
+    return Program(tuple(assignments), output)

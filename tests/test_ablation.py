@@ -308,13 +308,13 @@ def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatc
     references = _reference_codes(queries)
     assert not references & set(parsed)
     assert not {pretty_print(parse(code)) for code in references} & set(checked + executed)
-    # Each arm parses its 10 syntax-broken replies; the baseline parses the 10 role-swapped ones, which
-    # the repair arm then finds in the table.
+    # The baseline parses the 10 syntax-broken replies and the 10 role-swapped ones; the other arms find
+    # both in the table, the broken ones with their first error.
     first = {q.fault_class: [] for q in queries}
     for q in queries:
         first[q.fault_class].append(extract_code(scripted_replies(q, epsrf=False)[0]))
-    assert sorted(parsed) == sorted(3 * first[FAULT_SYNTAX] + first[FAULT_SWAP])
-    assert len(parsed) == 40
+    assert sorted(parsed) == sorted(first[FAULT_SYNTAX] + first[FAULT_SWAP])
+    assert len(parsed) == 20
     assert sorted(checked) == sorted(pretty_print(parse(code)) for code in first[FAULT_SWAP])
     assert len(executed) == 30
     assert rerun.summary_table() == outcome.summary_table()

@@ -1,4 +1,4 @@
-"""scripts/bench.py's scale sweep at a tiny size, its build_suite row and its traced repeats: shapes, never timings."""
+"""scripts/bench.py's scale sweep at a tiny size, its build_suite and parse rows and its traced repeats: shapes, never timings."""
 
 from __future__ import annotations
 
@@ -41,6 +41,13 @@ def test_build_suite_row_times_the_ablation_suite(monkeypatch):
     assert row["build_suite_s"] > 0.0 and row["host_scale"] > 0.0
 
 
+def test_parse_row_times_the_ablation_texts(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
+    row = _bench_module().parse_row(repeats=1)
+    assert set(row) == {"parse_s", "texts", "host_scale"}
+    assert row["texts"] == 60 and row["parse_s"] > 0.0 and row["host_scale"] > 0.0
+
+
 def _traced_run(seconds, calls, exit=0):
     metrics = {
         "dsl.parse.s": {"value": seconds, "unit": "s"},
@@ -80,7 +87,10 @@ def test_a_count_that_differs_between_traced_runs_fails_the_run(tmp_path, monkey
     def fake_run(checkout, workload, seed, seconds, trace):
         return dict(_traced_run(0.1, next(calls) if trace and seed == 7 else 40), seed=seed, trace=trace)
 
-    sweep = {"machine": {}, "rows": [], "build_suite": {"build_suite_s": 0.1, "host_scale": 1.0}}
+    sweep = {
+        "machine": {}, "rows": [], "build_suite": {"build_suite_s": 0.1, "host_scale": 1.0},
+        "parse": {"parse_s": 0.01, "texts": 60, "host_scale": 1.0},
+    }
     monkeypatch.setattr(bench, "benchmark_run", fake_run)
     monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: types.SimpleNamespace(stdout=json.dumps(sweep)))
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))

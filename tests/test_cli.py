@@ -5,7 +5,7 @@ import pytest
 
 from scenemine.cli import _load_predictions, main
 from scenemine.dsl import parse
-from scenemine.providers import make_fixture
+from scenemine.providers import ScriptedProvider, make_fixture
 from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 from scenemine.tracklog import dump_log_text, load_log
@@ -202,6 +202,19 @@ def test_mine_refuses_log_ids_that_share_a_transcript_name(tmp_path, bundle_dir,
     assert code == 2
     assert "log ids 'log.1' and 'log_1' would share the transcript file name" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_mine_refuses_an_out_path_that_is_a_file_before_any_provider_call(tmp_path, bundle_dir, capsys, monkeypatch):
+    queries_path, fixture_path, out = _mine_setup(tmp_path, bundle_dir, [fenced(GOOD_CODE)])
+    _write(tmp_path / "taken", "a file\n")
+    calls = []
+    monkeypatch.setattr(ScriptedProvider, "generate", lambda self, prompt: calls.append(prompt))
+    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", str(tmp_path / "taken"),
+                 "--fixture", fixture_path])
+    assert code == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and "Traceback" not in err
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_mine_scripted_requires_fixture(tmp_path, bundle_dir, capsys):

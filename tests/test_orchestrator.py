@@ -361,12 +361,15 @@ def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
     assert "no data for two tracks" in second.prompt_text
     assert outcome.code == GOOD_CODE
     assert outcome.predictions == {"log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty(), "log-w": ScenarioSet.empty()}
-    # Only the program that ran on every log is kept: the failing one runs again, the accepted one does not.
-    with pytest.raises(DslError, match="no data for two tracks"):
-        logs.run("x = one_track_only()\noutput(x)")
-    assert ran == ["log-a+log-b", "log-w"] * 2
+    # Neither program is parsed or run again: the failing one, which ran cleanly on the first pack, keeps
+    # no predictions and raises its first error afresh; the accepted one returns its predictions.
     parses = _counting(monkeypatch, "parse")
-    assert logs.run(GOOD_CODE) == outcome.predictions and parses == []
+    with pytest.raises(DslError) as again:
+        logs.run("x = one_track_only()\noutput(x)")
+    assert (again.value.kind, str(again.value)) == (first.error_kind, first.error_message)
+    assert (again.value.span.line, again.value.span.col) == first.error_span
+    assert logs.run(GOOD_CODE) == outcome.predictions
+    assert ran == ["log-a+log-b", "log-w"] and parses == []
 
 
 def _counting(monkeypatch, name):
@@ -423,10 +426,9 @@ def test_only_programs_that_run_on_every_log_are_stored(monkeypatch, log):
     parses = _counting(monkeypatch, "parse")
     executes = _counting(monkeypatch, "execute")
     again = mine_scenario(QUERY, logs, fixture_config(replies))
-    # Rounds 1 and 2 failed, so their programs are parsed again and round 2's runs again on the
-    # first pack, where it failed; round 3's is stored.
-    assert [code for code, in parses] == [BAD_FUNCTION, BAD_CATEGORY]
-    assert [pack.log_id for _, pack in executes] == ["log-a+log-b"]
+    # Rounds 1 and 2 fail again with their stored errors, and round 3 returns its stored predictions:
+    # nothing is parsed or run.
+    assert parses == [] and executes == []
     assert again == first
     assert logs.run(GOOD_CODE) == first.predictions and logs.run(GOOD_CODE) is not first.predictions
 
@@ -587,3 +589,13 @@ def test_log_ids_that_share_a_transcript_name_are_refused_before_any_call(tmp_pa
     assert not out.exists()
     # Without result files there is nothing to overwrite.
     assert not run_batch(["trucks"], logs, config).failed_runs()
+
+
+def test_an_out_dir_that_cannot_be_made_is_refused_before_any_call(tmp_path):
+    config = MiningConfig(provider=ScriptedProvider(make_fixture({"trucks": [fenced(GOOD_CODE)]})))
+    taken = tmp_path / "results"
+    taken.write_text("a file\n")
+    with pytest.raises(FileExistsError):
+        run_batch(["trucks"], _two_logs(), config, out_dir=str(taken))
+    assert config.provider.calls == 0
+    assert taken.read_text() == "a file\n"
