@@ -13,11 +13,10 @@ entry: each run's result under ``repeats``, and as its result their per-layer
 metrics, each time in seconds the runs' median and every other figure (a
 count, pair count, ratio or size) as they all give it. Then,
 in one more fresh process, sweeps ``scenes.argo_log`` at 50, 70 and 200
-objects x 150 frames, timing ``save_log`` then ``load_log`` of the log (up to
-its columnar view, which some versions build on first use), the build of the
-log's neighbour table on a freshly loaded log (``hota_table_s``; null where the
-checkout has none), each of the 13 scenario functions called as the
-benchmark's ``argo_files`` queries call it, ``dsl.interpret`` of one
+objects x 150 frames, timing ``save_log`` then ``load_log`` of the log, the
+build of the log's neighbour table on a freshly loaded log (``hota_table_s``),
+each of the 13 scenario functions called as the benchmark's ``argo_files``
+queries call it, ``dsl.interpret`` of one
 multi-statement ``argo_files`` program (``INTERPRET_QUERY``'s, parsed once)
 with its output read through ``to_json_dict`` (``interpret_s``), and
 ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
@@ -138,25 +137,15 @@ def _median_time(action, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _arrays(log):
-    """What holds a log's arrays: the log itself, or in older checkouts ``log.columns``, built there on first use."""
-    return getattr(log, "columns", log)
-
-
-def _table_time(path: str, repeats: int) -> float | None:
-    """Median time to build the neighbour table HOTA scores from, each time on a freshly loaded log.
-
-    None for a checkout whose logs have no such table.
-    """
+def _table_time(path: str, repeats: int) -> float:
+    """Median time to build the neighbour table HOTA scores from, each time on a freshly loaded log."""
     from scenemine.tracklog import load_log
 
     times = []
     for _ in range(repeats):
-        view = _arrays(load_log(path))
-        if not hasattr(type(view), "neighbours"):
-            return None
+        log = load_log(path)
         start = time.perf_counter()
-        view.neighbours
+        log.neighbours
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
@@ -202,9 +191,9 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     from scenemine.tracklog import load_log, save_log
 
     log = scenes.argo_log(0, 0, num_objects, num_frames)
-    tracks = sorted(log.objects)
-    everything = ScenarioSet({t: list(log.objects[t].states) for t in tracks})
-    every_other = ScenarioSet({t: list(log.objects[t].states) for t in tracks[::2]})
+    tracks = sorted(log.lifespans)
+    everything = ScenarioSet({t: log.lifespans[t] for t in tracks})
+    every_other = ScenarioSet({t: log.lifespans[t] for t in tracks[::2]})
     before = run.calibration_times()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.json")
@@ -212,7 +201,7 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             "objects": num_objects,
             "frames": num_frames,
             "save_log_s": _median_time(lambda: save_log(log, path), repeats),
-            "load_log_s": _median_time(lambda: _arrays(load_log(path)), repeats),
+            "load_log_s": _median_time(lambda: load_log(path), repeats),
             "log_mb": os.path.getsize(path) / 1e6,
         }
         with open(path, "rb") as fh:
@@ -299,10 +288,9 @@ def main(argv=None) -> int:
     )
     sweep = json.loads(done.stdout.splitlines()[-1])
     for row in sweep["rows"]:
-        table = "none" if row["hota_table_s"] is None else f"{row['hota_table_s']:.3f} s"
         print(
-            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, hota_table {table}, "
-            f"predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
+            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, "
+            f"hota_table {row['hota_table_s']:.3f} s, predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s, "
             f"host scale {row['host_scale']:.2f}"
         )

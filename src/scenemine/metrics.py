@@ -303,7 +303,7 @@ def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool
     it only the flagged timestamps count.
     """
     fragments: dict[str, frozenset[int]] = {}
-    lifespans = log.lifespan_sets
+    lifespans = log.lifespans
     for track_id in scenario.tracks():
         lifespan = lifespans.get(track_id)
         if lifespan is None:
@@ -461,12 +461,9 @@ def evaluate(
     query_f_curves: list[list[float]] = []
     ts_tp = ts_fp = ts_fn = 0
     log_tp = log_fp = log_fn = 0
-    any_positive = False
 
     for query_text in sorted(universe):
         per_log_scores: dict[str, tuple[float, float]] = {}
-        t_scores: list[float] = []
-        f_scores: list[float] = []
         t_curves: list[tuple[float, ...]] = []
         f_curves: list[tuple[float, ...]] = []
         for log_id in sorted(universe[query_text]):
@@ -496,7 +493,6 @@ def evaluate(
 
             pred_pos = not pred_set.is_empty
             gt_pos = not gt_set.is_empty
-            any_positive = any_positive or pred_pos or gt_pos
             if pred_pos and gt_pos:
                 log_tp += 1
             elif pred_pos:
@@ -505,10 +501,9 @@ def evaluate(
                 log_fn += 1
 
             per_log_scores[log_id] = (t_score, f_score)
-            t_scores.append(t_score)
-            f_scores.append(f_score)
             t_curves.append(t_curve)
             f_curves.append(f_curve)
+        t_scores, f_scores = zip(*per_log_scores.values())
         query_reports[query_text] = QueryReport(
             query_text, _mean(t_scores), _mean(f_scores), per_log_scores
         )
@@ -520,7 +515,7 @@ def evaluate(
     overall_t = _mean([r.hota_temporal for r in query_reports.values()])
     overall_f = _mean([r.hota for r in query_reports.values()])
     overall_ts = f1_from_counts(ts_tp, ts_fp, ts_fn)
-    overall_log = 1.0 if not any_positive else 2 * log_tp / (2 * log_tp + log_fp + log_fn)
+    overall_log = f1_from_counts(log_tp, log_fp, log_fn)
 
     return EvalReport(
         overall_t,

@@ -417,17 +417,12 @@ def _rigid_transform(rng: random.Random):
 
 def _distractors(rng: random.Random, count: int, n: int) -> list:
     actors = []
-    dt = DT_NS / 1e9
     for k in range(count):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         radius = _DISTRACTOR_RADIUS + _DISTRACTOR_SPACING * k
-        x0, y0 = radius * math.cos(phi), radius * math.sin(phi)
-        heading = wrap_angle(phi + math.pi / 2)
-        vx = _DISTRACTOR_SPEED * math.cos(heading)
-        vy = _DISTRACTOR_SPEED * math.sin(heading)
-        frames = [(x0 + vx * dt * i, y0 + vy * dt * i, heading, vx, vy) for i in range(n)]
         category = _DISTRACTOR_CATEGORIES[k % len(_DISTRACTOR_CATEGORIES)]
-        actors.append(_Actor(f"bg-{k:02d}", category, frames))
+        x0, y0, heading = radius * math.cos(phi), radius * math.sin(phi), wrap_angle(phi + math.pi / 2)
+        actors.append(_cruising(f"bg-{k:02d}", category, x0, y0, heading, _DISTRACTOR_SPEED, n))
     return actors
 
 

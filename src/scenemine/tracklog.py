@@ -88,54 +88,49 @@ class TrackedObject:
 
 
 class TrackLog:
-    """A log as [T, N] arrays: a row per shared timestamp, a column per track id.
+    """A log as [T, N] arrays: a row per shared timestamp, a column per track.
 
-    ``timestamps`` are strictly increasing integer nanoseconds. Columns follow
-    the sorted track ids, and ``categories`` holds each column's category.
-    ``states`` is [10, T, N]: a state's position, heading, velocity and box
-    dims in file order, also named ``x``, ``y``, ``z``, ``heading``, ``vx``,
-    ``vy``, ``vz``, ``length``, ``width`` and ``height``. Where a track has no
-    state, ``present`` is False and the values are 0. Cos and sin of the
-    heading, the planar speed and the velocity angle atan2(vy, vx) come from
-    ``math``, so array code built on them reproduces the scalar definitions
-    exactly. Every array is read-only.
+    ``timestamps`` are strictly increasing integer nanoseconds. ``categories``
+    and ``category_names`` hold each column's category and its name, and
+    ``first_rows`` each row's log's first row. ``states`` is [10, T, N]: a
+    state's position, heading, velocity and box dims in file order, also
+    named ``x``, ``y``, ``z``, ``heading``, ``vx``, ``vy``, ``vz``,
+    ``length``, ``width`` and ``height``. Where a track has no state,
+    ``present`` is False and the values are 0. Cos and sin of the heading,
+    the planar speed and the velocity angle atan2(vy, vx) come from ``math``,
+    so array code built on them reproduces the scalar definitions exactly.
+    Every array is read-only.
 
-    :meth:`from_arrays`, :meth:`build` and :func:`load_log` check every invariant before they make one.
+    :meth:`from_arrays`, :meth:`build` and :func:`load_log` check every
+    invariant, then make a log with its columns in track-id order, [N]
+    ``category_names`` and ``first_rows`` of 0. :func:`pack_logs` makes a
+    pack of logs with the same constructor.
     """
 
     def __init__(
         self,
         log_id: str,
         timestamps: tuple[int, ...],
-        tracks: Sequence[tuple[str, ObjectCategory]],
-        owners: np.ndarray,
-        rows: np.ndarray,
-        values: np.ndarray,
+        track_ids: tuple[str, ...],
+        categories: tuple[ObjectCategory, ...],
+        table: np.ndarray,
+        present: np.ndarray,
+        category_names: np.ndarray,
+        first_rows: np.ndarray,
     ):
-        """State s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``."""
-        self.log_id = log_id
-        self.timestamps = timestamps
-        order = sorted(range(len(tracks)), key=lambda k: tracks[k][0])
-        self.track_ids = tuple(tracks[k][0] for k in order)
-        self.categories = tuple(tracks[k][1] for k in order)
-        self.row = {ts: i for i, ts in enumerate(timestamps)}
-        self.column = {track: j for j, track in enumerate(self.track_ids)}
-        column_of = np.empty(len(order), dtype=np.intp)
-        column_of[order] = np.arange(len(order))
-        cols = column_of[owners]
-        heading, vx, vy = values[3].tolist(), values[4].tolist(), values[5].tolist()
-        derived = (map(math.cos, heading), map(math.sin, heading), map(math.hypot, vx, vy), map(math.atan2, vy, vx))
-        table = np.zeros((14, len(self.row), len(order)))
-        table[:10, rows, cols] = values
-        table[10:, rows, cols] = [list(d) for d in derived]
-        present = np.zeros(table.shape[1:], dtype=bool)
-        present[rows, cols] = True
-        self._hold(table, present)
+        """A log of its finished parts, unchecked; makes every array read-only and names the table's views.
 
-    def _hold(self, table: np.ndarray, present: np.ndarray) -> None:
-        """Keep the [14, T, N] value table and the [T, N] ``present`` mask read-only, and name their views."""
-        table.flags.writeable = present.flags.writeable = False
+        ``table`` is [14, T, N]: the 10 state values then cos and sin of the
+        heading, the speed and the velocity angle. ``present`` is [T, N],
+        ``category_names`` [N] (or [T, N] for a pack) and ``first_rows`` [T].
+        """
+        self.log_id, self.timestamps, self.track_ids, self.categories = log_id, timestamps, track_ids, categories
+        self.row = {ts: i for i, ts in enumerate(timestamps)}
+        self.column = {track: j for j, track in enumerate(track_ids)}
+        for array in (table, present, category_names, first_rows):
+            array.flags.writeable = False
         self._table, self.present, self.states = table, present, table[:10]
+        self.category_names, self.first_rows = category_names, first_rows
         (
             self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height,
             self.cos_heading, self.sin_heading, self.speed, self.velocity_angle,
@@ -151,13 +146,14 @@ class TrackLog:
         rows: np.ndarray,
         values: np.ndarray,
     ) -> "TrackLog":
-        """The log ``__init__`` makes of these arguments, once every invariant is checked.
+        """The log whose state s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``.
 
         Rejects, in this order, a repeated track id, an empty log id, fewer
         than 2 timestamps and timestamps not strictly increasing; then the
         first state, in the column order of ``values``, whose values are not
         finite, whose heading is outside (-pi, pi] or whose box has a
-        dimension <= 0, naming its track and timestamp.
+        dimension <= 0, naming its track and timestamp. The log's columns
+        follow the sorted track ids.
         """
         seen: set[str] = set()
         for track, _ in tracks:
@@ -180,24 +176,35 @@ class TrackLog:
             v = values[:, s].tolist()
             fault = _state_fault(tuple(v[0:3]), v[3], tuple(v[4:7]), tuple(v[7:10]))
             raise InvariantViolation(f"object '{tracks[owners[s]][0]}' state at {timestamps[rows[s]]}: {fault}")
-        return cls(log_id, timestamps, tracks, owners, rows, values)
+        order = sorted(range(len(tracks)), key=lambda k: tracks[k][0])
+        column_of = np.empty(len(order), dtype=np.intp)
+        column_of[order] = np.arange(len(order))
+        cols = column_of[owners]
+        heading, vx, vy = values[3].tolist(), values[4].tolist(), values[5].tolist()
+        derived = (map(math.cos, heading), map(math.sin, heading), map(math.hypot, vx, vy), map(math.atan2, vy, vx))
+        table = np.zeros((14, len(timestamps), len(order)))
+        table[:10, rows, cols] = values
+        table[10:, rows, cols] = [list(d) for d in derived]
+        present = np.zeros(table.shape[1:], dtype=bool)
+        present[rows, cols] = True
+        categories = tuple(tracks[k][1] for k in order)
+        return cls(
+            log_id, timestamps, tuple(tracks[k][0] for k in order), categories, table, present,
+            np.array([category.name for category in categories], dtype=str), np.zeros(len(timestamps), dtype=np.intp),
+        )
 
     @classmethod
     def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
         """Construct from an object sequence through :meth:`from_arrays`.
 
-        A repeated track id is rejected first, and a state at a timestamp the
-        log lacks after the checks of :meth:`from_arrays`.
+        A state at a timestamp the log lacks is rejected after the checks of
+        :meth:`from_arrays`.
         """
-        by_id: dict[str, TrackedObject] = {}
-        for obj in objects:
-            if obj.track_id in by_id:
-                raise InvariantViolation(f"duplicate track_id '{obj.track_id}'")
-            by_id[obj.track_id] = obj
+        objects = tuple(objects)
         timestamps = tuple(int(t) for t in timestamps)
         row = {ts: i for i, ts in enumerate(timestamps)}
         owners, rows, values, stray = [], [], [], None
-        for k, obj in enumerate(by_id.values()):
+        for k, obj in enumerate(objects):
             for ts, st in obj.states.items():
                 if ts not in row:
                     stray = stray or obj  # reported once from_arrays has checked the rest
@@ -206,7 +213,7 @@ class TrackLog:
                 rows.append(row[ts])
                 values.append((*st.position, st.heading, *st.velocity, *st.box_dims))
         log = cls.from_arrays(
-            log_id, timestamps, [(obj.track_id, obj.category) for obj in by_id.values()],
+            log_id, timestamps, [(obj.track_id, obj.category) for obj in objects],
             np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
             np.array(values, dtype=np.float64).reshape(-1, 10).T,
         )
@@ -224,35 +231,13 @@ class TrackLog:
             yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
 
     @functools.cached_property
-    def category_names(self) -> np.ndarray:
-        """Each column's category name, a read-only [N] string array built on first use and kept.
-
-        A pack's is [T, N]: each row holds its member's names, and a separator row empty strings.
-        """
-        names = np.array([category.name for category in self.categories], dtype=str)
-        names.flags.writeable = False
-        return names
-
-    @functools.cached_property
-    def first_rows(self) -> np.ndarray:
-        """Each row's log's first row, a read-only [T] array: 0 throughout a log, a member's first row in a pack."""
-        rows = np.zeros(len(self.timestamps), dtype=np.intp)
-        rows.flags.writeable = False
-        return rows
-
-    @functools.cached_property
-    def lifespans(self) -> Mapping[str, list[int]]:
-        """Each track's timestamps where it has a state, in order, built on first use and kept."""
+    def lifespans(self) -> Mapping[str, frozenset[int]]:
+        """Each track's set of timestamps where it has a state, built on first use and kept."""
         stamps = self.timestamps
         return {
-            track: [stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()]
+            track: frozenset([stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()])
             for j, track in enumerate(self.track_ids)
         }
-
-    @functools.cached_property
-    def lifespan_sets(self) -> Mapping[str, frozenset[int]]:
-        """``lifespans`` as sets, for scoring, built on first use and kept."""
-        return {track: frozenset(stamps) for track, stamps in self.lifespans.items()}
 
     @functools.cached_property
     def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
@@ -403,17 +388,13 @@ def _pack(members: list[TrackLog]) -> LogPack:
         tables.append(member._table)
         present.append(member.present)
         names.append(np.broadcast_to(member.category_names, member.present.shape))
-    pack = TrackLog.__new__(TrackLog)
-    pack.log_id = "+".join(member.log_id for member in members)
-    pack.timestamps = tuple(stamps)
-    pack.track_ids, pack.categories = tuple(map(str, range(width))), ()
-    pack.row = {ts: i for i, ts in enumerate(stamps)}
-    pack.column = {track: j for j, track in enumerate(pack.track_ids)}
-    pack._hold(np.concatenate(tables, axis=1), np.concatenate(present))
     first_rows = np.zeros(len(stamps), dtype=np.intp)
     first_rows[starts] = starts
-    pack.category_names, pack.first_rows = np.concatenate(names), np.maximum.accumulate(first_rows)
-    pack.category_names.flags.writeable = pack.first_rows.flags.writeable = False
+    pack = TrackLog(
+        "+".join(member.log_id for member in members), tuple(stamps), tuple(map(str, range(width))), (),
+        np.concatenate(tables, axis=1), np.concatenate(present), np.concatenate(names),
+        np.maximum.accumulate(first_rows),
+    )
     return LogPack(pack, tuple(members), tuple(starts))
 
 

@@ -48,6 +48,9 @@ def test_a_group_of_one_is_its_own_log():
     (pack,) = pack_logs([_narrow("n1"), log])[1:]
     assert pack.log is log and pack.members == (log,) and pack.starts == (0,)
     assert log.first_rows.tolist() == [0, 0]
+    assert log.category_names.tolist() == ["BUS", "PEDESTRIAN"]
+    for array in (log.category_names, log.first_rows):
+        assert not array.flags.writeable
 
 
 def test_a_pack_holds_its_members_rows_between_absent_separator_rows():

@@ -104,6 +104,8 @@ def test_log_invariants():
     stray = obj("s", "BUS", {stamps(3)[2]: state(0, 0)})
     with pytest.raises(InvariantViolation):
         TrackLog.build("log", stamps(2), [stray])  # state at unknown timestamp
+    with pytest.raises(InvariantViolation, match="duplicate track_id 's'"):
+        TrackLog.build("log", stamps(2), [stray, stray])  # the repeated id first, then the stray state
 
 
 def _as_arrays(timestamps, objects):
