@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from .dsl import Assignment, Call, KwArg, Program, parse, pretty_print
 from .errors import InfeasibleSpec
 from .metrics import EvalReport, evaluate
-from .orchestrator import BatchResult, LogSet, MiningConfig, run_batch
+from .orchestrator import BatchResult, LogSet, MiningConfig, extract_code, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
 from .synth import ScenarioSpec, generate_scenario_log
@@ -231,7 +231,7 @@ def build_suite() -> AblationSuite:
     log_set = LogSet([logs[log_id] for log_id in sorted(logs)])
     ground_truth = []
     for query in queries:
-        code = query.program.strip()  # what extract_code pulls out of _reply(query.program)
+        code = extract_code(_reply(query.program))
         found = log_set.run(code)
         ground_truth += [GroundTruthScenario(query.query_text, log_id, found[log_id]) for log_id in found]
     return AblationSuite(tuple(queries), logs, tuple(ground_truth), log_set)

@@ -1,10 +1,13 @@
-"""The scenario mini-language: parse, check, interpret, describe.
+"""The scenario mini-language: parse, check, execute, describe.
 
 Programs are straight-line: one assignment per line binding a fresh name to a
 single registry call, terminated by exactly one ``output(name)`` statement.
-Calls cannot nest and there are no loops, so interpretation can never execute
+Calls cannot nest and there are no loops, so execution can never run
 anything outside the registry. Every diagnostic carries a line/column span
-and is phrased to be actionable as repair feedback.
+and is phrased to be actionable as repair feedback. One walk over a program
+finds every diagnostic ``check`` returns and binds the plan ``execute`` runs;
+``execute`` walks a program on its first run and raises the first diagnostic,
+so no program runs unchecked.
 
 Each line is read by one compiled pattern, matched at each position in turn.
 Blanks and a ``#`` comment make no token; otherwise the named group that
@@ -135,19 +138,11 @@ class Program:
 
     @functools.cached_property
     def _plan(self) -> tuple:
-        """The program as execute() runs it, bound on first use and kept; valid only once check() accepts it.
-
-        Per assignment: (name, function name, {parameter: literal as a Python
-        value}, ((parameter, variable name), ...), span).
-        """
-        plan = []
-        for stmt in self.assignments:
-            spec = REGISTRY[stmt.call.function]
-            bound, _ = _bind_call(spec, stmt.call)
-            literals = {name: _to_python(spec.param(name), node) for name, node in bound.items() if isinstance(node, Literal)}
-            refs = tuple((name, node.name) for name, node in bound.items() if isinstance(node, VarRef))
-            plan.append((stmt.name, spec.name, literals, refs, stmt.span))
-        return tuple(plan)
+        """The program as execute() runs it, walked once on first use and kept; raises the walk's first diagnostic."""
+        errors, plan = _walk(self)
+        if errors:
+            raise errors[0]
+        return plan
 
 
 # ---------------------------------------------------------------------------
@@ -335,48 +330,49 @@ def _suggest(name: str, candidates) -> str | None:
     return best[1] if best else None
 
 
-def _check_argument(fname: str, param: ParamSpec, node, env: dict[str, str]) -> DslError | None:
+def _check_argument(fname: str, param: ParamSpec, node, names: set[str]):
+    """A literal's Python value, or None for a variable; raises the diagnostic of an argument its parameter rejects."""
     if param.kind == "scenario_set":
         if isinstance(node, Literal):
-            return DslError(
+            raise DslError(
                 TYPE_ERROR,
                 f"argument '{param.name}' of {fname}() must be a scenario set variable, not a literal",
                 node.span,
             )
-        if node.name not in env:
-            hint = _suggest(node.name, env)
+        if node.name not in names:
+            hint = _suggest(node.name, names)
             extra = f"; did you mean '{hint}'?" if hint else ""
-            return DslError(UNKNOWN_VARIABLE, f"name '{node.name}' is not defined{extra}", node.span)
+            raise DslError(UNKNOWN_VARIABLE, f"name '{node.name}' is not defined{extra}", node.span)
         return None
     if isinstance(node, VarRef):
-        return DslError(
+        raise DslError(
             TYPE_ERROR,
             f"argument '{param.name}' of {fname}() expects a {param.kind} literal, not a variable",
             node.span,
         )
     if param.kind in ("float", "int"):
         if node.kind != "number":
-            return DslError(
+            raise DslError(
                 TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a number", node.span
             )
         if param.kind == "int" and not float(node.value).is_integer():
-            return DslError(
+            raise DslError(
                 TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a whole number", node.span
             )
-        return None
+        return int(node.value) if param.kind == "int" else float(node.value)
     # remaining kinds are strings: category, direction, relation, flag
     if node.kind != "string":
-        return DslError(
+        raise DslError(
             TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a quoted string", node.span
         )
     if param.enum_values and node.value not in param.enum_values:
         allowed = ", ".join(param.enum_values)
-        return DslError(
+        raise DslError(
             INVALID_ENUM_VALUE,
             f"invalid value '{node.value}' for '{param.name}' of {fname}(); allowed values: {allowed}",
             node.span,
         )
-    return None
+    return node.value == "true" if param.kind == "flag" else node.value
 
 
 def _bind_call(spec: FunctionSpec, call: Call) -> tuple[dict[str, object], list[DslError]]:
@@ -420,68 +416,66 @@ def _bind_call(spec: FunctionSpec, call: Call) -> tuple[dict[str, object], list[
     return bound, errors
 
 
-def check(program: Program) -> list[DslError]:
-    """Name, arity, type and enum validation. Returns every diagnostic found."""
+def _walk(program: Program) -> tuple[list[DslError], tuple]:
+    """Check and bind a program in one pass: every diagnostic found, in order, and the plan execute() runs.
+
+    Per assignment with a known function the plan holds (name, function
+    name, {parameter: literal as a Python value}, ((parameter, variable
+    name), ...), span); it is runnable only when there is no diagnostic.
+    """
     errors: list[DslError] = []
-    env: dict[str, str] = {}
+    plan = []
+    names: set[str] = set()
     for stmt in program.assignments:
         spec = REGISTRY.get(stmt.call.function)
         if spec is None:
             hint = _suggest(stmt.call.function, REGISTRY)
             extra = f"; did you mean '{hint}'?" if hint else ""
-            errors.append(
-                DslError(
-                    UNKNOWN_FUNCTION,
-                    f"unknown function '{stmt.call.function}'{extra}",
-                    stmt.call.span,
-                )
-            )
-            env[stmt.name] = "scenario_set"  # assume, to avoid cascading noise
-            continue
-        bound, bind_errors = _bind_call(spec, stmt.call)
-        errors.extend(bind_errors)
-        for pname, node in bound.items():
-            param = spec.param(pname)
-            err = _check_argument(spec.name, param, node, env)
-            if err is not None:
-                errors.append(err)
-        env[stmt.name] = "scenario_set"
-    if program.output.name not in env:
-        hint = _suggest(program.output.name, env)
+            errors.append(DslError(UNKNOWN_FUNCTION, f"unknown function '{stmt.call.function}'{extra}", stmt.call.span))
+        else:
+            bound, bind_errors = _bind_call(spec, stmt.call)
+            errors.extend(bind_errors)
+            literals, refs = {}, []
+            for pname, node in bound.items():
+                try:
+                    value = _check_argument(spec.name, spec.param(pname), node, names)
+                except DslError as err:
+                    errors.append(err)
+                    continue
+                if value is None:
+                    refs.append((pname, node.name))
+                else:
+                    literals[pname] = value
+            plan.append((stmt.name, spec.name, literals, tuple(refs), stmt.span))
+        names.add(stmt.name)  # after an unknown function too, to avoid cascading noise
+    if program.output.name not in names:
+        hint = _suggest(program.output.name, names)
         extra = f"; did you mean '{hint}'?" if hint else ""
-        errors.append(
-            DslError(
-                UNKNOWN_VARIABLE,
-                f"output name '{program.output.name}' is not defined{extra}",
-                program.output.span,
-            )
-        )
-    return errors
+        message = f"output name '{program.output.name}' is not defined{extra}"
+        errors.append(DslError(UNKNOWN_VARIABLE, message, program.output.span))
+    return errors, tuple(plan)
+
+
+def check(program: Program) -> list[DslError]:
+    """Name, arity, type and enum validation. Returns every diagnostic found."""
+    return _walk(program)[0]
 
 
 # ---------------------------------------------------------------------------
 # Interpreter
 
 
-def _to_python(param: ParamSpec, node: Literal):
-    value = node.value
-    if param.kind == "int":
-        return int(value)
-    if param.kind == "float":
-        return float(value)
-    if param.kind == "flag":
-        return value == "true"
-    return value
-
-
 def execute(program: Program, log: TrackLog) -> ScenarioSet:
-    """Run a program that check() accepted against a log and return the output scenario set, held on the log.
+    """Run a program against a log and return the output scenario set, held on the log.
 
-    Statements pass their sets on as log masks. The log may be a pack of
-    equal-width logs (``tracklog.pack_logs``), so a registry function may
-    receive a pack; ``LogPack.split`` cuts each member's set out of the
-    output. Domain errors of the registry implementations surface as
-    PredicateRuntime diagnostics carrying the statement span.
+    The first run checks and binds the program in one walk, raising its
+    first diagnostic before any registry function runs, and keeps the plan
+    for every later log or pack. Statements pass their sets on as log masks.
+    The log may be a pack of equal-width logs (``tracklog.pack_logs``), so a
+    registry function may receive a pack; ``LogPack.split`` cuts each
+    member's set out of the output. Domain errors of the registry
+    implementations surface as PredicateRuntime diagnostics carrying the
+    statement span.
     """
     env: dict[str, ScenarioSet] = {}
     for name, function, literals, refs, span in program._plan:
@@ -494,10 +488,7 @@ def execute(program: Program, log: TrackLog) -> ScenarioSet:
 
 
 def interpret(program: Program, log: TrackLog) -> ScenarioSet:
-    """check() a program, raising its first diagnostic, so only registry functions run; then execute() it."""
-    problems = check(program)
-    if problems:
-        raise problems[0]
+    """execute(), as its own function, so a tracer that finds functions by identity counts its calls apart."""
     return execute(program, log)
 
 

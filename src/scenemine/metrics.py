@@ -47,7 +47,7 @@ DEFAULT_ALPHAS: tuple[float, ...] = tuple(i / 20 for i in range(1, 20))
 
 _MATCH_EPS = 1e-9
 
-# the ``side`` of a scenario set error raised by hota_temporal or hota_full
+# the ``side`` of an error raised by hota_temporal, hota_full or evaluate
 PREDICTIONS, GROUND_TRUTH = "predictions", "ground truth"
 
 # pred track -> timestamp -> [(gt track other than pred, similarity above 0), ...] in gt id order,
@@ -442,19 +442,26 @@ def evaluate(
     ``scores`` maps (log id, prediction, ground truth) to that pair's scores
     with the log they were made on, and is reused only for that same log
     object; it defaults to a fresh dict per call.
+    Before any scoring, a repeated annotation, empty ground truth or a log not
+    given raises InconsistentInput with ``side`` GROUND_TRUTH.
     """
     if scores is None:
         scores = {}
     universe: dict[str, dict[str, ScenarioSet]] = {}
-    for gt in ground_truth:
-        per_log = universe.setdefault(gt.query_text, {})
-        if gt.log_id in per_log:
-            raise InconsistentInput(
-                f"duplicate ground truth for query {gt.query_text!r} on log '{gt.log_id}'"
-            )
-        per_log[gt.log_id] = gt.relevant
-    if not universe:
-        raise InconsistentInput("ground truth is empty; nothing to evaluate")
+    try:
+        for gt in ground_truth:
+            per_log = universe.setdefault(gt.query_text, {})
+            if gt.log_id in per_log:
+                raise InconsistentInput(f"duplicate ground truth for query {gt.query_text!r} on log '{gt.log_id}'")
+            per_log[gt.log_id] = gt.relevant
+        if not universe:
+            raise InconsistentInput("ground truth is empty; nothing to evaluate")
+        missing = min(((gt.query_text, gt.log_id) for gt in ground_truth if gt.log_id not in logs), default=None)
+        if missing:
+            raise InconsistentInput(f"ground truth references log '{missing[1]}' but it was not provided")
+    except InconsistentInput as exc:
+        exc.side = GROUND_TRUTH  # every fault above is the ground truth's
+        raise
 
     query_reports: dict[str, QueryReport] = {}
     query_t_curves: list[list[float]] = []
@@ -467,9 +474,7 @@ def evaluate(
         t_curves: list[tuple[float, ...]] = []
         f_curves: list[tuple[float, ...]] = []
         for log_id in sorted(universe[query_text]):
-            log = logs.get(log_id)
-            if log is None:
-                raise InconsistentInput(f"ground truth references log '{log_id}' but it was not provided")
+            log = logs[log_id]
             gt_set = universe[query_text][log_id]
             pred_set = predictions.get(query_text, {}).get(log_id)
             if pred_set is None:

@@ -23,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .dsl import DslError, check, describe_functions, execute, parse
+from .dsl import DslError, describe_functions, execute, parse
 from .errors import EmptyResponse, InconsistentInput, InvalidParameter, ProviderError
 from .promptgen import compose_initial, compose_iteration
 from .providers import LlmProvider, query_key
@@ -148,17 +148,20 @@ class LogSet:
 
     Calls that pass the same ``LogSet`` parse and run no text twice; two
     threads that miss the same text both run it, which repeats work but not
-    results. Building one raises InconsistentInput naming a log id two logs
-    share.
+    results. Building one raises InvalidParameter for no logs, on which no
+    program would run and so none would be checked, and InconsistentInput
+    naming a log id two logs share.
     """
 
     def __init__(self, logs: Sequence[TrackLog]):
         self.logs = tuple(logs)
+        if not self.logs:
+            raise InvalidParameter("no logs to mine")
         self._packs = pack_logs(self.logs)
         self._results: dict[str, dict[str, ScenarioSet] | tuple] = {}  # predictions, or (kind, message, span)
 
     def run(self, code: str) -> dict[str, ScenarioSet]:
-        """Parse, check and run ``code`` once per pack, unless it ran before; raises its first DslError.
+        """Parse ``code`` and run it once per pack, unless it ran before; raises its first DslError.
 
         Returns a fresh dict, log id -> set, in the logs' order. A text that
         failed raises a fresh DslError equal to its first one, and a text
@@ -168,9 +171,6 @@ class LogSet:
         if found is None:
             try:
                 program = parse(code)
-                problems = check(program)
-                if problems:
-                    raise problems[0]
                 found = dict.fromkeys(log.log_id for log in self.logs)
                 for pack in self._packs:
                     found.update(pack.split(execute(program, pack.log)))

@@ -149,11 +149,12 @@ class TrackLog:
         """The log whose state s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``.
 
         Rejects, in this order, a repeated track id, an empty log id, fewer
-        than 2 timestamps and timestamps not strictly increasing; then the
-        first state, in the column order of ``values``, whose values are not
-        finite, whose heading is outside (-pi, pi] or whose box has a
-        dimension <= 0, naming its track and timestamp. The log's columns
-        follow the sorted track ids.
+        than 2 timestamps and timestamps not strictly increasing; then, in
+        the column order of ``values``, the first state whose owner or row is
+        out of range, the first whose values are not finite, whose heading is
+        outside (-pi, pi] or whose box has a dimension <= 0, and the first at
+        the track and timestamp of an earlier state, naming its track and
+        timestamp. The log's columns follow the sorted track ids.
         """
         seen: set[str] = set()
         for track, _ in tracks:
@@ -168,6 +169,11 @@ class TrackLog:
         for i in range(1, len(timestamps)):
             if timestamps[i] <= timestamps[i - 1]:
                 raise InvariantViolation(f"log '{log_id}' timestamps not strictly increasing at index {i}")
+        for what, index, size in (("owner", owners, len(tracks)), ("row", rows, len(timestamps))):
+            outside = (index < 0) | (index >= size)
+            if outside.any():
+                s = int(np.argmax(outside))
+                raise InvariantViolation(f"log '{log_id}' state {s}: {what} {int(index[s])} is outside 0..{size - 1}")
         heading, box_dims = values[3], values[7:]
         bad = ~np.isfinite(values).all(axis=0) | (heading <= -math.pi) | (heading > math.pi)
         bad |= (box_dims <= 0).any(axis=0)
@@ -187,6 +193,9 @@ class TrackLog:
         table[10:, rows, cols] = [list(d) for d in derived]
         present = np.zeros(table.shape[1:], dtype=bool)
         present[rows, cols] = True
+        if np.count_nonzero(present) < len(rows):  # a cell filled twice: name the first state not first in its cell
+            s = np.setdiff1d(np.arange(len(rows)), np.unique(cols * len(timestamps) + rows, return_index=True)[1])[0]
+            raise InvariantViolation(f"object '{tracks[owners[s]][0]}' has two states at {timestamps[rows[s]]}")
         categories = tuple(tracks[k][1] for k in order)
         return cls(
             log_id, timestamps, tuple(tracks[k][0] for k in order), categories, table, present,

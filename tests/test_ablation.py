@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from scenemine import ablation, metrics, orchestrator
+from scenemine import ablation, dsl, metrics, orchestrator
 from scenemine.ablation import (
     ARMS,
     FAULT_CLEAN,
@@ -284,15 +284,15 @@ def test_each_accepted_program_runs_once_per_log_across_the_arms(monkeypatch, ou
 
 def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatch, outcome):
     parsed, checked, executed = [], [], []
-    parse_, check, execute = orchestrator.parse, orchestrator.check, orchestrator.execute
+    parse_, walk, execute = orchestrator.parse, dsl._walk, orchestrator.execute
 
     def counted_parse(code):
         parsed.append(code)
         return parse_(code)
 
-    def counted_check(program):
+    def counted_walk(program):
         checked.append(pretty_print(program))
-        return check(program)
+        return walk(program)
 
     def counted_execute(program, log):
         executed.append(pretty_print(program))
@@ -301,7 +301,7 @@ def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatc
     built = build_suite()
     monkeypatch.setattr(ablation, "build_suite", lambda: built)
     monkeypatch.setattr(orchestrator, "parse", counted_parse)
-    monkeypatch.setattr(orchestrator, "check", counted_check)
+    monkeypatch.setattr(dsl, "_walk", counted_walk)
     monkeypatch.setattr(orchestrator, "execute", counted_execute)
     rerun = run_ablation()
     queries = rerun.suite.queries

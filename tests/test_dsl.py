@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -310,6 +311,32 @@ def test_interpret_is_deterministic():
     )
     runs = [interpret(parse(text), log) for _ in range(3)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("text", [
+    'a = get_objects_of_category(category="BUS")\nx = nope(a)\noutput(x)\n',
+    'x = get_objects_of_category(category="BUS")\noutput(y)\n',
+    "x = get_objects_of_category()\noutput(x)\n",
+    "x = get_objects_of_category(category=3)\noutput(x)\n",
+])
+@pytest.mark.parametrize("run", ["execute", "interpret"])
+def test_a_program_check_rejects_raises_its_first_diagnostic_before_any_registry_call(monkeypatch, text, run):
+    from scenemine import dsl
+
+    ran = []
+
+    def counted(name, impl):
+        return lambda *args, **kwargs: ran.append(name) or impl(*args, **kwargs)
+
+    for name, spec in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, name, replace(spec, impl=counted(name, spec.impl)))
+    first = check(parse(text))[0]
+    with pytest.raises(DslError) as info:
+        getattr(dsl, run)(parse(text), _two_truck_log())
+    assert (info.value.kind, info.value.message, info.value.span) == (first.kind, first.message, first.span)
+    assert ran == []
+    getattr(dsl, run)(parse(MINIMAL), _two_truck_log())
+    assert ran == ["get_objects_of_category"]
 
 
 def test_a_program_binds_its_arguments_once_for_every_log(monkeypatch):

@@ -472,12 +472,13 @@ def test_evaluate_ignores_predictions_outside_the_universe():
 def test_evaluate_input_validation():
     logs = _eval_logs()
     hit = sset({"x": stamps(2)})
-    with pytest.raises(InconsistentInput, match="duplicate ground truth"):
+    with pytest.raises(InconsistentInput, match="duplicate ground truth") as repeated:
         evaluate({}, _gts([("q", "log-a", hit), ("q", "log-a", hit)]), logs)
-    with pytest.raises(InconsistentInput, match="nothing to evaluate"):
+    with pytest.raises(InconsistentInput, match="nothing to evaluate") as empty:
         evaluate({}, [], logs)
-    with pytest.raises(InconsistentInput, match="log 'log-z'"):
-        evaluate({}, _gts([("q", "log-z", hit)]), logs)
+    with pytest.raises(InconsistentInput, match="log 'log-y'") as missing:
+        evaluate({}, _gts([("q", "log-z", hit), ("p", "log-y", hit), ("q", "log-x", hit)]), logs)
+    assert repeated.value.side == empty.value.side == missing.value.side == GROUND_TRUTH
 
 
 def test_perfect_run_summary_table():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from scenemine import orchestrator
+from scenemine import dsl, orchestrator
 from scenemine.dsl import DslError
 from scenemine.errors import EmptyResponse, InconsistentInput, InvalidParameter
 from scenemine.orchestrator import (
@@ -372,29 +372,30 @@ def test_runtime_error_on_any_log_is_repair_feedback(monkeypatch):
     assert ran == ["log-a+log-b", "log-w"] and parses == []
 
 
-def _counting(monkeypatch, name):
-    """Replace orchestrator.<name> with a wrapper that counts its calls."""
+def _counting(monkeypatch, name, module=orchestrator):
+    """Replace <module>.<name> with a wrapper that counts its calls."""
     calls = []
-    original = getattr(orchestrator, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(orchestrator, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_each_round_checks_its_program_once(monkeypatch):
-    checks = _counting(monkeypatch, "check")
+    walks = _counting(monkeypatch, "_walk", dsl)
     executes = _counting(monkeypatch, "execute")
     logs = _two_logs() + [_wide_log(), make_log([static_obj("t2", "TRUCK", 5.0, 0.0)], log_id="log-c")]
     config = fixture_config([fenced(BAD_FUNCTION), fenced(BAD_CATEGORY), fenced(GOOD_CODE)])
     outcome = mine_scenario(QUERY, logs, config)
     assert [r.error_kind for r in outcome.iterations] == ["UnknownFunction", "PredicateRuntime", None]
-    assert len(checks) == 3  # one per round, however many logs
-    # Round 2 stops at its first pack; round 3 runs once on each of the two packs.
-    assert [log.log_id for _, log in executes] == ["log-a+log-b+log-c", "log-a+log-b+log-c", "log-w"]
+    assert len(walks) == 3  # one per round, however many logs
+    # Rounds 1 and 2 stop at their first pack, round 1 before any registry call; round 3 runs once on
+    # each of the two packs.
+    assert [log.log_id for _, log in executes] == ["log-a+log-b+log-c"] * 3 + ["log-w"]
     assert outcome.predictions == {
         "log-a": sset({"t1": stamps(2)}), "log-b": ScenarioSet.empty(),
         "log-c": sset({"t2": stamps(2)}), "log-w": ScenarioSet.empty(),
@@ -405,7 +406,7 @@ def test_a_stored_program_is_not_parsed_checked_or_run_again(monkeypatch, log):
     logs = LogSet([log])
     stored = logs.run(GOOD_CODE)
     assert stored == {log.log_id: sset({"t1": stamps(2)})}
-    calls = [_counting(monkeypatch, name) for name in ("parse", "check", "execute")]
+    calls = [_counting(monkeypatch, "parse"), _counting(monkeypatch, "_walk", dsl), _counting(monkeypatch, "execute")]
     outcome = mine_scenario(QUERY, logs, fixture_config([fenced(GOOD_CODE)]))
     assert calls == [[], [], []]
     assert outcome.status == STATUS_SUCCEEDED and outcome.code == GOOD_CODE
@@ -483,6 +484,19 @@ def test_a_log_id_two_logs_share_is_refused_before_any_provider_call(mine):
     config = _batch_config()
     with pytest.raises(InconsistentInput, match="duplicate log id 'log-b'"):
         mine([a, b, twin], config)
+    assert config.provider.calls == 0
+
+
+@pytest.mark.parametrize("mine", [
+    lambda logs, config: mine_scenario("trucks", logs, config),
+    lambda logs, config: run_batch(["trucks", "walkers"], logs, config),
+    lambda logs, config: LogSet(logs),
+])
+def test_no_logs_are_refused_before_any_provider_call(mine):
+    # A program is checked on its first run, so on no logs a reply would be accepted unchecked.
+    config = _batch_config()
+    with pytest.raises(InvalidParameter, match="no logs to mine"):
+        mine([], config)
     assert config.provider.calls == 0
 
 

@@ -181,6 +181,30 @@ def test_from_arrays_accepts_the_bounds_of_each_range():
     assert log.heading[:, 0].tolist() == [math.pi, math.nextafter(-math.pi, 0.0)]
 
 
+@pytest.mark.parametrize(
+    "owners, rows, message",
+    [
+        ([0, 0], [0, -1], "log 'log' state 1: row -1 is outside 0..1"),
+        ([0, 0], [0, 2], "log 'log' state 1: row 2 is outside 0..1"),
+        ([0, -1], [0, 1], "log 'log' state 1: owner -1 is outside 0..1"),
+        ([2, 0], [0, 9], "log 'log' state 0: owner 2 is outside 0..1"),  # owners are checked before rows
+        ([1, 0, 1, 0], [0, 0, 0, 1], "object 'b' has two states at 1000000000"),
+        ([0, 1, 1, 1], [0, 0, 1, 1], "object 'b' has two states at 1100000000"),
+    ],
+)
+def test_from_arrays_rejects_a_state_outside_the_log_or_twice_in_one_cell(owners, rows, message):
+    timestamps = stamps(2)
+    tracks = [("a", DEFAULT_REGISTRY.category("BUS")), ("b", DEFAULT_REGISTRY.category("BUS"))]
+    values = np.tile(np.array([0, 0, 0, 0, 0, 0, 0, 4, 2, 1], dtype=np.float64)[:, None], len(owners))
+    with pytest.raises(InvariantViolation) as made:
+        TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
+    assert str(made.value) == message
+    if message.startswith("log"):  # an index out of range is named before a bad value of its state
+        values[3] = math.nan
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
+
+
 @given(st.integers(0, 200))
 def test_build_equals_from_arrays_on_the_same_states(seed):
     timestamps, objects = random_track_objects(seed, max_objects=6, max_frames=12)
