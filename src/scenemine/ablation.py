@@ -1,9 +1,12 @@
 """Controlled comparison of the mining loop's two levers.
 
-Thirty queries over thirty certified logs, mined three times with scripted
-completions: a baseline capped at one generation round without the relation
-guidance, the same prompt with up to five repair rounds, and finally repair
-rounds plus the guidance paragraph.
+Thirty queries over thirty certified logs, scored under three arms with
+scripted completions: a baseline capped at one generation round without the
+relation guidance, the same prompt with up to five repair rounds, and finally
+repair rounds plus the guidance paragraph. Only the two five-round arms are
+mined, 80 provider calls in all; the baseline is the repair arm's outcome cut
+to its first round. With a real model the comparison is therefore paired: the
+baseline sees the repair arm's own first reply, not a fresh sample.
 
 The scripted replies encode three failure populations. Every third query is
 answered first with syntactically broken code and only repaired on the
@@ -240,36 +243,43 @@ def build_suite() -> AblationSuite:
 def run_ablation(out_dir: str | None = None, workers: int = 1) -> AblationOutcome:
     """Mine and score all three arms; optionally write reports to out_dir.
 
-    ``out_dir`` is made before any arm runs. The arms mine on the suite's
-    ``LogSet``, which already holds the reference programs' predictions, so a
-    round that returns a reference program runs nothing; only programs
-    outside the suite, the role-swapped ones, are parsed and run, once for
-    all arms. The arms also share one table of scores, and the arms with the
-    same ``epsrf`` share one fixture, each arm with its own provider.
+    ``out_dir`` is made before any arm runs. For each guidance setting only
+    the arm with the most rounds is mined, with one provider; an arm with
+    fewer rounds keeps the first rounds of each of those outcomes
+    (``MiningOutcome.first_rounds``), so the baseline is the repair arm cut
+    to its first round, and with a real model the comparison is paired:
+    it shows what repair adds to the same first attempt. A pass makes 80
+    provider calls. The mined arms use the suite's ``LogSet``, which already
+    holds the reference programs' predictions, so a round that returns a
+    reference program runs nothing; only programs outside the suite, the
+    role-swapped ones, are parsed and run. The arms also share one table of
+    scores.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     suite = build_suite()
     scores: dict = {}  # (log id, prediction, ground truth) -> that pair's scores, shared by every arm
     query_texts = [q.query_text for q in suite.queries]
-    fixtures = {epsrf: build_fixture(suite.queries, epsrf) for epsrf in dict.fromkeys(arm.epsrf for arm in ARMS)}
+    mined: dict[bool, BatchResult] = {}
+    for epsrf in dict.fromkeys(arm.epsrf for arm in ARMS):
+        config = MiningConfig(
+            provider=ScriptedProvider(build_fixture(suite.queries, epsrf)),
+            max_iterations=max(arm.max_iterations for arm in ARMS if arm.epsrf == epsrf),
+            epsrf=epsrf,
+            workers=workers,
+        )
+        mined[epsrf] = run_batch(query_texts, suite.log_set, config)
 
     reports: dict[str, EvalReport] = {}
     batches: dict[str, BatchResult] = {}
     for arm in ARMS:
-        config = MiningConfig(
-            provider=ScriptedProvider(fixtures[arm.epsrf]),
-            max_iterations=arm.max_iterations,
-            epsrf=arm.epsrf,
-            workers=workers,
-        )
-        batch = run_batch(query_texts, suite.log_set, config)
-        predictions = {
-            query: {log_id: outcome.predictions[log_id] for log_id, outcome in per_log.items()}
-            for query, per_log in batch.outcomes.items()
-        }
+        outcomes, predictions = {}, {}
+        for query, per_log in mined[arm.epsrf].outcomes.items():
+            cut = next(iter(per_log.values())).first_rounds(arm.max_iterations)  # every log shares one outcome
+            outcomes[query] = dict.fromkeys(per_log, cut)
+            predictions[query] = cut.predictions
         reports[arm.name] = evaluate(predictions, suite.ground_truth, suite.logs, scores=scores)
-        batches[arm.name] = batch
+        batches[arm.name] = BatchResult(outcomes)
 
     outcome = AblationOutcome(suite, reports, batches)
     if out_dir is not None:

@@ -131,6 +131,17 @@ class MiningOutcome:
     def succeeded(self) -> bool:
         return self.status == STATUS_SUCCEEDED
 
+    def first_rounds(self, k: int) -> "MiningOutcome":
+        """This outcome as a cap of ``k`` rounds leaves it: itself if it took at most ``k``, else Failed after ``k``.
+
+        A round's prompt depends only on the rounds before it, so the first
+        ``k`` rounds of a longer run are the rounds a run capped at ``k`` makes.
+        """
+        if len(self.iterations) <= k:
+            return self
+        empty = {log_id: ScenarioSet.empty() for log_id in self.predictions}
+        return MiningOutcome(self.query_text, STATUS_FAILED, self.iterations[:k], None, empty)
+
     def to_json_dict(self, log_id: str) -> dict:
         """The transcript of this query on one log."""
         return {

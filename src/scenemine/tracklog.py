@@ -149,9 +149,11 @@ class TrackLog:
         """The log whose state s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``.
 
         Rejects, in this order, a repeated track id, an empty log id, fewer
-        than 2 timestamps and timestamps not strictly increasing; then, in
-        the column order of ``values``, the first state whose owner or row is
-        out of range, the first whose values are not finite, whose heading is
+        than 2 timestamps, timestamps not strictly increasing, and ``owners``,
+        ``rows`` and the columns of ``values`` differing in length or
+        ``values`` without 10 rows, naming the lengths; then, in the column
+        order of ``values``, the first state whose owner or row is out of
+        range, the first whose values are not finite, whose heading is
         outside (-pi, pi] or whose box has a dimension <= 0, and the first at
         the track and timestamp of an earlier state, naming its track and
         timestamp. The log's columns follow the sorted track ids.
@@ -169,6 +171,11 @@ class TrackLog:
         for i in range(1, len(timestamps)):
             if timestamps[i] <= timestamps[i - 1]:
                 raise InvariantViolation(f"log '{log_id}' timestamps not strictly increasing at index {i}")
+        if np.ndim(values) != 2 or len(values) != 10 or not len(owners) == len(rows) == values.shape[1]:
+            raise InvariantViolation(
+                f"log '{log_id}' has {len(owners)} owners, {len(rows)} rows and values of shape {np.shape(values)}; "
+                "values needs 10 rows and one column per owner and row"
+            )
         for what, index, size in (("owner", owners, len(tracks)), ("row", rows, len(timestamps))):
             outside = (index < 0) | (index >= size)
             if outside.any():

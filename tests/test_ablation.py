@@ -308,8 +308,8 @@ def test_reference_programs_are_not_parsed_checked_or_run_by_the_arms(monkeypatc
     references = _reference_codes(queries)
     assert not references & set(parsed)
     assert not {pretty_print(parse(code)) for code in references} & set(checked + executed)
-    # The baseline parses the 10 syntax-broken replies and the 10 role-swapped ones; the other arms find
-    # both in the table, the broken ones with their first error.
+    # The repair arm parses the 10 syntax-broken replies and the 10 role-swapped ones; the guided arm
+    # meets neither, and the baseline is the repair arm's outcomes cut to their first round.
     first = {q.fault_class: [] for q in queries}
     for q in queries:
         first[q.fault_class].append(extract_code(scripted_replies(q, epsrf=False)[0]))
@@ -421,7 +421,7 @@ def test_run_ablation_leaves_the_ground_truth_unchanged(monkeypatch):
     assert truth == build_suite().ground_truth
 
 
-def test_one_fixture_per_guidance_setting_and_one_provider_per_arm(monkeypatch):
+def test_one_fixture_and_one_provider_per_guidance_setting(monkeypatch):
     swaps, providers = [], []
     swap, provider = ablation.role_swapped, ablation.ScriptedProvider
 
@@ -436,10 +436,18 @@ def test_one_fixture_per_guidance_setting_and_one_provider_per_arm(monkeypatch):
     monkeypatch.setattr(ablation, "role_swapped", counted_swap)
     monkeypatch.setattr(ablation, "ScriptedProvider", counted_provider)
     run_ablation()
-    # Only the fixture without guidance holds role-swapped replies; the two arms without guidance share it.
+    # Only the fixture without guidance holds role-swapped replies. The baseline is not mined: its
+    # outcomes are the repair arm's cut to one round, so the provider without guidance serves only it.
     assert len(swaps) == 10
-    assert len({id(p) for p in providers}) == len(ARMS)
-    assert [p.calls for p in providers] == [30, 40, 40]
+    assert len({id(p) for p in providers}) == len({arm.epsrf for arm in ARMS}) == 2
+    assert [p.calls for p in providers] == [40, 40]
+
+
+def test_a_pass_makes_80_provider_calls(monkeypatch):
+    calls = _count_provider_calls(monkeypatch)
+    run_ablation()
+    # 10 syntax-faulted queries take 2 rounds in each five-round arm, the other 20 one round each.
+    assert len(calls) == 80
 
 
 def test_each_distinct_pair_is_scored_once_across_the_arms(monkeypatch, outcome):

@@ -224,6 +224,52 @@ def test_outcome_json_shape(log):
 
 
 # ---------------------------------------------------------------------------
+# An outcome cut to its first rounds
+
+
+def test_a_success_on_round_two_cut_to_one_round_fails(log):
+    other = make_log([static_obj("p2", "PEDESTRIAN", 0.0, 0.0)], log_id="log-b")
+    replies = [fenced(BAD_FUNCTION), fenced(GOOD_CODE)]
+    outcome = mine_scenario(QUERY, [log, other], fixture_config(replies))
+    assert outcome.succeeded and len(outcome.iterations) == 2
+    cut = outcome.first_rounds(1)
+    assert cut.status == STATUS_FAILED and cut.code is None
+    assert cut.iterations == outcome.iterations[:1]
+    assert cut.predictions == {log.log_id: ScenarioSet.empty(), "log-b": ScenarioSet.empty()}
+    assert cut == mine_scenario(QUERY, [log, other], fixture_config(replies, max_iterations=1))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_cut_to_at_least_the_rounds_taken_is_the_outcome_itself(log, k):
+    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(BAD_FUNCTION), fenced(GOOD_CODE)]))
+    assert outcome.first_rounds(k) is outcome
+    failed = mine_scenario(QUERY, [log], fixture_config([fenced(BAD_FUNCTION)], max_iterations=2))
+    assert failed.first_rounds(k) is failed
+
+
+def test_a_success_on_round_one_survives_a_cut_to_one(log):
+    outcome = mine_scenario(QUERY, [log], fixture_config([fenced(GOOD_CODE)]))
+    cut = outcome.first_rounds(1)
+    assert cut is outcome and cut.succeeded and cut.code == GOOD_CODE
+    assert cut.predictions[log.log_id] == sset({"t1": stamps(2)})
+
+
+def test_a_transport_error_first_round_is_kept_as_recorded(log):
+    def mine(max_iterations):
+        provider = FlakyProvider(ScriptedProvider(make_fixture({QUERY: [fenced(GOOD_CODE)]})), fail_on=(1, 2))
+        config = MiningConfig(provider=provider, max_iterations=max_iterations, sleeper=[].append)
+        return mine_scenario(QUERY, [log], config)
+
+    outcome = mine(5)
+    assert outcome.succeeded and outcome.iterations[0].error_kind == TRANSPORT_ERROR
+    cut = outcome.first_rounds(1)
+    assert cut.status == STATUS_FAILED and cut.code is None
+    assert cut.iterations == outcome.iterations[:1] and cut.iterations[0] is outcome.iterations[0]
+    assert cut.predictions == {log.log_id: ScenarioSet.empty()}
+    assert cut == mine(1)
+
+
+# ---------------------------------------------------------------------------
 # Batch runs
 
 

@@ -205,6 +205,26 @@ def test_from_arrays_rejects_a_state_outside_the_log_or_twice_in_one_cell(owners
             TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
 
 
+@pytest.mark.parametrize(
+    "owners, rows, shape, message",
+    [
+        ([0, 1], [0, 1], (10, 3), "2 owners, 2 rows and values of shape (10, 3)"),
+        ([0, 1, 1], [0, 1], (10, 3), "3 owners, 2 rows and values of shape (10, 3)"),
+        ([0, 1], [0, 1], (9, 2), "2 owners, 2 rows and values of shape (9, 2)"),
+        ([0, 1], [0, 1], (20,), "2 owners, 2 rows and values of shape (20,)"),
+    ],
+)
+def test_from_arrays_rejects_owners_rows_and_values_of_other_shapes(owners, rows, shape, message):
+    timestamps = stamps(2)
+    tracks = [("a", DEFAULT_REGISTRY.category("BUS")), ("b", DEFAULT_REGISTRY.category("BUS"))]
+    values = np.ones(shape)
+    with pytest.raises(InvariantViolation) as made:
+        TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
+    assert str(made.value) == f"log 'log' has {message}; values needs 10 rows and one column per owner and row"
+    with pytest.raises(InvariantViolation, match="needs at least 2 timestamps"):  # log-level checks come first
+        TrackLog.from_arrays("log", timestamps[:1], tracks, np.array(owners), np.array(rows), values)
+
+
 @given(st.integers(0, 200))
 def test_build_equals_from_arrays_on_the_same_states(seed):
     timestamps, objects = random_track_objects(seed, max_objects=6, max_frames=12)
