@@ -151,7 +151,11 @@ def _table_time(path: str, repeats: int) -> float:
 
 
 def predicate_calls(log) -> dict:
-    """Each scenario function, called with the arguments an ``argo_files`` query gives it."""
+    """Each scenario function, called with the arguments an ``argo_files`` query gives it.
+
+    The set operations are called through ``REGISTRY``, whose entries take
+    the log first in checkouts where the functions themselves do not.
+    """
     from scenemine import predicates as p
 
     vehicles, peds, buses, trucks = (
@@ -174,9 +178,9 @@ def predicate_calls(log) -> dict:
         "near_objects": lambda: p.near_objects(log, vehicles, vehicles, distance_thresh=4, min_objects=2),
         "has_velocity": lambda: p.has_velocity(log, vehicles, max_velocity=0.5),
         "decelerating": lambda: p.decelerating(log, vehicles, min_decel=4),
-        "scenario_and": lambda: p.scenario_and(near, fast),
-        "scenario_or": lambda: p.scenario_or(buses, trucks),
-        "scenario_not": lambda: p.scenario_not(peds, close),
+        "scenario_and": lambda: p.REGISTRY["scenario_and"].impl(log, near, fast),
+        "scenario_or": lambda: p.REGISTRY["scenario_or"].impl(log, buses, trucks),
+        "scenario_not": lambda: p.REGISTRY["scenario_not"].impl(log, peds, close),
         "followed_by": lambda: p.followed_by(log, braking, still, within_seconds=3),
     }
 

@@ -5,12 +5,12 @@ same log. The convention throughout: ``track_candidates`` is the subject set
 (the result is always a subset of it) and ``related_candidates`` is the
 reference set it is tested against. Boundary comparisons are inclusive, an
 object is never related to itself, and inputs are treated as immutable.
-A predicate that takes a log reads its candidate sets masked against it,
-so pairs the log does not hold never count, and returns a set that holds
-its mask. The log may be a pack of equal-width logs (``tracklog.LogPack``):
-cells are tested row by row, the all-absent row between two members keeps
-a pair of frames from spanning them, and ``followed_by``'s window stops at
-a row's ``first_rows``.
+Every function, the set operations included, takes the log first, reads
+its scenario sets masked against it, so pairs the log does not hold never
+count, and returns a set that holds its mask. The log may be a pack of
+equal-width logs (``tracklog.LogPack``): cells are tested row by row, the
+all-absent row between two members keeps a pair of frames from spanning
+them, and ``followed_by``'s window stops at a row's ``first_rows``.
 """
 
 from __future__ import annotations
@@ -326,19 +326,19 @@ def decelerating(
     return ScenarioSet.from_mask(log, kept)
 
 
-def scenario_and(a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:
-    """Pairwise intersection of two scenario sets."""
-    return a.intersection(b)
+def scenario_and(log: TrackLog, a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:
+    """Pairs of the log in both scenario sets."""
+    return ScenarioSet.from_mask(log, a.mask_on(log) & b.mask_on(log))
 
 
-def scenario_or(a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:
-    """Pairwise union of two scenario sets."""
-    return a.union(b)
+def scenario_or(log: TrackLog, a: ScenarioSet, b: ScenarioSet) -> ScenarioSet:
+    """Pairs of the log in either scenario set."""
+    return ScenarioSet.from_mask(log, a.mask_on(log) | b.mask_on(log))
 
 
-def scenario_not(base: ScenarioSet, s: ScenarioSet) -> ScenarioSet:
-    """Pairs of ``base`` that are not in ``s``."""
-    return base.difference(s)
+def scenario_not(log: TrackLog, base: ScenarioSet, s: ScenarioSet) -> ScenarioSet:
+    """Pairs of the log in ``base`` that are not in ``s``."""
+    return ScenarioSet.from_mask(log, base.mask_on(log) & ~s.mask_on(log))
 
 
 def followed_by(
@@ -413,7 +413,7 @@ class FunctionSpec:
     name: str
     summary: str
     params: tuple[ParamSpec, ...]
-    impl: Callable[..., ScenarioSet] = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
+    impl: Callable[..., ScenarioSet] = field(repr=False, compare=False)
 
     def param(self, name: str) -> ParamSpec | None:
         for p in self.params:
@@ -439,19 +439,18 @@ def _literal(default: object) -> object:
     return default
 
 
-def _spec(impl: Callable[..., ScenarioSet], summary: str, name: str | None = None, /, **declared) -> FunctionSpec:
+def _spec(impl: Callable[..., ScenarioSet], summary: str, /, **declared) -> FunctionSpec:
     """The registry entry of ``impl(log, ...)``, with ``declared`` mapping each parameter to its (kind, doc).
 
     Raises TypeError when a declared parameter is not in the signature, or a
     parameter other than the candidates is not declared.
     """
     _log, *signature = inspect.signature(impl).parameters.values()
-    name = name or impl.__name__
     names = {p.name for p in signature}
     unknown, undeclared = declared.keys() - names, names - declared.keys() - _CANDIDATES.keys()
     if unknown or undeclared:
         raise TypeError(
-            f"{name}: declared parameters missing from the signature: {sorted(unknown)}; "
+            f"{impl.__name__}: declared parameters missing from the signature: {sorted(unknown)}; "
             f"parameters not declared: {sorted(undeclared)}"
         )
     params = []
@@ -459,7 +458,7 @@ def _spec(impl: Callable[..., ScenarioSet], summary: str, name: str | None = Non
         kind, doc = declared[p.name] if p.name in declared else _CANDIDATES[p.name]
         role = p.name if p.name in _CANDIDATES else None
         params.append(ParamSpec(p.name, kind, doc, _literal(p.default), _ENUM_VALUES.get(kind, ()), role))
-    return FunctionSpec(name, summary, tuple(params), impl)
+    return FunctionSpec(impl.__name__, summary, tuple(params), impl)
 
 
 REGISTRY: dict[str, FunctionSpec] = {
@@ -522,23 +521,20 @@ REGISTRY: dict[str, FunctionSpec] = {
             min_decel=("float", "deceleration threshold in m/s^2"),
         ),
         _spec(
-            lambda log, a, b: scenario_and(a, b),
+            scenario_and,
             "Pairs present in both scenario sets.",
-            "scenario_and",
             a=("scenario_set", "scenario set; first operand"),
             b=("scenario_set", "scenario set; second operand"),
         ),
         _spec(
-            lambda log, a, b: scenario_or(a, b),
+            scenario_or,
             "Pairs present in either scenario set.",
-            "scenario_or",
             a=("scenario_set", "scenario set; first operand"),
             b=("scenario_set", "scenario set; second operand"),
         ),
         _spec(
-            lambda log, base, s: scenario_not(base, s),
+            scenario_not,
             "Pairs of base that are not in s.",
-            "scenario_not",
             base=("scenario_set", "scenario set; the universe to subtract from"),
             s=("scenario_set", "scenario set; the pairs to remove"),
         ),

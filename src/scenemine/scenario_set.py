@@ -5,9 +5,9 @@ condition holds for that track. It behaves like an immutable set of
 (track_id, timestamp) pairs with a per-track grouping.
 
 A set a predicate makes on a log is held as that log plus a read-only
-[frames, tracks] bool mask of the log's present pairs. Predicates and set
-operations on one log read and combine the masks; the track -> timestamps
-mapping is built from a mask only when something reads it.
+[frames, tracks] bool mask of the log's present pairs. Predicates, set
+operations included, read any set as its mask on their log (``mask_on``);
+the track -> timestamps mapping is built from a mask only when read.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class ScenarioSet:
         mask.flags.writeable = False
         return mask
 
-    def _same_log(self, other: "ScenarioSet") -> bool:
-        return self._mask is not None and other._mask is not None and self._log is other._log
-
     @property
     def is_empty(self) -> bool:
         return not self.entries if self._mask is None else not np.count_nonzero(self._mask)
@@ -126,34 +123,6 @@ class ScenarioSet:
         for track in sorted(self.entries):
             for ts in sorted(self.entries[track]):
                 yield track, ts
-
-    def union(self, other: "ScenarioSet") -> "ScenarioSet":
-        if self._same_log(other):
-            return ScenarioSet.from_mask(self._log, self._mask | other._mask)
-        merged: dict[str, frozenset[int]] = dict(self.entries)
-        for track, stamps in other.entries.items():
-            merged[track] = merged.get(track, frozenset()) | stamps
-        return ScenarioSet._of(merged)
-
-    def intersection(self, other: "ScenarioSet") -> "ScenarioSet":
-        if self._same_log(other):
-            return ScenarioSet.from_mask(self._log, self._mask & other._mask)
-        out: dict[str, frozenset[int]] = {}
-        for track, stamps in self.entries.items():
-            common = stamps & other.entries.get(track, frozenset())
-            if common:
-                out[track] = common
-        return ScenarioSet._of(out)
-
-    def difference(self, other: "ScenarioSet") -> "ScenarioSet":
-        if self._same_log(other):
-            return ScenarioSet.from_mask(self._log, self._mask & ~other._mask)
-        out: dict[str, frozenset[int]] = {}
-        for track, stamps in self.entries.items():
-            left = stamps - other.entries.get(track, frozenset())
-            if left:
-                out[track] = left
-        return ScenarioSet._of(out)
 
     def to_json_dict(self) -> dict[str, list[int]]:
         """Serializable form: sorted track keys, sorted timestamp lists."""

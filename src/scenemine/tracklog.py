@@ -151,12 +151,13 @@ class TrackLog:
         Rejects, in this order, a repeated track id, an empty log id, fewer
         than 2 timestamps, timestamps not strictly increasing, and ``owners``,
         ``rows`` and the columns of ``values`` differing in length or
-        ``values`` without 10 rows, naming the lengths; then, in the column
-        order of ``values``, the first state whose owner or row is out of
-        range, the first whose values are not finite, whose heading is
-        outside (-pi, pi] or whose box has a dimension <= 0, and the first at
-        the track and timestamp of an earlier state, naming its track and
-        timestamp. The log's columns follow the sorted track ids.
+        ``values`` without 10 rows, naming the lengths; ``owners``, then
+        ``rows``, of a dtype other than integer, naming it, or with an index
+        out of range, naming the first state that has it; then, in the column
+        order of ``values``, the first state whose values are not finite, whose
+        heading is outside (-pi, pi] or whose box has a dimension <= 0, and
+        the first at the track and timestamp of an earlier state, naming its
+        track and timestamp. The log's columns follow the sorted track ids.
         """
         seen: set[str] = set()
         for track, _ in tracks:
@@ -177,6 +178,8 @@ class TrackLog:
                 "values needs 10 rows and one column per owner and row"
             )
         for what, index, size in (("owner", owners, len(tracks)), ("row", rows, len(timestamps))):
+            if not np.issubdtype(index.dtype, np.integer):
+                raise InvariantViolation(f"log '{log_id}' has {what}s of dtype {index.dtype}; they need an integer dtype")
             outside = (index < 0) | (index >= size)
             if outside.any():
                 s = int(np.argmax(outside))

@@ -112,9 +112,9 @@ def test_predicates_match_their_oracles_across_random_logs():
             ("decelerating",
              as_dict(decelerating(log, cand, min_decel=1.0)),
              oracles.decelerating(log, cd, min_decel=1.0)),
-            ("scenario_and", as_dict(scenario_and(cand, moving)), oracles.scenario_and(cd, md)),
-            ("scenario_or", as_dict(scenario_or(cand, moving)), oracles.scenario_or(cd, md)),
-            ("scenario_not", as_dict(scenario_not(cand, moving)), oracles.scenario_not(cd, md)),
+            ("scenario_and", as_dict(scenario_and(log, cand, moving)), oracles.scenario_and(cd, md)),
+            ("scenario_or", as_dict(scenario_or(log, cand, moving)), oracles.scenario_or(cd, md)),
+            ("scenario_not", as_dict(scenario_not(log, cand, moving)), oracles.scenario_not(cd, md)),
             ("followed_by",
              as_dict(followed_by(log, moving, cand, window, cross_track=cross)),
              oracles.followed_by(log, md, cd, window, cross_track=cross)),

@@ -252,6 +252,7 @@ def test_interpret_composed_program_matches_direct_calls():
     )
     trucks = get_objects_of_category(log, "TRUCK")
     want = scenario_and(
+        log,
         has_velocity(log, trucks, min_velocity=1),
         near_objects(log, trucks, trucks, distance_thresh=10),
     )

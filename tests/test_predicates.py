@@ -415,11 +415,19 @@ def test_decelerating_skips_missing_predecessor():
 
 
 def test_boolean_composition():
-    a = sset({"x": [1, 2], "y": [3]})
-    b = sset({"x": [2], "z": [9]})
-    assert scenario_and(a, b) == sset({"x": [2]})
-    assert scenario_or(a, b) == sset({"x": [1, 2], "y": [3], "z": [9]})
-    assert scenario_not(a, b) == sset({"x": [1], "y": [3]})
+    t = stamps(10)
+    log = make_log([static_obj(track, "BUS", 0, 0, n=10) for track in "xyz"], n=10)
+    a = sset({"x": [t[1], t[2]], "y": [t[3]]})
+    b = sset({"x": [t[2]], "z": [t[9]]})
+    assert scenario_and(log, a, b) == sset({"x": [t[2]]})
+    assert scenario_or(log, a, b) == sset({"x": [t[1], t[2]], "y": [t[3]], "z": [t[9]]})
+    assert scenario_not(log, a, b) == sset({"x": [t[1]], "y": [t[3]]})
+
+
+def test_each_registry_entry_runs_the_predicates_function_of_its_name():
+    for name, spec in REGISTRY.items():
+        assert spec.name == name
+        assert spec.impl is getattr(predicates, name)
 
 
 def test_followed_by_window_boundaries():

@@ -1,7 +1,15 @@
 import numpy as np
 from hypothesis import given, strategies as st
 
-from scenemine.predicates import followed_by, get_objects_of_category, has_velocity, near_objects, scenario_or
+from scenemine.predicates import (
+    followed_by,
+    get_objects_of_category,
+    has_velocity,
+    near_objects,
+    scenario_and,
+    scenario_not,
+    scenario_or,
+)
 from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import TrackLog
 
@@ -59,24 +67,6 @@ def test_json_round_trip():
     assert ScenarioSet.from_json_dict(raw) == s
 
 
-def test_set_operations_small_case():
-    a = sset({"x": [1, 2], "y": [1]})
-    b = sset({"x": [2, 3], "z": [5]})
-    assert a.union(b) == sset({"x": [1, 2, 3], "y": [1], "z": [5]})
-    assert a.intersection(b) == sset({"x": [2]})
-    assert a.difference(b) == sset({"x": [1], "y": [1]})
-    assert b.difference(a) == sset({"x": [3], "z": [5]})
-
-
-@given(scenario_sets, scenario_sets)
-def test_set_operations_match_pair_semantics(a, b):
-    """union/intersection/difference behave exactly like sets of pairs."""
-    pa, pb = set(a.pairs()), set(b.pairs())
-    assert set(a.union(b).pairs()) == pa | pb
-    assert set(a.intersection(b).pairs()) == pa & pb
-    assert set(a.difference(b).pairs()) == pa - pb
-
-
 @given(scenario_sets, scenario_sets)
 def test_issubset_matches_pair_semantics(a, b):
     assert issubset(a, b) == (set(a.pairs()) <= set(b.pairs()))
@@ -104,6 +94,33 @@ def _dict_copy(log: TrackLog, mask: np.ndarray, extra=None) -> ScenarioSet:
         for j, track in enumerate(log.track_ids)
     }
     return ScenarioSet({**entries, **(extra or {})})
+
+
+def _pairs_of(log: TrackLog, mask: np.ndarray) -> set[tuple[str, int]]:
+    """The (track, timestamp) pairs where a [frames, tracks] mask is True."""
+    return {(log.track_ids[j], log.timestamps[i]) for i, j in zip(*mask.nonzero())}
+
+
+def _stray_copy(log: TrackLog, seed: int) -> ScenarioSet:
+    """A dict-built set of random cells of the log, present or not, plus pairs no cell holds.
+
+    Every log track also has a timestamp after the log's last, and a ghost
+    track the log lacks has its first timestamp and that later one.
+    """
+    grid = np.random.default_rng(seed).random(log.present.shape) < 0.5
+    late = log.timestamps[-1] + 1
+    entries = {
+        track: {log.timestamps[i] for i in grid[:, j].nonzero()[0]} | {late} for j, track in enumerate(log.track_ids)
+    }
+    return ScenarioSet({**entries, "ghost": {log.timestamps[0], late}})
+
+
+# Each set operation of the registry, with the set-of-pairs operation it restricts to the log.
+_SET_OPERATIONS = (
+    (scenario_and, set.__and__),
+    (scenario_or, set.__or__),
+    (scenario_not, set.__sub__),
+)
 
 
 def _assert_same(got: ScenarioSet, want: ScenarioSet, log: TrackLog) -> None:
@@ -140,10 +157,30 @@ def test_a_mask_backed_set_behaves_as_its_dict_built_copy(log_seed, seed_a, seed
         ((ghost, a), (ghost, da)),
     ):
         px, py = set(dx.pairs()), set(dy.pairs())
-        for op, want in (("union", px | py), ("intersection", px & py), ("difference", px - py)):
-            got = getattr(x, op)(y)
-            _assert_same(got, getattr(dx, op)(dy), log)
-            assert set(got.pairs()) == want
+        for on in (log, other_log):
+            present = _pairs_of(on, on.present)
+            for op, pair_op in _SET_OPERATIONS:
+                got = op(on, x, y)
+                _assert_same(got, op(on, dx, dy), on)
+                assert set(got.pairs()) == pair_op(px, py) & present
+
+
+@given(
+    st.integers(0, 120), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.booleans(), st.booleans()
+)
+def test_set_operations_are_pair_semantics_on_the_pairs_the_log_holds(log_seed, seed_a, seed_b, dict_a, dict_b):
+    """scenario_and/or/not of masks or of dict-built sets with strays: the pair operation, within the log."""
+    log = random_track_log(log_seed, 6, 12)
+    a, b = (
+        _stray_copy(log, seed) if from_dict else ScenarioSet.from_mask(log, _random_mask(log, seed))
+        for seed, from_dict in ((seed_a, dict_a), (seed_b, dict_b))
+    )
+    present = _pairs_of(log, log.present)
+    for op, pair_op in _SET_OPERATIONS:
+        want = pair_op(set(a.pairs()), set(b.pairs())) & present
+        got = op(log, a, b)
+        _assert_same(got, from_pairs(want), log)
+        assert not got.mask_on(log).flags.writeable
 
 
 def test_equal_sets_hash_alike_and_unequal_sets_are_unequal():
@@ -171,7 +208,7 @@ def test_len_of_a_predicate_result_builds_no_pairs():
         vehicles,
         every,
         near_objects(log, every, every, distance_thresh=50.0),
-        scenario_or(vehicles, every),
+        scenario_or(log, vehicles, every),
         followed_by(log, every, every, within_seconds=0.5),
     ]
     for result in results:

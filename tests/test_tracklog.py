@@ -205,13 +205,18 @@ def test_from_arrays_rejects_a_state_outside_the_log_or_twice_in_one_cell(owners
             TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
 
 
+_SHAPES = "values needs 10 rows and one column per owner and row"
+
+
 @pytest.mark.parametrize(
     "owners, rows, shape, message",
     [
-        ([0, 1], [0, 1], (10, 3), "2 owners, 2 rows and values of shape (10, 3)"),
-        ([0, 1, 1], [0, 1], (10, 3), "3 owners, 2 rows and values of shape (10, 3)"),
-        ([0, 1], [0, 1], (9, 2), "2 owners, 2 rows and values of shape (9, 2)"),
-        ([0, 1], [0, 1], (20,), "2 owners, 2 rows and values of shape (20,)"),
+        ([0, 1], [0, 1], (10, 3), f"2 owners, 2 rows and values of shape (10, 3); {_SHAPES}"),
+        ([0, 1, 1], [0, 1], (10, 3), f"3 owners, 2 rows and values of shape (10, 3); {_SHAPES}"),
+        ([0, 1], [0, 1], (9, 2), f"2 owners, 2 rows and values of shape (9, 2); {_SHAPES}"),
+        ([0, 1], [0, 1], (20,), f"2 owners, 2 rows and values of shape (20,); {_SHAPES}"),
+        ([0.0, 0.0], [0, 1], (10, 2), "owners of dtype float64; they need an integer dtype"),
+        ([0, 1], [False, True], (10, 2), "rows of dtype bool; they need an integer dtype"),
     ],
 )
 def test_from_arrays_rejects_owners_rows_and_values_of_other_shapes(owners, rows, shape, message):
@@ -220,7 +225,7 @@ def test_from_arrays_rejects_owners_rows_and_values_of_other_shapes(owners, rows
     values = np.ones(shape)
     with pytest.raises(InvariantViolation) as made:
         TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
-    assert str(made.value) == f"log 'log' has {message}; values needs 10 rows and one column per owner and row"
+    assert str(made.value) == f"log 'log' has {message}"
     with pytest.raises(InvariantViolation, match="needs at least 2 timestamps"):  # log-level checks come first
         TrackLog.from_arrays("log", timestamps[:1], tracks, np.array(owners), np.array(rows), values)
 
