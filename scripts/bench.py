@@ -195,9 +195,9 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     from scenemine.tracklog import load_log, save_log
 
     log = scenes.argo_log(0, 0, num_objects, num_frames)
-    tracks = sorted(log.lifespans)
-    everything = ScenarioSet({t: log.lifespans[t] for t in tracks})
-    every_other = ScenarioSet({t: log.lifespans[t] for t in tracks[::2]})
+    alternate = log.present.copy()
+    alternate[:, 1::2] = False  # the columns of every other track, in id order
+    everything, every_other = ScenarioSet.from_mask(log, log.present), ScenarioSet.from_mask(log, alternate)
     before = run.calibration_times()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "log.json")

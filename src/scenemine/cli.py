@@ -118,15 +118,12 @@ def _load_predictions(path: str) -> dict[str, dict[str, ScenarioSet]]:
             raise MalformedFile(f"{path}: predictions for {query!r} must be an object keyed by log id")
         predictions[query] = {}
         for log_id, entries in per_log.items():
-            if not isinstance(entries, dict) or not all(
-                isinstance(stamps, list) and set(map(type, stamps)) <= {int} for stamps in entries.values()
-            ):
+            try:
+                predictions[query][log_id] = ScenarioSet.from_json_dict(entries)
+            except MalformedFile:
                 raise MalformedFile(
                     f"{path}: predictions[{query!r}][{log_id!r}] must map track ids to lists of integer timestamps"
-                )
-            predictions[query][log_id] = ScenarioSet._of(
-                {track: frozenset(stamps) for track, stamps in entries.items() if stamps}
-            )
+                ) from None
     return predictions
 
 

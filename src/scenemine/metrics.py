@@ -4,11 +4,15 @@ Two HOTA variants over scenario sets (temporal fragments vs. full track
 lifespans), a micro timestamp F1, and a per-log retrieval F1, plus the
 aggregation that rolls per-(query, log) scores into one report.
 
+Scoring reads each set as its [frames, tracks] mask on the log (``_bind``).
+HOTA's frames are mask rows and its track ids mask columns, which a log
+holds in timestamp and track-id order, so every order below is theirs.
+
 Matching inside HOTA is deliberately deterministic: per frame we take the
 one-to-one matching with maximum total similarity, breaking ties by the
 lexicographically smallest sorted (pred id, gt id) pair list. Ties are real
 -- symmetric layouts produce them -- and an arbitrary argmax would make
-scores depend on dict order.
+scores depend on iteration order.
 
 HOTA is defined per alpha, but a frame's eligible pairs change only where an
 alpha crosses one of its similarities. So each frame is matched once per
@@ -23,8 +27,8 @@ that pass (``hota_per_alpha`` in the test oracles keeps it as the reference).
 Only centres under SIMILARITY_SCALE_M apart can match, so a log's candidate
 cross pairs, of two different tracks, come from its neighbour table
 (``TrackLog.neighbours``), built once per log and read by every HOTA call on
-it. A track's similarity to itself is exactly 1.0, so self pairs come from
-the fragments alone.
+it: the table's (row, a, b) where pred flags a and gt flags b. A track's
+similarity to itself is exactly 1.0, so self pairs come from the masks alone.
 """
 
 from __future__ import annotations
@@ -34,12 +38,12 @@ import math
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InconsistentInput, ScenarioMiningError, UnknownTrack
+from .errors import InconsistentInput, UnknownTrack
 from .scenario_set import ScenarioSet
 from .tracklog import GroundTruthScenario, TrackLog
 
@@ -50,9 +54,7 @@ _MATCH_EPS = 1e-9
 # the ``side`` of an error raised by hota_temporal, hota_full or evaluate
 PREDICTIONS, GROUND_TRUTH = "predictions", "ground truth"
 
-# pred track -> timestamp -> [(gt track other than pred, similarity above 0), ...] in gt id order,
-# at the timestamps that have one; a track is its own candidate, at 1.0, everywhere, and is not listed
-Candidates = Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]
+Pair = tuple[int, int]  # (pred track, gt track): two columns of a log
 
 
 # ---------------------------------------------------------------------------
@@ -66,21 +68,21 @@ def _max_total(matrix: np.ndarray) -> float:
     return float(matrix[rows, cols].sum())
 
 
-def _components(pairs: Iterable[tuple[str, str]]) -> list[list[tuple[str, str]]]:
+def _components(pairs: Iterable[Pair]) -> list[list[Pair]]:
     """The pairs grouped by connected component of the pred-gt graph they span."""
-    gts_of: dict[str, list[str]] = {}
-    preds_of: dict[str, list[str]] = {}
+    gts_of: dict[int, list[int]] = {}
+    preds_of: dict[int, list[int]] = {}
     for p, g in pairs:
         gts_of.setdefault(p, []).append(g)
         preds_of.setdefault(g, []).append(p)
     groups = []
-    reached: set[str] = set()
+    reached: set[int] = set()
     for start in gts_of:
         if start in reached:
             continue
         reached.add(start)
         preds = [start]
-        gts_reached: set[str] = set()
+        gts_reached: set[int] = set()
         for p in preds:  # grows while it is walked: a breadth-first search
             for g in gts_of[p]:
                 if g not in gts_reached:
@@ -93,7 +95,7 @@ def _components(pairs: Iterable[tuple[str, str]]) -> list[list[tuple[str, str]]]
     return groups
 
 
-def _lexmin_matching(eligible: Mapping[tuple[str, str], float]) -> list[tuple[str, str]]:
+def _lexmin_matching(eligible: Mapping[Pair, float]) -> list[Pair]:
     """Max-total-similarity matching, lex-smallest pair list among optima.
 
     A maximum matching is a maximum matching of each connected component of
@@ -106,7 +108,7 @@ def _lexmin_matching(eligible: Mapping[tuple[str, str], float]) -> list[tuple[st
     smallest sorted pair list over all maximum matchings, and whether a pair
     can be fixed depends only on the pairs fixed in its own component.
     """
-    matches: list[tuple[str, str]] = []
+    matches: list[Pair] = []
     for component in _components(eligible):
         if len(component) == 1:
             matches += component
@@ -116,7 +118,7 @@ def _lexmin_matching(eligible: Mapping[tuple[str, str], float]) -> list[tuple[st
     return matches
 
 
-def _lexmin_component(eligible: Mapping[tuple[str, str], float]) -> list[tuple[str, str]]:
+def _lexmin_component(eligible: Mapping[Pair, float]) -> list[Pair]:
     preds = sorted({p for p, _ in eligible})
     gts = sorted({g for _, g in eligible})
     p_index = {p: i for i, p in enumerate(preds)}
@@ -126,9 +128,9 @@ def _lexmin_component(eligible: Mapping[tuple[str, str], float]) -> list[tuple[s
         matrix[p_index[p], g_index[g]] = sim
     optimum = _max_total(matrix)
 
-    fixed: list[tuple[str, str]] = []
-    used_p: set[str] = set()
-    used_g: set[str] = set()
+    fixed: list[Pair] = []
+    used_p: set[int] = set()
+    used_g: set[int] = set()
     total = 0.0
     for p, g in sorted(eligible):
         if p in used_p or g in used_g:
@@ -148,8 +150,7 @@ def _lexmin_component(eligible: Mapping[tuple[str, str], float]) -> list[tuple[s
 # HOTA over detection timestamps
 
 
-@dataclass(frozen=True)
-class AlphaScore:
+class AlphaScore(NamedTuple):
     alpha: float
     score: float
     tp: int
@@ -164,24 +165,23 @@ class HotaResult:
     per_alpha: tuple[AlphaScore, ...]
 
 
+_NOTHING = ScenarioSet.empty()  # the prediction of a pair that has none
+
 _EMPTY_VS_EMPTY = HotaResult(1.0, tuple(AlphaScore(a, 1.0, 0, 0, 0, 0.0) for a in DEFAULT_ALPHAS))
 
 
-def _hota(
-    pred: Mapping[str, AbstractSet[int]],
-    gt: Mapping[str, AbstractSet[int]],
-    candidates: Candidates,
-) -> HotaResult:
-    """HOTA of pred vs gt, each track -> the set of timestamps it is detected at.
+def _hota(pred: np.ndarray, gt: np.ndarray, neighbours: Sequence[np.ndarray]) -> HotaResult:
+    """HOTA of pred vs gt, two [frames, tracks] masks on one log: a track is detected at the rows its column flags.
 
-    ``candidates[p][ts]``, where present, lists in gt id order every (g,
-    similarity) with g != p and similarity above 0 that pred track p may
-    match at timestamp ts; a g not detected in gt there is skipped. A track
-    matches itself at similarity 1.0 wherever it is detected on both sides.
-    Per alpha of DEFAULT_ALPHAS, matching is restricted to pairs with
-    similarity >= alpha; the association term for a matched pair (p, g) is
-    their co-match count over the union of their detection counts. Empty vs
-    empty scores 1 by convention.
+    ``neighbours`` is the log's table (``TrackLog.neighbours``): arrays of
+    every (row, a, b, similarity) with a != b and similarity above 0. Pred
+    track a may match gt track b at a row where the table holds them and pred
+    flags a and gt flags b. A track matches itself at similarity 1.0
+    wherever it is detected on both sides. Per alpha of DEFAULT_ALPHAS,
+    matching is restricted to pairs with similarity >= alpha; the
+    association term for a matched pair (p, g) is their co-match count over
+    the union of their detection counts. Empty vs empty scores 1 by
+    convention.
 
     Each frame is matched once per distinct eligible set, not once per
     alpha. The alphas ascend, so a pair of similarity s is eligible at
@@ -202,47 +202,41 @@ def _hota(
     from the same float operations in the same order, so the result is
     bit-identical.
     """
-    pred_counts = {p: len(frames) for p, frames in pred.items() if frames}
-    gt_counts = {g: len(frames) for g, frames in gt.items() if frames}
-    total_pred = sum(pred_counts.values())
-    total_gt = sum(gt_counts.values())
+    total_pred = int(np.count_nonzero(pred))
+    total_gt = int(np.count_nonzero(gt))
     if total_pred == 0 and total_gt == 0:
         return _EMPTY_VS_EMPTY
+    pred_counts, gt_counts = pred.sum(axis=0).tolist(), gt.sum(axis=0).tolist()  # detections per track
     top = len(DEFAULT_ALPHAS)
 
     # pair -> (lo, hi) -> [frames matched at alphas lo..hi-1, first such frame]
-    spans: dict[tuple[str, str], dict[tuple[int, int], list[int]]] = {}
+    spans: dict[Pair, dict[tuple[int, int], list[int]]] = {}
 
-    def credit(pair: tuple[str, str], lo: int, hi: int, frame: int, count: int = 1) -> None:
+    def credit(pair: Pair, lo: int, hi: int, frame: int, count: int = 1) -> None:
         """Record that ``pair`` is matched at alphas lo..hi-1 in ``count`` frames, the earliest ``frame``."""
         span = spans.setdefault(pair, {}).setdefault((lo, hi), [0, frame])
         span[0] += count
         span[1] = min(span[1], frame)
 
-    # timestamp -> {pair: (similarity, k)} over its eligible pairs that may need matching
-    pairs_at: defaultdict[int, dict[tuple[str, str], tuple[float, int]]] = defaultdict(dict)
-    touched: defaultdict[str, set[int]] = defaultdict(set)  # track -> frames an eligible cross pair touches it in
-    for p, stamps in pred.items():
-        row = candidates.get(p)
-        if not row:
-            continue
-        small, large = (stamps, row) if len(stamps) <= len(row) else (row, stamps)
-        for ts in small:
-            if ts in large:
-                for g, s in row[ts]:
-                    if ts in gt.get(g, ()):
-                        k = bisect_right(DEFAULT_ALPHAS, s)
-                        if k:
-                            pairs_at[ts][(p, g)] = (s, k)
-                            touched[p].add(ts)
-                            touched[g].add(ts)
-    for t in pred.keys() & gt.keys():
-        both, hit = pred[t] & gt[t], touched.get(t, ())
-        for ts in both.intersection(hit):
-            pairs_at[ts][(t, t)] = (1.0, top)
-        alone = both.difference(hit)
-        if alone:
-            credit((t, t), 0, top, min(alone), len(alone))
+    # row -> {pair: (similarity, k)} over its eligible pairs that may need matching
+    pairs_at: defaultdict[int, dict[Pair, tuple[float, int]]] = defaultdict(dict)
+    both = pred & gt  # the self pairs; those an eligible cross pair touches leave it
+    rows, a, b, similarity = neighbours
+    # Most small logs hold no two centres close enough to match: then there is nothing to filter.
+    cross = np.flatnonzero(pred[rows, a] & gt[rows, b] & (similarity >= DEFAULT_ALPHAS[0])) if len(rows) else ()
+    if len(cross):
+        rows, a, b = rows[cross], a[cross], b[cross]
+        for row, p, g, s in zip(rows.tolist(), a.tolist(), b.tolist(), similarity[cross].tolist()):
+            pairs_at[row][(p, g)] = (s, bisect_right(DEFAULT_ALPHAS, s))
+        touched = np.zeros_like(both)
+        touched[rows, a] = touched[rows, b] = True
+        for row, t in zip(*(x.tolist() for x in np.nonzero(both & touched))):
+            pairs_at[row][(t, t)] = (1.0, top)
+        both &= ~touched
+    firsts = both.argmax(axis=0).tolist()
+    for t, count in enumerate(both.sum(axis=0).tolist()):
+        if count:
+            credit((t, t), 0, top, firsts[t], count)
 
     for frame, pairs in pairs_at.items():
         pred_degree = Counter(p for p, _ in pairs)
@@ -292,65 +286,56 @@ def _hota(
 
 
 # ---------------------------------------------------------------------------
-# Scenario sets -> fragments
+# Scenario sets -> masks -> the two HOTA variants
 
 
-def scenario_fragments(log: TrackLog, scenario: ScenarioSet, full_lifespan: bool = False) -> dict[str, frozenset[int]]:
-    """Each of a scenario set's tracks -> the set of timestamps its fragment covers.
+def _bind(scenario: ScenarioSet, log: TrackLog, side: str) -> np.ndarray:
+    """The scenario's mask on ``log``: a set made on ``log`` is its mask as it is.
 
-    With full_lifespan the fragment covers every frame the track exists in,
-    so identity and detection quality are judged over whole tracks; without
-    it only the flagged timestamps count.
+    For its first track in id order that flags a pair ``log`` lacks, any
+    other set raises UnknownTrack (no such track) or InconsistentInput (the
+    earliest flagged timestamp without a state), with ``side`` set.
     """
-    fragments: dict[str, frozenset[int]] = {}
-    lifespans = log.lifespans
-    for track_id in scenario.tracks():
-        lifespan = lifespans.get(track_id)
-        if lifespan is None:
-            raise UnknownTrack(f"scenario references track '{track_id}' absent from log '{log.log_id}'")
-        if full_lifespan:
-            fragments[track_id] = lifespan
-        else:
-            frames = scenario.timestamps_for(track_id)
-            for ts in frames:
-                if ts not in lifespan:
-                    raise InconsistentInput(
-                        f"scenario flags track '{track_id}' at {ts} but the track has no state there"
-                    )
-            fragments[track_id] = frames
-    return fragments
-
-
-def _sides(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog, full_lifespan: bool) -> list[dict[str, frozenset[int]]]:
-    """Both sides' fragments; an error names its side in ``side``, PREDICTIONS or GROUND_TRUTH."""
-    fragments = []
-    for scenario, side in ((pred, PREDICTIONS), (gt, GROUND_TRUTH)):
-        try:
-            fragments.append(scenario_fragments(log, scenario, full_lifespan))
-        except ScenarioMiningError as exc:
-            exc.side = side
-            raise
-    return fragments
+    if scenario.log is log:
+        return scenario.mask
+    mask = scenario.mask_on(log)
+    if np.count_nonzero(mask) < len(scenario):  # the mask dropped a pair: name the first
+        row, column = log.row, log.column
+        for track in scenario.tracks():
+            j = column.get(track)
+            if j is None:
+                fault = UnknownTrack(f"scenario references track '{track}' absent from log '{log.log_id}'")
+            else:
+                unstated = [ts for ts in scenario.timestamps_for(track) if ts not in row or not log.present[row[ts], j]]
+                if not unstated:
+                    continue
+                fault = InconsistentInput(
+                    f"scenario flags track '{track}' at {min(unstated)} but the track has no state there"
+                )
+            fault.side = side
+            raise fault
+    return mask
 
 
 def hota_temporal(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over exactly the flagged (track, timestamp) fragments."""
-    return _hota(*_sides(pred, gt, log, full_lifespan=False), log.neighbours)
+    return _hota(_bind(pred, log, PREDICTIONS), _bind(gt, log, GROUND_TRUTH), log.neighbours)
 
 
 def hota_full(pred: ScenarioSet, gt: ScenarioSet, log: TrackLog) -> HotaResult:
     """HOTA over the flagged tracks extended to their full lifespans."""
-    return _hota(*_sides(pred, gt, log, full_lifespan=True), log.neighbours)
+    pred, gt = _bind(pred, log, PREDICTIONS), _bind(gt, log, GROUND_TRUTH)
+    return _hota(log.present & pred.any(axis=0), log.present & gt.any(axis=0), log.neighbours)
 
 
 # ---------------------------------------------------------------------------
 # F1 metrics
 
 
-def timestamp_counts(pred: ScenarioSet, gt: ScenarioSet) -> tuple[int, int, int]:
-    """(tp, fp, fn) over flagged (track, timestamp) pairs."""
-    tp = sum(len(stamps & gt.timestamps_for(track)) for track, stamps in pred.entries.items())
-    return tp, len(pred) - tp, len(gt) - tp
+def timestamp_counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int, int]:
+    """(tp, fp, fn) over the flagged cells of two masks on one log."""
+    tp = int(np.count_nonzero(pred & gt))
+    return tp, int(np.count_nonzero(pred)) - tp, int(np.count_nonzero(gt)) - tp
 
 
 def f1_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -360,8 +345,9 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
 
 
 def timestamp_f1(pred: ScenarioSet, gt: ScenarioSet) -> float:
-    """Single-pair timestamp F1; empty vs empty is a perfect retrieval."""
-    return f1_from_counts(*timestamp_counts(pred, gt))
+    """Single-pair timestamp F1 over flagged (track, timestamp) pairs; empty vs empty is a perfect retrieval."""
+    p, g = set(pred.pairs()), set(gt.pairs())
+    return f1_from_counts(len(p & g), len(p - g), len(g - p))
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +425,12 @@ def evaluate(
     micro over flagged (track, timestamp) pairs, log F1 treats each pair as
     one binary retrieval decision (positive = non-empty scenario set).
 
-    ``scores`` maps (log id, prediction, ground truth) to that pair's scores
-    with the log they were made on, and is reused only for that same log
-    object; it defaults to a fresh dict per call.
+    Each set is read once as its mask on its log (``_bind``), so a set that
+    flags a pair the log lacks raises UnknownTrack or InconsistentInput with
+    ``side`` set. ``scores`` maps (log id, the bytes of the prediction's mask,
+    the bytes of the ground truth's mask) to that pair's scores with the log
+    they were made on, and is reused only for that same log object; it
+    defaults to a fresh dict per call.
     Before any scoring, a repeated annotation, empty ground truth or a log not
     given raises InconsistentInput with ``side`` GROUND_TRUTH.
     """
@@ -473,31 +462,31 @@ def evaluate(
         per_log_scores: dict[str, tuple[float, float]] = {}
         t_curves: list[tuple[float, ...]] = []
         f_curves: list[tuple[float, ...]] = []
-        for log_id in sorted(universe[query_text]):
+        predicted = predictions.get(query_text, {})
+        for log_id, gt_set in sorted(universe[query_text].items()):
             log = logs[log_id]
-            gt_set = universe[query_text][log_id]
-            pred_set = predictions.get(query_text, {}).get(log_id)
-            if pred_set is None:
-                pred_set = ScenarioSet.empty()
+            pred = _bind(predicted.get(log_id, _NOTHING), log, PREDICTIONS)
+            gt = _bind(gt_set, log, GROUND_TRUTH)
 
-            key = (log_id, pred_set, gt_set)
+            key = (log_id, pred.tobytes(), gt.tobytes())
             scored = scores.get(key)
             if scored is None or scored[0] is not log:
-                t_result = hota_temporal(pred_set, gt_set, log)
-                f_result = hota_full(pred_set, gt_set, log)
+                pred_on, gt_on = ScenarioSet.from_mask(log, pred), ScenarioSet.from_mask(log, gt)
+                t_result = hota_temporal(pred_on, gt_on, log)
+                f_result = hota_full(pred_on, gt_on, log)
                 scored = scores[key] = (
                     log,
                     t_result.score,
                     f_result.score,
                     tuple(a.score for a in t_result.per_alpha),
                     tuple(a.score for a in f_result.per_alpha),
-                    timestamp_counts(pred_set, gt_set),
+                    timestamp_counts(pred, gt),
                 )
             _, t_score, f_score, t_curve, f_curve, (tp, fp, fn) = scored
             ts_tp, ts_fp, ts_fn = ts_tp + tp, ts_fp + fp, ts_fn + fn
 
-            pred_pos = not pred_set.is_empty
-            gt_pos = not gt_set.is_empty
+            pred_pos = tp + fp > 0
+            gt_pos = tp + fn > 0
             if pred_pos and gt_pos:
                 log_tp += 1
             elif pred_pos:

@@ -4,10 +4,11 @@ A ScenarioSet maps track ids to the non-empty set of timestamps at which a
 condition holds for that track. It behaves like an immutable set of
 (track_id, timestamp) pairs with a per-track grouping.
 
-A set a predicate makes on a log is held as that log plus a read-only
-[frames, tracks] bool mask of the log's present pairs. Predicates, set
-operations included, read any set as its mask on their log (``mask_on``);
-the track -> timestamps mapping is built from a mask only when read.
+A set a predicate makes on a log is held as that ``log`` plus a read-only
+[frames, tracks] bool ``mask`` of the log's present pairs; ``LogPack.split``
+gives each log of a pack a view of its rows. Predicates and scoring read any
+set as its mask on their log (``mask_on``); the track -> timestamps mapping
+is built from a mask only when read.
 """
 
 from __future__ import annotations
@@ -17,24 +18,30 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .errors import MalformedFile
+
 if TYPE_CHECKING:
     from .tracklog import TrackLog
 
 
 class ScenarioSet:
-    """Mapping track_id -> frozenset of timestamps; tracks with no timestamps are dropped."""
+    """Mapping track_id -> frozenset of timestamps; tracks with no timestamps are dropped.
+
+    A set made from a mask holds that ``log`` and ``mask``; a set built from a
+    mapping holds None for both.
+    """
 
     def __init__(self, entries: Mapping[str, Iterable[int]] | None = None):
         self.entries = {
             str(track): frozenset(map(int, stamps)) for track, stamps in (entries or {}).items() if len(stamps) > 0
         }
-        self._log = self._mask = None
+        self.log = self.mask = None
 
     @classmethod
     def _of(cls, entries: dict[str, frozenset[int]]) -> "ScenarioSet":
         """A set holding ``entries`` as they are: str keys, non-empty frozensets of int."""
         out = cls.__new__(cls)
-        out.entries, out._log, out._mask = entries, None, None
+        out.entries, out.log, out.mask = entries, None, None
         return out
 
     @classmethod
@@ -45,7 +52,7 @@ class ScenarioSet:
         """
         mask.flags.writeable = False
         out = cls.__new__(cls)
-        out._log, out._mask = log, mask
+        out.log, out.mask = log, mask
         return out
 
     @classmethod
@@ -55,10 +62,10 @@ class ScenarioSet:
     @functools.cached_property
     def entries(self) -> dict[str, frozenset[int]]:
         """Track id -> its timestamps; a set made from a mask builds them on first use."""
-        stamps, mask = self._log.timestamps, self._mask
+        stamps, mask = self.log.timestamps, self.mask
         rows = mask.T.nonzero()[1].tolist()  # column by column, rows in order
         entries, start = {}, 0
-        for track, end in zip(self._log.track_ids, np.count_nonzero(mask, axis=0).cumsum().tolist()):
+        for track, end in zip(self.log.track_ids, np.count_nonzero(mask, axis=0).cumsum().tolist()):
             if end > start:
                 entries[track] = frozenset([stamps[i] for i in rows[start:end]])
                 start = end
@@ -66,8 +73,8 @@ class ScenarioSet:
 
     def mask_on(self, log: "TrackLog") -> np.ndarray:
         """The read-only [frames, tracks] mask of this set's pairs that are present in ``log``."""
-        if self._mask is not None and self._log is log:
-            return self._mask
+        if self.log is log:
+            return self.mask
         row, column = log.row, log.column
         mask = np.zeros(log.present.shape, dtype=bool)
         width = mask.shape[1]
@@ -76,20 +83,21 @@ class ScenarioSet:
             for track, stamps in self.entries.items() if track in column
             for ts in stamps if ts in row
         ]
-        mask.ravel()[cells] = True
-        mask &= log.present
+        if cells:
+            mask.ravel()[cells] = True
+            mask &= log.present
         mask.flags.writeable = False
         return mask
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries if self._mask is None else not np.count_nonzero(self._mask)
+        return not self.entries if self.mask is None else not np.count_nonzero(self.mask)
 
     def __len__(self) -> int:
         """Number of (track, timestamp) pairs."""
-        if self._mask is None:
+        if self.mask is None:
             return sum(len(stamps) for stamps in self.entries.values())
-        return int(np.count_nonzero(self._mask))
+        return int(np.count_nonzero(self.mask))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScenarioSet):
@@ -129,5 +137,11 @@ class ScenarioSet:
         return {track: sorted(self.entries[track]) for track in sorted(self.entries)}
 
     @classmethod
-    def from_json_dict(cls, raw: Mapping[str, Iterable[int]]) -> "ScenarioSet":
-        return cls(raw)
+    def from_json_dict(cls, raw: object) -> "ScenarioSet":
+        """The set a JSON object of track id -> list of integer timestamps holds, without the empty lists' tracks.
+
+        MalformedFile for anything else: a string, float, bool or null for a list or a timestamp.
+        """
+        if not isinstance(raw, dict) or not all(type(v) is list and set(map(type, v)) <= {int} for v in raw.values()):
+            raise MalformedFile("a scenario set must map track ids to lists of integer timestamps")
+        return cls._of({track: frozenset(stamps) for track, stamps in raw.items() if stamps})

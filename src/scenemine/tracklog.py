@@ -250,33 +250,23 @@ class TrackLog:
             yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
 
     @functools.cached_property
-    def lifespans(self) -> Mapping[str, frozenset[int]]:
-        """Each track's set of timestamps where it has a state, built on first use and kept."""
-        stamps = self.timestamps
-        return {
-            track: frozenset([stamps[i] for i in np.flatnonzero(self.present[:, j]).tolist()])
-            for j, track in enumerate(self.track_ids)
-        }
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every (row, a, b, similarity) of two columns a != b present at a row whose centres' similarity is above 0.
 
-    @functools.cached_property
-    def neighbours(self) -> Mapping[str, Mapping[int, Sequence[tuple[str, float]]]]:
-        """Each track's {timestamp: [(other track, similarity), ...]}, built on first use and kept.
-
-        A timestamp lists, in track order, every other track present there
-        whose centre has a ``center_distance_similarity`` above 0 to this
-        track's, with that similarity, this track's centre first. Only such
-        timestamps are listed, and only tracks with one have a row: a track's
-        similarity to itself is exactly 1.0 and is never stored. A squared
-        distance under a bound a little wider than SIMILARITY_SCALE_M picks
-        the candidates, a block of frames at a time, so numpy's rounding can
-        only add one; each candidate's similarity is then the scalar
-        function's value.
+        Four read-only arrays, in (row, a, b) order, built on first use and
+        kept; the similarity is ``center_distance_similarity`` with a's
+        centre first. A track's similarity to itself is exactly 1.0 and is
+        never stored. A squared distance under a bound a little wider than
+        SIMILARITY_SCALE_M picks the candidates, a block of frames at a time,
+        so numpy's rounding can only add one; each candidate's similarity is
+        then the scalar function's value.
         """
-        stamps, ids, centres = self.timestamps, self.track_ids, (self.x, self.y, self.z)
-        table: dict[str, dict[int, list[tuple[str, float]]]] = {}
-        diagonal = np.arange(len(ids))
-        step = max(1, BLOCK_ELEMENTS // max(1, len(ids) ** 2))
-        for start in range(0, len(stamps), step):
+        centres = (self.x, self.y, self.z)
+        width = len(self.track_ids)
+        diagonal = np.arange(width)
+        step = max(1, BLOCK_ELEMENTS // max(1, width**2))
+        found: list[tuple[int, int, int, float]] = []
+        for start in range(0, len(self.timestamps), step):
             rows = slice(start, start + step)
             with np.errstate(over="ignore"):  # centres too far apart to square are no candidates
                 dx, dy, dz = (v[rows, :, None] - v[rows, None, :] for v in centres)
@@ -289,7 +279,11 @@ class TrackLog:
             for row, a, b, ax, ay, az, bx, by, bz in zip(*columns):
                 s = center_distance_similarity((ax, ay, az), (bx, by, bz))
                 if s > 0.0:
-                    table.setdefault(ids[a], {}).setdefault(stamps[row], []).append((ids[b], s))
+                    found.append((row, a, b, s))
+        table = np.array(found, dtype=np.float64).reshape(-1, 4).T
+        table = (*table[:3].astype(np.intp), table[3])  # indices under 2**53 are exact as floats
+        for array in table:
+            array.flags.writeable = False
         return table
 
     @functools.cached_property
@@ -363,15 +357,14 @@ class LogPack:
     starts: tuple[int, ...]  # each member's first row in ``log``
 
     def split(self, result: ScenarioSet) -> dict[str, ScenarioSet]:
-        """Each member's log id -> its rows of ``result``, a set on ``log``, as its own track ids and timestamps."""
+        """Each member's log id -> its rows of ``result``, a set on ``log``, as a set on that member.
+
+        Each set's mask is a view of those rows of ``result``'s mask, not a copy.
+        """
         mask = result.mask_on(self.log)
-        # Most members' sets are empty; only a member with a pair builds its track ids and timestamps.
-        hit = np.logical_or.reduceat(mask.any(axis=1), self.starts).tolist()
         return {
-            member.log_id: ScenarioSet._of(
-                ScenarioSet.from_mask(member, mask[start : start + len(member.timestamps)]).entries if any_pair else {}
-            )
-            for member, start, any_pair in zip(self.members, self.starts, hit)
+            member.log_id: ScenarioSet.from_mask(member, mask[start : start + len(member.timestamps)])
+            for member, start in zip(self.members, self.starts)
         }
 
 

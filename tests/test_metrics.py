@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from collections import Counter
@@ -12,20 +13,23 @@ from scenemine.metrics import (
     DEFAULT_ALPHAS,
     GROUND_TRUTH,
     PREDICTIONS,
+    _bind,
     _lexmin_matching,
     evaluate,
     f1_from_counts,
     hota_full,
     hota_temporal,
-    scenario_fragments,
     timestamp_counts,
     timestamp_f1,
 )
+from scenemine.orchestrator import LogSet
 from scenemine.scenario_set import ScenarioSet
 from scenemine.tracklog import GroundTruthScenario
 
 import oracles
-from util import T0, DT, fragment_log, from_pairs, make_log, near_pair_logs, obj, sset, stamps, state, static_obj
+from util import (
+    T0, DT, fragment_log, from_pairs, make_log, near_pair_logs, obj, random_track_log, sset, stamps, state, static_obj,
+)
 
 TS = stamps(3)
 
@@ -159,7 +163,7 @@ def test_alpha_threshold_excludes_weak_pairs():
 
 
 # ---------------------------------------------------------------------------
-# Scenario sets -> fragments -> the two HOTA variants
+# Scenario sets -> masks -> the two HOTA variants
 
 
 def _partial_log():
@@ -172,34 +176,49 @@ def _partial_log():
     )
 
 
-def test_scenario_fragments_flagged_only():
+def _counts_per_alpha(result):
+    return {(a.tp, a.fn, a.fp) for a in result.per_alpha}
+
+
+def test_a_set_is_bound_to_its_flagged_cells():
     log = _partial_log()
-    frags = scenario_fragments(log, sset({"x": TS[:2]}))
-    assert frags == {"x": {TS[0], TS[1]}}
+    mask = _bind(sset({"x": TS[:2]}), log, PREDICTIONS)
+    assert mask.tolist() == [[True, False], [True, False], [False, False]]
+    assert not mask.flags.writeable
+    made_on_log = ScenarioSet.from_mask(log, mask)
+    assert _bind(made_on_log, log, PREDICTIONS) is mask
 
 
-def test_scenario_fragments_full_lifespan():
+def test_temporal_hota_scores_the_flagged_timestamps_only():
     log = _partial_log()
-    frags = scenario_fragments(log, sset({"x": TS[:1], "y": TS[:1]}), full_lifespan=True)
-    assert set(frags["x"]) == set(TS)
-    assert set(frags["y"]) == {TS[0]}
+    pred = sset({"x": TS[:2]})
+    assert _counts_per_alpha(hota_temporal(pred, pred, log)) == {(2, 0, 0)}
+    assert _counts_per_alpha(hota_temporal(pred, sset({"x": TS}), log)) == {(2, 1, 0)}
 
 
-def test_scenario_fragments_rejects_unknown_track():
-    with pytest.raises(UnknownTrack, match="ghost"):
-        scenario_fragments(_partial_log(), sset({"ghost": TS[:1]}))
+def test_full_hota_scores_each_flagged_track_over_its_lifespan():
+    log = _partial_log()
+    pred = sset({"x": TS[:1], "y": TS[:1]})
+    # x has a state at all three timestamps and y at the first only
+    assert _counts_per_alpha(hota_full(pred, pred, log)) == {(4, 0, 0)}
+    assert hota_full(pred, sset({"x": TS, "y": TS[:1]}), log).score == 1.0
 
 
-def test_scenario_fragments_rejects_flag_without_state():
-    with pytest.raises(InconsistentInput, match="no state there"):
-        scenario_fragments(_partial_log(), sset({"y": [TS[2]]}))
+def test_hota_rejects_an_unknown_track():
+    with pytest.raises(UnknownTrack, match="scenario references track 'ghost' absent from log 'log-test'"):
+        hota_temporal(sset({"ghost": TS[:1]}), sset({"x": TS[:1]}), _partial_log())
+
+
+def test_hota_rejects_a_flag_without_state_naming_its_earliest_timestamp():
+    with pytest.raises(InconsistentInput, match=f"scenario flags track 'y' at {TS[1]} but the track has no state there"):
+        hota_temporal(sset({"y": [TS[2], TS[1], TS[0]]}), sset({"x": TS[:1]}), _partial_log())
 
 
 def test_hota_names_the_side_of_a_scenario_set_error():
     log, good = _partial_log(), sset({"x": TS[:1]})
     ghost, unstated = sset({"ghost": TS[:1]}), sset({"y": [TS[2]]})
     for score, bad, error in ((hota_temporal, ghost, UnknownTrack), (hota_full, ghost, UnknownTrack),
-                              (hota_temporal, unstated, InconsistentInput)):
+                              (hota_temporal, unstated, InconsistentInput), (hota_full, unstated, InconsistentInput)):
         with pytest.raises(error) as pred_fault:
             score(bad, good, log)
         with pytest.raises(error) as gt_fault:
@@ -357,9 +376,10 @@ def test_lexmin_matching_per_component_equals_the_global_matching(eligible):
 
 
 def test_timestamp_counts_and_f1_two_thirds():
+    log = make_log([static_obj("a", "BUS", 0.0, 0.0, n=3), static_obj("b", "BUS", 9.0, 0.0, n=3)], n=3)
     pred = sset({"a": TS})
     gt = sset({"a": TS[:2], "b": TS[:1]})
-    assert timestamp_counts(pred, gt) == (2, 1, 1)
+    assert timestamp_counts(pred.mask_on(log), gt.mask_on(log)) == (2, 1, 1)
     assert timestamp_f1(pred, gt) == 2 / 3
 
 
@@ -554,7 +574,7 @@ def test_a_pair_that_fails_to_score_stores_nothing():
         with pytest.raises(UnknownTrack, match="ghost") as fault:
             evaluate(predictions, ground_truth, logs, scores=scores)
         assert fault.value.side == PREDICTIONS
-        assert list(scores) == [("log-a", hit, hit)]
+        assert [log_id for log_id, _, _ in scores] == ["log-a"]  # q1's pair, and none for the ghost pair
 
 
 def test_an_empty_table_gives_the_default_report():
@@ -564,3 +584,28 @@ def test_an_empty_table_gives_the_default_report():
     predictions = {"q1": {"log-a": two, "log-b": sset({"y": stamps(2)})}}
     default = evaluate(predictions, ground_truth, logs).to_json()
     assert evaluate(predictions, ground_truth, logs, scores={}).to_json() == default
+
+
+def test_evaluate_reads_the_masks_of_sets_made_on_its_logs(monkeypatch):
+    """Mining's sets and ground truth from LogSet.run are scored with no track -> timestamps mapping built."""
+    built = []
+    build = ScenarioSet.__dict__["entries"].func
+
+    def counted(scenario):
+        built.append(scenario)
+        return build(scenario)
+
+    entries = functools.cached_property(counted)
+    entries.__set_name__(ScenarioSet, "entries")
+    monkeypatch.setattr(ScenarioSet, "entries", entries)
+    logs = [random_track_log(seed, max_objects=4, max_frames=8) for seed in range(8)]
+    log_set = LogSet(logs)
+    vehicles = log_set.run('x = get_objects_of_category(category="REGULAR_VEHICLE")\noutput(x)')
+    moving = log_set.run(
+        'v = get_objects_of_category(category="REGULAR_VEHICLE")\n'
+        "x = has_velocity(track_candidates=v, min_velocity=1.0)\noutput(x)"
+    )
+    ground_truth = [GroundTruthScenario(q, log.log_id, vehicles[log.log_id]) for q in ("q1", "q2") for log in logs]
+    report = evaluate({"q1": moving}, ground_truth, {log.log_id: log for log in logs})  # q2 has no predictions
+    assert set(report.per_query) == {"q1", "q2"} and 0.0 < report.hota < 1.0
+    assert built == []

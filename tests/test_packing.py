@@ -172,6 +172,19 @@ def test_calls_that_read_across_frames_stop_at_the_edges_of_each_log(logs, data)
     _assert_each_log_gets_what_it_gets_alone(data.draw(frame_programs(categories)), logs)
 
 
+def test_each_member_set_is_a_view_of_the_pack_output():
+    logs = _twin_logs()
+    (pack,) = pack_logs(logs)
+    program = parse('x = get_objects_of_category(category="REGULAR_VEHICLE")\noutput(x)')
+    result = execute(program, pack.log)
+    per_log = pack.split(result)
+    assert list(per_log) == ["one", "two"]
+    for member, found in zip(pack.members, per_log.values()):
+        assert found.log is member
+        assert np.shares_memory(found.mask_on(member), result.mask_on(pack.log))
+        assert found == execute(program, member)
+
+
 def _twin_logs():
     """Two logs of two tracks each, a car and a bus and a car and a pedestrian, moving and braking."""
     t = stamps(4)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from scenemine.errors import MalformedFile
 from scenemine.predicates import (
     followed_by,
     get_objects_of_category,
@@ -65,6 +67,22 @@ def test_json_round_trip():
     raw = s.to_json_dict()
     assert raw == {"a": [2], "b": [1, 3]}
     assert ScenarioSet.from_json_dict(raw) == s
+
+
+@pytest.mark.parametrize("raw", [
+    {"a": "123"},       # a string, not a list
+    {"a": [1.9, True]},  # a float and a bool in a list
+    {"a": 5},           # a number, not a list
+    {"a": [1], "b": [None]},
+    ["a", [1]],
+])
+def test_from_json_dict_rejects_anything_but_lists_of_integers(raw):
+    with pytest.raises(MalformedFile, match="must map track ids to lists of integer timestamps"):
+        ScenarioSet.from_json_dict(raw)
+
+
+def test_from_json_dict_drops_an_empty_list():
+    assert ScenarioSet.from_json_dict({"a": [], "b": [2, 1]}) == sset({"b": [1, 2]})
 
 
 @given(scenario_sets, scenario_sets)
@@ -203,7 +221,7 @@ def test_equal_sets_hash_alike_and_unequal_sets_are_unequal():
 def test_len_of_a_predicate_result_builds_no_pairs():
     log = random_track_log(3, 6, 12)
     vehicles = get_objects_of_category(log, "REGULAR_VEHICLE")
-    every = has_velocity(log, ScenarioSet({t: log.lifespans[t] for t in log.track_ids}))
+    every = has_velocity(log, ScenarioSet.from_mask(log, log.present))
     results = [
         vehicles,
         every,
