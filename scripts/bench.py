@@ -20,8 +20,10 @@ queries call it, ``dsl.interpret`` of one
 multi-statement ``argo_files`` program (``INTERPRET_QUERY``'s, parsed once)
 with its output read through ``to_json_dict`` (``interpret_s``), and
 ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
-frames) against all tracks. The HOTA rows reuse one log, so after their first repeat its table is
-built, and only ``hota_table_s`` shows what building it costs. Sweep times
+frames) against all tracks. The HOTA rows reuse one log whose table is built
+before they are timed, so only ``hota_table_s`` shows what building it costs.
+Every timed repeat starts after a ``gc.collect()``, so no repeat pays for a
+collection the garbage of earlier ones made due. Sweep times
 are unscaled seconds, the median of SWEEP_REPEATS, given and printed with the
 host scale ``run.py`` would apply to a time measured between the row's
 calibrations; the host drifts between rows and runs, so two rows' times
@@ -44,6 +46,7 @@ runs of one (workload, seed) differ in a figure other than a time.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -131,6 +134,7 @@ def combine_traced(runs: list[dict]) -> dict:
 def _median_time(action, repeats: int) -> float:
     times = []
     for _ in range(repeats):
+        gc.collect()
         start = time.perf_counter()
         action()
         times.append(time.perf_counter() - start)
@@ -144,6 +148,7 @@ def _table_time(path: str, repeats: int) -> float:
     times = []
     for _ in range(repeats):
         log = load_log(path)
+        gc.collect()
         start = time.perf_counter()
         log.neighbours
         times.append(time.perf_counter() - start)
@@ -214,6 +219,7 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
     program = parse(next(code for query, code, _ in scenes.ARGO_QUERIES if query == INTERPRET_QUERY))
     row["interpret_s"] = _median_time(lambda: interpret(program, log).to_json_dict(), repeats)
+    log.neighbours  # built here, so the HOTA rows time scoring alone
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
     row["host_scale"] = run.host_scale(before + run.calibration_times())

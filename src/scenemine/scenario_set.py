@@ -77,15 +77,10 @@ class ScenarioSet:
             return self.mask
         row, column = log.row, log.column
         mask = np.zeros(log.present.shape, dtype=bool)
-        width = mask.shape[1]
-        cells = [
-            row[ts] * width + column[track]
-            for track, stamps in self.entries.items() if track in column
-            for ts in stamps if ts in row
-        ]
-        if cells:
-            mask.ravel()[cells] = True
-            mask &= log.present
+        for track, stamps in self.entries.items():
+            if track in column:
+                mask[[row[ts] for ts in stamps if ts in row], column[track]] = True
+        mask &= log.present
         mask.flags.writeable = False
         return mask
 

@@ -48,6 +48,22 @@ def _state_fault(position: Vec3, heading: float, velocity: Vec3, box_dims: Vec3)
     return None
 
 
+def _bad_states(values: np.ndarray) -> np.ndarray:
+    """For each column of [10, S] state values, whether ``_state_fault`` finds a fault in it."""
+    heading, box_dims = values[3], values[7:]
+    bad = ~np.isfinite(values).all(axis=0) | (heading <= -math.pi) | (heading > math.pi)
+    return bad | (box_dims <= 0).any(axis=0)
+
+
+def _track_fault(track_id: str, states: Mapping) -> str | None:
+    """What an object's id and states break, the first in the order they are checked; None if nothing."""
+    if not track_id:
+        return "track_id must be a non-empty string"
+    if not states:
+        return f"object '{track_id}' has no states"
+    return None
+
+
 @dataclass(frozen=True)
 class ObjectState:
     """Kinematic state of one object at one timestamp.
@@ -81,10 +97,9 @@ class TrackedObject:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", {int(ts): st for ts, st in self.states.items()})
-        if not self.track_id:
-            raise InvariantViolation("track_id must be a non-empty string")
-        if not self.states:
-            raise InvariantViolation(f"object '{self.track_id}' has no states")
+        fault = _track_fault(self.track_id, self.states)
+        if fault:
+            raise InvariantViolation(fault)
 
 
 class TrackLog:
@@ -184,9 +199,7 @@ class TrackLog:
             if outside.any():
                 s = int(np.argmax(outside))
                 raise InvariantViolation(f"log '{log_id}' state {s}: {what} {int(index[s])} is outside 0..{size - 1}")
-        heading, box_dims = values[3], values[7:]
-        bad = ~np.isfinite(values).all(axis=0) | (heading <= -math.pi) | (heading > math.pi)
-        bad |= (box_dims <= 0).any(axis=0)
+        bad = _bad_states(values)
         if bad.any():
             s = int(np.argmax(bad))
             v = values[:, s].tolist()
@@ -214,34 +227,32 @@ class TrackLog:
 
     @classmethod
     def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
-        """Construct from an object sequence through :meth:`from_arrays`.
-
-        A state at a timestamp the log lacks is rejected after the checks of
-        :meth:`from_arrays`.
-        """
+        """Construct from an object sequence through :meth:`_from_stamps`."""
         objects = tuple(objects)
+        owners = np.repeat(np.arange(len(objects)), [len(obj.states) for obj in objects])
+        states = [st for obj in objects for st in obj.states.values()]
+        return cls._from_stamps(
+            log_id, timestamps, [(obj.track_id, obj.category) for obj in objects], owners,
+            [ts for obj in objects for ts in obj.states],
+            np.array([(*st.position, st.heading, *st.velocity, *st.box_dims) for st in states]).reshape(-1, 10).T,
+        )
+
+    @classmethod
+    def _from_stamps(
+        cls, log_id: str, timestamps: Iterable[int], tracks: Sequence[tuple[str, ObjectCategory]],
+        owners: np.ndarray, stamps: Sequence[int], values: np.ndarray,
+    ) -> "TrackLog":
+        """:meth:`from_arrays` with state s at timestamp ``stamps[s]``, not a row; a stamp the log lacks fails last."""
         timestamps = tuple(int(t) for t in timestamps)
         row = {ts: i for i, ts in enumerate(timestamps)}
-        owners, rows, values, stray = [], [], [], None
-        for k, obj in enumerate(objects):
-            for ts, st in obj.states.items():
-                if ts not in row:
-                    stray = stray or obj  # reported once from_arrays has checked the rest
-                    continue
-                owners.append(k)
-                rows.append(row[ts])
-                values.append((*st.position, st.heading, *st.velocity, *st.box_dims))
-        log = cls.from_arrays(
-            log_id, timestamps, [(obj.track_id, obj.category) for obj in objects],
-            np.array(owners, dtype=np.intp), np.array(rows, dtype=np.intp),
-            np.array(values, dtype=np.float64).reshape(-1, 10).T,
-        )
-        if stray is not None:
-            raise InvariantViolation(
-                f"object '{stray.track_id}' has states at timestamps absent from the log: "
-                f"{sorted(ts for ts in stray.states if ts not in row)[:3]}"
-            )
-        return log
+        rows = np.fromiter(map(row.get, stamps, itertools.repeat(-1)), dtype=np.intp, count=len(stamps))
+        stray = rows < 0
+        if not stray.any():
+            return cls.from_arrays(log_id, timestamps, tracks, owners, rows, values)
+        cls.from_arrays(log_id, timestamps, tracks, owners[~stray], rows[~stray], values[:, ~stray])
+        k = owners[np.argmax(stray)]
+        lost = sorted(ts for ts, owner in zip(stamps, owners) if owner == k and ts not in row)
+        raise InvariantViolation(f"object '{tracks[k][0]}' has states at timestamps absent from the log: {lost[:3]}")
 
     def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
         """Per column: the track id, its category, the rows where it has a state and those states' values."""
@@ -465,7 +476,15 @@ def _float_triple(raw: object, where: str) -> Vec3:
     return (_float(raw[0], where), _float(raw[1], where), _float(raw[2], where))
 
 
-def _parse_state(raw: object, where: str) -> ObjectState:
+def _check_state(key: str, raw: object, owhere: str) -> None:
+    """Raise naming the first fault of the object at ``owhere``'s state at ``key``: key, fields, then values."""
+    try:
+        ts = int(key)
+    except ValueError:
+        raise MalformedFile(f"{owhere}.states: key '{key}' is not an integer timestamp") from None
+    if str(ts) != key:  # else "01000" and "1000" would both name one timestamp
+        raise MalformedFile(f"{owhere}.states: key '{key}' is not a timestamp written as '{ts}'")
+    where = f"{owhere}.states[{key}]"
     if not isinstance(raw, dict):
         raise MalformedFile(f"{where}: expected an object")
     position = _float_triple(_require(raw, "position", list, where), f"{where}.position")
@@ -474,112 +493,97 @@ def _parse_state(raw: object, where: str) -> ObjectState:
         raise MalformedFile(f"{where}.heading: expected a number, got bool")
     velocity = _float_triple(_require(raw, "velocity", list, where), f"{where}.velocity")
     box_dims = _float_triple(_require(raw, "box_dims", list, where), f"{where}.box_dims")
-    try:
-        return ObjectState(position, _float(heading, f"{where}.heading"), velocity, box_dims)
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{where}: {exc}") from None
+    fault = _state_fault(position, _float(heading, f"{where}.heading"), velocity, box_dims)
+    if fault:
+        raise InvariantViolation(f"{where}: {fault}")
+
+
+def _object_header(raw: object, where: str) -> tuple[str, ObjectCategory, dict]:
+    """An object's track id, category and state map; MalformedFile names the first field at fault."""
+    if not isinstance(raw, dict):
+        raise MalformedFile(f"{where}: expected an object")
+    track_id = _require(raw, "track_id", str, where)
+    category = _require(raw, "category", str, where)
+    if category not in DEFAULT_REGISTRY:
+        raise MalformedFile(
+            f"{where}.category: unknown category '{category}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
+        )
+    return track_id, DEFAULT_REGISTRY.category(category), _require(raw, "states", dict, where)
 
 
 _STATE_PARTS = operator.itemgetter("position", "heading", "velocity", "box_dims")
 
 
-def _log_from_arrays(raw: object) -> TrackLog | None:
-    """The log a parsed file holds, read into arrays in one pass and checked by :meth:`TrackLog.from_arrays`.
+def _state_values(keys: list[str], states: list) -> tuple[list[int], np.ndarray]:
+    """Each state key's timestamp and the states' [10, S] values, read in bulk.
 
-    None when any test or check fails. They pass only a file the
-    state-by-state walk (``_walk_log``) reads to an equal log; they may also
-    fail a file the walk accepts, such as one with no objects, which the walk
-    then reads.
+    Raises ValueError, TypeError, KeyError or OverflowError, naming no state,
+    unless ``_check_state`` passes every key and state.
     """
-    if type(raw) is not dict:
-        return None
-    log_id, stamps, objects = raw.get("log_id"), raw.get("timestamps"), raw.get("objects")
-    if not (type(log_id) is str and type(stamps) is list and stamps and type(objects) is list):
-        return None
-    tracks, keys, states, counts = [], [], [], []
-    for obj in objects:
-        if type(obj) is not dict:
-            return None
-        track_id, category, by_key = obj.get("track_id"), obj.get("category"), obj.get("states")
-        if not (
-            type(track_id) is str and track_id and type(category) is str and category in DEFAULT_REGISTRY
-            and type(by_key) is dict and by_key
-        ):
-            return None
-        tracks.append((track_id, DEFAULT_REGISTRY.category(category)))
-        keys += by_key
-        states += by_key.values()
-        counts.append(len(by_key))
-    if not states:
-        return None
-    try:
-        key_stamps = list(map(int, keys))
-        positions, headings, velocities, boxes = zip(*map(_STATE_PARTS, states))
-    except (ValueError, TypeError, KeyError):  # a key not an integer, a state not an object or missing a field
-        return None
+    key_stamps = list(map(int, keys))
+    positions, headings, velocities, boxes = zip(*map(_STATE_PARTS, states)) if states else ((),) * 4
     triples = positions + velocities + boxes
-    if list(map(str, key_stamps)) != keys or set(map(type, triples)) != {list} or set(map(len, triples)) != {3}:
-        return None
+    if list(map(str, key_stamps)) != keys or not set(map(type, triples)) <= {list} or not set(map(len, triples)) <= {3}:
+        raise ValueError("a key or a state field is at fault")
     numbers = list(itertools.chain.from_iterable(triples))
     numbers += headings
-    if set(map(type, stamps)) != {int} or not set(map(type, numbers)) <= {int, float}:
-        return None
-    try:
-        flat = np.array(numbers, dtype=np.float64)
-        stamp_array = np.array(stamps, dtype=np.int64)
-        key_array = np.array(key_stamps, dtype=np.int64)
-    except OverflowError:
-        return None
-    rows = np.minimum(np.searchsorted(stamp_array, key_array), len(stamps) - 1)
-    if not np.array_equal(stamp_array[rows], key_array):  # a state at a timestamp the log lacks
-        return None
+    if not set(map(type, numbers)) <= {int, float}:  # numpy would read true, null or "1.5" as a number
+        raise ValueError("a state number is at fault")
+    flat = np.array(numbers, dtype=np.float64)
     s = len(states)
     position, velocity, box_dims = flat[: 9 * s].reshape(3, s, 3)
     values = np.vstack([position.T, flat[9 * s:], velocity.T, box_dims.T])
-    try:
-        return TrackLog.from_arrays(log_id, stamps, tracks, np.repeat(np.arange(len(tracks)), counts), rows, values)
-    except InvariantViolation:
-        return None
+    if _bad_states(values).any():
+        raise ValueError("a state's values are at fault")
+    return key_stamps, values
 
 
-def _walk_log(raw: object, where: str) -> TrackLog:
-    """The log a parsed file holds, read state by state; raises naming the first fault it meets."""
+def _read_log(raw: object, where: str) -> TrackLog:
+    """The log a parsed file holds, read into arrays; raises naming the first fault in file order.
+
+    A header's fault, or an object's empty id or state map, is held until
+    the states before it are checked; ``_state_values`` finds whether any is
+    at fault, and only then does ``_check_state`` name the first.
+    """
     if not isinstance(raw, dict):
         raise MalformedFile(f"{where}: top level must be an object")
     log_id = _require(raw, "log_id", str, where)
-    timestamps_raw = _require(raw, "timestamps", list, where)
-    if not all(isinstance(t, int) and not isinstance(t, bool) for t in timestamps_raw):
+    stamps = _require(raw, "timestamps", list, where)
+    if not set(map(type, stamps)) <= {int}:
         raise MalformedFile(f"{where}.timestamps: expected a list of integers")
-    objects_raw = _require(raw, "objects", list, where)
-
-    objects: list[TrackedObject] = []
-    for i, obj_raw in enumerate(objects_raw):
+    objects = _require(raw, "objects", list, where)
+    tracks, keys, states, counts, held = [], [], [], [], None
+    for i, obj in enumerate(objects):
         owhere = f"{where}.objects[{i}]"
-        if not isinstance(obj_raw, dict):
-            raise MalformedFile(f"{owhere}: expected an object")
-        track_id = _require(obj_raw, "track_id", str, owhere)
-        category_name = _require(obj_raw, "category", str, owhere)
-        if category_name not in DEFAULT_REGISTRY:
-            raise MalformedFile(
-                f"{owhere}.category: unknown category '{category_name}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
-            )
-        states_raw = _require(obj_raw, "states", dict, owhere)
-        states: dict[int, ObjectState] = {}
-        for ts_key, state_raw in states_raw.items():
-            try:
-                ts = int(ts_key)
-            except ValueError:
-                raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not an integer timestamp") from None
-            if str(ts) != ts_key:  # else "01000" and "1000" would both name one timestamp
-                raise MalformedFile(f"{owhere}.states: key '{ts_key}' is not a timestamp written as '{ts}'")
-            states[ts] = _parse_state(state_raw, f"{owhere}.states[{ts_key}]")
         try:
-            objects.append(TrackedObject(track_id, DEFAULT_REGISTRY.category(category_name), states))
-        except InvariantViolation as exc:
-            raise InvariantViolation(f"{owhere}: {exc}") from None
-
+            track_id, category, by_key = _object_header(obj, owhere)
+        except MalformedFile as exc:
+            held = exc
+            break
+        tracks.append((track_id, category))
+        keys += by_key
+        states += by_key.values()
+        counts.append(len(by_key))
+        fault = _track_fault(track_id, by_key)
+        if fault:  # raised after this object's own states are checked
+            held = InvariantViolation(f"{owhere}: {fault}")
+            break
     try:
-        return TrackLog.build(log_id, timestamps_raw, objects)
+        key_stamps, values = _state_values(keys, states)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        failed = exc
+    else:
+        failed = None
+    if failed is not None:  # some key or state is at fault: name the first
+        for i, obj in enumerate(objects[: len(counts)]):
+            for key, state in obj["states"].items():
+                _check_state(key, state, f"{where}.objects[{i}]")
+        raise failed  # not reached: the bulk read fails only where a check names a fault
+    if held is not None:
+        raise held
+    owners = np.repeat(np.arange(len(tracks)), counts)
+    try:
+        return TrackLog._from_stamps(log_id, stamps, tracks, owners, key_stamps, values)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from None
 
@@ -600,8 +604,9 @@ def _collector_paused() -> Iterator[None]:
 def load_log(path: str | Path) -> TrackLog:
     """Load a track log from JSON, enforcing the schema and all invariants.
 
-    The file goes straight into arrays; only a file that fails an array
-    test is walked state by state, to name its first fault.
+    One reader takes every file straight into arrays; only when bulk tests
+    find a key or state at fault are the states checked one by one, to name
+    the first fault in file order.
 
     The cyclic garbage collector is paused while the file is parsed and read,
     and left on or off as it was found, whether the load returns or raises.
@@ -612,9 +617,7 @@ def load_log(path: str | Path) -> TrackLog:
     path = Path(path)
     with _collector_paused():
         raw = read_json(path, "track log")
-        log = _log_from_arrays(raw)
-        if log is None:
-            log = _walk_log(raw, path.name)
+        log = _read_log(raw, path.name)
         del raw  # freed here, before the collector resumes
     return log
 

@@ -517,12 +517,14 @@ def hota_per_alpha(pred, gt, alphas=DEFAULT_ALPHAS):
 # Log loading one state at a time. Like hota_per_alpha, this is the package's
 # earlier implementation: it builds an ObjectState per state and a
 # TrackedObject per track, each checking its own invariants, then the log.
-# The array-first loader must read every file it accepts to an equal log, and
-# reject every other file with the same error, except where this walk has no
-# clean error of its own: a number too large for a float (OverflowError) and
-# a state key that int() reads but that is not written canonically (which
-# this walk accepts, keeping the last state of a timestamp written twice),
-# and true or false for a state number (which this walk reads as 1 or 0).
+# load_log's one reader takes every file into arrays and checks states one by
+# one only to name a fault. It must read every file this walk accepts to an
+# equal log, and reject every other file with the same error, except where
+# this walk has no clean error of its own: a number too large for a float
+# (OverflowError) and a state key that int() reads but that is not written
+# canonically (which this walk accepts, keeping the last state of a timestamp
+# written twice), and true or false for a state number (which this walk reads
+# as 1 or 0).
 
 
 def _require(raw, key, kind, where):
