@@ -31,7 +31,7 @@ from .metrics import EvalReport, evaluate
 from .orchestrator import BatchResult, LogSet, MiningConfig, extract_code, run_batch
 from .predicates import REGISTRY, ROLE_RELATED, ROLE_TRACK
 from .providers import ScriptedProvider, make_fixture
-from .synth import ScenarioSpec, generate_scenario_log
+from .synth import ScenarioSpec, build_scenario_log, certify
 from .tracklog import GroundTruthScenario, TrackLog, write_text_atomic
 
 FAULT_SYNTAX = "syntax"
@@ -210,10 +210,13 @@ def build_suite() -> AblationSuite:
     matter for log F1. It is each reference program run on the ``LogSet`` of
     the sorted logs, under the text a mining round extracts from the
     program's scripted reply, so a round that returns a reference program on
-    that ``LogSet`` runs nothing.
+    that ``LogSet`` runs nothing. Each log is certified against its own
+    query's entry of that run, so a reference program is parsed once and
+    run once per pack, never on a log alone.
     """
     queries: list[AblationQuery] = []
     logs: dict[str, TrackLog] = {}
+    results = []
     index = 0
     for family in _FAMILIES:
         for instance, params in enumerate(_VARIANTS[family]):
@@ -223,19 +226,21 @@ def build_suite() -> AblationSuite:
                 num_frames=_FRAMES[instance],
                 params=params,
             )
-            result = generate_scenario_log(spec)
+            result = build_scenario_log(spec)
             fault = (FAULT_SYNTAX, FAULT_SWAP, FAULT_CLEAN)[index % 3]
             queries.append(
                 AblationQuery(family, instance, fault, result.query, result.program, spec.log_id)
             )
             logs[spec.log_id] = result.log
+            results.append(result)
             index += 1
 
     log_set = LogSet([logs[log_id] for log_id in sorted(logs)])
     ground_truth = []
-    for query in queries:
+    for query, result in zip(queries, results):
         code = extract_code(_reply(query.program))
         found = log_set.run(code)
+        certify(result, found[query.log_id])
         ground_truth += [GroundTruthScenario(query.query_text, log_id, found[log_id]) for log_id in found]
     return AblationSuite(tuple(queries), logs, tuple(ground_truth), log_set)
 

@@ -7,6 +7,9 @@ translated by a seeded rigid transform (every predicate is invariant to
 that), slow far-away distractors are sprinkled on an outer ring, and the
 declared ground truth is certified by actually running the program on the
 finished log -- any mismatch is a generation bug and raises InfeasibleSpec.
+``generate_scenario_log`` runs the program on that log alone; a caller that
+runs it anyway, as the ablation suite does on its packed logs, builds with
+``build_scenario_log`` and hands what the program mined to ``certify``.
 
 Templates produce positive logs (the scenario occurs) and negative variants
 (same cast, scenario never occurs), which gives retrieval metrics real
@@ -426,8 +429,8 @@ def _distractors(rng: random.Random, count: int, n: int) -> list:
     return actors
 
 
-def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
-    """Build the log for a spec and certify its declared ground truth."""
+def build_scenario_log(spec: ScenarioSpec) -> SynthResult:
+    """Build the log for a spec and its declared ground truth, running nothing; ``certify`` checks them."""
     builder = _BUILDERS.get(spec.template)
     if builder is None:
         raise InfeasibleSpec(
@@ -468,7 +471,17 @@ def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
             for track, indices in layout.expected.items()
         }
     )
-    mined = interpret(parse(layout.program), log)
+    ground_truth = GroundTruthScenario(layout.query, spec.log_id, expected)
+    return SynthResult(spec, log, ground_truth, layout.query, layout.program)
+
+
+def certify(result: SynthResult, mined: ScenarioSet) -> None:
+    """Raise InfeasibleSpec unless ``mined``, what the result's program found on its log, is the declared set.
+
+    A negative spec must also declare an empty set, and a positive one a
+    non-empty set.
+    """
+    spec, expected = result.spec, result.ground_truth.relevant
     if mined != expected:
         raise InfeasibleSpec(
             f"certification failed for {spec.log_id}: program mined "
@@ -480,8 +493,12 @@ def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
             f"but ground truth {'is' if expected.is_empty else 'is not'} empty"
         )
 
-    ground_truth = GroundTruthScenario(layout.query, spec.log_id, expected)
-    return SynthResult(spec, log, ground_truth, layout.query, layout.program)
+
+def generate_scenario_log(spec: ScenarioSpec) -> SynthResult:
+    """Build the log for a spec and certify its declared ground truth by running its program on it."""
+    result = build_scenario_log(spec)
+    certify(result, interpret(parse(result.program), result.log))
+    return result
 
 
 def write_bundle(result: SynthResult, out_dir: str) -> dict[str, str]:

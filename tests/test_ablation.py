@@ -1,13 +1,16 @@
+import dataclasses
+import functools
 import importlib.util
 import json
 import os
 import pathlib
+import re
 import sys
 import time
 
 import pytest
 
-from scenemine import ablation, dsl, metrics, orchestrator
+from scenemine import ablation, dsl, metrics, orchestrator, synth
 from scenemine.ablation import (
     ARMS,
     FAULT_CLEAN,
@@ -169,6 +172,99 @@ def test_suite_ground_truth_is_certified(suite):
         own = gt[(q.query_text, q.log_id)]
         assert not own.is_empty
         assert interpret(parse(q.program), suite.logs[q.log_id]) == own
+
+
+def _count_calls(monkeypatch, original):
+    """The arguments of each call to ``original`` made through any scenemine module that binds it."""
+    calls = []
+
+    @functools.wraps(original)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "scenemine":
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_building_the_suite_parses_each_reference_once_and_runs_it_only_on_the_packs(monkeypatch):
+    parsed = _count_calls(monkeypatch, dsl.parse)
+    interpreted = _count_calls(monkeypatch, dsl.interpret)
+    executed = _count_calls(monkeypatch, dsl.execute)
+    built = build_suite()
+    references = _reference_codes(built.queries)
+    assert len(references) == 30
+    assert sorted(code for code, in parsed) == sorted(references)
+    assert interpreted == []
+    # Each reference program runs once on each of the LogSet's 3 packs, which between them hold every log once.
+    runs = {(pretty_print(program), log.log_id) for program, log in executed}
+    packs = {pack for _, pack in runs}
+    assert len(packs) == 3
+    assert sorted(log_id for pack in packs for log_id in pack.split("+")) == sorted(built.logs)
+    assert len(executed) == len(runs) == 30 * 3
+
+
+def test_a_pass_parses_60_texts_and_executes_120_programs(monkeypatch):
+    parsed = _count_calls(monkeypatch, dsl.parse)
+    interpreted = _count_calls(monkeypatch, dsl.interpret)
+    executed = _count_calls(monkeypatch, dsl.execute)
+    run_ablation()
+    # The suite parses the 30 reference texts, role_swapped the 10 it swaps, and the repair arm its
+    # 10 syntax-broken and 10 role-swapped first replies. The 30 reference programs and the 10
+    # role-swapped ones each run once per pack.
+    assert len(parsed) == 30 + 10 + 20
+    assert interpreted == []
+    assert len(executed) == (30 + 10) * 3
+
+
+def _recorded_specs(monkeypatch):
+    """The spec of each log the suite builds, in order."""
+    specs = []
+    build = ablation.build_scenario_log
+
+    def recorded(spec):
+        specs.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(ablation, "build_scenario_log", recorded)
+    return specs
+
+
+def _drop_a_declared_frame(layout):
+    expected = dict(layout.expected)
+    track = next(iter(expected))
+    expected[track] = list(expected[track])[1:]
+    return dataclasses.replace(layout, expected=expected)
+
+
+# Layouts wrapped so that the declared set is not what the program mines, or is empty for a positive spec.
+_LAYOUT_FAULTS = {
+    "declared": lambda builder, params, n, negative: _drop_a_declared_frame(builder(params, n, negative)),
+    "negative": lambda builder, params, n, negative: builder(params, n, True),
+}
+
+
+@pytest.mark.parametrize("family", ablation._FAMILIES)
+@pytest.mark.parametrize("mismatch", list(_LAYOUT_FAULTS))
+def test_the_suite_certifies_each_log_as_generating_it_alone_does(monkeypatch, family, mismatch):
+    # The suite fails with the error generate_scenario_log gives for the first spec of that family.
+    monkeypatch.setitem(synth._BUILDERS, family, functools.partial(_LAYOUT_FAULTS[mismatch], synth._BUILDERS[family]))
+    specs = _recorded_specs(monkeypatch)
+    with pytest.raises(InfeasibleSpec) as in_suite:
+        build_suite()
+    spec = next(spec for spec in specs if spec.template == family)
+    with pytest.raises(InfeasibleSpec) as alone:
+        synth.generate_scenario_log(spec)
+    assert str(in_suite.value) == str(alone.value)
+    prefix = f"certification failed for {spec.log_id}: "
+    if mismatch == "declared":
+        assert re.fullmatch(re.escape(prefix) + r"program mined \{.*\} but the layout declares \{.*\}", str(alone.value))
+    else:
+        assert str(alone.value) == prefix + "negative=False but ground truth is empty"
 
 
 def test_swapped_programs_really_retrieve_the_wrong_tracks(suite):

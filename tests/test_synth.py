@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from scenemine import ablation, synth, tracklog
 from scenemine.dsl import interpret, parse
 from scenemine.errors import InfeasibleSpec
+from scenemine.scenario_set import ScenarioSet
 from scenemine.synth import (
     BASE_TS,
     DT_NS,
@@ -227,6 +228,25 @@ def test_generation_is_certified_for_any_seed(template, seed, negative):
     result = generate_scenario_log(ScenarioSpec(template, seed, negative=negative))
     assert interpret(parse(result.program), result.log) == result.ground_truth.relevant
     assert result.ground_truth.relevant.is_empty == negative
+
+
+@pytest.mark.parametrize("negative", [False, True])
+def test_building_runs_nothing_and_certify_checks_a_mined_set(monkeypatch, negative):
+    spec = ScenarioSpec("crossing", seed=6, negative=negative)
+    certified = generate_scenario_log(spec)
+    monkeypatch.setattr(synth, "parse", None)
+    monkeypatch.setattr(synth, "interpret", None)
+    built = synth.build_scenario_log(spec)
+    assert built.log == certified.log and built.ground_truth == certified.ground_truth
+    assert built.manifest == certified.manifest
+    synth.certify(built, certified.ground_truth.relevant)
+    other = ScenarioSet({"ego": [BASE_TS]})
+    with pytest.raises(InfeasibleSpec) as raised:
+        synth.certify(built, other)
+    assert str(raised.value) == (
+        f"certification failed for {spec.log_id}: program mined {other.to_json_dict()} "
+        f"but the layout declares {certified.ground_truth.relevant.to_json_dict()}"
+    )
 
 
 # ---------------------------------------------------------------------------

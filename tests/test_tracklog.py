@@ -684,6 +684,50 @@ def test_array_loader_matches_the_state_walk(tmp_path_factory, data):
         assert isinstance(got, TrackLog) and got == want, (mutation, got)
 
 
+def _set_state(obj, field, value, ts=None):
+    obj["states"][str(ts or stamps(2)[0])][field] = value
+
+
+def _stray_state(obj):
+    obj["states"][str(stamps(3)[2])] = obj["states"][str(stamps(2)[0])]
+
+
+# (fault in object 0, fault in object 1, the object whose fault wins): the walk checks each object's
+# header and then its states in file order, and a state at a timestamp the log lacks only when the
+# log is built.
+_CROSS_OBJECT_FAULTS = {
+    "header fault after a state-value fault": (
+        lambda obj: _set_state(obj, "heading", "north"), lambda obj: obj.update(category="UNICYCLE"), 0,
+    ),
+    "state fault after a header fault": (
+        lambda obj: obj.pop("track_id"), lambda obj: _set_state(obj, "position", [1, 2]), 0,
+    ),
+    "two state faults": (
+        lambda obj: _set_state(obj, "heading", 9.9, stamps(2)[1]), lambda obj: _set_state(obj, "velocity", None), 0,
+    ),
+    "two state faults, the later one of another class": (
+        lambda obj: _set_state(obj, "box_dims", [1, 1, "x"]), lambda obj: _set_state(obj, "heading", math.nan), 0,
+    ),
+    "stray timestamp then a header fault": (_stray_state, lambda obj: obj.pop("track_id"), 1),
+    "stray timestamp then a state fault": (
+        _stray_state, lambda obj: _set_state(obj, "position", [1, 2, math.inf]), 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("first, second, winner", _CROSS_OBJECT_FAULTS.values(), ids=list(_CROSS_OBJECT_FAULTS))
+def test_the_first_fault_across_objects_is_the_walks(tmp_path, first, second, winner):
+    raw = json.loads(dump_log_text(make_log([static_obj("a", "BUS", 0, 0), static_obj("b", "PEDESTRIAN", 9, 0)])))
+    first(raw["objects"][0])
+    second(raw["objects"][1])
+    path = _write(tmp_path, raw)
+    want = _outcome(oracles.load_log_walk, path)
+    assert isinstance(want, (MalformedFile, InvariantViolation))
+    assert str(want).startswith(f"bad.json.objects[{winner}]")
+    got = _outcome(load_log, path)
+    assert (type(got), str(got)) == (type(want), str(want))
+
+
 @settings(max_examples=10)
 @given(st.integers(0, 9), st.integers(0, 3), st.integers(2, 12))
 def test_argo_shaped_log_files_round_trip_byte_for_byte(tmp_path_factory, seed, slot, num_objects):
