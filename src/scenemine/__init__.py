@@ -5,7 +5,7 @@ executed fault-tolerantly against track logs, and the retrieved scenarios
 are scored with identity-aware retrieval metrics.
 """
 
-from .categories import DEFAULT_REGISTRY, ObjectCategory
+from .categories import DEFAULT_REGISTRY
 from .dsl import DslError, Span, check, describe_functions, execute, interpret, parse, pretty_print
 from .errors import (
     InfeasibleSpec,
@@ -70,7 +70,6 @@ __all__ = [
     "MalformedFile",
     "MiningConfig",
     "MiningOutcome",
-    "ObjectCategory",
     "ObjectState",
     "ParamSpec",
     "ProviderError",

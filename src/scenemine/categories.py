@@ -2,7 +2,7 @@
 
 The seven Argoverse-style names in :data:`REQUIRED_CATEGORIES` are the whole
 vocabulary: logs, ground truth and programs may name no other category.
-:data:`DEFAULT_REGISTRY` checks and resolves names against it.
+:data:`DEFAULT_REGISTRY` checks names against it. A category is its name.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ REQUIRED_CATEGORIES = (
 
 
 @dataclass(frozen=True)
-class ObjectCategory:
-    """A validated category name. Obtain instances via DEFAULT_REGISTRY.category()."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class CategoryRegistry:
     """An ordered, duplicate-free set of category names."""
 
@@ -38,11 +31,11 @@ class CategoryRegistry:
     def __contains__(self, name: object) -> bool:
         return name in self.names
 
-    def category(self, name: str) -> ObjectCategory:
-        """Resolve a name to an ObjectCategory, or raise UnknownCategory."""
+    def category(self, name: str) -> str:
+        """The name itself, once checked; UnknownCategory for a name outside the vocabulary."""
         if name not in self.names:
             raise UnknownCategory(f"unknown category '{name}'; registry has: {', '.join(self.names)}")
-        return ObjectCategory(name)
+        return name
 
 
 DEFAULT_REGISTRY = CategoryRegistry(REQUIRED_CATEGORIES)

@@ -20,7 +20,7 @@ from .errors import InconsistentInput, InvalidParameter, MalformedFile, Scenario
 from .metrics import PREDICTIONS, evaluate
 from .orchestrator import MiningConfig, run_batch
 from .predicates import registry_catalog
-from .providers import HttpProvider, ScriptedProvider
+from .providers import HttpProvider, ScriptedProvider, is_unicode
 from .scenario_set import ScenarioSet
 from .synth import ScenarioSpec, TEMPLATES, generate_scenario_log, write_bundle
 from .tracklog import TrackLog, load_ground_truth, load_log, read_json, read_text, write_text_atomic
@@ -97,6 +97,9 @@ def _load_queries(path: str) -> list[str]:
         data = read_json(path, "queries file")
         if not isinstance(data, list) or not all(isinstance(q, str) and q.strip() for q in data):
             raise MalformedFile(f"{path}: expected a JSON array of non-empty query strings")
+        for q in data:
+            if not is_unicode(q):
+                raise MalformedFile(f"{path}: query {q!r} is not Unicode text")
         queries = [q for q in data]
     else:
         lines = read_text(path, "queries file").split("\n")

@@ -11,7 +11,6 @@ within a relative GUARD of a boundary are decided again with ``math``.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Sequence
 
@@ -34,21 +33,14 @@ def center_distance_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return max(0.0, 1.0 - d / SIMILARITY_SCALE_M)
 
 
-class Direction(enum.Enum):
-    """The four relative-direction cones around an observer, in priority order."""
-
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    LEFT = "left"
-    RIGHT = "right"
-
+DIRECTIONS = ("forward", "backward", "left", "right")  # the four cones around an observer, in priority order
 
 _AXES = {
     # direction -> (along, across) the direction ray, from (longitudinal, lateral)
-    Direction.FORWARD: lambda lon, lat: (lon, lat),
-    Direction.BACKWARD: lambda lon, lat: (-lon, lat),
-    Direction.LEFT: lambda lon, lat: (lat, lon),
-    Direction.RIGHT: lambda lon, lat: (-lat, lon),
+    "forward": lambda lon, lat: (lon, lat),
+    "backward": lambda lon, lat: (-lon, lat),
+    "left": lambda lon, lat: (lat, lon),
+    "right": lambda lon, lat: (-lat, lon),
 }
 
 
@@ -87,15 +79,15 @@ def within_radius(a, b, radius: float) -> np.ndarray:
     return _at_most(np.hypot(a, b), radius, math.hypot, a, b)
 
 
-def _exact_cone(lon: float, lat: float) -> Direction | None:
-    for direction in Direction:
+def _exact_cone(lon: float, lat: float) -> str | None:
+    for direction in DIRECTIONS:
         along, across = _AXES[direction](lon, lat)
         if along > 0 and abs(math.atan2(across, along)) <= HALF_ANGLE:
             return direction
     return None
 
 
-def in_cone(lon, lat, direction: Direction) -> np.ndarray:
+def in_cone(lon, lat, direction: str) -> np.ndarray:
     """Whether a body-frame offset falls in a direction's cone.
 
     An offset is in a cone when its angle from the cone's axis is <= pi/4.
@@ -108,7 +100,7 @@ def in_cone(lon, lat, direction: Direction) -> np.ndarray:
     near = (np.abs(across - along) <= GUARD * along) & (along > 0)
     if np.count_nonzero(near):
         lon, lat = (np.broadcast_to(v, near.shape)[near].tolist() for v in (lon, lat))
-        inside[near] = [_exact_cone(a, b) is direction for a, b in zip(lon, lat)]
+        inside[near] = [_exact_cone(a, b) == direction for a, b in zip(lon, lat)]
     return inside
 
 
@@ -132,7 +124,7 @@ def crosses_front_plane(
     lat0,
     lon1,
     lat1,
-    direction: Direction = Direction.FORWARD,
+    direction: str = "forward",
     lateral_band: float = 5.0,
     forward_extent: float = 10.0,
 ) -> np.ndarray:

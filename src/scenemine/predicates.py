@@ -27,7 +27,7 @@ from .categories import DEFAULT_REGISTRY
 from .errors import InvalidEnumValue, InvalidParameter
 from .geometry import (
     BLOCK_ELEMENTS,
-    Direction,
+    DIRECTIONS,
     body_offset,
     crosses_front_plane,
     in_cone,
@@ -44,14 +44,9 @@ NS_PER_SECOND = 1_000_000_000
 RELATIONS = ("same", "opposite", "perpendicular")
 
 
-def _as_direction(value: Direction | str) -> Direction:
-    if isinstance(value, Direction):
-        return value
-    try:
-        return Direction(value)
-    except ValueError:
-        allowed = ", ".join(d.value for d in Direction)
-        raise InvalidEnumValue(f"invalid direction '{value}'; allowed values: {allowed}") from None
+def _check_direction(value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise InvalidEnumValue(f"invalid direction '{value}'; allowed values: {', '.join(allowed)}")
 
 
 def _positive(value: float, name: str) -> None:
@@ -121,7 +116,7 @@ def has_objects_in_relative_direction(
     log: TrackLog,
     track_candidates: ScenarioSet,
     related_candidates: ScenarioSet,
-    direction: Direction | str,
+    direction: str,
     min_number: int = 1,
     max_number: float = math.inf,
     within_distance: float = 50.0,
@@ -133,7 +128,7 @@ def has_objects_in_relative_direction(
     its planar distance is <= within_distance, and the offset coordinate
     orthogonal to the direction axis is <= lateral_thresh in magnitude.
     """
-    direction = _as_direction(direction)
+    _check_direction(direction, DIRECTIONS)
     if min_number < 1:
         raise InvalidParameter(f"min_number must be >= 1, got {min_number!r}")
     if max_number < min_number:
@@ -145,7 +140,7 @@ def has_objects_in_relative_direction(
         lon, lat = body_offset(
             *_displacements(log, rows, tc, rc), log.cos_heading[rows, tc, None], log.sin_heading[rows, tc, None]
         )
-        orthogonal = lat if direction in (Direction.FORWARD, Direction.BACKWARD) else lon
+        orthogonal = lat if direction in ("forward", "backward") else lon
         return (
             in_cone(lon, lat, direction)
             & (np.abs(orthogonal) <= lateral_thresh)
@@ -159,7 +154,7 @@ def being_crossed_by(
     log: TrackLog,
     track_candidates: ScenarioSet,
     related_candidates: ScenarioSet,
-    direction: Direction | str = Direction.FORWARD,
+    direction: str = "forward",
     lateral_band: float = 5.0,
     forward_extent: float = 10.0,
 ) -> ScenarioSet:
@@ -170,7 +165,7 @@ def being_crossed_by(
     related candidate set and one endpoint at tau, that crosses the track's
     direction axis within the band/extent window.
     """
-    direction = _as_direction(direction)
+    _check_direction(direction, DIRECTIONS)
     _positive(lateral_band, "lateral_band")
     _positive(forward_extent, "forward_extent")
     last = len(log.timestamps) - 1
@@ -209,8 +204,7 @@ def heading_in_relative_direction_to(
     perpendicular (|delta - pi/2| <= pi/4). Frames where either object moves
     slower than 0.5 m/s are skipped.
     """
-    if direction not in RELATIONS:
-        raise InvalidEnumValue(f"invalid direction '{direction}'; allowed values: {', '.join(RELATIONS)}")
+    _check_direction(direction, RELATIONS)
     moving = log.speed >= MIN_RELATION_SPEED
 
     def related(rows, tc, rc):
@@ -384,9 +378,6 @@ _REQUIRED = inspect.Parameter.empty
 ROLE_TRACK = "track_candidates"
 ROLE_RELATED = "related_candidates"
 
-DIRECTION_VALUES = tuple(d.value for d in Direction)
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """One declared parameter of a registry function."""
@@ -427,13 +418,11 @@ _CANDIDATES = {
     ROLE_TRACK: ("scenario_set", "scenario set; the subject objects — the result is drawn from this set"),
     ROLE_RELATED: ("scenario_set", "scenario set; the reference objects tested against the track candidates"),
 }
-_ENUM_VALUES = {"direction": DIRECTION_VALUES, "relation": RELATIONS, "flag": ("false", "true")}
+_ENUM_VALUES = {"direction": DIRECTIONS, "relation": RELATIONS, "flag": ("false", "true")}
 
 
 def _literal(default: object) -> object:
-    """A Python default as the literal a program writes: a direction by its value, a bool as "false"/"true"."""
-    if isinstance(default, Direction):
-        return default.value
+    """A Python default as the literal a program writes: a bool as "false"/"true"."""
     if isinstance(default, bool):
         return "true" if default else "false"
     return default

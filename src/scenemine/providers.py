@@ -29,6 +29,15 @@ def query_key(query_text: str) -> str:
     return hashlib.sha256(query_text.encode("utf-8")).hexdigest()
 
 
+def is_unicode(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: JSON can spell a lone surrogate, such as "\\ud800", which does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def make_fixture(entries: Mapping[str, Sequence[str]]) -> dict:
     """Build a fixture dict from {query_text: replies} pairs."""
     fixture = {}
@@ -52,6 +61,8 @@ def _validate_fixture(fixture: Mapping) -> None:
         replies = entry.get("replies")
         if not isinstance(query, str) or not query:
             raise MalformedFile(f"fixture entry {key!r} is missing a 'query' string")
+        if not is_unicode(query):
+            raise MalformedFile(f"fixture entry {key!r} has a query that is not Unicode text: {query!r}")
         if key != query_key(query):
             raise MalformedFile(
                 f"fixture entry {key!r} does not match the hash of its query text"

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import MalformedFile
+from .errors import InvalidParameter, MalformedFile
 
 if TYPE_CHECKING:
     from .tracklog import TrackLog
@@ -32,17 +32,21 @@ class ScenarioSet:
     """
 
     def __init__(self, entries: Mapping[str, Iterable[int]] | None = None):
-        self.entries = {
-            str(track): frozenset(map(int, stamps)) for track, stamps in (entries or {}).items() if len(stamps) > 0
-        }
-        self.log = self.mask = None
+        """The set of ``entries``: str track ids, each to an iterable of integer timestamps (numpy's too, not bool).
 
-    @classmethod
-    def _of(cls, entries: dict[str, frozenset[int]]) -> "ScenarioSet":
-        """A set holding ``entries`` as they are: str keys, non-empty frozensets of int."""
-        out = cls.__new__(cls)
-        out.entries, out.log, out.mask = entries, None, None
-        return out
+        InvalidParameter names the first track id, or the timestamps of the first track, that is anything else.
+        """
+        self.entries = {}
+        for track, stamps in (entries or {}).items():
+            if not isinstance(track, str):
+                raise InvalidParameter(f"a scenario set's track ids must be str, got {track!r}")
+            values = list(stamps) if isinstance(stamps, Iterable) else None
+            kinds = set(map(type, values or ()))
+            if values is None or not all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+                raise InvalidParameter(f"track '{track}' of a scenario set needs integer timestamps, got {stamps!r}")
+            if values:
+                self.entries[track] = frozenset(values if kinds == {int} else map(int, values))
+        self.log = self.mask = None
 
     @classmethod
     def from_mask(cls, log: "TrackLog", mask: np.ndarray) -> "ScenarioSet":
@@ -57,7 +61,7 @@ class ScenarioSet:
 
     @classmethod
     def empty(cls) -> "ScenarioSet":
-        return cls._of({})
+        return cls()
 
     @functools.cached_property
     def entries(self) -> dict[str, frozenset[int]]:
@@ -139,4 +143,4 @@ class ScenarioSet:
         """
         if not isinstance(raw, dict) or not all(type(v) is list and set(map(type, v)) <= {int} for v in raw.values()):
             raise MalformedFile("a scenario set must map track ids to lists of integer timestamps")
-        return cls._of({track: frozenset(stamps) for track, stamps in raw.items() if stamps})
+        return cls(raw)

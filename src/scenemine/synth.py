@@ -29,7 +29,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .categories import DEFAULT_REGISTRY
 from .dsl import interpret, parse
 from .errors import InfeasibleSpec
 from .geometry import wrap_angle
@@ -459,7 +458,7 @@ def build_scenario_log(spec: ScenarioSpec) -> SynthResult:
     log = TrackLog.from_arrays(
         spec.log_id,
         timestamps,
-        [(actor.track_id, DEFAULT_REGISTRY.category(actor.category)) for actor in actors],
+        [(actor.track_id, actor.category) for actor in actors],
         owners,
         np.concatenate([np.arange(count) for count in counts]),
         np.array([x, y, height / 2.0, heading, vx, vy, np.zeros_like(x), length, width, height]),

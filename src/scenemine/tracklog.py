@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .categories import DEFAULT_REGISTRY, ObjectCategory
+from .categories import DEFAULT_REGISTRY
 from .errors import InconsistentInput, InvariantViolation, MalformedFile
 from .geometry import BLOCK_ELEMENTS, SIMILARITY_SCALE_M, center_distance_similarity
 from .scenario_set import ScenarioSet
@@ -89,10 +89,10 @@ class ObjectState:
 
 @dataclass(frozen=True)
 class TrackedObject:
-    """One object: an id, a category and a non-empty map timestamp -> state."""
+    """One object: an id, a category name and a non-empty map timestamp -> state."""
 
     track_id: str
-    category: ObjectCategory
+    category: str
     states: Mapping[int, ObjectState]
 
     def __post_init__(self) -> None:
@@ -105,12 +105,12 @@ class TrackedObject:
 class TrackLog:
     """A log as [T, N] arrays: a row per shared timestamp, a column per track.
 
-    ``timestamps`` are strictly increasing integer nanoseconds. ``categories``
-    and ``category_names`` hold each column's category and its name, and
-    ``first_rows`` each row's log's first row. ``states`` is [10, T, N]: a
-    state's position, heading, velocity and box dims in file order, also
-    named ``x``, ``y``, ``z``, ``heading``, ``vx``, ``vy``, ``vz``,
-    ``length``, ``width`` and ``height``. Where a track has no state,
+    ``timestamps`` are strictly increasing integer nanoseconds.
+    ``category_names`` holds each column's category name (a category is its
+    name) and ``first_rows`` each row's log's first row. ``states`` is
+    [10, T, N]: a state's position, heading, velocity and box dims in file
+    order, also named ``x``, ``y``, ``z``, ``heading``, ``vx``, ``vy``,
+    ``vz``, ``length``, ``width`` and ``height``. Where a track has no state,
     ``present`` is False and the values are 0. Cos and sin of the heading,
     the planar speed and the velocity angle atan2(vy, vx) come from ``math``,
     so array code built on them reproduces the scalar definitions exactly.
@@ -127,7 +127,6 @@ class TrackLog:
         log_id: str,
         timestamps: tuple[int, ...],
         track_ids: tuple[str, ...],
-        categories: tuple[ObjectCategory, ...],
         table: np.ndarray,
         present: np.ndarray,
         category_names: np.ndarray,
@@ -139,7 +138,7 @@ class TrackLog:
         heading, the speed and the velocity angle. ``present`` is [T, N],
         ``category_names`` [N] (or [T, N] for a pack) and ``first_rows`` [T].
         """
-        self.log_id, self.timestamps, self.track_ids, self.categories = log_id, timestamps, track_ids, categories
+        self.log_id, self.timestamps, self.track_ids = log_id, timestamps, track_ids
         self.row = {ts: i for i, ts in enumerate(timestamps)}
         self.column = {track: j for j, track in enumerate(track_ids)}
         for array in (table, present, category_names, first_rows):
@@ -156,15 +155,17 @@ class TrackLog:
         cls,
         log_id: str,
         timestamps: Sequence[int],
-        tracks: Sequence[tuple[str, ObjectCategory]],
+        tracks: Sequence[tuple[str, str]],
         owners: np.ndarray,
         rows: np.ndarray,
         values: np.ndarray,
     ) -> "TrackLog":
         """The log whose state s, the column ``values[:, s]``, is of ``tracks[owners[s]]`` at ``timestamps[rows[s]]``.
 
-        Rejects, in this order, a repeated track id, an empty log id, fewer
-        than 2 timestamps, timestamps not strictly increasing, and ``owners``,
+        ``tracks`` are (track id, category name) pairs, as a log file has them.
+        Rejects, in this order, a repeated track id or a category name outside
+        the vocabulary, naming the first track with either; an empty log id,
+        fewer than 2 timestamps, timestamps not strictly increasing, and ``owners``,
         ``rows`` and the columns of ``values`` differing in length or
         ``values`` without 10 rows, naming the lengths; ``owners``, then
         ``rows``, of a dtype other than integer, naming it, or with an index
@@ -175,9 +176,13 @@ class TrackLog:
         track and timestamp. The log's columns follow the sorted track ids.
         """
         seen: set[str] = set()
-        for track, _ in tracks:
+        for track, category in tracks:
             if track in seen:
                 raise InvariantViolation(f"duplicate track_id '{track}'")
+            if category not in DEFAULT_REGISTRY:
+                raise InvariantViolation(
+                    f"object '{track}': unknown category '{category}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
+                )
             seen.add(track)
         timestamps = tuple(int(t) for t in timestamps)
         if not log_id:
@@ -219,10 +224,9 @@ class TrackLog:
         if np.count_nonzero(present) < len(rows):  # a cell filled twice: name the first state not first in its cell
             s = np.setdiff1d(np.arange(len(rows)), np.unique(cols * len(timestamps) + rows, return_index=True)[1])[0]
             raise InvariantViolation(f"object '{tracks[owners[s]][0]}' has two states at {timestamps[rows[s]]}")
-        categories = tuple(tracks[k][1] for k in order)
         return cls(
-            log_id, timestamps, tuple(tracks[k][0] for k in order), categories, table, present,
-            np.array([category.name for category in categories], dtype=str), np.zeros(len(timestamps), dtype=np.intp),
+            log_id, timestamps, tuple(tracks[k][0] for k in order), table, present,
+            np.array([tracks[k][1] for k in order], dtype=str), np.zeros(len(timestamps), dtype=np.intp),
         )
 
     @classmethod
@@ -239,7 +243,7 @@ class TrackLog:
 
     @classmethod
     def _from_stamps(
-        cls, log_id: str, timestamps: Iterable[int], tracks: Sequence[tuple[str, ObjectCategory]],
+        cls, log_id: str, timestamps: Iterable[int], tracks: Sequence[tuple[str, str]],
         owners: np.ndarray, stamps: Sequence[int], values: np.ndarray,
     ) -> "TrackLog":
         """:meth:`from_arrays` with state s at timestamp ``stamps[s]``, not a row; a stamp the log lacks fails last."""
@@ -254,9 +258,9 @@ class TrackLog:
         lost = sorted(ts for ts, owner in zip(stamps, owners) if owner == k and ts not in row)
         raise InvariantViolation(f"object '{tracks[k][0]}' has states at timestamps absent from the log: {lost[:3]}")
 
-    def track_states(self) -> Iterator[tuple[str, ObjectCategory, list[int], list[list[float]]]]:
-        """Per column: the track id, its category, the rows where it has a state and those states' values."""
-        for j, (track, category) in enumerate(zip(self.track_ids, self.categories)):
+    def track_states(self) -> Iterator[tuple[str, str, list[int], list[list[float]]]]:
+        """Per column of a log (not a pack): the track id, its category name, its rows with a state and their values."""
+        for j, (track, category) in enumerate(zip(self.track_ids, self.category_names.tolist())):
             rows = np.flatnonzero(self.present[:, j])
             yield track, category, rows.tolist(), self.states[:, rows, j].T.tolist()
 
@@ -314,8 +318,8 @@ class TrackLog:
         if not isinstance(other, TrackLog):
             return NotImplemented
         return (
-            (self.log_id, self.timestamps, self.track_ids, self.categories)
-            == (other.log_id, other.timestamps, other.track_ids, other.categories)
+            (self.log_id, self.timestamps, self.track_ids) == (other.log_id, other.timestamps, other.track_ids)
+            and np.array_equal(self.category_names, other.category_names)
             and np.array_equal(self.present, other.present)
             and np.array_equal(self.states, other.states)
         )
@@ -359,8 +363,7 @@ class LogPack:
     timestamps start at 0 and keep each member's steps; its ``first_rows``
     hold each row's member's first row, and its ``category_names`` are
     [T, N]. Its log id joins the members' with "+", its columns are named
-    by their numbers, and it has no ``categories``. A group of one log is
-    that log itself, not a copy.
+    by their numbers. A group of one log is that log itself, not a copy.
     """
 
     log: TrackLog
@@ -414,7 +417,7 @@ def _pack(members: list[TrackLog]) -> LogPack:
     first_rows = np.zeros(len(stamps), dtype=np.intp)
     first_rows[starts] = starts
     pack = TrackLog(
-        "+".join(member.log_id for member in members), tuple(stamps), tuple(map(str, range(width))), (),
+        "+".join(member.log_id for member in members), tuple(stamps), tuple(map(str, range(width))),
         np.concatenate(tables, axis=1), np.concatenate(present), np.concatenate(names),
         np.maximum.accumulate(first_rows),
     )
@@ -498,8 +501,8 @@ def _check_state(key: str, raw: object, owhere: str) -> None:
         raise InvariantViolation(f"{where}: {fault}")
 
 
-def _object_header(raw: object, where: str) -> tuple[str, ObjectCategory, dict]:
-    """An object's track id, category and state map; MalformedFile names the first field at fault."""
+def _object_header(raw: object, where: str) -> tuple[str, str, dict]:
+    """An object's track id, category name and state map; MalformedFile names the first field at fault."""
     if not isinstance(raw, dict):
         raise MalformedFile(f"{where}: expected an object")
     track_id = _require(raw, "track_id", str, where)
@@ -508,7 +511,7 @@ def _object_header(raw: object, where: str) -> tuple[str, ObjectCategory, dict]:
         raise MalformedFile(
             f"{where}.category: unknown category '{category}' (registry has: {', '.join(DEFAULT_REGISTRY.names)})"
         )
-    return track_id, DEFAULT_REGISTRY.category(category), _require(raw, "states", dict, where)
+    return track_id, category, _require(raw, "states", dict, where)
 
 
 _STATE_PARTS = operator.itemgetter("position", "heading", "velocity", "box_dims")
@@ -669,7 +672,7 @@ def dump_log_text(log: TrackLog) -> str:
     keys = [str(ts) for ts in log.timestamps]
     objects = [
         _OBJECT_TEXT % (
-            json.dumps(track), json.dumps(category.name),
+            json.dumps(track), json.dumps(category),
             ",\n".join([_STATE_TEXT % (keys[i], *v) for i, v in zip(rows, values)]),
         )
         for track, category, rows, values in log.track_states()
@@ -696,7 +699,7 @@ def _ground_truth_from_dict(raw: object, where: str) -> GroundTruthScenario:
         if not stamps:
             raise MalformedFile(f"{where}.relevant['{track}']: empty timestamp list (omit the track instead)")
         relevant[track] = frozenset(stamps)
-    return GroundTruthScenario(query_text, log_id, ScenarioSet._of(relevant))
+    return GroundTruthScenario(query_text, log_id, ScenarioSet(relevant))
 
 
 def load_ground_truth(path: str | Path) -> list[GroundTruthScenario]:

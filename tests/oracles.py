@@ -149,7 +149,7 @@ def get_objects_of_category(log, name):
     return {
         obj.track_id: set(obj.states)
         for obj in log.objects.values()
-        if obj.category.name == name
+        if obj.category == name
     }
 
 
@@ -610,7 +610,7 @@ def dump_log_text_json(log):
             str(log.timestamps[i]): {"position": v[0:3], "heading": v[3], "velocity": v[4:7], "box_dims": v[7:10]}
             for i, v in zip(rows, values)
         }
-        objects.append({"track_id": track_id, "category": category.name, "states": states})
+        objects.append({"track_id": track_id, "category": category, "states": states})
     return json.dumps({"log_id": log.log_id, "timestamps": list(log.timestamps), "objects": objects}, indent=2) + "\n"
 
 

@@ -327,6 +327,39 @@ def test_mine_accepts_json_query_array(tmp_path, bundle_dir, capsys):
     capsys.readouterr()
 
 
+def _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path):
+    """Run `mine` on the files; assert exit 2 before any provider call or file write, and return stderr."""
+    calls = []
+    monkeypatch.setattr(ScriptedProvider, "generate", lambda self, prompt: calls.append(prompt))
+    out = tmp_path / "out"
+    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", str(out),
+                 "--fixture", fixture_path])
+    assert code == 2 and calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_mine_refuses_a_query_holding_a_lone_surrogate_naming_the_file(tmp_path, bundle_dir, capsys, monkeypatch):
+    queries_path = _write(tmp_path / "queries.json", '["trucks in the scene", "trucks \\ud800"]')
+    fixture_path = _write(
+        tmp_path / "fixture.json", json.dumps(make_fixture({"trucks in the scene": [fenced(GOOD_CODE)]}))
+    )
+    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path)
+    assert err == f"error: {queries_path}: query 'trucks \\ud800' is not Unicode text\n"
+
+
+def test_mine_refuses_a_fixture_query_holding_a_lone_surrogate_naming_the_file(
+    tmp_path, bundle_dir, capsys, monkeypatch
+):
+    queries_path = _write(tmp_path / "queries.json", json.dumps(["trucks in the scene"]))
+    fixture = make_fixture({"trucks in the scene": [fenced(GOOD_CODE)]})
+    text = json.dumps(fixture)[:-1] + ', "%s": {"query": "\\ud800", "replies": ["x"]}}' % ("0" * 64)
+    fixture_path = _write(tmp_path / "fixture.json", text)
+    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path)
+    assert err == f"error: {fixture_path}: fixture entry '{'0' * 64}' has a query that is not Unicode text: '\\ud800'\n"
+
+
 class _Response:
     def __init__(self, body):
         self._body = body

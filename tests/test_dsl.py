@@ -412,7 +412,7 @@ def test_every_catalog_default_parses_and_checks():
     # on these logs every call with a default keeps some pairs, so a wrong default can show
     catalog = describe_functions()
     for log in (random_track_log(seed, max_objects=40, max_frames=40) for seed in (5, 33)):
-        category = Counter(obj.category.name for obj in log.objects.values()).most_common(1)[0][0]
+        category = Counter(obj.category for obj in log.objects.values()).most_common(1)[0][0]
         required_values = {"scenario_set": "base", "category": f'"{category}"', "float": "1"}
         for spec in REGISTRY.values():
             signature = catalog.split(f"\n{spec.name}(", 1)[1].split(")\n", 1)[0]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from scenemine import predicates
 from scenemine.errors import InvalidEnumValue, InvalidParameter, UnknownCategory
-from scenemine.geometry import Direction
+from scenemine.geometry import DIRECTIONS
 from scenemine.predicates import (
     REGISTRY,
     being_crossed_by,
@@ -633,7 +633,7 @@ def test_registry_lists_all_predicates():
 
 
 def test_registry_entries_come_from_the_signature():
-    def throwaway(log, track_candidates, side=Direction.LEFT, strict=False, reach=2.5):
+    def throwaway(log, track_candidates, side="left", strict=False, reach=2.5):
         return track_candidates
 
     spec = predicates._spec(
@@ -646,11 +646,39 @@ def test_registry_entries_come_from_the_signature():
         ("strict", "flag", False, "false", None),
         ("reach", "float", False, 2.5, None),
     ]
-    assert spec.param("side").enum_values == predicates.DIRECTION_VALUES
+    assert spec.param("side").enum_values == DIRECTIONS
     assert spec.param("strict").enum_values == ("false", "true")
+    relation = predicates._spec(lambda log, how="same": None, "A throwaway.", how=("relation", "how"))
+    assert relation.params[0].enum_values == predicates.RELATIONS and relation.params[0].default == "same"
 
     with pytest.raises(TypeError, match=r"missing from the signature: \['radius'\]"):
         predicates._spec(throwaway, "A throwaway.", side=("direction", ""), strict=("flag", ""),
                          reach=("float", ""), radius=("float", ""))
     with pytest.raises(TypeError, match=r"not declared: \['reach'\]"):
         predicates._spec(throwaway, "A throwaway.", side=("direction", ""), strict=("flag", ""))
+
+
+_CHECKED = {"direction": DIRECTIONS, "relation": predicates.RELATIONS}
+
+
+def test_the_catalog_advertises_exactly_the_values_each_function_accepts():
+    taking = {
+        spec.name: _CHECKED[p.kind] for spec in REGISTRY.values() for p in spec.params if p.kind in _CHECKED
+    }
+    assert taking == {
+        "has_objects_in_relative_direction": DIRECTIONS,
+        "being_crossed_by": DIRECTIONS,
+        "heading_in_relative_direction_to": predicates.RELATIONS,
+    }
+    log = _direction_log()
+    s = get_objects_of_category(log, "REGULAR_VEHICLE")
+    for name, allowed in taking.items():
+        param = REGISTRY[name].param("direction")
+        assert param.enum_values == allowed
+        for good in param.enum_values:
+            assert isinstance(REGISTRY[name].impl(log, s, s, direction=good), ScenarioSet)
+        others = [v for values in _CHECKED.values() if values != allowed for v in values]
+        for bad in ["sideways", "Forward", "", *others]:
+            with pytest.raises(InvalidEnumValue) as refused:
+                REGISTRY[name].impl(log, s, s, direction=bad)
+            assert str(refused.value) == f"invalid direction '{bad}'; allowed values: {', '.join(allowed)}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from scenemine.errors import MalformedFile
+from scenemine.errors import InvalidParameter, MalformedFile
 from scenemine.predicates import (
     followed_by,
     get_objects_of_category,
@@ -79,6 +79,28 @@ def test_json_round_trip():
 def test_from_json_dict_rejects_anything_but_lists_of_integers(raw):
     with pytest.raises(MalformedFile, match="must map track ids to lists of integer timestamps"):
         ScenarioSet.from_json_dict(raw)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"a": "123"}, "track 'a' of a scenario set needs integer timestamps, got '123'"),
+    ({"a": [1.9, True]}, "track 'a' of a scenario set needs integer timestamps, got [1.9, True]"),
+    ({"a": [1, True]}, "track 'a' of a scenario set needs integer timestamps, got [1, True]"),
+    ({"a": [1, 2.0]}, "track 'a' of a scenario set needs integer timestamps, got [1, 2.0]"),
+    ({"a": 5}, "track 'a' of a scenario set needs integer timestamps, got 5"),
+    ({"a": [1], "b": [None]}, "track 'b' of a scenario set needs integer timestamps, got [None]"),
+    ({"a": [np.bool_(True)]}, "track 'a' of a scenario set needs integer timestamps, got [np.True_]"),
+    ({1: [5]}, "a scenario set's track ids must be str, got 1"),
+])
+def test_the_constructor_refuses_anything_but_str_track_ids_and_integer_timestamps(entries, message):
+    with pytest.raises(InvalidParameter) as refused:
+        ScenarioSet(entries)
+    assert str(refused.value) == message
+
+
+def test_the_constructor_takes_numpy_integers_as_python_ints():
+    s = ScenarioSet({"a": np.array([3, 1], dtype=np.int64), "b": (np.int32(2), 4), "c": []})
+    assert s == sset({"a": [1, 3], "b": [2, 4]})
+    assert {type(ts) for stamps in s.entries.values() for ts in stamps} == {int}
 
 
 def test_from_json_dict_drops_an_empty_list():

@@ -204,7 +204,7 @@ def test_ego_vehicle_is_always_present():
     for template in TEMPLATES:
         result = generate_scenario_log(ScenarioSpec(template, 3))
         assert "ego" in result.log.objects
-        assert result.log.objects["ego"].category.name == "EGO_VEHICLE"
+        assert result.log.objects["ego"].category == "EGO_VEHICLE"
 
 
 def test_bundle_files_round_trip(tmp_path):

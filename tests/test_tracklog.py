@@ -141,6 +141,53 @@ def test_from_arrays_rejects_what_build_rejects_with_its_message(log_id, timesta
     assert str(made.value) == str(built.value)
 
 
+_VOCABULARY = ", ".join(DEFAULT_REGISTRY.names)
+
+
+@pytest.mark.parametrize("category", ["FOO", "bus", "", None])
+def test_from_arrays_and_build_refuse_a_category_outside_the_vocabulary(category):
+    timestamps = stamps(2)
+    objects = [static_obj("a", "BUS", 0, 0), TrackedObject("b", category, {timestamps[0]: state(0, 0)})]
+    message = f"object 'b': unknown category '{category}' (registry has: {_VOCABULARY})"
+    with pytest.raises(InvariantViolation) as made:
+        TrackLog.from_arrays("log", timestamps, *_as_arrays(timestamps, objects))
+    assert str(made.value) == message
+    with pytest.raises(InvariantViolation) as built:
+        TrackLog.build("log", timestamps, objects)
+    assert str(built.value) == message
+    with pytest.raises(InvariantViolation) as first:  # found in the pass over the tracks, before the log's checks
+        TrackLog.from_arrays("", timestamps[:1], *_as_arrays(timestamps, objects))
+    assert str(first.value) == message
+
+
+def test_from_arrays_names_the_first_track_with_a_repeated_id_or_an_unknown_category():
+    timestamps = stamps(2)
+    owners, rows, values = np.array([0]), np.array([0]), np.ones((10, 1))
+    for tracks, message in [
+        ([("b", "FOO"), ("a", "BUS"), ("a", "BUS")], f"object 'b': unknown category 'FOO' (registry has: {_VOCABULARY})"),
+        ([("a", "BUS"), ("a", "FOO")], "duplicate track_id 'a'"),
+    ]:
+        with pytest.raises(InvariantViolation) as made:
+            TrackLog.from_arrays("log", timestamps, tracks, owners, rows, values)
+        assert str(made.value) == message
+
+
+def test_a_log_of_every_category_name_round_trips(tmp_path):
+    timestamps = stamps(2)
+    tracks = [(f"t{k}", name) for k, name in enumerate(DEFAULT_REGISTRY.names)]
+    values = np.tile(np.array([0, 0, 0, 0, 0, 0, 0, 4, 2, 1], dtype=np.float64)[:, None], len(tracks))
+    owners = np.arange(len(tracks))
+    log = TrackLog.from_arrays("log", timestamps, tracks, owners, owners % 2, values)
+    assert log.category_names.tolist() == list(DEFAULT_REGISTRY.names)
+    assert [category for _, category, _, _ in log.track_states()] == list(DEFAULT_REGISTRY.names)
+    path = tmp_path / "log.json"
+    save_log(log, path)
+    again = load_log(path)
+    assert again == log and again.category_names.tolist() == list(DEFAULT_REGISTRY.names)
+    assert {obj.category for obj in again.objects.values()} == set(DEFAULT_REGISTRY.names)
+    assert dump_log_text(again) == path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "index, value, fault",
     [
@@ -193,7 +240,7 @@ def test_from_arrays_accepts_the_bounds_of_each_range():
 )
 def test_from_arrays_rejects_a_state_outside_the_log_or_twice_in_one_cell(owners, rows, message):
     timestamps = stamps(2)
-    tracks = [("a", DEFAULT_REGISTRY.category("BUS")), ("b", DEFAULT_REGISTRY.category("BUS"))]
+    tracks = [("a", "BUS"), ("b", "BUS")]
     values = np.tile(np.array([0, 0, 0, 0, 0, 0, 0, 4, 2, 1], dtype=np.float64)[:, None], len(owners))
     with pytest.raises(InvariantViolation) as made:
         TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
@@ -220,7 +267,7 @@ _SHAPES = "values needs 10 rows and one column per owner and row"
 )
 def test_from_arrays_rejects_owners_rows_and_values_of_other_shapes(owners, rows, shape, message):
     timestamps = stamps(2)
-    tracks = [("a", DEFAULT_REGISTRY.category("BUS")), ("b", DEFAULT_REGISTRY.category("BUS"))]
+    tracks = [("a", "BUS"), ("b", "BUS")]
     values = np.ones(shape)
     with pytest.raises(InvariantViolation) as made:
         TrackLog.from_arrays("log", timestamps, tracks, np.array(owners), np.array(rows), values)
@@ -242,7 +289,7 @@ def test_log_lookup_helpers():
     assert log.objects["a"].states[t0].position[0] == 1.0
     assert t1 + 999 not in log.objects["a"].states
     assert "nope" not in log.objects
-    assert log.objects["a"].category.name == "BUS"
+    assert log.objects["a"].category == "BUS"
     with pytest.raises(TypeError):
         log.objects["b"] = log.objects["a"]  # a derived view, not storage
 
@@ -269,7 +316,7 @@ def test_view_arrays_equal_the_logged_states(seed):
     given_objects = {o.track_id: o for o in objects}
     assert dict(log.objects) == given_objects
     assert log.track_ids == tuple(sorted(given_objects))
-    assert log.categories == tuple(given_objects[t].category for t in log.track_ids)
+    assert log.category_names.tolist() == [given_objects[t].category for t in log.track_ids]
     assert log.present.sum() == sum(len(o.states) for o in objects)
     for j, track in enumerate(log.track_ids):
         assert log.column[track] == j
