@@ -6,7 +6,7 @@ are scored with identity-aware retrieval metrics.
 """
 
 from .categories import DEFAULT_REGISTRY
-from .dsl import DslError, Span, check, describe_functions, execute, interpret, parse, pretty_print
+from .dsl import DslError, Span, describe_functions, execute, interpret, parse, pretty_print
 from .errors import (
     InfeasibleSpec,
     InvariantViolation,
@@ -83,7 +83,6 @@ __all__ = [
     "TrackLog",
     "TrackedObject",
     "center_distance_similarity",
-    "check",
     "compose_initial",
     "compose_iteration",
     "describe_functions",

@@ -50,6 +50,8 @@ def _load_config(path: str | None) -> dict:
     for key, (kind, json_name) in _CONFIG_TYPES.items():
         if key in config and type(config[key]) is not kind:
             raise MalformedFile(f"{path}: '{key}' must be a JSON {json_name}, got {json.dumps(config[key])}")
+        if kind is str and key in config and not is_unicode(config[key]):
+            raise MalformedFile(f"{path}: '{key}' must be Unicode text, got {json.dumps(config[key])}")
     return config
 
 

@@ -4,10 +4,10 @@ Programs are straight-line: one assignment per line binding a fresh name to a
 single registry call, terminated by exactly one ``output(name)`` statement.
 Calls cannot nest and there are no loops, so execution can never run
 anything outside the registry. Every diagnostic carries a line/column span
-and is phrased to be actionable as repair feedback. One walk over a program
-finds every diagnostic ``check`` returns and binds the plan ``execute`` runs;
-``execute`` walks a program on its first run and raises the first diagnostic,
-so no program runs unchecked.
+and is phrased to be actionable as repair feedback. As the parser does, the
+checker raises the first diagnostic it meets: one walk over a program checks
+it and binds the plan ``execute`` runs, and ``execute`` walks a program on
+its first run, so no program runs unchecked.
 
 Each line is read by one compiled pattern, matched at each position in turn.
 Blanks and a ``#`` comment make no token; otherwise the named group that
@@ -139,10 +139,7 @@ class Program:
     @functools.cached_property
     def _plan(self) -> tuple:
         """The program as execute() runs it, walked once on first use and kept; raises the walk's first diagnostic."""
-        errors, plan = _walk(self)
-        if errors:
-            raise errors[0]
-        return plan
+        return _walk(self)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +318,14 @@ def _edit_distance(a: str, b: str, cap: int = 3) -> int:
     return prev[-1]
 
 
-def _suggest(name: str, candidates) -> str | None:
+def _suggest(name: str, candidates) -> str:
+    """A diagnostic's ``"; did you mean '...'?"`` ending for the nearest candidate within two edits, or ``""``."""
     best: tuple[int, str] | None = None
     for cand in sorted(candidates):
         d = _edit_distance(name, cand)
         if d <= 2 and (best is None or d < best[0]):
             best = (d, cand)
-    return best[1] if best else None
+    return f"; did you mean '{best[1]}'?" if best else ""
 
 
 def _check_argument(fname: str, param: ParamSpec, node, names: set[str]):
@@ -341,8 +339,7 @@ def _check_argument(fname: str, param: ParamSpec, node, names: set[str]):
             )
         if node.name not in names:
             hint = _suggest(node.name, names)
-            extra = f"; did you mean '{hint}'?" if hint else ""
-            raise DslError(UNKNOWN_VARIABLE, f"name '{node.name}' is not defined{extra}", node.span)
+            raise DslError(UNKNOWN_VARIABLE, f"name '{node.name}' is not defined{hint}", node.span)
         return None
     if isinstance(node, VarRef):
         raise DslError(
@@ -375,90 +372,55 @@ def _check_argument(fname: str, param: ParamSpec, node, names: set[str]):
     return node.value == "true" if param.kind == "flag" else node.value
 
 
-def _bind_call(spec: FunctionSpec, call: Call) -> tuple[dict[str, object], list[DslError]]:
-    """Map a call's arguments onto the declared parameters, collecting arity errors."""
-    errors: list[DslError] = []
-    bound: dict[str, object] = {}
+def _bind_call(spec: FunctionSpec, call: Call) -> dict[str, object]:
+    """Map a call's arguments onto the declared parameters, raising the first arity diagnostic."""
     if len(call.args) > len(spec.params):
-        errors.append(
-            DslError(
-                ARITY_ERROR,
-                f"{spec.name}() takes at most {len(spec.params)} arguments ({len(call.args)} given)",
-                call.span,
-            )
+        raise DslError(
+            ARITY_ERROR,
+            f"{spec.name}() takes at most {len(spec.params)} arguments ({len(call.args)} given)",
+            call.span,
         )
-    for param, node in zip(spec.params, call.args):
-        bound[param.name] = node
+    bound: dict[str, object] = {param.name: node for param, node in zip(spec.params, call.args)}
     for kw in call.kwargs:
-        param = spec.param(kw.name)
-        if param is None:
+        if spec.param(kw.name) is None:
             hint = _suggest(kw.name, [p.name for p in spec.params])
-            extra = f"; did you mean '{hint}'?" if hint else ""
-            errors.append(
-                DslError(ARITY_ERROR, f"{spec.name}() got an unexpected keyword argument '{kw.name}'{extra}", kw.span)
-            )
-            continue
+            raise DslError(ARITY_ERROR, f"{spec.name}() got an unexpected keyword argument '{kw.name}'{hint}", kw.span)
         if kw.name in bound:
-            errors.append(
-                DslError(ARITY_ERROR, f"{spec.name}() got multiple values for argument '{kw.name}'", kw.span)
-            )
-            continue
+            raise DslError(ARITY_ERROR, f"{spec.name}() got multiple values for argument '{kw.name}'", kw.span)
         bound[kw.name] = kw.value
     for param in spec.params:
         if param.required and param.name not in bound:
-            errors.append(
-                DslError(
-                    ARITY_ERROR,
-                    f"{spec.name}() is missing the required argument '{param.name}'",
-                    call.span,
-                )
-            )
-    return bound, errors
+            raise DslError(ARITY_ERROR, f"{spec.name}() is missing the required argument '{param.name}'", call.span)
+    return bound
 
 
-def _walk(program: Program) -> tuple[list[DslError], tuple]:
-    """Check and bind a program in one pass: every diagnostic found, in order, and the plan execute() runs.
+def _walk(program: Program) -> tuple:
+    """Check and bind a program in one pass: the plan execute() runs, or the first diagnostic, raised.
 
-    Per assignment with a known function the plan holds (name, function
-    name, {parameter: literal as a Python value}, ((parameter, variable
-    name), ...), span); it is runnable only when there is no diagnostic.
+    Per assignment the plan holds (name, function name, {parameter: literal
+    as a Python value}, ((parameter, variable name), ...), span).
     """
-    errors: list[DslError] = []
     plan = []
     names: set[str] = set()
     for stmt in program.assignments:
         spec = REGISTRY.get(stmt.call.function)
         if spec is None:
             hint = _suggest(stmt.call.function, REGISTRY)
-            extra = f"; did you mean '{hint}'?" if hint else ""
-            errors.append(DslError(UNKNOWN_FUNCTION, f"unknown function '{stmt.call.function}'{extra}", stmt.call.span))
-        else:
-            bound, bind_errors = _bind_call(spec, stmt.call)
-            errors.extend(bind_errors)
-            literals, refs = {}, []
-            for pname, node in bound.items():
-                try:
-                    value = _check_argument(spec.name, spec.param(pname), node, names)
-                except DslError as err:
-                    errors.append(err)
-                    continue
-                if value is None:
-                    refs.append((pname, node.name))
-                else:
-                    literals[pname] = value
-            plan.append((stmt.name, spec.name, literals, tuple(refs), stmt.span))
-        names.add(stmt.name)  # after an unknown function too, to avoid cascading noise
+            raise DslError(UNKNOWN_FUNCTION, f"unknown function '{stmt.call.function}'{hint}", stmt.call.span)
+        literals, refs = {}, []
+        for pname, node in _bind_call(spec, stmt.call).items():
+            value = _check_argument(spec.name, spec.param(pname), node, names)
+            if value is None:
+                refs.append((pname, node.name))
+            else:
+                literals[pname] = value
+        plan.append((stmt.name, spec.name, literals, tuple(refs), stmt.span))
+        names.add(stmt.name)
     if program.output.name not in names:
         hint = _suggest(program.output.name, names)
-        extra = f"; did you mean '{hint}'?" if hint else ""
-        message = f"output name '{program.output.name}' is not defined{extra}"
-        errors.append(DslError(UNKNOWN_VARIABLE, message, program.output.span))
-    return errors, tuple(plan)
-
-
-def check(program: Program) -> list[DslError]:
-    """Name, arity, type and enum validation. Returns every diagnostic found."""
-    return _walk(program)[0]
+        message = f"output name '{program.output.name}' is not defined{hint}"
+        raise DslError(UNKNOWN_VARIABLE, message, program.output.span)
+    return tuple(plan)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,15 @@ from scipy.optimize import linear_sum_assignment
 
 from scenemine.categories import DEFAULT_REGISTRY
 from scenemine.dsl import (
+    ARITY_ERROR,
     DUPLICATE_OUTPUT,
     INF,
+    INVALID_ENUM_VALUE,
     MISSING_OUTPUT,
     PARSE_ERROR,
+    TYPE_ERROR,
+    UNKNOWN_FUNCTION,
+    UNKNOWN_VARIABLE,
     Assignment,
     Call,
     DslError,
@@ -34,9 +39,11 @@ from scenemine.dsl import (
     Program,
     Span,
     VarRef,
+    _edit_distance,
 )
 from scenemine.errors import InvariantViolation, MalformedFile, ProviderError
 from scenemine.metrics import DEFAULT_ALPHAS, AlphaScore, HotaResult
+from scenemine.predicates import REGISTRY, FunctionSpec, ParamSpec
 from scenemine.tracklog import ObjectState, TrackedObject, TrackLog, read_json
 
 NS = 1_000_000_000
@@ -855,3 +862,150 @@ def parse(text: str) -> Program:
     if output is None:
         raise DslError(MISSING_OUTPUT, "program has no output(...) statement")
     return Program(tuple(assignments), output)
+
+
+# ---------------------------------------------------------------------------
+# DSL checking. This is the package's earlier checker, which collects every
+# diagnostic of a program in order rather than raising the first. The
+# package's walk must raise exactly check(program)[0] (kind, message and
+# span), and accept a program exactly when check(program) is empty.
+
+
+def _suggest(name: str, candidates) -> str | None:
+    best: tuple[int, str] | None = None
+    for cand in sorted(candidates):
+        d = _edit_distance(name, cand)
+        if d <= 2 and (best is None or d < best[0]):
+            best = (d, cand)
+    return best[1] if best else None
+
+
+def _check_argument(fname: str, param: ParamSpec, node, names: set[str]):
+    """A literal's Python value, or None for a variable; raises the diagnostic of an argument its parameter rejects."""
+    if param.kind == "scenario_set":
+        if isinstance(node, Literal):
+            raise DslError(
+                TYPE_ERROR,
+                f"argument '{param.name}' of {fname}() must be a scenario set variable, not a literal",
+                node.span,
+            )
+        if node.name not in names:
+            hint = _suggest(node.name, names)
+            extra = f"; did you mean '{hint}'?" if hint else ""
+            raise DslError(UNKNOWN_VARIABLE, f"name '{node.name}' is not defined{extra}", node.span)
+        return None
+    if isinstance(node, VarRef):
+        raise DslError(
+            TYPE_ERROR,
+            f"argument '{param.name}' of {fname}() expects a {param.kind} literal, not a variable",
+            node.span,
+        )
+    if param.kind in ("float", "int"):
+        if node.kind != "number":
+            raise DslError(
+                TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a number", node.span
+            )
+        if param.kind == "int" and not float(node.value).is_integer():
+            raise DslError(
+                TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a whole number", node.span
+            )
+        return int(node.value) if param.kind == "int" else float(node.value)
+    # remaining kinds are strings: category, direction, relation, flag
+    if node.kind != "string":
+        raise DslError(
+            TYPE_ERROR, f"argument '{param.name}' of {fname}() must be a quoted string", node.span
+        )
+    if param.enum_values and node.value not in param.enum_values:
+        allowed = ", ".join(param.enum_values)
+        raise DslError(
+            INVALID_ENUM_VALUE,
+            f"invalid value '{node.value}' for '{param.name}' of {fname}(); allowed values: {allowed}",
+            node.span,
+        )
+    return node.value == "true" if param.kind == "flag" else node.value
+
+
+def _bind_call(spec: FunctionSpec, call: Call) -> tuple[dict[str, object], list[DslError]]:
+    """Map a call's arguments onto the declared parameters, collecting arity errors."""
+    errors: list[DslError] = []
+    bound: dict[str, object] = {}
+    if len(call.args) > len(spec.params):
+        errors.append(
+            DslError(
+                ARITY_ERROR,
+                f"{spec.name}() takes at most {len(spec.params)} arguments ({len(call.args)} given)",
+                call.span,
+            )
+        )
+    for param, node in zip(spec.params, call.args):
+        bound[param.name] = node
+    for kw in call.kwargs:
+        param = spec.param(kw.name)
+        if param is None:
+            hint = _suggest(kw.name, [p.name for p in spec.params])
+            extra = f"; did you mean '{hint}'?" if hint else ""
+            errors.append(
+                DslError(ARITY_ERROR, f"{spec.name}() got an unexpected keyword argument '{kw.name}'{extra}", kw.span)
+            )
+            continue
+        if kw.name in bound:
+            errors.append(
+                DslError(ARITY_ERROR, f"{spec.name}() got multiple values for argument '{kw.name}'", kw.span)
+            )
+            continue
+        bound[kw.name] = kw.value
+    for param in spec.params:
+        if param.required and param.name not in bound:
+            errors.append(
+                DslError(
+                    ARITY_ERROR,
+                    f"{spec.name}() is missing the required argument '{param.name}'",
+                    call.span,
+                )
+            )
+    return bound, errors
+
+
+def _walk(program: Program) -> tuple[list[DslError], tuple]:
+    """Check and bind a program in one pass: every diagnostic found, in order, and the plan execute() runs.
+
+    Per assignment with a known function the plan holds (name, function
+    name, {parameter: literal as a Python value}, ((parameter, variable
+    name), ...), span); it is runnable only when there is no diagnostic.
+    """
+    errors: list[DslError] = []
+    plan = []
+    names: set[str] = set()
+    for stmt in program.assignments:
+        spec = REGISTRY.get(stmt.call.function)
+        if spec is None:
+            hint = _suggest(stmt.call.function, REGISTRY)
+            extra = f"; did you mean '{hint}'?" if hint else ""
+            errors.append(DslError(UNKNOWN_FUNCTION, f"unknown function '{stmt.call.function}'{extra}", stmt.call.span))
+        else:
+            bound, bind_errors = _bind_call(spec, stmt.call)
+            errors.extend(bind_errors)
+            literals, refs = {}, []
+            for pname, node in bound.items():
+                try:
+                    value = _check_argument(spec.name, spec.param(pname), node, names)
+                except DslError as err:
+                    errors.append(err)
+                    continue
+                if value is None:
+                    refs.append((pname, node.name))
+                else:
+                    literals[pname] = value
+            plan.append((stmt.name, spec.name, literals, tuple(refs), stmt.span))
+        names.add(stmt.name)  # after an unknown function too, to avoid cascading noise
+    if program.output.name not in names:
+        hint = _suggest(program.output.name, names)
+        extra = f"; did you mean '{hint}'?" if hint else ""
+        message = f"output name '{program.output.name}' is not defined{extra}"
+        errors.append(DslError(UNKNOWN_VARIABLE, message, program.output.span))
+    return errors, tuple(plan)
+
+
+def check(program: Program) -> list[DslError]:
+    """Name, arity, type and enum validation. Returns every diagnostic found."""
+    return _walk(program)[0]

@@ -327,13 +327,12 @@ def test_mine_accepts_json_query_array(tmp_path, bundle_dir, capsys):
     capsys.readouterr()
 
 
-def _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path):
+def _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, *provider_args):
     """Run `mine` on the files; assert exit 2 before any provider call or file write, and return stderr."""
     calls = []
     monkeypatch.setattr(ScriptedProvider, "generate", lambda self, prompt: calls.append(prompt))
     out = tmp_path / "out"
-    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", str(out),
-                 "--fixture", fixture_path])
+    code = main(["mine", "--queries", queries_path, "--logs", str(bundle_dir), "--out", str(out), *provider_args])
     assert code == 2 and calls == [] and not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -345,7 +344,7 @@ def test_mine_refuses_a_query_holding_a_lone_surrogate_naming_the_file(tmp_path,
     fixture_path = _write(
         tmp_path / "fixture.json", json.dumps(make_fixture({"trucks in the scene": [fenced(GOOD_CODE)]}))
     )
-    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path)
+    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, "--fixture", fixture_path)
     assert err == f"error: {queries_path}: query 'trucks \\ud800' is not Unicode text\n"
 
 
@@ -356,8 +355,18 @@ def test_mine_refuses_a_fixture_query_holding_a_lone_surrogate_naming_the_file(
     fixture = make_fixture({"trucks in the scene": [fenced(GOOD_CODE)]})
     text = json.dumps(fixture)[:-1] + ', "%s": {"query": "\\ud800", "replies": ["x"]}}' % ("0" * 64)
     fixture_path = _write(tmp_path / "fixture.json", text)
-    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, fixture_path)
+    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, "--fixture", fixture_path)
     assert err == f"error: {fixture_path}: fixture entry '{'0' * 64}' has a query that is not Unicode text: '\\ud800'\n"
+
+
+@pytest.mark.parametrize("key", ["provider", "fixture", "endpoint", "model", "api_key"])
+def test_mine_refuses_a_config_string_holding_a_lone_surrogate_naming_the_file(
+    tmp_path, bundle_dir, capsys, monkeypatch, key
+):
+    queries_path = _write(tmp_path / "queries.json", json.dumps(["trucks in the scene"]))
+    config_path = _write(tmp_path / "config.json", '{"%s": "\\ud800"}' % key)
+    err = _mine_refused_before_any_call(tmp_path, bundle_dir, capsys, monkeypatch, queries_path, "--config", config_path)
+    assert err == f"error: {config_path}: '{key}' must be Unicode text, got \"\\ud800\"\n"
 
 
 class _Response:

@@ -19,7 +19,6 @@ from scenemine.dsl import (
     UNKNOWN_VARIABLE,
     DslError,
     Span,
-    check,
     describe_functions,
     interpret,
     parse,
@@ -28,7 +27,7 @@ from scenemine.dsl import (
 from scenemine.predicates import REGISTRY, registry_catalog
 from scenemine.scenario_set import ScenarioSet
 
-from util import catalog_function_names, make_log, random_track_log, sset, stamps, static_obj
+from util import catalog_function_names, first_diagnostic, make_log, random_track_log, sset, stamps, static_obj
 
 MINIMAL = 'x = get_objects_of_category(category="TRUCK")\noutput(x)\n'
 
@@ -40,9 +39,9 @@ def err(text):
 
 
 def first_check_error(text):
-    errors = check(parse(text))
-    assert errors, "expected check() to report a problem"
-    return errors[0]
+    error = first_diagnostic(parse(text))
+    assert error is not None, "expected the checker to report a problem"
+    return error
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +124,7 @@ def test_error_spans_are_one_based():
 
 
 def test_valid_program_checks_clean():
-    assert check(parse(MINIMAL)) == []
+    assert first_diagnostic(parse(MINIMAL)) is None
 
 
 def test_unknown_function_suggests_nearest():
@@ -213,14 +212,13 @@ def test_invalid_enum_lists_allowed_values():
     assert "allowed values: forward, backward, left, right" in e.message
 
 
-def test_check_collects_multiple_errors_without_cascading():
+def test_an_unknown_function_is_the_first_diagnostic_of_its_program():
     text = (
         "a = mystery_function()\n"
-        "b = has_velocity(track_candidates=a)\n"  # fine: a assumed bound
+        "b = has_velocity(track_candidates=a)\n"
         "output(b)\n"
     )
-    errors = check(parse(text))
-    assert [e.kind for e in errors] == [UNKNOWN_FUNCTION]
+    assert first_check_error(text).kind == UNKNOWN_FUNCTION
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,7 @@ def test_a_program_check_rejects_raises_its_first_diagnostic_before_any_registry
 
     for name, spec in REGISTRY.items():
         monkeypatch.setitem(REGISTRY, name, replace(spec, impl=counted(name, spec.impl)))
-    first = check(parse(text))[0]
+    first = first_diagnostic(parse(text))
     with pytest.raises(DslError) as info:
         getattr(dsl, run)(parse(text), _two_truck_log())
     assert (info.value.kind, info.value.message, info.value.span) == (first.kind, first.message, first.span)
@@ -428,7 +426,7 @@ def test_every_catalog_default_parses_and_checks():
                 "output(x)\n"
                 for extra in (defaults, [])
             )
-            assert check(parse(spelled)) == [], spelled
+            assert first_diagnostic(parse(spelled)) is None, spelled
             result = interpret(parse(spelled), log)
             assert result == interpret(parse(omitted), log), spelled
             assert not (defaults and result.is_empty), spelled
@@ -527,7 +525,7 @@ def test_checked_programs_only_raise_predicate_runtime(fname, category, number):
         "output(result)\n"
     )
     program = parse(text)
-    assert check(program) == []
+    assert first_diagnostic(program) is None
     log = make_log([static_obj("t", "TRUCK", 0, 0, vx=2.0), static_obj("b", "BUS", 5, 5)])
     try:
         result = interpret(program, log)

@@ -4,7 +4,8 @@ Each example takes one valid file the CLI reads -- a track log, ground
 truth, predictions, a reply fixture, a --config file or a JSON queries
 file -- applies one mutation to one of its JSON values (drop it, give it a
 wrong type, wrap it in a list, or replace it with the NaN or Infinity token
-``json.loads`` accepts) and runs the subcommand that reads it through
+``json.loads`` accepts or with the lone surrogate ``"\\ud800"``, which is no
+Unicode text) and runs the subcommand that reads it through
 ``cli.main``. Whatever the file holds, the command ends in a documented exit
 code (0, 1 or 2) with no traceback, and every MalformedFile it raises names
 the file.
@@ -30,7 +31,7 @@ from scenemine.providers import make_fixture
 from scenemine.synth import ScenarioSpec, generate_scenario_log, write_bundle
 
 WRONG_TYPES = (0, 2.5, "x", True, None, [], {})
-MUTATIONS = ("drop", "retype", "nest", "NaN", "Infinity", "-Infinity")
+MUTATIONS = ("drop", "retype", "nest", "NaN", "Infinity", "-Infinity", "surrogate")
 KINDS = ("log", "ground truth", "predictions", "fixture", "config", "queries")
 
 
@@ -139,7 +140,10 @@ def mutations_of(draw, value):
     if mutation == "retype":
         new = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(old)]))
     else:
-        new = {"drop": _DROP, "nest": [old], "NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}[mutation]
+        new = {
+            "drop": _DROP, "nest": [old], "NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf,
+            "surrogate": "\ud800",
+        }[mutation]
     return json.dumps(_replace(value, path, new))
 
 

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenemine import orchestrator
-from scenemine.dsl import DslError, check, execute, parse
+from scenemine.dsl import DslError, execute, parse
 from scenemine.errors import InconsistentInput
 from scenemine.orchestrator import MiningConfig, run_batch
 from scenemine.providers import ScriptedProvider, make_fixture
 from scenemine.tracklog import pack_logs
 
-from util import DT, make_log, obj, programs, random_track_log, state, stamps, static_obj
+from util import DT, first_diagnostic, make_log, obj, programs, random_track_log, state, stamps, static_obj
 
 # ---------------------------------------------------------------------------
 # Layout
@@ -141,7 +141,7 @@ def _diagnostic(program, log):
 
 def _assert_each_log_gets_what_it_gets_alone(text, logs):
     program = parse(text)
-    if check(program):
+    if first_diagnostic(program) is not None:
         return
     for pack in pack_logs(logs):
         try:
@@ -209,7 +209,7 @@ def _twin_logs():
 )
 def test_a_program_fails_on_a_pack_as_on_its_first_log(text):
     program = parse(text)
-    assert check(program) == []
+    assert first_diagnostic(program) is None
     (pack,) = pack_logs(_twin_logs())
     with pytest.raises(DslError) as on_pack:
         execute(program, pack.log)

@@ -9,6 +9,7 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from scenemine.categories import DEFAULT_REGISTRY
+from scenemine.dsl import DslError, Program
 from scenemine.errors import ProviderError
 from scenemine.geometry import wrap_angle
 from scenemine.predicates import REGISTRY
@@ -83,6 +84,15 @@ def fragment_log(pred, gt) -> tuple[TrackLog, ScenarioSet, ScenarioSet]:
 def as_dict(s: ScenarioSet) -> dict[str, set[int]]:
     """ScenarioSet -> plain {track: set(ts)} dict, the shape the oracles speak."""
     return {t: set(s.timestamps_for(t)) for t in s.tracks()}
+
+
+def first_diagnostic(program: Program) -> DslError | None:
+    """The diagnostic the checker raises first on ``program``, or None when the program checks clean."""
+    try:
+        program._plan
+    except DslError as exc:
+        return exc
+    return None
 
 
 def catalog_function_names(catalog_text: str) -> list[str]:
@@ -199,7 +209,7 @@ def _render(value: float) -> str:
 
 @st.composite
 def programs(draw) -> str:
-    """A random straight-line program of registry calls: it parses, and may fail check() or execute()."""
+    """A random straight-line program of registry calls: it parses, and may fail the checker or execute()."""
     names: list[str] = []
     lines = []
     for i in range(draw(st.integers(1, 6))):
