@@ -11,10 +11,18 @@ and keeps the JSON result line each prints last, with the machine line, the
 seed and ``--seconds``. The traced runs of one (workload, seed) are kept as one
 entry: each run's result under ``repeats``, and as its result their per-layer
 metrics, each time in seconds the runs' median and every other figure (a
-count, pair count, ratio or size) as they all give it. Then,
-in one more fresh process, sweeps ``scenes.argo_log`` at 50, 70 and 200
+count, pair count, ratio or size) as they all give it. Then, in one more
+fresh process, runs an end-to-end row first: ``validate``, ``mine`` and
+``eval`` through ``cli.main`` over ``scenes.argo_log`` logs of 200 and 150
+objects x 150 frames and the ``argo_files`` queries, SWEEP_REPEATS times,
+keeping each command's median time, its exit code, the provider calls, the
+process's peak RSS and the SHA-256s of ``predictions.json`` and
+``report.json``. Next it sweeps ``scenes.argo_log`` at 50, 70 and 200
 objects x 150 frames, timing ``save_log`` then ``load_log`` of the log, the
-build of the log's neighbour table on a freshly loaded log (``hota_table_s``),
+read and ``json.loads`` of its file with the collector paused, as
+``load_log`` parses it (``parse_s``), the first read of ``speed`` on a
+freshly loaded log (``derived_s``), the build of the log's neighbour table
+on a freshly loaded log (``hota_table_s``),
 each of the 13 scenario functions called as the benchmark's ``argo_files``
 queries call it, ``dsl.interpret`` of one
 multi-statement ``argo_files`` program (``INTERPRET_QUERY``'s, parsed once)
@@ -40,14 +48,17 @@ its host scale (``parse_s``). Nothing gates the sweep or these rows.
 ``scenebench/`` and ``src/`` are measured; the BENCH file is written next to
 this script's checkout, so one script measures any commit's copy. The run
 exits with code 1 when any benchmark run fails its gate, or when the traced
-runs of one (workload, seed) differ in a figure other than a time.
+runs of one (workload, seed), or the end-to-end row's runs, differ in a
+figure other than a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import os
 import statistics
@@ -62,6 +73,7 @@ SEEDS = (0, 7)  # the benchmark's default seed and its held-out one
 SWEEP_OBJECTS = (50, 70, 200)
 SWEEP_FRAMES = 150
 SWEEP_REPEATS = 3
+END_TO_END_OBJECTS = (200, 150)  # two widths, so each log runs in a pack of its own
 BUILD_SUITE_REPEATS = 9
 PARSE_REPEATS = 51
 TRACE_REPEATS = 3  # traced runs per (workload, seed); their per-layer seconds are medians
@@ -141,8 +153,8 @@ def _median_time(action, repeats: int) -> float:
     return statistics.median(times)
 
 
-def _table_time(path: str, repeats: int) -> float:
-    """Median time to build the neighbour table HOTA scores from, each time on a freshly loaded log."""
+def _first_use_time(path: str, repeats: int, use) -> float:
+    """Median time of ``use(log)``, each time on a freshly loaded log."""
     from scenemine.tracklog import load_log
 
     times = []
@@ -150,9 +162,19 @@ def _table_time(path: str, repeats: int) -> float:
         log = load_log(path)
         gc.collect()
         start = time.perf_counter()
-        log.neighbours
+        use(log)
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def _parse(path: str) -> None:
+    """Read and ``json.loads`` a file with the collector paused, as ``load_log`` parses one."""
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.loads(fh.read())
+    finally:
+        gc.enable()
 
 
 def predicate_calls(log) -> dict:
@@ -211,17 +233,98 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
             "frames": num_frames,
             "save_log_s": _median_time(lambda: save_log(log, path), repeats),
             "load_log_s": _median_time(lambda: load_log(path), repeats),
+            "parse_s": _median_time(lambda: _parse(path), repeats),
+            "derived_s": _first_use_time(path, repeats, lambda log: log.speed),
             "log_mb": os.path.getsize(path) / 1e6,
         }
         with open(path, "rb") as fh:
             row["log_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-        row["hota_table_s"] = _table_time(path, repeats)
+        row["hota_table_s"] = _first_use_time(path, repeats, lambda log: log.neighbours)
     row["predicate_s"] = {name: _median_time(call, repeats) for name, call in predicate_calls(log).items()}
     program = parse(next(code for query, code, _ in scenes.ARGO_QUERIES if query == INTERPRET_QUERY))
     row["interpret_s"] = _median_time(lambda: interpret(program, log).to_json_dict(), repeats)
     log.neighbours  # built here, so the HOTA rows time scoring alone
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
+    row["host_scale"] = run.host_scale(before + run.calibration_times())
+    return row
+
+
+def end_to_end_row(sizes=END_TO_END_OBJECTS, num_frames: int = SWEEP_FRAMES, repeats: int = SWEEP_REPEATS) -> dict:
+    """``validate``, ``mine`` and ``eval`` through ``cli.main`` in process, as ``argo_files`` runs them.
+
+    The logs are ``scenes.argo_log`` logs of ``sizes`` objects x ``num_frames``
+    frames, saved to files, with their ground truth; the queries and replies
+    are ``argo_files``'. Times are the medians of ``repeats`` runs; the exit
+    codes, provider calls and output hashes are the first run's, and
+    ``mismatches`` names each of them that a later run does not repeat.
+    ``peak_rss_mb`` is the process's peak after the last run. Needs the
+    checkout's src/ and scenebench/ on sys.path.
+    """
+    import run
+    import scenes
+    import workloads
+    from scenemine import cli, providers
+    from scenemine.tracklog import save_ground_truth, save_log
+
+    logs = [scenes.argo_log(0, slot, n, num_frames) for slot, n in enumerate(sizes)]
+    calls = []
+    generate = providers.ScriptedProvider.generate
+
+    def counted(provider, prompt):
+        calls.append(None)
+        return generate(provider, prompt)
+
+    before = run.calibration_times()
+    with tempfile.TemporaryDirectory() as tmp:
+        data, queries, fixture, gt = (os.path.join(tmp, name) for name in ("logs", "queries.json", "fixture.json", "gt.json"))
+        outputs = {
+            "predictions": os.path.join(tmp, "run", "predictions.json"),
+            "report": os.path.join(tmp, "report", "report.json"),
+        }
+        os.makedirs(data)
+        for log in logs:
+            save_log(log, os.path.join(data, f"{log.log_id}.json"))
+        save_ground_truth(workloads.ground_truth(scenes.ARGO_QUERIES, logs), gt)
+        with open(queries, "w", encoding="utf-8") as fh:
+            json.dump([query for query, _, _ in scenes.ARGO_QUERIES], fh)
+        with open(fixture, "w", encoding="utf-8") as fh:
+            json.dump(scenes.fixture_for(scenes.ARGO_QUERIES), fh)
+        commands = {
+            "validate": ["validate", "--logs", data, "--gt", gt],
+            "mine": [
+                "mine", "--queries", queries, "--logs", data, "--out", os.path.join(tmp, "run"), "--fixture", fixture,
+                "-K", str(workloads.MAX_ROUNDS), "--workers", "1",
+            ],
+            "eval": [
+                "eval", "--predictions", outputs["predictions"], "--gt", gt, "--logs", data,
+                "--out", os.path.dirname(outputs["report"]),
+            ],
+        }
+        runs = []
+        providers.ScriptedProvider.generate = counted
+        try:
+            for _ in range(repeats):
+                calls.clear()
+                times, figures = {}, {}
+                for name, argv in commands.items():
+                    gc.collect()
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        start = time.perf_counter()
+                        figures[f"{name}_exit"] = cli.main(argv)
+                        times[f"{name}_s"] = time.perf_counter() - start
+                figures["provider_calls"] = len(calls)
+                for name, path in outputs.items():
+                    with open(path, "rb") as fh:
+                        figures[f"{name}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+                runs.append((times, figures))
+        finally:
+            providers.ScriptedProvider.generate = generate
+    row = {"objects": list(sizes), "frames": num_frames}
+    row.update({name: statistics.median(t[name] for t, _ in runs) for name in runs[0][0]})
+    row.update(runs[0][1])
+    row["mismatches"] = [name for name in runs[0][1] if any(f[name] != runs[0][1][name] for _, f in runs)]
+    row["peak_rss_mb"] = run.peak_rss_mb()
     row["host_scale"] = run.host_scale(before + run.calibration_times())
     return row
 
@@ -261,8 +364,12 @@ def _sweep_main(checkout: str) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "scenebench")]
     import run
 
+    end_to_end = end_to_end_row()  # first, so the process's peak RSS is this row's
     rows = [sweep_row(n) for n in SWEEP_OBJECTS]
-    print(json.dumps({"machine": run.machine(), "rows": rows, "build_suite": build_suite_row(), "parse": parse_row()}))
+    print(json.dumps({
+        "machine": run.machine(), "end_to_end": end_to_end, "rows": rows, "build_suite": build_suite_row(),
+        "parse": parse_row(),
+    }))
     return 0
 
 
@@ -297,9 +404,19 @@ def main(argv=None) -> int:
         env=_env(), capture_output=True, text=True, check=True,
     )
     sweep = json.loads(done.stdout.splitlines()[-1])
+    end_to_end = sweep["end_to_end"]
+    print(
+        f"end to end {end_to_end['objects']} objects: validate {end_to_end['validate_s']:.3f} s, "
+        f"mine {end_to_end['mine_s']:.3f} s, eval {end_to_end['eval_s']:.3f} s, "
+        f"{end_to_end['provider_calls']} provider calls, peak RSS {end_to_end['peak_rss_mb']:.1f} MB, "
+        f"host scale {end_to_end['host_scale']:.2f}"
+    )
+    if end_to_end["mismatches"]:
+        print(f"end to end: runs differ in {', '.join(end_to_end['mismatches'])}")
     for row in sweep["rows"]:
         print(
-            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s, "
+            f"sweep {row['objects']} objects: load_log {row['load_log_s']:.3f} s "
+            f"(parse {row['parse_s']:.3f} s, first speed read {row['derived_s']:.3f} s), "
             f"hota_table {row['hota_table_s']:.3f} s, predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s, "
             f"host scale {row['host_scale']:.2f}"
@@ -312,13 +429,14 @@ def main(argv=None) -> int:
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(
-            {"label": args.label, "machine": sweep["machine"], "runs": runs, "sweep": sweep["rows"],
-             "build_suite": suite, "parse": parsing},
+            {"label": args.label, "machine": sweep["machine"], "runs": runs, "end_to_end": end_to_end,
+             "sweep": sweep["rows"], "build_suite": suite, "parse": parsing},
             fh, indent=2,
         )
         fh.write("\n")
     print(f"wrote {os.path.relpath(out, ROOT)}")
-    return 0 if all(r["exit"] == 0 and not r.get("mismatches") for r in runs) else 1
+    passed = all(r["exit"] == 0 and not r.get("mismatches") for r in runs) and not end_to_end["mismatches"]
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

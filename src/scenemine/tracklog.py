@@ -111,9 +111,11 @@ class TrackLog:
     [10, T, N]: a state's position, heading, velocity and box dims in file
     order, also named ``x``, ``y``, ``z``, ``heading``, ``vx``, ``vy``,
     ``vz``, ``length``, ``width`` and ``height``. Where a track has no state,
-    ``present`` is False and the values are 0. Cos and sin of the heading,
-    the planar speed and the velocity angle atan2(vy, vx) come from ``math``,
-    so array code built on them reproduces the scalar definitions exactly.
+    ``present`` is False and the values are 0. ``cos_heading``,
+    ``sin_heading``, the planar ``speed`` and the ``velocity_angle``
+    atan2(vy, vx) are built together the first time one of them is read,
+    and kept; they come from ``math`` at present cells, so array code built
+    on them reproduces the scalar definitions exactly, and are 0 elsewhere.
     Every array is read-only.
 
     :meth:`from_arrays`, :meth:`build` and :func:`load_log` check every
@@ -127,28 +129,24 @@ class TrackLog:
         log_id: str,
         timestamps: tuple[int, ...],
         track_ids: tuple[str, ...],
-        table: np.ndarray,
+        states: np.ndarray,
         present: np.ndarray,
         category_names: np.ndarray,
         first_rows: np.ndarray,
     ):
-        """A log of its finished parts, unchecked; makes every array read-only and names the table's views.
+        """A log of its finished parts, unchecked; makes every array read-only and names the state rows.
 
-        ``table`` is [14, T, N]: the 10 state values then cos and sin of the
-        heading, the speed and the velocity angle. ``present`` is [T, N],
-        ``category_names`` [N] (or [T, N] for a pack) and ``first_rows`` [T].
+        ``states`` is [10, T, N], ``present`` [T, N], ``category_names`` [N]
+        (or [T, N] for a pack) and ``first_rows`` [T].
         """
         self.log_id, self.timestamps, self.track_ids = log_id, timestamps, track_ids
         self.row = {ts: i for i, ts in enumerate(timestamps)}
         self.column = {track: j for j, track in enumerate(track_ids)}
-        for array in (table, present, category_names, first_rows):
+        for array in (states, present, category_names, first_rows):
             array.flags.writeable = False
-        self._table, self.present, self.states = table, present, table[:10]
+        self.states, self.present = states, present
         self.category_names, self.first_rows = category_names, first_rows
-        (
-            self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height,
-            self.cos_heading, self.sin_heading, self.speed, self.velocity_angle,
-        ) = table
+        self.x, self.y, self.z, self.heading, self.vx, self.vy, self.vz, self.length, self.width, self.height = states
 
     @classmethod
     def from_arrays(
@@ -214,48 +212,44 @@ class TrackLog:
         column_of = np.empty(len(order), dtype=np.intp)
         column_of[order] = np.arange(len(order))
         cols = column_of[owners]
-        heading, vx, vy = values[3].tolist(), values[4].tolist(), values[5].tolist()
-        derived = (map(math.cos, heading), map(math.sin, heading), map(math.hypot, vx, vy), map(math.atan2, vy, vx))
-        table = np.zeros((14, len(timestamps), len(order)))
-        table[:10, rows, cols] = values
-        table[10:, rows, cols] = [list(d) for d in derived]
-        present = np.zeros(table.shape[1:], dtype=bool)
+        states = np.zeros((10, len(timestamps), len(order)))
+        states[:, rows, cols] = values
+        present = np.zeros(states.shape[1:], dtype=bool)
         present[rows, cols] = True
         if np.count_nonzero(present) < len(rows):  # a cell filled twice: name the first state not first in its cell
             s = np.setdiff1d(np.arange(len(rows)), np.unique(cols * len(timestamps) + rows, return_index=True)[1])[0]
             raise InvariantViolation(f"object '{tracks[owners[s]][0]}' has two states at {timestamps[rows[s]]}")
         return cls(
-            log_id, timestamps, tuple(tracks[k][0] for k in order), table, present,
+            log_id, timestamps, tuple(tracks[k][0] for k in order), states, present,
             np.array([tracks[k][1] for k in order], dtype=str), np.zeros(len(timestamps), dtype=np.intp),
         )
 
     @classmethod
     def build(cls, log_id: str, timestamps: Iterable[int], objects: Iterable[TrackedObject]) -> "TrackLog":
         """Construct from an object sequence through :meth:`_from_stamps`."""
-        objects = tuple(objects)
-        owners = np.repeat(np.arange(len(objects)), [len(obj.states) for obj in objects])
+        objects, timestamps = tuple(objects), tuple(int(t) for t in timestamps)
+        row = {ts: i for i, ts in enumerate(timestamps)}
+        stamps = [ts for obj in objects for ts in obj.states]
         states = [st for obj in objects for st in obj.states.values()]
         return cls._from_stamps(
-            log_id, timestamps, [(obj.track_id, obj.category) for obj in objects], owners,
-            [ts for obj in objects for ts in obj.states],
+            log_id, timestamps, [(obj.track_id, obj.category) for obj in objects],
+            np.repeat(np.arange(len(objects)), [len(obj.states) for obj in objects]),
+            np.fromiter(map(row.get, stamps, itertools.repeat(-1)), dtype=np.intp, count=len(stamps)), stamps,
             np.array([(*st.position, st.heading, *st.velocity, *st.box_dims) for st in states]).reshape(-1, 10).T,
         )
 
     @classmethod
     def _from_stamps(
-        cls, log_id: str, timestamps: Iterable[int], tracks: Sequence[tuple[str, str]],
-        owners: np.ndarray, stamps: Sequence[int], values: np.ndarray,
+        cls, log_id: str, timestamps: Sequence[int], tracks: Sequence[tuple[str, str]], owners: np.ndarray,
+        rows: np.ndarray, stamps: Sequence[int | str], values: np.ndarray,
     ) -> "TrackLog":
-        """:meth:`from_arrays` with state s at timestamp ``stamps[s]``, not a row; a stamp the log lacks fails last."""
-        timestamps = tuple(int(t) for t in timestamps)
-        row = {ts: i for i, ts in enumerate(timestamps)}
-        rows = np.fromiter(map(row.get, stamps, itertools.repeat(-1)), dtype=np.intp, count=len(stamps))
+        """:meth:`from_arrays`, where a row of -1 puts state s at ``stamps[s]``, a timestamp the log lacks; that fails last."""
         stray = rows < 0
         if not stray.any():
             return cls.from_arrays(log_id, timestamps, tracks, owners, rows, values)
         cls.from_arrays(log_id, timestamps, tracks, owners[~stray], rows[~stray], values[:, ~stray])
         k = owners[np.argmax(stray)]
-        lost = sorted(ts for ts, owner in zip(stamps, owners) if owner == k and ts not in row)
+        lost = sorted(int(stamps[s]) for s in np.flatnonzero(stray & (owners == k)))
         raise InvariantViolation(f"object '{tracks[k][0]}' has states at timestamps absent from the log: {lost[:3]}")
 
     def track_states(self) -> Iterator[tuple[str, str, list[int], list[list[float]]]]:
@@ -302,6 +296,24 @@ class TrackLog:
         return table
 
     @functools.cached_property
+    def _derived(self) -> np.ndarray:
+        """[4, T, N], read-only: cos and sin of the heading, the speed and the velocity angle, from ``math``."""
+        rows, cols = np.nonzero(self.present)
+        heading, vx, vy = (v[rows, cols].tolist() for v in (self.heading, self.vx, self.vy))
+        derived = np.zeros((4, *self.present.shape))
+        derived[:, rows, cols] = [
+            list(map(math.cos, heading)), list(map(math.sin, heading)),
+            list(map(math.hypot, vx, vy)), list(map(math.atan2, vy, vx)),
+        ]
+        derived.flags.writeable = False
+        return derived
+
+    cos_heading = property(lambda self: self._derived[0])
+    sin_heading = property(lambda self: self._derived[1])
+    speed = property(lambda self: self._derived[2])
+    velocity_angle = property(lambda self: self._derived[3])
+
+    @functools.cached_property
     def objects(self) -> Mapping[str, TrackedObject]:
         """Each track as a TrackedObject: a read-only mapping rebuilt from the arrays on first use."""
         objects = {}
@@ -334,9 +346,11 @@ class GroundTruthScenario:
     relevant: ScenarioSet
 
     def validate_against(self, log: TrackLog) -> None:
-        """Raise InvariantViolation if any relevant pair is missing from the log."""
+        """Raise InvariantViolation naming the first relevant pair, in ``pairs()`` order, missing from the log."""
         if log.log_id != self.log_id:
             raise InvariantViolation(f"ground truth targets log '{self.log_id}', got '{log.log_id}'")
+        if np.count_nonzero(self.relevant.mask_on(log)) == len(self.relevant):
+            return
         for track, ts in self.relevant.pairs():
             j, i = log.column.get(track), log.row.get(ts)
             if j is None or i is None or not log.present[i, j]:
@@ -401,24 +415,24 @@ def _pack(members: list[TrackLog]) -> LogPack:
     if len(members) == 1:
         return LogPack(members[0], (members[0],), (0,))
     width = len(members[0].track_ids)
-    tables, present, names, stamps, starts = [], [], [], [], []
+    states, present, names, stamps, starts = [], [], [], [], []
     for member in members:
         if stamps:  # the separator row
-            tables.append(np.zeros((14, 1, width)))
+            states.append(np.zeros((10, 1, width)))
             present.append(np.zeros((1, width), dtype=bool))
             names.append(np.full((1, width), ""))
             stamps.append(stamps[-1] + _PACK_GAP_NS)
         starts.append(len(stamps))
         shift = stamps[-1] + _PACK_GAP_NS - member.timestamps[0] if stamps else -member.timestamps[0]
         stamps += [ts + shift for ts in member.timestamps]
-        tables.append(member._table)
+        states.append(member.states)
         present.append(member.present)
         names.append(np.broadcast_to(member.category_names, member.present.shape))
     first_rows = np.zeros(len(stamps), dtype=np.intp)
     first_rows[starts] = starts
     pack = TrackLog(
         "+".join(member.log_id for member in members), tuple(stamps), tuple(map(str, range(width))),
-        np.concatenate(tables, axis=1), np.concatenate(present), np.concatenate(names),
+        np.concatenate(states, axis=1), np.concatenate(present), np.concatenate(names),
         np.maximum.accumulate(first_rows),
     )
     return LogPack(pack, tuple(members), tuple(starts))
@@ -517,19 +531,23 @@ def _object_header(raw: object, where: str) -> tuple[str, str, dict]:
 _STATE_PARTS = operator.itemgetter("position", "heading", "velocity", "box_dims")
 
 
-def _state_values(keys: list[str], states: list) -> tuple[list[int], np.ndarray]:
-    """Each state key's timestamp and the states' [10, S] values, read in bulk.
+def _state_values(keys: list[str], states: list, row: Mapping[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's row, -1 at a timestamp the log lacks, and the states' [10, S] values, read in bulk.
 
-    Raises ValueError, TypeError, KeyError or OverflowError, naming no state,
-    unless ``_check_state`` passes every key and state.
+    ``row`` maps each of the log's timestamps, written as ``str`` writes it,
+    to its row. Raises ValueError, TypeError, KeyError or OverflowError,
+    naming no state, unless ``_check_state`` passes every key and state.
     """
-    key_stamps = list(map(int, keys))
-    positions, headings, velocities, boxes = zip(*map(_STATE_PARTS, states)) if states else ((),) * 4
-    triples = positions + velocities + boxes
-    if list(map(str, key_stamps)) != keys or not set(map(type, triples)) <= {list} or not set(map(len, triples)) <= {3}:
-        raise ValueError("a key or a state field is at fault")
+    rows = np.fromiter(map(row.get, keys, itertools.repeat(-1)), dtype=np.intp, count=len(keys))
+    missed = list(itertools.compress(keys, (rows < 0).tolist()))
+    if list(map(str, map(int, missed))) != missed:  # a key the log lacks is a fault unless written as a timestamp
+        raise ValueError("a key is at fault")
+    parts = list(itertools.chain.from_iterable(map(_STATE_PARTS, states)))
+    triples = parts[0::4] + parts[2::4] + parts[3::4]  # positions, velocities, box dims
+    if not set(map(type, triples)) <= {list} or not set(map(len, triples)) <= {3}:
+        raise ValueError("a state field is at fault")
     numbers = list(itertools.chain.from_iterable(triples))
-    numbers += headings
+    numbers += parts[1::4]  # headings
     if not set(map(type, numbers)) <= {int, float}:  # numpy would read true, null or "1.5" as a number
         raise ValueError("a state number is at fault")
     flat = np.array(numbers, dtype=np.float64)
@@ -538,7 +556,7 @@ def _state_values(keys: list[str], states: list) -> tuple[list[int], np.ndarray]
     values = np.vstack([position.T, flat[9 * s:], velocity.T, box_dims.T])
     if _bad_states(values).any():
         raise ValueError("a state's values are at fault")
-    return key_stamps, values
+    return rows, values
 
 
 def _read_log(raw: object, where: str) -> TrackLog:
@@ -546,7 +564,8 @@ def _read_log(raw: object, where: str) -> TrackLog:
 
     A header's fault, or an object's empty id or state map, is held until
     the states before it are checked; ``_state_values`` finds whether any is
-    at fault, and only then does ``_check_state`` name the first.
+    at fault, and only then does ``_check_state`` name the first. A key that
+    is a timestamp the log lacks fails after every other check.
     """
     if not isinstance(raw, dict):
         raise MalformedFile(f"{where}: top level must be an object")
@@ -572,7 +591,7 @@ def _read_log(raw: object, where: str) -> TrackLog:
             held = InvariantViolation(f"{owhere}: {fault}")
             break
     try:
-        key_stamps, values = _state_values(keys, states)
+        rows, values = _state_values(keys, states, {str(ts): i for i, ts in enumerate(stamps)})
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         failed = exc
     else:
@@ -586,7 +605,7 @@ def _read_log(raw: object, where: str) -> TrackLog:
         raise held
     owners = np.repeat(np.arange(len(tracks)), counts)
     try:
-        return TrackLog._from_stamps(log_id, stamps, tracks, owners, key_stamps, values)
+        return TrackLog._from_stamps(log_id, stamps, tracks, owners, rows, keys, values)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from None
 
@@ -607,9 +626,11 @@ def _collector_paused() -> Iterator[None]:
 def load_log(path: str | Path) -> TrackLog:
     """Load a track log from JSON, enforcing the schema and all invariants.
 
-    One reader takes every file straight into arrays; only when bulk tests
-    find a key or state at fault are the states checked one by one, to name
-    the first fault in file order.
+    One reader takes every file straight into arrays, one pass per job;
+    only when bulk tests find a key or state at fault are the states
+    checked one by one, to name the first fault in file order. The log's
+    heading and speed columns are left to the first predicate that reads
+    them.
 
     The cyclic garbage collector is paused while the file is parsed and read,
     and left on or off as it was found, whether the load returns or raises.

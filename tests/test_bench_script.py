@@ -25,13 +25,29 @@ def test_sweep_row_times_each_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
     row = _bench_module().sweep_row(6, num_frames=4, repeats=1)
     assert (row["objects"], row["frames"]) == (6, 4)
-    timed = ("save_log_s", "load_log_s", "hota_table_s", "interpret_s", "hota_temporal_s", "hota_full_s")
+    timed = (
+        "save_log_s", "load_log_s", "parse_s", "derived_s", "hota_table_s", "interpret_s", "hota_temporal_s",
+        "hota_full_s",
+    )
     assert set(row) == {"objects", "frames", "log_mb", "log_sha256", "host_scale", "predicate_s", *timed}
     assert len(row["log_sha256"]) == 64 and int(row["log_sha256"], 16) >= 0
     assert all(row[key] >= 0.0 for key in timed)
     assert set(row["predicate_s"]) == set(REGISTRY)
     assert all(seconds >= 0.0 for seconds in row["predicate_s"].values())
     assert row["log_mb"] > 0.0 and row["host_scale"] > 0.0
+
+
+def test_end_to_end_row_runs_validate_mine_and_eval_and_repeats_its_figures(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scenebench"))
+    row = _bench_module().end_to_end_row(sizes=(6, 5), num_frames=4, repeats=2)
+    timed = ("validate_s", "mine_s", "eval_s")
+    figures = ("validate_exit", "mine_exit", "eval_exit", "provider_calls", "predictions_sha256", "report_sha256")
+    assert set(row) == {"objects", "frames", "mismatches", "peak_rss_mb", "host_scale", *timed, *figures}
+    assert (row["objects"], row["frames"], row["mismatches"]) == ([6, 5], 4, [])
+    assert all(row[key] > 0.0 for key in timed) and row["peak_rss_mb"] > 0.0 and row["host_scale"] > 0.0
+    assert (row["validate_exit"], row["eval_exit"]) == (0, 0) and row["mine_exit"] in (0, 1)
+    assert row["provider_calls"] >= 14  # a round at least per argo_files query
+    assert all(len(row[key]) == 64 and int(row[key], 16) >= 0 for key in ("predictions_sha256", "report_sha256"))
 
 
 def test_build_suite_row_times_the_ablation_suite(monkeypatch):
@@ -87,8 +103,12 @@ def test_a_count_that_differs_between_traced_runs_fails_the_run(tmp_path, monkey
     def fake_run(checkout, workload, seed, seconds, trace):
         return dict(_traced_run(0.1, next(calls) if trace and seed == 7 else 40), seed=seed, trace=trace)
 
+    end_to_end = {
+        "objects": [200, 150], "frames": 150, "validate_s": 0.2, "mine_s": 0.5, "eval_s": 0.3, "provider_calls": 22,
+        "peak_rss_mb": 200.0, "host_scale": 1.0, "mismatches": [],
+    }
     sweep = {
-        "machine": {}, "rows": [], "build_suite": {"build_suite_s": 0.1, "host_scale": 1.0},
+        "machine": {}, "end_to_end": end_to_end, "rows": [], "build_suite": {"build_suite_s": 0.1, "host_scale": 1.0},
         "parse": {"parse_s": 0.01, "texts": 60, "host_scale": 1.0},
     }
     monkeypatch.setattr(bench, "benchmark_run", fake_run)

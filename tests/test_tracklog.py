@@ -30,6 +30,7 @@ from scenemine.tracklog import (
     dump_log_text,
     load_ground_truth,
     load_log,
+    pack_logs,
     save_ground_truth,
     save_log,
 )
@@ -298,6 +299,9 @@ def test_log_lookup_helpers():
 # Columnar view
 
 
+_DERIVED = ("cos_heading", "sin_heading", "speed", "velocity_angle")  # built on first read
+
+
 def test_view_is_the_log_and_objects_are_built_on_demand(tmp_path):
     path = tmp_path / "log.json"
     save_log(random_track_log(3), path)
@@ -325,6 +329,7 @@ def test_view_arrays_equal_the_logged_states(seed):
             st_ = given_objects[track].states.get(ts)
             assert log.present[i, j] == (st_ is not None)
             if st_ is None:
+                assert [getattr(log, name)[i, j] for name in _DERIVED] == [0.0] * 4
                 continue
             vx, vy = st_.velocity[0], st_.velocity[1]
             want = (
@@ -391,23 +396,23 @@ def test_neighbour_table_is_the_same_in_any_block_size(monkeypatch, budget):
     assert table  # some track has a neighbour
 
 
-def _counted_table_builds(monkeypatch) -> list:
-    """The logs whose neighbour table is built from now on, one entry per build."""
+def _counted_builds(monkeypatch, name: str) -> list:
+    """The logs whose cached property ``name`` (the neighbour table, say) is built from now on, one entry per build."""
     built = []
-    build = TrackLog.__dict__["neighbours"].func
+    build = TrackLog.__dict__[name].func
 
     def counted(log):
         built.append(log)
         return build(log)
 
     table = functools.cached_property(counted)
-    table.__set_name__(TrackLog, "neighbours")
-    monkeypatch.setattr(TrackLog, "neighbours", table)
+    table.__set_name__(TrackLog, name)
+    monkeypatch.setattr(TrackLog, name, table)
     return built
 
 
 def test_neighbour_table_is_built_once_per_log_and_only_to_score(tmp_path, monkeypatch):
-    built = _counted_table_builds(monkeypatch)
+    built = _counted_builds(monkeypatch, "neighbours")
     data = tmp_path / "data"
     write_bundle(generate_scenario_log(ScenarioSpec("near", 7)), str(data))
     path = data / "near-0007.json"
@@ -433,6 +438,65 @@ def test_neighbour_table_is_built_once_per_log_and_only_to_score(tmp_path, monke
         {log.log_id: log},
     )
     assert [len(r.per_log) for r in report.per_query.values()] == [1, 1, 1] and built == [log]  # six HOTA calls, one table
+
+
+def test_a_packs_heading_and_speed_columns_are_its_members_rows_and_0_at_its_separator():
+    a = make_log([static_obj("a1", "BUS", 0, 0, 0.5, n=2, vx=3.0, vy=-4.0),
+                  static_obj("a2", "PEDESTRIAN", 5, 0, -2.0, n=3, vx=-1.0, vy=0.5)], n=3, log_id="a")
+    b = make_log([static_obj("b1", "TRUCK", 0, 0, 3.0, vx=0.0, vy=2.0),
+                  static_obj("b2", "BUS", 9, 0, -0.1, vx=7.0, vy=0.0)], log_id="b")
+    (pack,) = pack_logs([a, b])
+    for name in _DERIVED:
+        column = getattr(pack.log, name)
+        assert column[:3].tolist() == getattr(a, name).tolist() and column[2, 0] == 0.0  # a1 is absent at row 2
+        assert column[3].tolist() == [0.0, 0.0]  # the separator row
+        assert column[4:].tolist() == getattr(b, name).tolist()
+
+
+def test_heading_and_speed_columns_are_built_once_per_log_and_read_only(monkeypatch):
+    built = _counted_builds(monkeypatch, "_derived")
+    log = random_track_log(3)
+    assert built == []
+    columns = [getattr(log, name) for _ in range(2) for name in _DERIVED]
+    assert built == [log]
+    for column in columns:
+        with pytest.raises(ValueError):
+            column[0, 0] = 1.0
+
+
+def test_validate_and_eval_build_no_heading_or_speed_column(tmp_path, monkeypatch):
+    result = generate_scenario_log(ScenarioSpec("braking_sequence", 7))
+    paths = write_bundle(result, str(tmp_path / "data"))
+    built = _counted_builds(monkeypatch, "_derived")
+    (tmp_path / "fixture.json").write_text(json.dumps(make_fixture({result.query: [f"```\n{result.program}\n```"]})))
+    (tmp_path / "queries.json").write_text(json.dumps([result.query]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["validate", "--logs", str(tmp_path / "data"), "--gt", paths["ground_truth"]]) == 0
+        assert built == []
+        assert cli.main([
+            "mine", "--queries", str(tmp_path / "queries.json"), "--logs", str(tmp_path / "data"),
+            "--out", str(tmp_path / "run"), "--fixture", str(tmp_path / "fixture.json"),
+        ]) == 0
+        assert len(built) == 1  # the program reads speeds
+        built.clear()
+        assert cli.main([
+            "eval", "--predictions", str(tmp_path / "run" / "predictions.json"), "--gt", paths["ground_truth"],
+            "--logs", str(tmp_path / "data"), "--out", str(tmp_path / "report"),
+        ]) == 0
+    assert built == []
+
+
+def test_validate_against_names_the_first_missing_pair_in_pair_order():
+    log = make_log([static_obj("a", "BUS", 0, 0, n=1), static_obj("b", "BUS", 5, 0)])
+    t0, t1 = log.timestamps
+    for entries, (track, ts) in (
+        ({"b": [t0, t1], "a": [t1, t0]}, ("a", t1)),  # a has no state at t1
+        ({"b": [t1 + 7, t0], "c": [t0]}, ("b", t1 + 7)),  # the log has no t1 + 7
+        ({"z": [t0], "b": [t1]}, ("z", t0)),  # the log has no track z
+    ):
+        with pytest.raises(InvariantViolation) as caught:
+            GroundTruthScenario("q", "log-test", sset(entries)).validate_against(log)
+        assert str(caught.value) == f"ground truth pair ({track!r}, {ts}) does not exist in log 'log-test'"
 
 
 def test_ground_truth_validate_against():
@@ -739,6 +803,12 @@ def _stray_state(obj):
     obj["states"][str(stamps(3)[2])] = obj["states"][str(stamps(2)[0])]
 
 
+def _stray_state_then_a_bad_heading(obj):
+    """A valid state at a timestamp the log lacks, first in file order, then a state with a heading out of range."""
+    t0, t1, absent = map(str, stamps(3))
+    obj["states"] = {absent: obj["states"][t0], t0: obj["states"][t0], t1: dict(obj["states"][t1], heading=4.0)}
+
+
 # (fault in object 0, fault in object 1, the object whose fault wins): the walk checks each object's
 # header and then its states in file order, and a state at a timestamp the log lacks only when the
 # log is built.
@@ -759,6 +829,7 @@ _CROSS_OBJECT_FAULTS = {
     "stray timestamp then a state fault": (
         _stray_state, lambda obj: _set_state(obj, "position", [1, 2, math.inf]), 1,
     ),
+    "stray timestamp then a state fault in one object": (_stray_state_then_a_bad_heading, lambda obj: None, 0),
 }
 
 
