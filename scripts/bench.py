@@ -15,12 +15,13 @@ count, pair count, ratio or size) as they all give it. Then, in one more
 fresh process, runs an end-to-end row first: ``validate``, ``mine`` and
 ``eval`` through ``cli.main`` over ``scenes.argo_log`` logs of 200 and 150
 objects x 150 frames and the ``argo_files`` queries, SWEEP_REPEATS times,
-keeping each command's median time, its exit code, the provider calls, the
-process's peak RSS and the SHA-256s of ``predictions.json`` and
-``report.json``. Next it sweeps ``scenes.argo_log`` at 50, 70 and 200
-objects x 150 frames, timing ``save_log`` then ``load_log`` of the log, the
-read and ``json.loads`` of its file with the collector paused, as
-``load_log`` parses it (``parse_s``), the first read of ``speed`` on a
+keeping each command's median time, scaled as ``run.py`` scales a pass (each
+repeat's times by the host scale of the calibrations on either side of it),
+its exit code, the provider calls, the process's peak RSS and the SHA-256s of
+``predictions.json`` and ``report.json``. Next it sweeps ``scenes.argo_log``
+at 50, 70 and 200 objects x 150 frames, timing ``save_log`` then
+``load_log`` of the log, the read and ``json.loads`` of its file with the
+collector paused, as ``load_log`` parses it (``parse_s``), the first read of ``speed`` on a
 freshly loaded log (``derived_s``), the build of the log's neighbour table
 on a freshly loaded log (``hota_table_s``),
 each of the 13 scenario functions called as the benchmark's ``argo_files``
@@ -28,8 +29,10 @@ queries call it, ``dsl.interpret`` of one
 multi-statement ``argo_files`` program (``INTERPRET_QUERY``'s, parsed once)
 with its output read through ``to_json_dict`` (``interpret_s``), and
 ``hota_temporal`` and ``hota_full`` scoring every other track (all of its
-frames) against all tracks. The HOTA rows reuse one log whose table is built
-before they are timed, so only ``hota_table_s`` shows what building it costs.
+frames) against all tracks, and the two of them together scoring all tracks
+against themselves (``hota_exact_s``), where every frame agrees. The HOTA rows
+reuse one log whose table is built before they are timed, so only
+``hota_table_s`` shows what building it costs.
 Every timed repeat starts after a ``gc.collect()``, so no repeat pays for a
 collection the garbage of earlier ones made due. Sweep times
 are unscaled seconds, the median of SWEEP_REPEATS, given and printed with the
@@ -246,6 +249,9 @@ def sweep_row(num_objects: int, num_frames: int = SWEEP_FRAMES, repeats: int = S
     log.neighbours  # built here, so the HOTA rows time scoring alone
     row["hota_temporal_s"] = _median_time(lambda: hota_temporal(every_other, everything, log), repeats)
     row["hota_full_s"] = _median_time(lambda: hota_full(every_other, everything, log), repeats)
+    row["hota_exact_s"] = _median_time(
+        lambda: (hota_temporal(everything, everything, log), hota_full(everything, everything, log)), repeats
+    )
     row["host_scale"] = run.host_scale(before + run.calibration_times())
     return row
 
@@ -255,8 +261,10 @@ def end_to_end_row(sizes=END_TO_END_OBJECTS, num_frames: int = SWEEP_FRAMES, rep
 
     The logs are ``scenes.argo_log`` logs of ``sizes`` objects x ``num_frames``
     frames, saved to files, with their ground truth; the queries and replies
-    are ``argo_files``'. Times are the medians of ``repeats`` runs; the exit
-    codes, provider calls and output hashes are the first run's, and
+    are ``argo_files``'. Each run's times are scaled by the host scale of the
+    calibrations on either side of it, and a command's time is the median of
+    its ``repeats`` scaled times; ``host_scale`` is the runs' median scale.
+    The exit codes, provider calls and output hashes are the first run's, and
     ``mismatches`` names each of them that a later run does not repeat.
     ``peak_rss_mb`` is the process's peak after the last run. Needs the
     checkout's src/ and scenebench/ on sys.path.
@@ -275,7 +283,6 @@ def end_to_end_row(sizes=END_TO_END_OBJECTS, num_frames: int = SWEEP_FRAMES, rep
         calls.append(None)
         return generate(provider, prompt)
 
-    before = run.calibration_times()
     with tempfile.TemporaryDirectory() as tmp:
         data, queries, fixture, gt = (os.path.join(tmp, name) for name in ("logs", "queries.json", "fixture.json", "gt.json"))
         outputs = {
@@ -303,6 +310,7 @@ def end_to_end_row(sizes=END_TO_END_OBJECTS, num_frames: int = SWEEP_FRAMES, rep
         }
         runs = []
         providers.ScriptedProvider.generate = counted
+        before = run.calibration_times()
         try:
             for _ in range(repeats):
                 calls.clear()
@@ -317,15 +325,18 @@ def end_to_end_row(sizes=END_TO_END_OBJECTS, num_frames: int = SWEEP_FRAMES, rep
                 for name, path in outputs.items():
                     with open(path, "rb") as fh:
                         figures[f"{name}_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-                runs.append((times, figures))
+                after = run.calibration_times()
+                scale = run.host_scale(before + after)
+                before = after
+                runs.append(({name: t * scale for name, t in times.items()}, figures, scale))
         finally:
             providers.ScriptedProvider.generate = generate
     row = {"objects": list(sizes), "frames": num_frames}
-    row.update({name: statistics.median(t[name] for t, _ in runs) for name in runs[0][0]})
+    row.update({name: statistics.median(t[name] for t, _, _ in runs) for name in runs[0][0]})
     row.update(runs[0][1])
-    row["mismatches"] = [name for name in runs[0][1] if any(f[name] != runs[0][1][name] for _, f in runs)]
+    row["mismatches"] = [name for name in runs[0][1] if any(f[name] != runs[0][1][name] for _, f, _ in runs)]
     row["peak_rss_mb"] = run.peak_rss_mb()
-    row["host_scale"] = run.host_scale(before + run.calibration_times())
+    row["host_scale"] = statistics.median(scale for _, _, scale in runs)
     return row
 
 
@@ -409,7 +420,7 @@ def main(argv=None) -> int:
         f"end to end {end_to_end['objects']} objects: validate {end_to_end['validate_s']:.3f} s, "
         f"mine {end_to_end['mine_s']:.3f} s, eval {end_to_end['eval_s']:.3f} s, "
         f"{end_to_end['provider_calls']} provider calls, peak RSS {end_to_end['peak_rss_mb']:.1f} MB, "
-        f"host scale {end_to_end['host_scale']:.2f}"
+        f"median host scale {end_to_end['host_scale']:.2f}"
     )
     if end_to_end["mismatches"]:
         print(f"end to end: runs differ in {', '.join(end_to_end['mismatches'])}")
@@ -419,6 +430,7 @@ def main(argv=None) -> int:
             f"(parse {row['parse_s']:.3f} s, first speed read {row['derived_s']:.3f} s), "
             f"hota_table {row['hota_table_s']:.3f} s, predicates {sum(row['predicate_s'].values()):.3f} s, interpret {row['interpret_s']:.3f} s, "
             f"hota_temporal {row['hota_temporal_s']:.3f} s, hota_full {row['hota_full_s']:.3f} s, "
+            f"hota_exact {row['hota_exact_s']:.3f} s, "
             f"host scale {row['host_scale']:.2f}"
         )
     suite = sweep["build_suite"]

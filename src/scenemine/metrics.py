@@ -17,18 +17,31 @@ scores depend on iteration order.
 HOTA is defined per alpha, but a frame's eligible pairs change only where an
 alpha crosses one of its similarities. So each frame is matched once per
 connected component of its candidate pairs and per band of alphas over which
-that component's eligible set stays the same, never once per alpha, and a
-pair with no rival in its frame (most often a track with itself) is credited
-without matching. Matching a component alone gives the same pairs as
-matching the whole frame, and the association sums add the same terms in the
-same order as a separate pass per alpha, so every score is bit-identical to
-that pass (``hota_per_alpha`` in the test oracles keeps it as the reference).
+that component's eligible set stays the same, never once per alpha. Two
+kinds of pair are credited without matching: a pair with no rival in its
+frame (most often a track with itself), and every self pair of an agreeing
+frame, one where pred and gt flag the same tracks. Matching a component
+alone gives the same pairs as matching the whole frame, and the association
+sums add the same terms in the same order as a separate pass per alpha, so
+every score is bit-identical to that pass (``hota_per_alpha`` in the test
+oracles keeps it as the reference).
+
+An agreeing frame needs no matching, ties included. Say both sides flag the
+set D there. At every alpha the identity matching reaches the largest total
+any matching can, |D|: no similarity exceeds 1.0, and a self pair's is
+exactly 1.0. The lexmin matching visits pairs in sorted order, and for each
+pred p it meets (p, p) as the first pair whose gt is still free, since each
+smaller gt of D is already taken by the smaller pred of the same id; the
+identity completes that choice to a maximum, so it fixes (p, p), even where
+another track's centre coincides with p's. Every alpha therefore matches the
+identity there, and the frame's cross pairs are dropped unmatched.
 
 Only centres under SIMILARITY_SCALE_M apart can match, so a log's candidate
 cross pairs, of two different tracks, come from its neighbour table
 (``TrackLog.neighbours``), built once per log and read by every HOTA call on
-it: the table's (row, a, b) where pred flags a and gt flags b. A track's
-similarity to itself is exactly 1.0, so self pairs come from the masks alone.
+it: the table's (row, a, b) at a frame that does not agree, where pred flags
+a and gt flags b. A track's similarity to itself is exactly 1.0, so self
+pairs come from the masks alone.
 """
 
 from __future__ import annotations
@@ -188,9 +201,12 @@ def _hota(pred: np.ndarray, gt: np.ndarray, neighbours: Sequence[np.ndarray]) ->
     exactly the first k = bisect_right(DEFAULT_ALPHAS, s) of them, and a
     frame's eligible set changes only at its pairs' distinct k. A pair with
     no rival in its frame (no other eligible pair shares its pred or gt) is
-    matched at exactly those k alphas and is credited there directly. A self
-    pair joins a frame only where an eligible cross pair touches its track;
-    its other frames are all uncontested and credited in one step. Each
+    matched at exactly those k alphas and is credited there directly. Cross
+    pairs are taken only at rows where pred and gt differ: at a row where
+    they agree, every alpha's matching is the identity (see the module
+    docstring for why, ties included). A self pair joins a frame only where
+    an eligible cross pair touches its track; its other frames, the agreeing
+    ones among them, are all uncontested and credited in one step. Each
     connected component of a frame's remaining pairs is matched once per
     band between consecutive distinct k, and the matches are credited to
     that band's alphas. The per-alpha match sets are therefore the ones a
@@ -223,7 +239,10 @@ def _hota(pred: np.ndarray, gt: np.ndarray, neighbours: Sequence[np.ndarray]) ->
     both = pred & gt  # the self pairs; those an eligible cross pair touches leave it
     rows, a, b, similarity = neighbours
     # Most small logs hold no two centres close enough to match: then there is nothing to filter.
-    cross = np.flatnonzero(pred[rows, a] & gt[rows, b] & (similarity >= DEFAULT_ALPHAS[0])) if len(rows) else ()
+    cross = ()
+    if len(rows):
+        differ = (pred != gt).any(axis=1)  # the rows where the two sides do not agree
+        cross = np.flatnonzero(differ[rows] & pred[rows, a] & gt[rows, b] & (similarity >= DEFAULT_ALPHAS[0]))
     if len(cross):
         rows, a, b = rows[cross], a[cross], b[cross]
         for row, p, g, s in zip(rows.tolist(), a.tolist(), b.tolist(), similarity[cross].tolist()):

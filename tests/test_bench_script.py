@@ -27,7 +27,7 @@ def test_sweep_row_times_each_layer(monkeypatch):
     assert (row["objects"], row["frames"]) == (6, 4)
     timed = (
         "save_log_s", "load_log_s", "parse_s", "derived_s", "hota_table_s", "interpret_s", "hota_temporal_s",
-        "hota_full_s",
+        "hota_full_s", "hota_exact_s",
     )
     assert set(row) == {"objects", "frames", "log_mb", "log_sha256", "host_scale", "predicate_s", *timed}
     assert len(row["log_sha256"]) == 64 and int(row["log_sha256"], 16) >= 0

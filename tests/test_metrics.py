@@ -276,7 +276,8 @@ def test_hota_score_is_bounded(pred, gt):
 # 0.25, 0.5 and 0.75 and make ties; up to six tracks give frames where a
 # track has several candidates and frames with several components. Both
 # sides flag tracks from one pool, as hota_full's do, so a frame can pair a
-# track with itself.
+# track with itself, and at some frames gt flags exactly pred's tracks, so
+# agreeing frames come with coincident centres too.
 _GRID = st.tuples(
     st.sampled_from([i * 0.5 for i in range(7)]),
     st.sampled_from([0.0, 0.5, 1.0, 1.5]),
@@ -291,15 +292,21 @@ _TIE_POOL = st.dictionaries(
 
 @st.composite
 def _tie_fragments(draw):
-    """Pred and gt fragments, each flagging some of one tie-heavy pool's (track, timestamp) centres."""
+    """Pred and gt fragments, each flagging some of one tie-heavy pool's (track, timestamp) centres.
+
+    At each drawn agreeing timestamp gt flags exactly the tracks pred flags there.
+    """
     pool = draw(_TIE_POOL)
     present = [(track, ts) for track, frames in sorted(pool.items()) for ts in sorted(frames)]
     if not present:
         return {}, {}
+    pred, gt = (draw(st.sets(st.sampled_from(present))) for _ in range(2))
+    agreeing = draw(st.sets(st.sampled_from(stamps(4))))
+    gt = {(track, ts) for track, ts in gt if ts not in agreeing} | {(track, ts) for track, ts in pred if ts in agreeing}
     sides = []
-    for _ in range(2):
+    for pairs in (pred, gt):
         side: dict = {}
-        for track, ts in draw(st.sets(st.sampled_from(present))):
+        for track, ts in pairs:
             side.setdefault(track, {})[ts] = pool[track][ts]
         sides.append(side)
     return sides
@@ -356,6 +363,27 @@ def test_self_pairs_alone_early_and_contested_later_are_bit_identical():
         "e": at((1, 3.0), (2, 1.0), (3, 3.0)),
     }
     _assert_log_hota_is_one_pass_per_alpha(*fragment_log(pred, gt))
+
+
+def test_agreeing_frames_of_coincident_tracks_match_the_identity_unmatched(monkeypatch):
+    # Three tracks stand at one centre in all 4 frames, so every pair of them
+    # ties at similarity 1.0. Where gt flags exactly pred's tracks, the
+    # identity is the matching at every alpha and no frame is matched.
+    calls = []
+    lexmin_component = metrics._lexmin_component
+
+    def counted(eligible):
+        calls.append(eligible)
+        return lexmin_component(eligible)
+
+    monkeypatch.setattr(metrics, "_lexmin_component", counted)
+    pred = {track: {ts: (1.0, 0.0, 0.0) for ts in stamps(4)} for track in ("a", "b", "c")}
+    _assert_log_hota_is_one_pass_per_alpha(*fragment_log(pred, pred))
+    assert calls == []
+    # Agreeing at the first 2 frames only: at the last 2, gt flags b and c.
+    gt = dict(pred, a={ts: pred["a"][ts] for ts in stamps(2)})
+    _assert_log_hota_is_one_pass_per_alpha(*fragment_log(pred, gt))
+    assert calls
 
 
 _ELIGIBLE = st.dictionaries(
